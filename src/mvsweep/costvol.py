@@ -224,10 +224,14 @@ def cost_to_probability(
         score = np.stack(
             [_binomial_smooth(score[:, :, mi]) for mi in range(score.shape[2])], axis=2
         )
-    z = score / temperature
-    z -= z.max(axis=2, keepdims=True)
+    return softmax(score / temperature)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its maximum for stability."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=2, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def regress_depth(probs: np.ndarray, planes: DepthPlanes) -> np.ndarray:

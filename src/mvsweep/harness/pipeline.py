@@ -122,6 +122,37 @@ def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map, 
     metrics[f"depth_absrel_{tag}"] = m.abs_rel
 
 
+def _detection_sources(views, det_idx: list[int], source_views: int) -> dict[int, list[int]]:
+    """Plane-sweep sources of each detection view: its nearest other
+    detection views, never a held-out novel view."""
+    det_views = [views[i] for i in det_idx]
+    n_src = min(source_views, len(det_idx) - 1)
+    return {
+        i: [det_idx[p] for p in select_source_views(det_views, pos, n_src)]
+        for pos, i in enumerate(det_idx)
+    }
+
+
+def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict[str, float]:
+    """Depth metrics of every detection view and their mean, then box
+    metrics when boxes are given."""
+    metrics: dict[str, float] = {}
+    if scene.gt_depths is not None:
+        for i, depth_map in depth_maps.items():
+            _depth_metrics(
+                config, scene.views, scene.gt_depths, i, sources[i], depth_map, metrics, f"view{i}"
+            )
+        rmses = [v for k, v in metrics.items() if k.startswith("depth_rmse_view")]
+        if rmses:
+            metrics["depth_rmse_mean"] = float(np.mean(rmses))
+    if boxes is not None:
+        if scene.gt_boxes is not None:
+            for j, gt_box in enumerate(scene.gt_boxes):
+                metrics[f"box{j}_best_iou"] = max((iou3d(gt_box, b) for b in boxes), default=0.0)
+        metrics["n_boxes"] = float(len(boxes))
+    return metrics
+
+
 def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool = False) -> PipelineResult:
     """Full sweep: features, per-view cost and probability volumes, top-k
     proposals, depth-gated voxel aggregation and box extraction; optionally a
@@ -150,17 +181,13 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     # Per-reference plane sweep over its nearest detection-view sources.
     det_views = [views[i] for i in det_idx]
     volumes = {}
-    sources = {}
-    for pos, i in enumerate(det_idx):
-        n_src = min(config.source_views, len(det_idx) - 1)
-        src_pos = select_source_views(det_views, pos, n_src)
-        src_global = [det_idx[p] for p in src_pos]
-        sources[i] = src_global
+    sources = _detection_sources(views, det_idx, config.source_views)
+    for i in det_idx:
         vol = build_cost_volume(
             features[i],
             views[i],
-            [features[j] for j in src_global],
-            [views[j] for j in src_global],
+            [features[j] for j in sources[i]],
+            [views[j] for j in sources[i]],
             planes,
             cost_penalty=config.cost_penalty,
         )
@@ -208,20 +235,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     )
     boxes = extract_boxes(grid, config.box_threshold, config.min_component)
 
-    metrics: dict[str, float] = {}
-    if scene.gt_depths is not None:
-        for i in det_idx:
-            _depth_metrics(
-                config, views, scene.gt_depths, i, sources[i], depth_maps[i], metrics, f"view{i}"
-            )
-        rmses = [v for k, v in metrics.items() if k.startswith("depth_rmse_view")]
-        if rmses:
-            metrics["depth_rmse_mean"] = float(np.mean(rmses))
-    if scene.gt_boxes is not None:
-        for j, gt_box in enumerate(scene.gt_boxes):
-            best = max((iou3d(gt_box, b) for b in boxes), default=0.0)
-            metrics[f"box{j}_best_iou"] = best
-    metrics["n_boxes"] = float(len(boxes))
+    metrics = _scene_metrics(config, scene, sources, depth_maps, boxes)
     if loss_trace is not None:
         metrics["refine_loss_initial"] = loss_trace[0]
         metrics["refine_loss_final"] = loss_trace[-1]
@@ -260,27 +274,18 @@ def write_artifacts(out_dir, result: PipelineResult) -> None:
 
 
 def evaluate_outputs(scene_dir, results_dir, config: PipelineConfig) -> dict[str, float]:
-    """Recompute depth and box metrics from serialized pipeline outputs."""
+    """Recompute depth and box metrics from serialized pipeline outputs.
+
+    The detection views are those with a written depth raster, and each
+    one's sources are picked among them as run_pipeline picks them.  Depth
+    is scored as stored, in float32.
+    """
     scene = load_scene(scene_dir)
     views = scene.views
-    n = len(views)
-    metrics: dict[str, float] = {}
-    if scene.gt_depths is not None:
-        det_views_all = list(range(n))
-        for i in range(n):
-            dpath = os.path.join(results_dir, f"depth_{i:03d}.mvsr")
-            if not os.path.exists(dpath):
-                continue
-            depth_map = formats.load_raster(dpath)[..., 0]
-            n_src = min(config.source_views, n - 1)
-            src = select_source_views(views, i, n_src)
-            _depth_metrics(config, views, scene.gt_depths, i, src, depth_map, metrics, f"view{i}")
-        rmses = [v for k, v in metrics.items() if k.startswith("depth_rmse_view")]
-        if rmses:
-            metrics["depth_rmse_mean"] = float(np.mean(rmses))
+    depth_paths = {i: os.path.join(results_dir, f"depth_{i:03d}.mvsr") for i in range(len(views))}
+    det_idx = [i for i, path in depth_paths.items() if os.path.exists(path)]
+    depth_maps = {i: formats.load_raster(depth_paths[i])[..., 0] for i in det_idx}
+    sources = _detection_sources(views, det_idx, config.source_views)
     boxes_path = os.path.join(results_dir, "boxes.txt")
-    if scene.gt_boxes is not None and os.path.exists(boxes_path):
-        boxes = formats.load_boxes(boxes_path)
-        for j, gt_box in enumerate(scene.gt_boxes):
-            metrics[f"box{j}_best_iou"] = max((iou3d(gt_box, b) for b in boxes), default=0.0)
-    return metrics
+    boxes = formats.load_boxes(boxes_path) if os.path.exists(boxes_path) else None
+    return _scene_metrics(config, scene, sources, depth_maps, boxes)

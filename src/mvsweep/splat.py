@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvsweep.camera import CameraView, DOWNSAMPLE, EPS_Z, ray_grid
-from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
+from mvsweep.costvol import DepthPlanes, block_mean, regress_depth, softmax
 
 # Alpha-compositing constants: per-primitive opacity clamp, support cutoff at
 # 3 sigma (power = 0.5 * 3^2), screen-space covariance dilation, and the
@@ -63,8 +63,9 @@ class GaussianSplatSet:
     def covariances(self) -> np.ndarray:
         """(N, 3, 3) world covariances R diag(s^2) R^T."""
         r = quaternion_to_rotation(self.quaternions)
-        s2 = self.scales**2
-        return np.einsum("nij,nj,nkj->nik", r, s2, r)
+        rs = r * (self.scales**2)[:, None, :]
+        t = rs[:, :, None, :] * r[:, None, :, :]  # (N, i, k, j) terms
+        return (t[..., 0] + t[..., 1]) + t[..., 2]
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -139,10 +140,15 @@ def build_splats(
 
 
 def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
-    """Camera-frame depth, 2D means and 2D covariances for all primitives.
+    """Camera-frame centers, 2D means and 2D covariances for all primitives.
 
-    Returns (keep, z, mean2d, cov2d, jac, cov_cam, fx, fy) over the kept
-    (in-front) primitives; cov2d includes the screen-space dilation.
+    Returns (keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh) over the
+    kept (in-front) primitives.  cov2d is the (a, b, c) triple of the
+    symmetric 2D covariance [[a, b], [b, c]], screen-space dilation included;
+    jac is (j00, j02, j11, j12), the nonzero entries of the perspective
+    Jacobian [[j00, 0, j02], [0, j11, j12]].  Every covariance sum adds its
+    terms one at a time in row-major (j, k) order; the pinned forward-pass
+    tests hold that order fixed.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
     r = view.pose.rotation
@@ -151,33 +157,58 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     keep = z > EPS_Z
     x_cam = x_cam[keep]
     z = z[keep]
-    mean2d = np.stack(
-        [k.fx * x_cam[:, 0] / z + k.cx, k.fy * x_cam[:, 1] / z + k.cy], axis=1
+    x, y = x_cam[:, 0], x_cam[:, 1]
+    mean2d = np.stack([k.fx * x / z + k.cx, k.fy * y / z + k.cy], axis=1)
+    j00 = k.fx / z
+    j02 = -k.fx * x / z**2
+    j11 = k.fy / z
+    j12 = -k.fy * y / z**2
+
+    # cov_cam = R cov_world R^T.
+    cw = splats.covariances()[keep]
+    cov_cam = np.empty_like(cw)
+    for i in range(3):
+        rc = [[r[i, j] * cw[:, j, m] for m in range(3)] for j in range(3)]
+        for l in range(3):
+            cov_cam[:, i, l] = sum(rc[j][m] * r[l, m] for j in range(3) for m in range(3))
+    # cov2d = J cov_cam J^T over the nonzero Jacobian entries.
+    c = cov_cam
+    c00 = (
+        (j00 * c[:, 0, 0] * j00 + j00 * c[:, 0, 2] * j02)
+        + j02 * c[:, 2, 0] * j00 + j02 * c[:, 2, 2] * j02
+    ) + COV_DILATION
+    c01 = (
+        (j00 * c[:, 0, 1] * j11 + j00 * c[:, 0, 2] * j12)
+        + j02 * c[:, 2, 1] * j11 + j02 * c[:, 2, 2] * j12
     )
-    # Perspective Jacobian at the camera-frame center (2x3 per primitive).
-    n = x_cam.shape[0]
-    jac = np.zeros((n, 2, 3))
-    jac[:, 0, 0] = k.fx / z
-    jac[:, 0, 2] = -k.fx * x_cam[:, 0] / z**2
-    jac[:, 1, 1] = k.fy / z
-    jac[:, 1, 2] = -k.fy * x_cam[:, 1] / z**2
-    cov_world = splats.covariances()[keep]
-    cov_cam = np.einsum("ij,njk,lk->nil", r, cov_world, r)
-    cov2d = np.einsum("nij,njk,nlk->nil", jac, cov_cam, jac)
-    cov2d[:, 0, 0] += COV_DILATION
-    cov2d[:, 1, 1] += COV_DILATION
-    return keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh
+    c11 = (
+        (j11 * c[:, 1, 1] * j11 + j11 * c[:, 1, 2] * j12)
+        + j12 * c[:, 2, 1] * j11 + j12 * c[:, 2, 2] * j12
+    ) + COV_DILATION
+    return keep, x_cam, z, mean2d, (c00, c01, c11), (j00, j02, j11, j12), cov_cam, k, gw, gh
 
 
 def _gather_pairs(mean2d, cov2d, z, gw, gh):
-    """Enumerate (primitive, pixel) pairs within the 3-sigma support.
+    """Enumerate (primitive, pixel) pairs within the 3-sigma support, and the
+    permutation that orders them by (pixel, depth, primitive index).
 
-    Returns pair arrays sorted by (pixel, depth, primitive index):
-    prim (P,), pixel id (P,), delta (P, 2), inv_cov (P, 2, 2), power (P,).
+    This is a rank-ordered counting sort, the per-pixel depth sort of 3D
+    Gaussian Splatting done in one pass.  One stable argsort of z ranks the
+    primitives by (depth, index), and pairs are listed primitive by
+    primitive in that rank order, each bbox row-major.  Every pixel's pairs
+    therefore already appear front to back, and one stable sort by pixel id
+    alone gives the full order.  The pixel key is 16-bit when the grid has
+    at most 65,536 pixels, which numpy radix-sorts, and 32-bit above that.
+    Per-pair quantities are scalar arrays; only pairs that pass the 3-sigma
+    test are kept.
+
+    Returns, over the kept pairs in rank order: prim, pixel id, power, the
+    stable permutation `order` by pixel id (prim[order], pid[order] and
+    power[order] are in (pixel, depth, primitive index) order), and the
+    offsets dx, dy from the primitive's 2D mean; then the inverse 2D
+    covariance entries inv00, inv01, inv11 (N,) per primitive.
     """
-    a = cov2d[:, 0, 0]
-    b = cov2d[:, 0, 1]
-    c = cov2d[:, 1, 1]
+    a, b, c = cov2d
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     radius = 3.0 * np.sqrt(lam_max)
     x0 = np.maximum(np.ceil(mean2d[:, 0] - radius), 0).astype(np.int64)
@@ -187,84 +218,71 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
     nx = np.maximum(x1 - x0 + 1, 0)
     ny = np.maximum(y1 - y0 + 1, 0)
     counts = nx * ny
-    on_screen = counts > 0
-    idx = np.flatnonzero(on_screen)
-    if idx.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros(0)
-
-    reps = counts[idx]
-    prim = np.repeat(idx, reps)
-    # Per-pair pixel coordinates: row-major offset within each bbox.
-    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    w_per = np.repeat(nx[idx], reps)
-    px = np.repeat(x0[idx], reps) + offsets % w_per
-    py = np.repeat(y0[idx], reps) + offsets // w_per
 
     det = a * c - b * b
-    inv = np.empty_like(cov2d)
-    inv[:, 0, 0] = c / det
-    inv[:, 1, 1] = a / det
-    inv[:, 0, 1] = inv[:, 1, 0] = -b / det
+    inv00 = c / det
+    inv01 = -b / det
+    inv11 = a / det
 
-    delta = np.stack([px - mean2d[prim, 0], py - mean2d[prim, 1]], axis=1)
-    pinv = inv[prim]
+    rank = np.argsort(z, kind="stable")
+    idx = rank[counts[rank] > 0]  # on-screen primitives in (depth, index) order
+    reps = counts[idx]
+    # Bbox rows first, then the pixels along each row; dy and the dy^2 term
+    # of the power are per-row values.
+    row_prim = np.repeat(idx, ny[idx])
+    first_row = np.cumsum(ny[idx]) - ny[idx]
+    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
+    row_dy = row_y - mean2d[row_prim, 1]
+    row_n = nx[row_prim]
+    first_px = np.cumsum(row_n) - row_n
+    px = np.repeat(x0[row_prim] - first_px, row_n) + np.arange(row_n.sum())
+    dx = px - np.repeat(mean2d[idx, 0], reps)
+    dy = np.repeat(row_dy, row_n)
     power = 0.5 * (
-        delta[:, 0] ** 2 * pinv[:, 0, 0]
-        + 2.0 * delta[:, 0] * delta[:, 1] * pinv[:, 0, 1]
-        + delta[:, 1] ** 2 * pinv[:, 1, 1]
+        dx**2 * np.repeat(inv00[idx], reps)
+        + 2.0 * dx * dy * np.repeat(inv01[idx], reps)
+        + np.repeat(row_dy**2 * inv11[row_prim], row_n)
     )
     inside = power <= POWER_CUTOFF
-    prim = prim[inside]
-    pid = (py[inside] * gw + px[inside]).astype(np.int64)
-    delta = delta[inside]
-    power = power[inside]
-
-    order = np.lexsort((prim, z[prim], pid))
-    return prim[order], pid[order], delta[order], inv, power[order]
+    pid = (np.repeat(row_y * gw, row_n) + px)[inside]
+    key = pid.astype(np.uint16 if gw * gh <= 65536 else np.uint32)
+    order = np.argsort(key, kind="stable")
+    prim = np.repeat(idx, reps)[inside]
+    return prim, pid, power[inside], order, dx[inside], dy[inside], inv00, inv01, inv11
 
 
-def _composite(prim, pid, power, z, alphas, colors, gw, gh):
-    """Front-to-back alpha blending over depth-sorted pairs.
+def _composite(prim, pid, power, order, alphas, colors, n_px):
+    """Front-to-back alpha blending of the pairs from _gather_pairs.
 
-    Returns (color, depth, alpha images, per-pair alpha_eff, transmittance,
-    clamped mask) -- the per-pair values feed the backward pass.
+    Pairs stay in rank order; only the per-pixel transmittance scan runs in
+    pixel order, through `order`.  bincount adds each pixel's pairs in input
+    order, front to back either way, so the sums match compositing the
+    pixel-sorted list term for term.
+
+    Returns the (n_px, 3) colour image and the per-pair values the backward
+    pass needs: blend weight w, Gaussian falloff g, alpha_eff,
+    transmittance, the clamped mask, and each covered pixel's pair count.
     """
-    if prim.size == 0:
-        zero = np.zeros((gh, gw))
-        empty = np.zeros(0)
-        return np.zeros((gh, gw, 3)), zero, zero.copy(), empty, empty, empty, empty.astype(bool)
-
     g = np.exp(-power)
     alpha_raw = alphas[prim] * g
     clamped = alpha_raw > ALPHA_CLAMP
     alpha_eff = np.where(clamped, ALPHA_CLAMP, alpha_raw)
 
     # Segmented exclusive cumulative product of (1 - alpha) by pixel id.
-    log_t = np.log1p(-alpha_eff)
-    csum = np.cumsum(log_t)
-    seg_start = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
-    base = np.repeat(csum[seg_start] - log_t[seg_start], np.diff(np.r_[seg_start, pid.size]))
-    trans = np.exp(csum - log_t - base)  # exclusive product
+    log_t = np.log1p(-alpha_eff)[order]
+    excl = np.cumsum(log_t) - log_t
+    seg_len = np.bincount(pid, minlength=n_px)
+    seg_len = seg_len[seg_len > 0]
+    seg_start = np.cumsum(seg_len) - seg_len
+    trans = np.empty_like(log_t)
+    trans[order] = np.exp(excl - np.repeat(excl[seg_start], seg_len))
 
     w = alpha_eff * trans
-    n_px = gh * gw
-    wc = w[:, None] * colors[prim]
     color = np.stack(
-        [np.bincount(pid, weights=wc[:, ch], minlength=n_px) for ch in range(3)], axis=1
+        [np.bincount(pid, weights=w * col[prim], minlength=n_px) for col in colors.T],
+        axis=1,
     )
-    acc = np.bincount(pid, weights=w, minlength=n_px)
-    depth_num = np.bincount(pid, weights=w * z[prim], minlength=n_px)
-    depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
-    return (
-        color.reshape(gh, gw, 3),
-        depth.reshape(gh, gw),
-        acc.reshape(gh, gw),
-        g,
-        alpha_eff,
-        trans,
-        clamped,
-    )
+    return color, w, g, alpha_eff, trans, clamped, seg_len
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -278,9 +296,15 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
     colors = splats.colors[keep]
-    prim, pid, delta, inv, power = _gather_pairs(mean2d, cov2d, z, gw, gh)
-    color, depth, acc, *_ = _composite(prim, pid, power, z, alphas, colors, gw, gh)
-    return RenderTarget(color=color, depth=depth, alpha=acc)
+    prim, pid, power, order, *_ = _gather_pairs(mean2d, cov2d, z, gw, gh)
+    n_px = gh * gw
+    color, w, *_ = _composite(prim, pid, power, order, alphas, colors, n_px)
+    acc = np.bincount(pid, weights=w, minlength=n_px)
+    depth_num = np.bincount(pid, weights=w * z[prim], minlength=n_px)
+    depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
+    return RenderTarget(
+        color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
+    )
 
 
 def rendering_loss(rendered: RenderTarget, target_image: np.ndarray) -> float:
@@ -313,98 +337,93 @@ def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.nda
     Returns (loss, d_means (N, 3), d_alphas (N,), d_sigma (N,)) where sigma
     is the isotropic scale (all three scale entries assumed equal, as
     build_splats produces).
+
+    The colour gradient is constant within a pixel's run of pairs, so the
+    colour that later pairs blend in enters as one scalar suffix sum of
+    w * (d_color . colour).  Per-pair terms are summed per primitive as
+    moments of the pixel offsets, which the primitive's inverse covariance
+    P then maps in closed form: d_mean2d = P m and d_cov2d = P M P / 2, with
+    m and M the first and (symmetric) second moments.
     """
     keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
     colors = splats.colors[keep]
-    prim, pid, delta, inv, power = _gather_pairs(mean2d, cov2d, z, gw, gh)
-    color, depth, acc, g_pair, alpha_eff, trans, clamped = _composite(
-        prim, pid, power, z, alphas, colors, gw, gh
+    prim, pid, power, order, dx, dy, inv00, inv01, inv11 = _gather_pairs(mean2d, cov2d, z, gw, gh)
+    n_px = gh * gw
+    color, w, g, alpha_eff, trans, clamped, seg_len = _composite(
+        prim, pid, power, order, alphas, colors, n_px
     )
 
-    diff = color - target_image
+    diff = color.reshape(gh, gw, 3) - target_image
     loss = float(np.mean(diff * diff))
-    d_color = (2.0 / diff.size) * diff.reshape(-1, 3)  # (gh*gw, 3)
+    d_color = (2.0 / diff.size) * diff.reshape(-1, 3)
+
+    # q = d_color . colour per pair; its blend-weighted suffix within each
+    # pixel segment is the colour arriving from behind the pair.
+    q = sum(dc[pid] * col[prim] for dc, col in zip(d_color.T, colors.T))
+    csum = np.cumsum((w * q)[order])
+    suffix = np.empty_like(csum)
+    suffix[order] = np.repeat(csum[np.cumsum(seg_len) - 1], seg_len) - csum
+    d_alpha_eff = trans * q - suffix / (1.0 - alpha_eff)
+    u = np.where(clamped, 0.0, g * d_alpha_eff)  # dL/d(opacity) per pair
 
     n_kept = z.size
-    if prim.size == 0:
-        d_means = np.zeros_like(splats.means)
-        return loss, d_means, np.zeros(len(splats)), np.zeros(len(splats))
-
-    # Suffix sums within each pixel segment: S_e = contributions after e.
-    w_pair = alpha_eff * trans
-    contrib = w_pair[:, None] * colors[prim]  # (P, 3)
-    csum = np.cumsum(contrib, axis=0)
-    seg_start = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
-    seg_len = np.diff(np.r_[seg_start, pid.size])
-    seg_end = seg_start + seg_len - 1
-    total = csum[seg_end]  # (S, 3) inclusive totals per segment
-    seg_of_pair = np.repeat(np.arange(seg_start.size), seg_len)
-    suffix = total[seg_of_pair] - csum  # contributions strictly after e
-
-    dc = d_color[pid]  # (P, 3)
-    d_alpha_eff = np.einsum(
-        "pc,pc->p", dc, colors[prim] * trans[:, None] - suffix / (1.0 - alpha_eff)[:, None]
+    d_alpha_kept = np.bincount(prim, weights=u, minlength=n_kept)
+    # dL/dpower = -opacity * u; moments of that over each primitive's pairs.
+    ux, uy = u * dx, u * dy
+    m_x, m_y, m_xx, m_xy, m_yy = (
+        alphas * np.bincount(prim, weights=v, minlength=n_kept)
+        for v in (ux, uy, ux * dx, ux * dy, uy * dy)
     )
-    live = ~clamped
-    d_g = np.where(live, alphas[prim] * d_alpha_eff, 0.0)
-    d_alpha_pair = np.where(live, g_pair * d_alpha_eff, 0.0)
-    gp = d_g * g_pair  # = -dL/dpower
-
-    pinv = inv[prim]
-    pd = np.einsum("pij,pj->pi", pinv, delta)  # P Delta
-    d_mean2d_pair = gp[:, None] * pd
-    d_cov2d_pair = 0.5 * gp[:, None, None] * np.einsum("pi,pj->pij", pd, pd)
-
-    d_alpha_kept = np.bincount(prim, weights=d_alpha_pair, minlength=n_kept)
-    d_mean2d = np.stack(
-        [np.bincount(prim, weights=d_mean2d_pair[:, i], minlength=n_kept) for i in range(2)],
-        axis=1,
+    d_mean0 = inv00 * m_x + inv01 * m_y
+    d_mean1 = inv01 * m_x + inv11 * m_y
+    d_cov00 = 0.5 * (inv00 * inv00 * m_xx + 2.0 * inv00 * inv01 * m_xy + inv01 * inv01 * m_yy)
+    d_cov01 = 0.5 * (
+        inv00 * inv01 * m_xx + (inv00 * inv11 + inv01 * inv01) * m_xy + inv01 * inv11 * m_yy
     )
-    d_cov2d = np.stack(
-        [
-            np.bincount(prim, weights=d_cov2d_pair[:, i, j], minlength=n_kept)
-            for i in range(2)
-            for j in range(2)
-        ],
-        axis=1,
-    ).reshape(n_kept, 2, 2)
+    d_cov11 = 0.5 * (inv01 * inv01 * m_xx + 2.0 * inv01 * inv11 * m_xy + inv11 * inv11 * m_yy)
 
-    # Projection backward: mean2d and cov2d -> camera point and sigma.
-    d_xcam = np.einsum("nji,nj->ni", jac, d_mean2d)  # J^T dmean
-    d_jac = 2.0 * np.einsum("nij,njk,nkl->nil", d_cov2d, jac, cov_cam)
-    d_cov_cam = np.einsum("nji,njk,nkl->nil", jac, d_cov2d, jac)
+    # Projection backward through cov2d = J C J^T + dilation and mean2d, with
+    # J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 D J C, d_cov_cam = J^T D J.
+    j00, j02, j11, j12 = jac
+    jc0 = j00[:, None] * cov_cam[:, 0] + j02[:, None] * cov_cam[:, 2]  # row 0 of J C
+    jc1 = j11[:, None] * cov_cam[:, 1] + j12[:, None] * cov_cam[:, 2]  # row 1 of J C
+    d_j00 = 2.0 * (d_cov00 * jc0[:, 0] + d_cov01 * jc1[:, 0])
+    d_j02 = 2.0 * (d_cov00 * jc0[:, 2] + d_cov01 * jc1[:, 2])
+    d_j11 = 2.0 * (d_cov01 * jc0[:, 1] + d_cov11 * jc1[:, 1])
+    d_j12 = 2.0 * (d_cov01 * jc0[:, 2] + d_cov11 * jc1[:, 2])
+    tr_d_cov_cam = (
+        d_cov00 * (j00 * j00 + j02 * j02)
+        + 2.0 * d_cov01 * j02 * j12
+        + d_cov11 * (j11 * j11 + j12 * j12)
+    )
 
     fx, fy = k.fx, k.fy
     x, y = x_cam[:, 0], x_cam[:, 1]
     z2 = z * z
-    d_xcam[:, 0] += d_jac[:, 0, 2] * (-fx / z2)
-    d_xcam[:, 1] += d_jac[:, 1, 2] * (-fy / z2)
-    d_xcam[:, 2] += (
-        d_jac[:, 0, 0] * (-fx / z2)
-        + d_jac[:, 1, 1] * (-fy / z2)
-        + d_jac[:, 0, 2] * (2.0 * fx * x / (z2 * z))
-        + d_jac[:, 1, 2] * (2.0 * fy * y / (z2 * z))
+    d_xcam = np.stack(
+        [
+            j00 * d_mean0 + d_j02 * (-fx / z2),
+            j11 * d_mean1 + d_j12 * (-fy / z2),
+            j02 * d_mean0
+            + j12 * d_mean1
+            + d_j00 * (-fx / z2)
+            + d_j11 * (-fy / z2)
+            + d_j02 * (2.0 * fx * x / (z2 * z))
+            + d_j12 * (2.0 * fy * y / (z2 * z)),
+        ],
+        axis=1,
     )
 
-    d_means_kept = d_xcam @ view.pose.rotation  # R^T applied row-wise
     sigma = splats.scales[keep, 0]
-    d_sigma_kept = 2.0 * sigma * np.trace(d_cov_cam, axis1=1, axis2=2)
-
+    keep_idx = np.flatnonzero(keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
-    keep_idx = np.flatnonzero(keep)
-    d_means[keep_idx] = d_means_kept
+    d_means[keep_idx] = d_xcam @ view.pose.rotation  # R^T applied row-wise
     d_alphas[keep_idx] = d_alpha_kept
-    d_sigmas[keep_idx] = d_sigma_kept
+    d_sigmas[keep_idx] = 2.0 * sigma * tr_d_cov_cam
     return loss, d_means, d_alphas, d_sigmas
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def refinement_loss_and_grad(
@@ -423,7 +442,7 @@ def refinement_loss_and_grad(
     softmax -> (depth regression, peak-probability opacity) -> splat center
     and footprint -> projection -> alpha compositing.
     """
-    probs = [_softmax(lg) for lg in logits]
+    probs = [softmax(lg) for lg in logits]
     sets = [
         build_splats(v, p, planes, img, footprint_scale, source_index=i)
         for i, (v, p, img) in enumerate(zip(source_views, probs, source_images))
@@ -540,4 +559,4 @@ def refine_probability_volume(
         if not accepted:
             trace.extend([trace[-1]] * (steps + 1 - len(trace)))
             break
-    return RefinementResult(volumes=[_softmax(lg) for lg in logits], loss_trace=trace)
+    return RefinementResult(volumes=[softmax(lg) for lg in logits], loss_trace=trace)

@@ -7,6 +7,7 @@ from mvsweep.harness import formats
 from mvsweep.harness.cli import main as cli_main
 from mvsweep.harness.config import PipelineConfig, save_config
 from mvsweep.harness.pipeline import (
+    evaluate_outputs,
     holdout_novel_indices,
     load_scene,
     run_pipeline,
@@ -145,6 +146,23 @@ class TestRunPipeline:
         novel = holdout_novel_indices(5, 2)
         for i in range(5):
             assert (out / f"depth_{i:03d}.mvsr").exists() == (i not in novel)
+
+
+class TestEvaluate:
+    def test_eval_reproduces_refine_metrics(self, tmp_path):
+        # Sources are picked among the detection views only, as the run picks
+        # them; eval scores the float32 rasters, so depth keys agree to 1e-6.
+        scene_dir = write_scene(tmp_path, n_boxes=1, n_views=6, image_size=(64, 48))
+        out = tmp_path / "out"
+        config = small_config(refine_steps=1)
+        run_pipeline(scene_dir, config, out_dir=out, refine=True)
+        ran = formats.load_metrics(out / "metrics.txt")
+        evaluated = evaluate_outputs(scene_dir, out, config)
+        depth_keys = [k for k in ran if k.startswith("depth_")]
+        assert depth_keys and set(depth_keys) == {k for k in evaluated if k.startswith("depth_")}
+        for key in depth_keys:
+            assert evaluated[key] == pytest.approx(ran[key], abs=1e-6), key
+        assert evaluated["n_boxes"] == ran["n_boxes"]
 
 
 class TestCli:

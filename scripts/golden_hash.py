@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Golden digest of a pipeline run.
+
+Generates the scene of acceptance criterion 12 for the given seed (1 box,
+3 views at 128x96) in a temporary directory, runs the detection pipeline on
+it with criterion 12's config, and prints the SHA-256 over every file the
+run writes to its output directory.  A change that claims to keep behaviour
+fixed must keep this digest; `tests/test_pipeline.py` pins it for seed 5.
+
+    PYTHONPATH=src python scripts/golden_hash.py --seed 5
+"""
+
+import argparse
+import hashlib
+import os
+import tempfile
+
+from mvsweep.harness import formats
+from mvsweep.harness.boxes import Box3D
+from mvsweep.harness.config import PipelineConfig
+from mvsweep.harness.pipeline import run_pipeline
+from mvsweep.scenegen import generate_scene, make_trajectory, raycast
+
+
+def output_digest(out_dir) -> str:
+    """SHA-256 over the files of a directory in name order: each file adds
+    its name, a NUL byte, its size and a NUL byte, then its bytes."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def golden_digest(seed: int, workdir) -> str:
+    """Write criterion 12's scene for `seed` under `workdir`, run it, and
+    return the digest of the run's outputs."""
+    scene_dir = os.path.join(workdir, "scene")
+    out_dir = os.path.join(workdir, "out")
+    os.makedirs(scene_dir)
+    scene = generate_scene(seed=seed, n_boxes=1)
+    views = make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
+    formats.save_scene(os.path.join(scene_dir, "scene.txt"), scene)
+    formats.save_cameras(os.path.join(scene_dir, "cameras.txt"), views)
+    formats.save_boxes(
+        os.path.join(scene_dir, "boxes.txt"), [Box3D.from_corners(b.lo, b.hi) for b in scene.boxes]
+    )
+    for i, view in enumerate(views):
+        gt = raycast(scene, view)
+        formats.save_ppm(os.path.join(scene_dir, f"view_{i:03d}.ppm"), gt.image)
+        formats.save_raster(os.path.join(scene_dir, f"depth_{i:03d}.mvsr"), gt.depth)
+    config = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=2)
+    run_pipeline(scene_dir, config, out_dir=out_dir)
+    return output_digest(out_dir)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=5)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        print(golden_digest(args.seed, tmp))
+
+
+if __name__ == "__main__":
+    main()

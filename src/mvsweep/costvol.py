@@ -127,8 +127,16 @@ def select_source_views(views: list[CameraView], ref_index: int, count: int) -> 
 
 def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear lookup of an (H, W, C) grid at continuous pixel coordinates,
-    clamping to the edge so the half-pixel boundary band stays usable."""
+    clamping to the edge so the half-pixel boundary band stays usable.
+
+    The four corners are gathered from the grid flattened to (H*W, C) at row
+    `y*W + x`.  Non-finite coordinates are rejected.
+    """
+    bad = np.count_nonzero(~np.isfinite(u)) + np.count_nonzero(~np.isfinite(v))
+    if bad:
+        raise ValueError(f"{bad} sample coordinates are not finite")
     h, w = grid.shape[:2]
+    flat = grid.reshape((h * w,) + grid.shape[2:])
     x = np.clip(u, 0.0, w - 1.0)
     y = np.clip(v, 0.0, h - 1.0)
     x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 2) if w > 1 else np.zeros_like(x, np.int64)
@@ -136,11 +144,12 @@ def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     fx = (x - x0)[..., None]
     fy = (y - y0)[..., None]
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    g00 = grid[y0, x0]
-    g10 = grid[y0, x1]
-    g01 = grid[y1, x0]
-    g11 = grid[y1, x1]
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
+    g00 = flat.take(row0 + x0, axis=0)
+    g10 = flat.take(row0 + x1, axis=0)
+    g01 = flat.take(row1 + x0, axis=0)
+    g11 = flat.take(row1 + x1, axis=0)
     top = g00 + (g10 - g00) * fx
     bot = g01 + (g11 - g01) * fx
     return top + (bot - top) * fy
@@ -161,6 +170,16 @@ def build_cost_volume(
     grid or behind its camera are excluded) and takes the per-channel
     population variance.  When fewer than 2 views survive, the cost is the
     penalty value.
+
+    The sweep runs plane by plane.  Each plane keeps (H*W, C) sums of the
+    descriptors and of their squares, starting from the reference, and an
+    (H*W,) view count; every source is warped, sampled and added in source
+    order, then the plane's variance and penalty are finished at once.  An
+    excluded cell is sampled at coordinate 0 and its sample multiplied by 0:
+    the sums are never -0.0, so adding that +-0.0 leaves them unchanged, and
+    each cell receives the same adds in the same order as an accumulation
+    over only the surviving views.  Costs are stored plane-major and
+    returned as (H, W, C, M) and (H, W, M) views.
     """
     if not src_feats:
         raise ValueError("need at least one source view")
@@ -174,32 +193,37 @@ def build_cost_volume(
     m = planes.count
     uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     q = np.stack([uu, vv], axis=-1)  # (H, W, 2)
+    ref = ref_feat.reshape(h * w, c)
+    ref_sq = ref * ref
+    sources = [
+        (feat, view.scaled(DOWNSAMPLE), relative_pose(ref_view.pose, view.pose))
+        for feat, view in zip(src_feats, src_views)
+    ]
 
-    acc = np.zeros((h, w, c, m))
-    acc_sq = np.zeros((h, w, c, m))
-    count = np.ones((h, w, m), dtype=np.int64)  # reference always contributes
-    ref_sq = ref_feat * ref_feat
-    acc += ref_feat[..., None]
-    acc_sq += ref_sq[..., None]
-
-    for feat, view in zip(src_feats, src_views):
-        k_src, sw, sh = view.scaled(DOWNSAMPLE)
-        rel = relative_pose(ref_view.pose, view.pose)
-        for mi, depth in enumerate(planes.depths):
+    costs = np.empty((m, h * w, c))
+    count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes
+    for mi, depth in enumerate(planes.depths):
+        acc = 0.0 + ref
+        acc_sq = 0.0 + ref_sq
+        n_views = count[mi]
+        for feat, (k_src, sw, sh), rel in sources:
             uv, _, front = homography_warp(q, float(depth), k_ref, k_src, rel)
-            ok = front & in_bounds(uv[..., 0], uv[..., 1], sw, sh)
-            if not ok.any():
-                continue
-            sample = bilinear_sample(feat, uv[ok][:, 0], uv[ok][:, 1])
-            acc[ok, :, mi] += sample
-            acc_sq[ok, :, mi] += sample * sample
-            count[ok, mi] += 1
-
-    n = count[:, :, None, :].astype(np.float64)
-    mean = acc / n
-    var = np.maximum(acc_sq / n - mean * mean, 0.0)
-    costs = np.where(count[:, :, None, :] >= 2, var, cost_penalty)
-    return CostVolume(costs=costs, valid_views=count)
+            u = uv[..., 0].reshape(-1)
+            v = uv[..., 1].reshape(-1)
+            ok = front.reshape(-1) & in_bounds(u, v, sw, sh)
+            sample = bilinear_sample(feat, np.where(ok, u, 0.0), np.where(ok, v, 0.0))
+            sample *= ok[:, None]
+            acc += sample
+            acc_sq += sample * sample
+            n_views += ok
+        n = n_views[:, None].astype(np.float64)
+        mean = acc / n
+        var = np.maximum(acc_sq / n - mean * mean, 0.0)
+        costs[mi] = np.where(n_views[:, None] >= 2, var, cost_penalty)
+    return CostVolume(
+        costs=costs.reshape(m, h, w, c).transpose(1, 2, 3, 0),
+        valid_views=count.reshape(m, h, w).transpose(1, 2, 0),
+    )
 
 
 def _binomial_smooth(plane: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from mvsweep.costvol import DepthPlanes
@@ -39,6 +40,20 @@ class PipelineConfig:
     min_component: int = 4
 
     def __post_init__(self):
+        self.grid_dims = tuple(int(v) for v in self.grid_dims)
+        self.grid_pitch = tuple(float(v) for v in self.grid_pitch)
+        self.grid_origin = tuple(float(v) for v in self.grid_origin)
+        for f in fields(self):
+            if f.name in _INT_FIELDS or f.name == "grid_dims":
+                continue
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{f.name} must be finite")
+        if self.num_planes < 2:
+            raise ValueError("num_planes must be >= 2")
+        if len(self.grid_dims) != 3 or min(self.grid_dims) < 1:
+            raise ValueError("grid_dims must be three sizes >= 1")
         if not (1 <= self.top_k <= self.num_planes):
             raise ValueError("top_k must lie in [1, num_planes]")
         if not 0.0 < self.depth_min < self.depth_max:
@@ -53,9 +68,6 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.box_threshold <= 1.0:
             raise ValueError("box_threshold must lie in (0, 1]")
-        self.grid_dims = tuple(int(v) for v in self.grid_dims)
-        self.grid_pitch = tuple(float(v) for v in self.grid_pitch)
-        self.grid_origin = tuple(float(v) for v in self.grid_origin)
 
     def planes(self) -> DepthPlanes:
         return DepthPlanes.uniform(self.num_planes, self.depth_min, self.depth_max)

@@ -197,8 +197,10 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
     primitives by (depth, index), and pairs are listed primitive by
     primitive in that rank order, each bbox row-major.  Every pixel's pairs
     therefore already appear front to back, and one stable sort by pixel id
-    alone gives the full order.  The pixel key is 16-bit when the grid has
-    at most 65,536 pixels, which numpy radix-sorts, and 32-bit above that.
+    alone gives the full order.  That sort is numpy's radix sort on 16-bit
+    keys: one pass over the pixel id when the grid has at most 65,536
+    pixels, and above that a pass over its low 16 bits followed by a stable
+    pass over its high 16 bits (pixel ids fit 32 bits).
     Per-pair quantities are scalar arrays; only pairs that pass the 3-sigma
     test are kept.
 
@@ -245,8 +247,10 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
     )
     inside = power <= POWER_CUTOFF
     pid = (np.repeat(row_y * gw, row_n) + px)[inside]
-    key = pid.astype(np.uint16 if gw * gh <= 65536 else np.uint32)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(pid.astype(np.uint16), kind="stable")  # low 16 bits
+    if gw * gh > 65536:
+        # Second radix pass on the high 16 bits, stable over the first.
+        order = order[np.argsort((pid[order] >> 16).astype(np.uint16), kind="stable")]
     prim = np.repeat(idx, reps)[inside]
     return prim, pid, power[inside], order, dx[inside], dy[inside], inv00, inv01, inv11
 

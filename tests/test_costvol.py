@@ -274,6 +274,13 @@ class TestBilinear:
         grid[0, 1, 0] = 1.0
         assert bilinear_sample(grid, np.array([0.5]), np.array([0.0]))[0, 0] == pytest.approx(0.5)
 
+    def test_non_finite_coordinates_rejected(self):
+        grid = np.zeros((4, 5, 2))
+        u = np.array([0.0, np.nan, 1.0, np.inf])
+        v = np.array([0.0, 1.0, -np.inf, 2.0])
+        with pytest.raises(ValueError, match="3 sample coordinates are not finite"):
+            bilinear_sample(grid, u, v)
+
     @settings(max_examples=30)
     @given(u=st.floats(-0.5, 6.5), v=st.floats(-0.5, 5.5))
     def test_stays_in_convex_hull(self, u, v):
@@ -312,3 +319,92 @@ class TestSyntheticDepthSanity:
         expected = planes.nearest_index(gt_q)
         agree = (predicted == expected)[mask].mean()
         assert agree >= 0.80
+
+
+def assert_bytes_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_sweep_matches_oracle(ref_feat, ref_view, src_feats, src_views, planes):
+    from costvol_reference import build_cost_volume as reference_build
+
+    vol = build_cost_volume(ref_feat, ref_view, src_feats, src_views, planes)
+    ref = reference_build(ref_feat, ref_view, src_feats, src_views, planes)
+    assert_bytes_equal(vol.costs, ref.costs)
+    assert_bytes_equal(vol.valid_views, ref.valid_views)
+    return vol, ref
+
+
+class TestSweepMatchesOracle:
+    """The plane sweep reproduces the pixel-major, masked-scatter oracle in
+    `tests/costvol_reference.py` to the bit."""
+
+    def test_textured_scene(self):
+        scene = generate_scene(seed=31, n_boxes=0)
+        views = make_trajectory(scene, 3, seed=7)
+        feats = [extract_features(raycast(scene, v).image) for v in views]
+        planes = DepthPlanes.uniform(12, 0.2, 5.0)
+        srcs = select_source_views(views, 0, 2)
+        vol, ref = assert_sweep_matches_oracle(
+            feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes
+        )
+        assert_bytes_equal(
+            cost_to_probability(vol, temperature=5e-4), cost_to_probability(ref, temperature=5e-4)
+        )
+
+    def test_source_behind_camera(self):
+        ref_view = simple_view()
+        src_view = simple_view(pose=Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)))
+        feat = np.random.default_rng(1).uniform(0, 1, size=(8, 8, 6))
+        planes = DepthPlanes.uniform(3, 1.0, 3.0)
+        vol, _ = assert_sweep_matches_oracle(feat, ref_view, [feat], [src_view], planes)
+        assert np.all(vol.valid_views == 1)
+
+    def test_partial_overlap_on_non_square_grid(self):
+        # A sideways baseline pushes part of every plane off the source grid,
+        # so penalty cells and valid cells mix on one plane.
+        rng = np.random.default_rng(2)
+        ref_view = simple_view(width=64, height=48)
+        src_view = simple_view(width=64, height=48, pose=Pose(np.eye(3), np.array([0.5, 0.0, 0.0])))
+        ref_feat = rng.uniform(0, 1, size=(12, 16, 6))
+        src_feat = rng.uniform(0, 1, size=(12, 16, 6))
+        planes = DepthPlanes.uniform(5, 1.0, 3.0)
+        vol, _ = assert_sweep_matches_oracle(ref_feat, ref_view, [src_feat], [src_view], planes)
+        for mi in range(planes.count):
+            counts = vol.valid_views[:, :, mi]
+            assert (counts == 1).any() and (counts == 2).any()
+
+    def test_rotated_sources_on_non_square_grid(self):
+        rng = np.random.default_rng(3)
+        k = Intrinsics(50.0, 50.0, 39.5, 23.5)
+        poses = [look_at((0.1 * i, -0.05 * i, 0.0), (0.0, 0.0, 2.5), up=(0.0, -1.0, 0.0))
+                 for i in range(3)]
+        views = [CameraView(k, pose, 80, 48) for pose in poses]
+        feats = [rng.uniform(-1, 1, size=(12, 20, 6)) for _ in views]
+        planes = DepthPlanes.uniform(7, 0.5, 4.0)
+        assert_sweep_matches_oracle(feats[0], views[0], feats[1:], views[1:], planes)
+
+    def test_one_cell_wide_grid(self):
+        rng = np.random.default_rng(4)
+        ref_view = simple_view(width=4, height=32)
+        src_view = simple_view(width=4, height=32, pose=Pose(np.eye(3), np.array([0.0, 0.2, 0.0])))
+        ref_feat = rng.uniform(0, 1, size=(8, 1, 6))
+        src_feat = rng.uniform(0, 1, size=(8, 1, 6))
+        planes = DepthPlanes.uniform(4, 1.0, 4.0)
+        assert_sweep_matches_oracle(ref_feat, ref_view, [src_feat], [src_view], planes)
+
+    @pytest.mark.parametrize("shape", [(6, 7, 3), (5, 1, 2), (1, 5, 2), (12, 16, 6)])
+    def test_bilinear_sample_on_border_band(self, shape):
+        from costvol_reference import bilinear_sample as reference_sample
+
+        rng = np.random.default_rng(5)
+        grid = rng.uniform(-1, 1, size=shape)
+        h, w = shape[:2]
+        u = rng.uniform(-0.5, w - 0.5, size=400)
+        v = rng.uniform(-0.5, h - 0.5, size=400)
+        # Exact band edges and integer coordinates as well.
+        u[:6] = [-0.5, w - 0.5, 0.0, w - 1.0, -0.5, w - 0.5]
+        v[:6] = [-0.5, h - 0.5, 0.0, h - 1.0, h - 0.5, -0.5]
+        assert_bytes_equal(bilinear_sample(grid, u, v), reference_sample(grid, u, v))

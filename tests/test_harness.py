@@ -65,6 +65,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(box_threshold=0.0)
 
+    def test_single_plane_rejected(self):
+        with pytest.raises(ValueError, match="num_planes"):
+            PipelineConfig(num_planes=1, top_k=1)
+
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, 4, -1), (4, 4)])
+    def test_empty_grid_rejected(self, dims):
+        with pytest.raises(ValueError, match="grid_dims"):
+            PipelineConfig(grid_dims=dims)
+
+    @pytest.mark.parametrize("name, value", [
+        ("temperature", float("inf")),
+        ("depth_max", float("inf")),
+        ("cost_penalty", float("nan")),
+        ("box_threshold", float("nan")),
+        ("grid_pitch", (0.1, float("inf"), 0.1)),
+        ("grid_origin", (float("-inf"), 0.0, 0.0)),
+    ])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig(**{name: value})
+
     def test_every_field_has_a_key(self):
         from dataclasses import fields
 

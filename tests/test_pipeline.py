@@ -215,3 +215,19 @@ class TestCli:
     def test_threads_flag_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["--threads", "0", "--out", str(tmp_path), "scene-gen"])
+
+
+# SHA-256 over every `--out` file of a `run` on criterion 12's seed-5 scene,
+# as printed by `scripts/golden_hash.py --seed 5`.  A change that keeps the
+# pipeline's behaviour fixed keeps this digest.
+GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
+
+
+def test_golden_digest(tmp_path):
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "golden_hash.py")
+    spec = importlib.util.spec_from_file_location("golden_hash", path)
+    golden_hash = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_hash)
+    assert golden_hash.golden_digest(5, tmp_path) == GOLDEN_DIGEST_SEED5

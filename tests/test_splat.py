@@ -406,8 +406,8 @@ def _random_splats(rng, n, view, depths):
 
 
 class TestPairOrder:
-    # Quarter grids of 32x24 and 256x256 pixels take the 16-bit sort key,
-    # 260x260 (67,600 pixels) the 32-bit one.
+    # Quarter grids of 32x24 and 256x256 pixels take one 16-bit radix pass,
+    # 260x260 (67,600 pixels) a low and a high 16-bit pass.
     @pytest.mark.parametrize("size", [(128, 96), (1024, 1024), (1040, 1040)])
     def test_matches_three_key_lexsort(self, size):
         from mvsweep.splat import _gather_pairs, _project_gaussians

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Golden digest of a pipeline run.
+"""Golden digests of a pipeline run and of a refining run.
 
 Generates the scene of acceptance criterion 12 for the given seed (1 box,
 3 views at 128x96) in a temporary directory, runs the detection pipeline on
 it with criterion 12's config, and prints the SHA-256 over every file the
-run writes to its output directory.  A change that claims to keep behaviour
-fixed must keep this digest; `tests/test_pipeline.py` pins it for seed 5.
+run writes to its output directory.  The second line is the same digest for
+a refining run on that scene: one held-out novel view and 4 refinement
+steps.  A change that claims to keep behaviour fixed must keep both digests;
+`tests/test_pipeline.py` pins them for seed 5.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import tempfile
@@ -34,11 +37,12 @@ def output_digest(out_dir) -> str:
     return h.hexdigest()
 
 
-def golden_digest(seed: int, workdir) -> str:
-    """Write criterion 12's scene for `seed` under `workdir`, run it, and
-    return the digest of the run's outputs."""
-    scene_dir = os.path.join(workdir, "scene")
-    out_dir = os.path.join(workdir, "out")
+# Criterion 12's pipeline config.
+CONFIG = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=2)
+
+
+def _write_scene(seed: int, scene_dir) -> None:
+    """Criterion 12's scene for `seed`: 1 box, 3 views at 128x96."""
     os.makedirs(scene_dir)
     scene = generate_scene(seed=seed, n_boxes=1)
     views = make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
@@ -51,8 +55,24 @@ def golden_digest(seed: int, workdir) -> str:
         gt = raycast(scene, view)
         formats.save_ppm(os.path.join(scene_dir, f"view_{i:03d}.ppm"), gt.image)
         formats.save_raster(os.path.join(scene_dir, f"depth_{i:03d}.mvsr"), gt.depth)
-    config = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=2)
-    run_pipeline(scene_dir, config, out_dir=out_dir)
+
+
+def golden_digest(seed: int, workdir) -> str:
+    """Write criterion 12's scene for `seed` under `workdir`, run it, and
+    return the digest of the run's outputs."""
+    scene_dir, out_dir = os.path.join(workdir, "scene"), os.path.join(workdir, "out")
+    _write_scene(seed, scene_dir)
+    run_pipeline(scene_dir, CONFIG, out_dir=out_dir)
+    return output_digest(out_dir)
+
+
+def refine_digest(seed: int, workdir) -> str:
+    """Write criterion 12's scene for `seed` under `workdir`, refine it on
+    one held-out view for 4 steps, and return the digest of the outputs."""
+    scene_dir, out_dir = os.path.join(workdir, "scene"), os.path.join(workdir, "refine")
+    _write_scene(seed, scene_dir)
+    config = dataclasses.replace(CONFIG, refine_novel_views=1, refine_steps=4)
+    run_pipeline(scene_dir, config, out_dir=out_dir, refine=True)
     return output_digest(out_dir)
 
 
@@ -61,7 +81,8 @@ def main():
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        print(golden_digest(args.seed, tmp))
+        print(golden_digest(args.seed, os.path.join(tmp, "run")))
+        print(refine_digest(args.seed, os.path.join(tmp, "refine")))
 
 
 if __name__ == "__main__":

@@ -108,13 +108,17 @@ def config_from_text(text: str) -> PipelineConfig:
         val = val.strip()
         if key not in known:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
-        if key in _TUPLE_FIELDS:
-            cast = _TUPLE_FIELDS[key]
-            values[key] = tuple(cast(float(p)) for p in val.split(","))
-        elif key in _INT_FIELDS:
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
+        if key in values:
+            raise ValueError(f"line {ln}: duplicate config key {key!r}")
+        # Integers parse as int(token), as config_to_text writes them.
+        cast = _TUPLE_FIELDS.get(key, int if key in _INT_FIELDS else float)
+        try:
+            if key in _TUPLE_FIELDS:
+                values[key] = tuple(cast(p) for p in val.split(","))
+            else:
+                values[key] = cast(val)
+        except ValueError:
+            raise ValueError(f"line {ln}: {key}={val!r} is not a valid {cast.__name__}") from None
     return PipelineConfig(**values)
 
 

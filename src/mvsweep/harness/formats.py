@@ -9,6 +9,7 @@ trips losslessly (PPM after its one-time 8-bit quantization).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,26 @@ MAGIC_SPLATS = b"MVSG"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _read_header(fh, path, fmt: str, what: str) -> tuple:
+    """Unpack a fixed binary header; a short file is a ValueError."""
+    size = struct.calcsize(fmt)
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what} header")
+    return struct.unpack(fmt, data)
+
+
+def _read_payload(fh, path, nbytes: int, what: str) -> bytes:
+    """Read the `nbytes` a header declares.  The declared size is checked
+    against what the file holds before reading, so a corrupt header cannot
+    ask for more memory than the file has bytes."""
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > held:
+        raise ValueError(f"{path}: truncated data: {what} declares {nbytes} bytes, "
+                         f"the file holds {held}")
+    return fh.read(nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +70,30 @@ def cameras_to_text(views: list[CameraView]) -> str:
 def cameras_from_text(text: str) -> list[CameraView]:
     tokens = text.split("\n")
     rows = [t for t in tokens if t.strip()]
-    n = int(rows[0])
+    if not rows:
+        raise ValueError("camera listing: empty, expected the view count")
+    try:
+        n = int(rows[0])
+    except ValueError:
+        raise ValueError(f"camera listing: view count {rows[0]!r} is not an integer") from None
     if len(rows) != 1 + 2 * n:
         raise ValueError(f"camera listing: expected {1 + 2 * n} lines, got {len(rows)}")
     views = []
     for i in range(n):
         head = rows[1 + 2 * i].split()
-        fx, fy, cx, cy = (float(x) for x in head[:4])
-        width, height = int(head[4]), int(head[5])
-        vals = [float(x) for x in rows[2 + 2 * i].split()]
+        if len(head) != 6:
+            raise ValueError(
+                f"camera listing: view {i} intrinsics line must have 6 values "
+                f"(fx fy cx cy width height), got {len(head)}"
+            )
+        try:
+            fx, fy, cx, cy = (float(x) for x in head[:4])
+            width, height = int(head[4]), int(head[5])
+            vals = [float(x) for x in rows[2 + 2 * i].split()]
+        except ValueError as exc:
+            raise ValueError(f"camera listing: view {i}: {exc}") from None
         if len(vals) != 12:
-            raise ValueError("camera listing: [R|t] must have 12 values")
+            raise ValueError(f"camera listing: view {i} [R|t] must have 12 values")
         rt = np.array(vals).reshape(3, 4)
         views.append(
             CameraView(Intrinsics(fx, fy, cx, cy), Pose(rt[:, :3], rt[:, 3]), width, height)
@@ -74,7 +108,11 @@ def save_cameras(path, views) -> None:
 
 def load_cameras(path) -> list[CameraView]:
     with open(path) as fh:
-        return cameras_from_text(fh.read())
+        text = fh.read()
+    try:
+        return cameras_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +140,16 @@ def load_ppm(path) -> np.ndarray:
         dims = fh.readline().split()
         while dims and dims[0].startswith(b"#"):
             dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
+        try:
+            w, h = (int(d) for d in dims)
+            maxval = int(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: PPM header needs a width, a height and a maxval") from None
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: PPM width and height must be positive, got {w}x{h}")
         if maxval != 255:
             raise ValueError(f"{path}: only 8-bit PPM supported")
-        raw = fh.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise ValueError(f"{path}: truncated pixel data")
+        raw = _read_payload(fh, path, w * h * 3, f"PPM header {w}x{h}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -137,10 +178,9 @@ def load_raster(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MAGIC_RASTER:
             raise ValueError(f"{path}: bad raster magic {magic!r}")
-        rows, cols, ch = struct.unpack("<III", fh.read(12))
-        raw = fh.read(rows * cols * ch * 4)
-    if len(raw) != rows * cols * ch * 4:
-        raise ValueError(f"{path}: truncated raster data")
+        rows, cols, ch = _read_header(fh, path, "<III", "raster")
+        raw = _read_payload(fh, path, rows * cols * ch * 4,
+                            f"raster header rows x cols x channels {rows}x{cols}x{ch}")
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols, ch).astype(np.float64)
 
 
@@ -170,12 +210,10 @@ def load_volume(path) -> VoxelGrid:
         magic = fh.read(4)
         if magic != MAGIC_VOLUME:
             raise ValueError(f"{path}: bad volume magic {magic!r}")
-        nx, ny, nz, c = struct.unpack("<IIII", fh.read(16))
-        origin = struct.unpack("<3f", fh.read(12))
-        pitch = struct.unpack("<3f", fh.read(12))
-        raw = fh.read(nx * ny * nz * (c + 1) * 4)
-    if len(raw) != nx * ny * nz * (c + 1) * 4:
-        raise ValueError(f"{path}: truncated volume data")
+        nx, ny, nz, c, *geometry = _read_header(fh, path, "<IIII3f3f", "volume")
+        origin, pitch = tuple(geometry[:3]), tuple(geometry[3:])
+        raw = _read_payload(fh, path, nx * ny * nz * (c + 1) * 4,
+                            f"volume header dims x channels {nx}x{ny}x{nz}x{c}")
     payload = np.frombuffer(raw, dtype="<f4").reshape(nx, ny, nz, c + 1).astype(np.float64)
     spec = VoxelGridSpec((nx, ny, nz), origin, pitch)
     return VoxelGrid(
@@ -223,10 +261,8 @@ def load_splats(path) -> GaussianSplatSet:
         magic = fh.read(4)
         if magic != MAGIC_SPLATS:
             raise ValueError(f"{path}: bad splat magic {magic!r}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        raw = fh.read(n * _SPLAT_DTYPE.itemsize)
-    if len(raw) != n * _SPLAT_DTYPE.itemsize:
-        raise ValueError(f"{path}: truncated splat data")
+        (n,) = _read_header(fh, path, "<I", "splat")
+        raw = _read_payload(fh, path, n * _SPLAT_DTYPE.itemsize, f"splat header count {n}")
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
     return GaussianSplatSet(
         means=rec["mean"].astype(np.float64),

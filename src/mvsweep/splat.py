@@ -9,10 +9,23 @@ Refinement runs gradient descent on per-pixel plane logits; gradients flow
 analytically through softmax -> depth regression -> splat parameters ->
 projection -> alpha compositing, which a central finite-difference check can
 verify end to end.
+
+Rendering is split in two.  The forward pass (_render_forward) projects,
+gathers the (primitive, pixel) pairs and composites them; `rasterize` and
+the refinement loss both run it.  It returns a compact per-view state, the
+only per-pair arrays of which are the primitive, pixel id, pixel-order
+permutation, Gaussian falloff and transmittance.  The backward pass
+(_render_backward) reads that state and recomputes everything else it needs
+(alpha_eff, blend weights, pixel offsets) with the forward pass's own
+operations on the same operands, so loss and gradients are the same to the
+bit as a single fused pass.  The refinement line search asks for a gradient
+only when it will use one, so rejected trials and the last step's trials
+run the forward pass alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +40,8 @@ ALPHA_CLAMP = 0.999
 POWER_CUTOFF = 4.5
 COV_DILATION = 0.3
 EPS_ALPHA = 1e-4
+# Pairs are gathered in primitive chunks of about this many bbox pixels.
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass
@@ -105,24 +120,28 @@ def build_splats(
     image: np.ndarray,
     footprint_scale: float = 1.0,
     source_index: int = 0,
+    rays=None,
 ) -> GaussianSplatSet:
     """One Gaussian per quarter-res pixel of `view`.
 
     Center: pixel ray at the regressed depth.  Opacity: the peak plane
     probability.  Covariance: isotropic with sigma = footprint_scale * depth
     / mean focal length at quarter scale (one pixel footprint).  Color: the
-    4x4 block mean of the full-res image.
+    4x4 block mean of the full-res image, or `image` itself when it is
+    already quarter resolution.  `rays`, when given, is the view's
+    quarter-res `ray_grid`, computed once by a caller that builds splats
+    for the same view many times.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
     if probs.shape[:2] != (gh, gw):
         raise ValueError("probability volume does not match the view's feature grid")
     depth = regress_depth(probs, planes)  # (gh, gw)
-    origin, dirs, axis_cos = ray_grid(view, DOWNSAMPLE)
+    origin, dirs, axis_cos = ray_grid(view, DOWNSAMPLE) if rays is None else rays
     means = origin + (depth / axis_cos)[..., None] * dirs
     alphas = probs.max(axis=2)
     f_mean = 0.5 * (k.fx + k.fy)
     sigma = footprint_scale * depth / f_mean
-    colors = block_mean(np.asarray(image, dtype=np.float64))
+    colors = _quarter(view, np.asarray(image, dtype=np.float64))
     n = gh * gw
     rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
     quats = np.zeros((n, 4))
@@ -137,6 +156,12 @@ def build_splats(
         pixel_rows=rows.reshape(n).astype(np.int64),
         pixel_cols=cols.reshape(n).astype(np.int64),
     )
+
+
+def _quarter(view: CameraView, image: np.ndarray) -> np.ndarray:
+    """`image` at the quarter-res grid of `view`: block-mean pooled unless
+    it is already that size."""
+    return image if image.shape[0] == view.height // DOWNSAMPLE else block_mean(image)
 
 
 def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
@@ -188,6 +213,31 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     return keep, x_cam, z, mean2d, (c00, c01, c11), (j00, j02, j11, j12), cov_cam, k, gw, gh
 
 
+def _pair_chunk(idx, x0, y0, nx, ny, mean2d, inv00, inv01, inv11, gw):
+    """The 3-sigma (primitive, pixel) pairs of the primitives `idx`, listed
+    primitive by primitive, each bbox row-major: prim, pixel id and power."""
+    reps = nx[idx] * ny[idx]
+    # Bbox rows first, then the pixels along each row; dy and the dy^2 term
+    # of the power are per-row values.
+    row_prim = np.repeat(idx, ny[idx])
+    first_row = np.cumsum(ny[idx]) - ny[idx]
+    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
+    row_dy = row_y - mean2d[row_prim, 1]
+    row_n = nx[row_prim]
+    first_px = np.cumsum(row_n) - row_n
+    px = np.repeat(x0[row_prim] - first_px, row_n) + np.arange(row_n.sum())
+    dx = px - np.repeat(mean2d[idx, 0], reps)
+    dy = np.repeat(row_dy, row_n)
+    power = 0.5 * (
+        dx**2 * np.repeat(inv00[idx], reps)
+        + 2.0 * dx * dy * np.repeat(inv01[idx], reps)
+        + np.repeat(row_dy**2 * inv11[row_prim], row_n)
+    )
+    inside = power <= POWER_CUTOFF
+    pid = (np.repeat(row_y * gw, row_n) + px)[inside]
+    return np.repeat(idx, reps)[inside], pid, power[inside]
+
+
 def _gather_pairs(mean2d, cov2d, z, gw, gh):
     """Enumerate (primitive, pixel) pairs within the 3-sigma support, and the
     permutation that orders them by (pixel, depth, primitive index).
@@ -201,14 +251,18 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
     keys: one pass over the pixel id when the grid has at most 65,536
     pixels, and above that a pass over its low 16 bits followed by a stable
     pass over its high 16 bits (pixel ids fit 32 bits).
-    Per-pair quantities are scalar arrays; only pairs that pass the 3-sigma
-    test are kept.
 
-    Returns, over the kept pairs in rank order: prim, pixel id, power, the
-    stable permutation `order` by pixel id (prim[order], pid[order] and
-    power[order] are in (pixel, depth, primitive index) order), and the
-    offsets dx, dy from the primitive's 2D mean; then the inverse 2D
-    covariance entries inv00, inv01, inv11 (N,) per primitive.
+    The ranked primitives are processed in chunks of about PAIR_CHUNK bbox
+    pixels, each compressed to its 3-sigma survivors before the next, so
+    the bbox-long temporaries never exist at full length.  Every pair gets
+    the same arithmetic as in one pass, so the outputs are the same to the
+    byte.  Survivors go straight into arrays sized for every bbox pixel,
+    which are then shrunk in place: no list of chunks outlives its chunk.
+
+    Returns, over the kept pairs in rank order: prim, pixel id, power and
+    the stable permutation `order` by pixel id (prim[order], pid[order] and
+    power[order] are in (pixel, depth, primitive index) order); then the
+    inverse 2D covariance entries inv00, inv01, inv11 (N,) per primitive.
     """
     a, b, c = cov2d
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
@@ -228,65 +282,133 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
 
     rank = np.argsort(z, kind="stable")
     idx = rank[counts[rank] > 0]  # on-screen primitives in (depth, index) order
-    reps = counts[idx]
-    # Bbox rows first, then the pixels along each row; dy and the dy^2 term
-    # of the power are per-row values.
-    row_prim = np.repeat(idx, ny[idx])
-    first_row = np.cumsum(ny[idx]) - ny[idx]
-    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
-    row_dy = row_y - mean2d[row_prim, 1]
-    row_n = nx[row_prim]
-    first_px = np.cumsum(row_n) - row_n
-    px = np.repeat(x0[row_prim] - first_px, row_n) + np.arange(row_n.sum())
-    dx = px - np.repeat(mean2d[idx, 0], reps)
-    dy = np.repeat(row_dy, row_n)
-    power = 0.5 * (
-        dx**2 * np.repeat(inv00[idx], reps)
-        + 2.0 * dx * dy * np.repeat(inv01[idx], reps)
-        + np.repeat(row_dy**2 * inv11[row_prim], row_n)
-    )
-    inside = power <= POWER_CUTOFF
-    pid = (np.repeat(row_y * gw, row_n) + px)[inside]
+    cum = np.cumsum(counts[idx])
+    total = int(cum[-1]) if cum.size else 0
+    cuts = np.searchsorted(cum, np.arange(PAIR_CHUNK, total, PAIR_CHUNK), side="right")
+    bounds = np.r_[0, cuts, idx.size]
+    prim = np.empty(total, dtype=np.int64)
+    pid = np.empty(total, dtype=np.int64)
+    power = np.empty(total)
+    n = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = _pair_chunk(idx[lo:hi], x0, y0, nx, ny, mean2d, inv00, inv01, inv11, gw)
+        m = part[0].size
+        for out, values in zip((prim, pid, power), part):
+            out[n : n + m] = values
+        n += m
+    del part
+    for out in (prim, pid, power):
+        out.resize(n, refcheck=False)
     order = np.argsort(pid.astype(np.uint16), kind="stable")  # low 16 bits
     if gw * gh > 65536:
         # Second radix pass on the high 16 bits, stable over the first.
         order = order[np.argsort((pid[order] >> 16).astype(np.uint16), kind="stable")]
-    prim = np.repeat(idx, reps)[inside]
-    return prim, pid, power[inside], order, dx[inside], dy[inside], inv00, inv01, inv11
+    return prim, pid, power, order, inv00, inv01, inv11
 
 
-def _composite(prim, pid, power, order, alphas, colors, n_px):
-    """Front-to-back alpha blending of the pairs from _gather_pairs.
+def _take_into(values, idx, out):
+    """values[idx] written into `out`.  The indices are always in range;
+    mode="clip" only spares np.take the temporary copy of `out` it makes
+    in its default mode."""
+    return np.take(values, idx, out=out, mode="clip")
+
+
+def _opacity(alphas, prim, g):
+    """Per-pair alpha_eff = min(opacity * g, ALPHA_CLAMP) and the clamped
+    mask.  The forward pass and the backward pass both call this, so the
+    backward pass recomputes alpha_eff bit for bit instead of storing it."""
+    alpha_eff = alphas[prim]
+    alpha_eff *= g
+    clamped = alpha_eff > ALPHA_CLAMP
+    alpha_eff[clamped] = ALPHA_CLAMP
+    return alpha_eff, clamped
+
+
+@dataclass
+class _ViewState:
+    """What the backward pass reads from one view's forward pass.
+
+    Per kept primitive: the projection (keep mask over all primitives,
+    camera-frame centers, depth, 2D means, Jacobian entries, camera-frame
+    covariances), the inverse 2D covariance entries, opacities and colours.
+    Per pair, in rank order: primitive, pixel id, the pixel-order
+    permutation, Gaussian falloff g and transmittance.  Each covered
+    pixel's pair count closes the segments.  alpha_eff, the blend weight
+    and the pixel offsets are recomputed from these with the forward
+    pass's own operations, so they are not kept.
+    """
+
+    keep: np.ndarray
+    x_cam: np.ndarray
+    z: np.ndarray
+    mean2d: np.ndarray
+    jac: tuple
+    cov_cam: np.ndarray
+    inv: tuple
+    alphas: np.ndarray
+    colors: np.ndarray
+    prim: np.ndarray
+    pid: np.ndarray
+    order: np.ndarray
+    g: np.ndarray
+    trans: np.ndarray
+    seg_len: np.ndarray
+
+
+def _render_forward(splats: GaussianSplatSet, view: CameraView):
+    """The forward pass: projection, pair gathering and front-to-back alpha
+    blending into the quarter-res grid of `view`.
 
     Pairs stay in rank order; only the per-pixel transmittance scan runs in
     pixel order, through `order`.  bincount adds each pixel's pairs in input
     order, front to back either way, so the sums match compositing the
-    pixel-sorted list term for term.
+    pixel-sorted list term for term.  Temporaries are computed in place and
+    each is dropped before the next one is made.
 
-    Returns the (n_px, 3) colour image and the per-pair values the backward
-    pass needs: blend weight w, Gaussian falloff g, alpha_eff,
-    transmittance, the clamped mask, and each covered pixel's pair count.
+    Returns the (n_px, 3) colour image, the per-pair blend weights w and the
+    _ViewState the backward pass reads.
     """
-    g = np.exp(-power)
-    alpha_raw = alphas[prim] * g
-    clamped = alpha_raw > ALPHA_CLAMP
-    alpha_eff = np.where(clamped, ALPHA_CLAMP, alpha_raw)
+    keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
+    alphas = splats.opacities[keep]
+    colors = splats.colors[keep]
+    prim, pid, power, order, inv00, inv01, inv11 = _gather_pairs(mean2d, cov2d, z, gw, gh)
+    n_px = gh * gw
+    g = np.exp(np.negative(power, out=power), out=power)
+    del power
 
-    # Segmented exclusive cumulative product of (1 - alpha) by pixel id.
-    log_t = np.log1p(-alpha_eff)[order]
-    excl = np.cumsum(log_t) - log_t
+    # Segmented exclusive cumulative product of (1 - alpha) by pixel id:
+    # log1p(-alpha_eff) in pixel order, its exclusive prefix sum, minus the
+    # sum before each pixel's segment, exponentiated.
+    alpha_eff = _opacity(alphas, prim, g)[0]
+    log_t = alpha_eff[order]
+    np.log1p(np.negative(log_t, out=log_t), out=log_t)
+    excl = np.cumsum(log_t)
+    excl -= log_t
+    del log_t
     seg_len = np.bincount(pid, minlength=n_px)
     seg_len = seg_len[seg_len > 0]
     seg_start = np.cumsum(seg_len) - seg_len
-    trans = np.empty_like(log_t)
-    trans[order] = np.exp(excl - np.repeat(excl[seg_start], seg_len))
+    excl -= np.repeat(excl[seg_start], seg_len)
+    np.exp(excl, out=excl)
+    trans = np.empty_like(excl)
+    trans[order] = excl
+    del excl
 
-    w = alpha_eff * trans
-    color = np.stack(
-        [np.bincount(pid, weights=w * col[prim], minlength=n_px) for col in colors.T],
-        axis=1,
+    w = alpha_eff
+    w *= trans
+    color = np.empty((n_px, 3))
+    t = np.empty(prim.size)
+    for c, col in enumerate(colors.T):
+        _take_into(col, prim, t)
+        t *= w
+        color[:, c] = np.bincount(pid, weights=t, minlength=n_px)
+    del t
+    state = _ViewState(
+        keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, cov_cam=cov_cam,
+        inv=(inv00, inv01, inv11), alphas=alphas, colors=colors,
+        prim=prim, pid=pid, order=order, g=g, trans=trans, seg_len=seg_len,
     )
-    return color, w, g, alpha_eff, trans, clamped, seg_len
+    return color, w, state
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -297,14 +419,11 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     front-to-back (depth ties broken by primitive index) within 3 sigma of
     its 2D mean.
     """
-    keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
-    alphas = splats.opacities[keep]
-    colors = splats.colors[keep]
-    prim, pid, power, order, *_ = _gather_pairs(mean2d, cov2d, z, gw, gh)
+    color, w, st = _render_forward(splats, view)
+    _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
-    color, w, *_ = _composite(prim, pid, power, order, alphas, colors, n_px)
-    acc = np.bincount(pid, weights=w, minlength=n_px)
-    depth_num = np.bincount(pid, weights=w * z[prim], minlength=n_px)
+    acc = np.bincount(st.pid, weights=w, minlength=n_px)
+    depth_num = np.bincount(st.pid, weights=w * st.z[st.prim], minlength=n_px)
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
     return RenderTarget(
         color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
@@ -335,11 +454,12 @@ def select_novel_sources(views: list[CameraView], novel: CameraView, count: int)
 # ---------------------------------------------------------------------------
 
 
-def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.ndarray):
-    """Loss and gradients of the L2 rendering loss for one target view.
+def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState, d_color):
+    """The backward pass of one view's L2 rendering loss from its forward
+    state `st` and dL/d(colour image) `d_color` (n_px, 3).
 
-    Returns (loss, d_means (N, 3), d_alphas (N,), d_sigma (N,)) where sigma
-    is the isotropic scale (all three scale entries assumed equal, as
+    Returns (d_means (N, 3), d_alphas (N,), d_sigma (N,)) where sigma is
+    the isotropic scale (all three scale entries assumed equal, as
     build_splats produces).
 
     The colour gradient is constant within a pixel's run of pairs, so the
@@ -348,37 +468,76 @@ def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.nda
     moments of the pixel offsets, which the primitive's inverse covariance
     P then maps in closed form: d_mean2d = P m and d_cov2d = P M P / 2, with
     m and M the first and (symmetric) second moments.
+
+    alpha_eff and w come from _opacity and the stored transmittance, and
+    the pixel offsets from the pixel id and the 2D mean, with the forward
+    pass's own operations, so the gradients do not depend on what the
+    forward pass kept.  Products are formed in place; each is a product of
+    the same two operands as in a direct evaluation.
     """
-    keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
-    alphas = splats.opacities[keep]
-    colors = splats.colors[keep]
-    prim, pid, power, order, dx, dy, inv00, inv01, inv11 = _gather_pairs(mean2d, cov2d, z, gw, gh)
-    n_px = gh * gw
-    color, w, g, alpha_eff, trans, clamped, seg_len = _composite(
-        prim, pid, power, order, alphas, colors, n_px
-    )
+    # The pass consumes `st`: each per-pair array it holds is released right
+    # after its last read.
+    prim, pid, order, g, trans = st.prim, st.pid, st.order, st.g, st.trans
+    st.prim = st.pid = st.order = st.g = st.trans = None
 
-    diff = color.reshape(gh, gw, 3) - target_image
-    loss = float(np.mean(diff * diff))
-    d_color = (2.0 / diff.size) * diff.reshape(-1, 3)
+    # q = d_color . colour per pair, summed from 0 one channel at a time.
+    q = np.zeros(prim.size)
+    t = np.empty(prim.size)
+    c = np.empty(prim.size)
+    for dc, col in zip(d_color.T, st.colors.T):
+        _take_into(dc, pid, t)
+        t *= _take_into(col, prim, c)
+        q += t
+    del t, c
+    # Its blend-weighted suffix within each pixel segment is the colour
+    # arriving from behind the pair.
+    wq, clamped = _opacity(st.alphas, prim, g)
+    wq *= trans
+    wq *= q
+    csum = wq[order]
+    del wq
+    np.cumsum(csum, out=csum)
+    suffix_px = np.repeat(csum[np.cumsum(st.seg_len) - 1], st.seg_len)
+    suffix_px -= csum
+    suffix = csum
+    suffix[order] = suffix_px
+    del suffix_px, csum, order
+    # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
+    # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff).
+    u = q
+    u *= trans
+    del trans
+    one_minus = _opacity(st.alphas, prim, g)[0]
+    suffix /= np.subtract(1.0, one_minus, out=one_minus)
+    u -= suffix
+    del one_minus, suffix
+    u *= g
+    u[clamped] = 0.0
+    del g, clamped
 
-    # q = d_color . colour per pair; its blend-weighted suffix within each
-    # pixel segment is the colour arriving from behind the pair.
-    q = sum(dc[pid] * col[prim] for dc, col in zip(d_color.T, colors.T))
-    csum = np.cumsum((w * q)[order])
-    suffix = np.empty_like(csum)
-    suffix[order] = np.repeat(csum[np.cumsum(seg_len) - 1], seg_len) - csum
-    d_alpha_eff = trans * q - suffix / (1.0 - alpha_eff)
-    u = np.where(clamped, 0.0, g * d_alpha_eff)  # dL/d(opacity) per pair
-
-    n_kept = z.size
+    n_kept = st.z.size
+    alphas = st.alphas
+    k, gw, _ = view.scaled(DOWNSAMPLE)
     d_alpha_kept = np.bincount(prim, weights=u, minlength=n_kept)
-    # dL/dpower = -opacity * u; moments of that over each primitive's pairs.
-    ux, uy = u * dx, u * dy
-    m_x, m_y, m_xx, m_xy, m_yy = (
-        alphas * np.bincount(prim, weights=v, minlength=n_kept)
-        for v in (ux, uy, ux * dx, ux * dy, uy * dy)
-    )
+    # dL/dpower = -opacity * u; moments of that over each primitive's pairs,
+    # with the offsets dx, dy of each pair from its primitive's 2D mean.
+    d = np.empty(prim.size)
+    dx = np.subtract(pid % gw, _take_into(st.mean2d[:, 0], prim, d), out=d)
+    ux = u * dx
+    m_x = alphas * np.bincount(prim, weights=ux, minlength=n_kept)
+    dx *= ux
+    m_xx = alphas * np.bincount(prim, weights=dx, minlength=n_kept)
+    dy = np.subtract(pid // gw, _take_into(st.mean2d[:, 1], prim, d), out=d)
+    ux *= dy
+    m_xy = alphas * np.bincount(prim, weights=ux, minlength=n_kept)
+    del ux
+    uy = u
+    uy *= dy
+    m_y = alphas * np.bincount(prim, weights=uy, minlength=n_kept)
+    dy *= uy
+    m_yy = alphas * np.bincount(prim, weights=dy, minlength=n_kept)
+
+    inv00, inv01, inv11 = st.inv
     d_mean0 = inv00 * m_x + inv01 * m_y
     d_mean1 = inv01 * m_x + inv11 * m_y
     d_cov00 = 0.5 * (inv00 * inv00 * m_xx + 2.0 * inv00 * inv01 * m_xy + inv01 * inv01 * m_yy)
@@ -389,7 +548,8 @@ def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.nda
 
     # Projection backward through cov2d = J C J^T + dilation and mean2d, with
     # J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 D J C, d_cov_cam = J^T D J.
-    j00, j02, j11, j12 = jac
+    j00, j02, j11, j12 = st.jac
+    cov_cam = st.cov_cam
     jc0 = j00[:, None] * cov_cam[:, 0] + j02[:, None] * cov_cam[:, 2]  # row 0 of J C
     jc1 = j11[:, None] * cov_cam[:, 1] + j12[:, None] * cov_cam[:, 2]  # row 1 of J C
     d_j00 = 2.0 * (d_cov00 * jc0[:, 0] + d_cov01 * jc1[:, 0])
@@ -403,7 +563,7 @@ def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.nda
     )
 
     fx, fy = k.fx, k.fy
-    x, y = x_cam[:, 0], x_cam[:, 1]
+    x, y, z = st.x_cam[:, 0], st.x_cam[:, 1], st.z
     z2 = z * z
     d_xcam = np.stack(
         [
@@ -419,15 +579,15 @@ def _render_vjp(splats: GaussianSplatSet, view: CameraView, target_image: np.nda
         axis=1,
     )
 
-    sigma = splats.scales[keep, 0]
-    keep_idx = np.flatnonzero(keep)
+    sigma = splats.scales[st.keep, 0]
+    keep_idx = np.flatnonzero(st.keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
     d_means[keep_idx] = d_xcam @ view.pose.rotation  # R^T applied row-wise
     d_alphas[keep_idx] = d_alpha_kept
     d_sigmas[keep_idx] = 2.0 * sigma * tr_d_cov_cam
-    return loss, d_means, d_alphas, d_sigmas
+    return d_means, d_alphas, d_sigmas
 
 
 def refinement_loss_and_grad(
@@ -438,37 +598,60 @@ def refinement_loss_and_grad(
     novel_views: list[CameraView],
     novel_images: list[np.ndarray],
     footprint_scale: float = 1.0,
+    max_loss: float = math.inf,
+    source_rays: list | None = None,
 ):
-    """Summed rendering loss over the novel views and its analytic gradient
-    with respect to the per-pixel plane logits of every source view.
+    """Summed rendering loss over the novel views and, when the loss is at
+    most `max_loss`, its analytic gradient with respect to the per-pixel
+    plane logits of every source view; (loss, grads) or (loss, None).
 
-    novel_images must already be quarter resolution.  The gradient chains
-    softmax -> (depth regression, peak-probability opacity) -> splat center
-    and footprint -> projection -> alpha compositing.
+    novel_images must already be quarter resolution; source_images may be
+    full or quarter resolution.  source_rays, when given, holds each source
+    view's quarter-res `ray_grid`.  The gradient chains softmax -> (depth
+    regression, peak-probability opacity) -> splat center and footprint ->
+    projection -> alpha compositing.
+
+    The forward pass runs once per novel view and keeps that view's compact
+    _ViewState; the backward passes run from those states only once the
+    summed loss is known to be at most `max_loss`, one view at a time, each
+    state dropped after its pass.  There is never a second forward pass,
+    and loss and gradient are the same to the bit whatever `max_loss` is.
     """
+    if source_rays is None:
+        source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     probs = [softmax(lg) for lg in logits]
     sets = [
-        build_splats(v, p, planes, img, footprint_scale, source_index=i)
-        for i, (v, p, img) in enumerate(zip(source_views, probs, source_images))
+        build_splats(v, p, planes, img, footprint_scale, source_index=i, rays=rays)
+        for i, (v, p, img, rays) in enumerate(zip(source_views, probs, source_images, source_rays))
     ]
     splats = concat_splats(sets)
 
     total_loss = 0.0
+    states = []
+    for view, img in zip(novel_views, novel_images):
+        color, w, state = _render_forward(splats, view)
+        del w
+        _, gw, gh = view.scaled(DOWNSAMPLE)
+        diff = color.reshape(gh, gw, 3) - img
+        total_loss += float(np.mean(diff * diff))
+        states.append((state, (2.0 / diff.size) * diff.reshape(-1, 3)))
+    if not np.isfinite(total_loss):
+        raise ValueError("rendering loss is not finite")
+    if not total_loss <= max_loss:
+        return total_loss, None
+
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
-    for view, img in zip(novel_views, novel_images):
-        loss, dm, da, ds = _render_vjp(splats, view, img)
-        total_loss += loss
+    for view, (state, d_color) in zip(novel_views, states):
+        dm, da, ds = _render_backward(splats, view, state, d_color)
         d_means += dm
         d_alphas += da
         d_sigmas += ds
-    if not np.isfinite(total_loss):
-        raise ValueError("rendering loss is not finite")
 
     grads = []
     offset = 0
-    for vi, (view, p, lg) in enumerate(zip(source_views, probs, logits)):
+    for view, p, (_, dirs, axis_cos) in zip(source_views, probs, source_rays):
         gh, gw = p.shape[:2]
         n = gh * gw
         dm = d_means[offset : offset + n].reshape(gh, gw, 3)
@@ -478,7 +661,6 @@ def refinement_loss_and_grad(
 
         k, _, _ = view.scaled(DOWNSAMPLE)
         f_mean = 0.5 * (k.fx + k.fy)
-        _, dirs, axis_cos = ray_grid(view, DOWNSAMPLE)
         # depth -> (center along ray, isotropic footprint)
         d_depth = (
             np.einsum("hwc,hwc->hw", dm, dirs) / axis_cos + ds * footprint_scale / f_mean
@@ -521,6 +703,13 @@ def refine_probability_volume(
     loss does not increase; otherwise the step is halved, up to 8 times.
     When no halving helps the remaining steps are skipped (the trace repeats
     the stalled loss so its length stays steps + 1).
+
+    Each trial is one refinement_loss_and_grad call with max_loss set to
+    the last kept loss, which is exactly the acceptance rule: a rejected
+    trial runs no backward pass, and a kept one gets its gradient from the
+    forward state of that same call.  The last step's gradient is never
+    read, so its trials pass max_loss=-inf.  The quarter-res colours and
+    ray grids of the views are computed once, not per evaluation.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -528,21 +717,26 @@ def refine_probability_volume(
         raise ValueError("need at least one novel view")
     if len(novel_views) != len(novel_images):
         raise ValueError("novel views/images mismatch")
-    novel_quarter = [
-        img if img.shape[0] == v.height // DOWNSAMPLE else block_mean(img)
-        for v, img in zip(novel_views, novel_images)
+    # Per-view constants, computed once for every evaluation.
+    novel_quarter = [_quarter(v, img) for v, img in zip(novel_views, novel_images)]
+    source_quarter = [
+        _quarter(v, np.asarray(img, dtype=np.float64)) for v, img in zip(source_views, source_images)
     ]
+    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     logits = [np.log(np.clip(v, 1e-12, None)) for v in volumes]
 
-    def evaluate(lgs):
+    def evaluate(lgs, max_loss):
         return refinement_loss_and_grad(
-            lgs, planes, source_views, source_images, novel_views, novel_quarter,
-            footprint_scale,
+            lgs, planes, source_views, source_quarter, novel_views, novel_quarter,
+            footprint_scale, max_loss=max_loss, source_rays=source_rays,
         )
 
-    loss, grads = evaluate(logits)
+    loss, grads = evaluate(logits, math.inf)
     trace = [loss]
-    for _ in range(steps):
+    for step in range(steps):
+        # A trial's gradient is read only if the trial is kept and another
+        # step follows, so the backward pass runs only then.
+        max_loss = trace[-1] if step + 1 < steps else -math.inf
         gmax = max(float(np.max(np.abs(g))) for g in grads)
         if gmax == 0.0:
             trace.extend([trace[-1]] * (steps + 1 - len(trace)))
@@ -552,7 +746,7 @@ def refine_probability_volume(
         accepted = False
         for _ in range(9):  # initial step plus up to 8 halvings
             trial = [lg - lr * d for lg, d in zip(logits, direction)]
-            trial_loss, trial_grads = evaluate(trial)
+            trial_loss, trial_grads = evaluate(trial, max_loss)
             if trial_loss <= trace[-1]:
                 logits = trial
                 loss, grads = trial_loss, trial_grads

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_text("bogus_key=3\n")
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: duplicate config key 'top_k'"):
+            config_from_text("top_k=2\ntop_k=3\n")
+
+    @pytest.mark.parametrize("dims", ["inf,4,4", "1e30,4,4", "4.0,4,4"])
+    def test_grid_dims_parse_as_integers(self, dims):
+        with pytest.raises(ValueError, match="line 1: grid_dims="):
+            config_from_text(f"grid_dims={dims}\n")
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(top_k=0)
@@ -111,6 +122,19 @@ class TestCameraFormat:
         with pytest.raises(ValueError):
             formats.cameras_from_text("1\n1 1 0 0 8 8\n1 0 0\n")
 
+    def test_empty_listing_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            formats.cameras_from_text("")
+        p = tmp_path / "cameras.txt"
+        p.write_text("\n")
+        with pytest.raises(ValueError, match="cameras.txt: camera listing: empty"):
+            formats.load_cameras(p)
+
+    def test_short_intrinsics_line_rejected(self):
+        pose = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"])
+        with pytest.raises(ValueError, match="view 0 intrinsics line must have 6 values"):
+            formats.cameras_from_text(f"1\n1 1 0 0 8\n{pose}\n")
+
 
 class TestPpm(object):
     def test_round_trip_after_quantization(self, tmp_path):
@@ -129,6 +153,12 @@ class TestPpm(object):
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
         with pytest.raises(ValueError):
+            formats.load_ppm(p)
+
+    def test_header_only_rejected(self, tmp_path):
+        p = tmp_path / "head.ppm"
+        p.write_bytes(b"P6\n")
+        with pytest.raises(ValueError, match="head.ppm: PPM header needs a width"):
             formats.load_ppm(p)
 
 
@@ -155,6 +185,13 @@ class TestRaster:
         data = p.read_bytes()
         p.write_bytes(data[:-4])
         with pytest.raises(ValueError, match="truncated"):
+            formats.load_raster(p)
+
+    def test_oversized_header_rejected_before_reading(self, tmp_path):
+        # 10^6 x 10^6 x 1 float32 values: 4e12 bytes declared, 16 held.
+        p = tmp_path / "huge.mvsr"
+        p.write_bytes(formats.MAGIC_RASTER + struct.pack("<III", 10**6, 10**6, 1) + bytes(16))
+        with pytest.raises(ValueError, match="huge.mvsr: truncated data: raster header"):
             formats.load_raster(p)
 
 

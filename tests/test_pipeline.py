@@ -218,16 +218,26 @@ class TestCli:
 
 
 # SHA-256 over every `--out` file of a `run` on criterion 12's seed-5 scene,
-# as printed by `scripts/golden_hash.py --seed 5`.  A change that keeps the
-# pipeline's behaviour fixed keeps this digest.
+# and of a `refine` on it (one novel view, 4 steps), as printed by
+# `scripts/golden_hash.py --seed 5`.  A change that keeps the pipeline's
+# behaviour fixed keeps both digests.
 GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
+REFINE_DIGEST_SEED5 = "aeaf2f8d8b2a9b4593a4455b67d652f556c14ee5686366c19b733655395c0af9"
 
 
-def test_golden_digest(tmp_path):
+def _golden_hash_module():
     import importlib.util
 
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "golden_hash.py")
     spec = importlib.util.spec_from_file_location("golden_hash", path)
     golden_hash = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden_hash)
-    assert golden_hash.golden_digest(5, tmp_path) == GOLDEN_DIGEST_SEED5
+    return golden_hash
+
+
+def test_golden_digest(tmp_path):
+    assert _golden_hash_module().golden_digest(5, tmp_path) == GOLDEN_DIGEST_SEED5
+
+
+def test_refine_digest(tmp_path):
+    assert _golden_hash_module().refine_digest(5, tmp_path) == REFINE_DIGEST_SEED5

@@ -433,6 +433,24 @@ class TestPairOrder:
         np.testing.assert_array_equal(power[order], rpower[ref])
 
 
+    @pytest.mark.parametrize("chunk", [1, 37, 4096])
+    def test_chunked_gather_matches_one_pass(self, monkeypatch, chunk):
+        # Chunks of one primitive, of a few primitives, and of many, against
+        # the whole bbox list in one chunk.
+        import mvsweep.splat as splat_module
+
+        view = grid_view(160, 120)
+        splats = _random_splats(np.random.default_rng(4), 300, view, np.array([0.8, 1.2, 2.0]))
+        _, _, z, mean2d, cov2d, _, _, _, gw, gh = splat_module._project_gaussians(splats, view)
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", 1 << 40)
+        whole = splat_module._gather_pairs(mean2d, cov2d, z, gw, gh)
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", chunk)
+        chunked = splat_module._gather_pairs(mean2d, cov2d, z, gw, gh)
+        assert whole[0].size > 4 * chunk
+        for a, b in zip(whole, chunked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestAgainstReference:
     def test_forward_pinned_bits(self):
         scene = generate_scene(seed=6, n_boxes=1)
@@ -487,11 +505,176 @@ class TestAgainstReference:
         planes = DepthPlanes.uniform(6, 0.5, 4.5)
         rng = np.random.default_rng(0)
         logits = [rng.normal(0, 1.0, (12, 16, 6)) for _ in range(2)]
-        args = (logits, planes, views[:2], [gts[0].image, gts[1].image], [views[3]],
-                [block_mean(gts[3].image)])
+        target = block_mean(gts[3].image)
+        args = (logits, planes, views[:2], [gts[0].image, gts[1].image], [views[3]], [target])
         loss, grads = refinement_loss_and_grad(*args)
-        monkeypatch.setattr(splat_module, "_render_vjp", render_vjp)
-        ref_loss, ref_grads = refinement_loss_and_grad(*args)
-        assert loss == ref_loss
+        ref_losses = []
+
+        def reference_backward(splats, view, state, d_color):
+            ref_loss, *ref_grads = render_vjp(splats, view, target)
+            ref_losses.append(ref_loss)
+            return ref_grads
+
+        monkeypatch.setattr(splat_module, "_render_backward", reference_backward)
+        _, ref_grads = refinement_loss_and_grad(*args)
+        assert ref_losses == [loss]
         for g, ref in zip(grads, ref_grads):
             assert np.max(np.abs(g - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+# Pinned before the forward pass was split from the backward pass: criterion
+# 11's scene refined for 4 steps at a step size that forces line-search
+# halvings (7 evaluations, 2 of them rejected trials, one on the last step),
+# and the loss and gradient of one evaluation at criterion 11's logits.  The
+# split keeps every floating-point operation, so all of it matches to the bit.
+REFINE_TRACE = [
+    "0x1.607fac5ce9d5bp-5", "0x1.f0a722d8c640ep-6", "0x1.b062f0140f08bp-6",
+    "0x1.9e1e32ee89115p-6", "0x1.76ec4efbcdc71p-6",
+]
+REFINE_VOLUMES_DIGEST = "597c4a5506dba98e06bd544c2e8bb238ee188c1bd0e56f7110f94b6b829c0898"
+GRAD_LOSS = "0x1.607fac5ce9d67p-5"
+GRAD_DIGEST = "2bac627e2ec0221b5f8412a0048f7a0996a919e133d4999180dc63f8334671ff"
+
+
+def _criterion11_inputs():
+    """Criterion 11's scene: (planes, source views, full-res source images,
+    novel views, full-res novel images, logits)."""
+    scene = generate_scene(seed=3, n_boxes=1)
+    views = make_trajectory(scene, 4, seed=5, image_size=(64, 48))
+    gts = [raycast(scene, v) for v in views]
+    planes = DepthPlanes.uniform(6, 0.5, 4.5)
+    rng = np.random.default_rng(0)
+    logits = [rng.normal(0, 1.0, (12, 16, 6)) for _ in range(2)]
+    return planes, views[:2], [g.image for g in gts[:2]], [views[3]], [gts[3].image], logits
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestRefinementPinned:
+    def test_trace_and_volumes_pinned(self):
+        from mvsweep.costvol import softmax
+
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        res = refine_probability_volume(
+            [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+            steps=4, step_size=6.0,
+        )
+        assert [x.hex() for x in res.loss_trace] == REFINE_TRACE
+        assert _digest(res.volumes) == REFINE_VOLUMES_DIGEST
+
+    def test_loss_and_gradient_pinned(self):
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        loss, grads = refinement_loss_and_grad(
+            logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+        )
+        assert loss.hex() == GRAD_LOSS
+        assert _digest(grads) == GRAD_DIGEST
+
+
+class TestLossOnlyTrials:
+    def test_max_loss_bounds_the_backward_pass(self):
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        args = (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i])
+        loss, grads = refinement_loss_and_grad(*args)
+        for bound in (-np.inf, 0.0, np.nextafter(loss, 0.0)):
+            assert refinement_loss_and_grad(*args, max_loss=bound) == (loss, None)
+        for bound in (loss, 2.0 * loss):
+            bounded_loss, bounded = refinement_loss_and_grad(*args, max_loss=bound)
+            assert bounded_loss == loss
+            assert [g.tobytes() for g in bounded] == [g.tobytes() for g in grads]
+
+    def test_backward_only_for_kept_steps_before_the_last(self, monkeypatch):
+        # The pinned refinement: 7 evaluations, the 4th and 6th rejected
+        # trials, the last two on the final step.  One novel view, so one
+        # backward pass per evaluation that needs a gradient.
+        import mvsweep.splat as splat_module
+        from mvsweep.costvol import softmax
+
+        backward_calls = []
+        evaluations = []
+        render_backward = splat_module._render_backward
+        loss_and_grad = splat_module.refinement_loss_and_grad
+
+        def counting_backward(*args):
+            backward_calls.append(1)
+            return render_backward(*args)
+
+        def recording_loss_and_grad(*args, **kwargs):
+            before = len(backward_calls)
+            loss, grads = loss_and_grad(*args, **kwargs)
+            evaluations.append((len(backward_calls) - before, grads is None))
+            return loss, grads
+
+        monkeypatch.setattr(splat_module, "_render_backward", counting_backward)
+        monkeypatch.setattr(splat_module, "refinement_loss_and_grad", recording_loss_and_grad)
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        res = refine_probability_volume(
+            [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+            steps=4, step_size=6.0,
+        )
+        assert [x.hex() for x in res.loss_trace] == REFINE_TRACE
+        assert [calls for calls, _ in evaluations] == [1, 1, 1, 0, 1, 0, 0]
+        assert [calls == 0 for calls, _ in evaluations] == [none for _, none in evaluations]
+
+
+def _budget_inputs():
+    """Criterion 7's first scene at full size with the default footprint:
+    3 source views of 80x60 splats and 2 novel views, noisy logits."""
+    scene = generate_scene(seed=10, n_boxes=1)
+    views = make_trajectory(scene, 5, seed=4)
+    gts = [raycast(scene, v) for v in views]
+    planes = DepthPlanes.uniform(12, 0.2, 5.0)
+    rng = np.random.default_rng(0)
+    logits = []
+    for g in gts[:3]:
+        gq = quarter_depth(g.depth)
+        lg = -0.1 * (planes.depths - gq[..., None]) ** 2 / (2 * (planes.spacing / 2) ** 2)
+        logits.append(lg + rng.normal(0, 1.2, lg.shape))
+    return (logits, planes, views[:3], [g.image for g in gts[:3]], views[3:],
+            [block_mean(g.image) for g in gts[3:]])
+
+
+def _traced_peak(fn, *args):
+    """Traced bytes allocated above the starting level at the peak of fn."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    # Traced peak bytes per (primitive, pixel) pair: for one loss-and-gradient
+    # evaluation per pair summed over both novel views (measured 64.9), and
+    # for one rasterize per pair of its view (measured 63.0), each with a
+    # margin of about 10%.  The fused render-and-backward pass this replaced
+    # peaked at 90.7 and 119.7 on the same scene.
+    LOSS_AND_GRAD_BYTES_PER_PAIR = 72
+    RASTERIZE_BYTES_PER_PAIR = 70
+
+    def test_loss_and_grad_and_rasterize_peaks(self):
+        from mvsweep.costvol import softmax
+        from mvsweep.splat import _gather_pairs, _project_gaussians
+
+        logits, planes, src_v, src_i, nov_v, nov_i = _budget_inputs()
+        splats = concat_splats([
+            build_splats(v, softmax(lg), planes, img, source_index=i)
+            for i, (v, lg, img) in enumerate(zip(src_v, logits, src_i))
+        ])
+        pairs = []
+        for view in nov_v:
+            _, _, z, mean2d, cov2d, _, _, _, gw, gh = _project_gaussians(splats, view)
+            pairs.append(_gather_pairs(mean2d, cov2d, z, gw, gh)[0].size)
+        peak = _traced_peak(refinement_loss_and_grad, logits, planes, src_v, src_i, nov_v, nov_i)
+        raster_peak = _traced_peak(rasterize, splats, nov_v[0])
+        assert peak <= self.LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)
+        assert raster_peak <= self.RASTERIZE_BYTES_PER_PAIR * pairs[0]

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Golden digests of a pipeline run and of a refining run.
+"""Golden digests of a pipeline run, of a refining run and of a scene.
 
 Generates the scene of acceptance criterion 12 for the given seed (1 box,
 3 views at 128x96) in a temporary directory, runs the detection pipeline on
 it with criterion 12's config, and prints the SHA-256 over every file the
 run writes to its output directory.  The second line is the same digest for
 a refining run on that scene: one held-out novel view and 4 refinement
-steps.  A change that claims to keep behaviour fixed must keep both digests;
+steps.  The third is the digest of the scene directory itself.  A change
+that claims to keep behaviour fixed must keep all three digests;
 `tests/test_pipeline.py` pins them for seed 5.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
@@ -18,11 +19,9 @@ import hashlib
 import os
 import tempfile
 
-from mvsweep.harness import formats
-from mvsweep.harness.boxes import Box3D
 from mvsweep.harness.config import PipelineConfig
-from mvsweep.harness.pipeline import run_pipeline
-from mvsweep.scenegen import generate_scene, make_trajectory, raycast
+from mvsweep.harness.pipeline import run_pipeline, write_scene
+from mvsweep.scenegen import generate_scene, make_trajectory
 
 
 def output_digest(out_dir) -> str:
@@ -43,18 +42,16 @@ CONFIG = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_c
 
 def _write_scene(seed: int, scene_dir) -> None:
     """Criterion 12's scene for `seed`: 1 box, 3 views at 128x96."""
-    os.makedirs(scene_dir)
     scene = generate_scene(seed=seed, n_boxes=1)
-    views = make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
-    formats.save_scene(os.path.join(scene_dir, "scene.txt"), scene)
-    formats.save_cameras(os.path.join(scene_dir, "cameras.txt"), views)
-    formats.save_boxes(
-        os.path.join(scene_dir, "boxes.txt"), [Box3D.from_corners(b.lo, b.hi) for b in scene.boxes]
-    )
-    for i, view in enumerate(views):
-        gt = raycast(scene, view)
-        formats.save_ppm(os.path.join(scene_dir, f"view_{i:03d}.ppm"), gt.image)
-        formats.save_raster(os.path.join(scene_dir, f"depth_{i:03d}.mvsr"), gt.depth)
+    write_scene(scene_dir, scene, make_trajectory(scene, 3, seed=seed, image_size=(128, 96)))
+
+
+def scene_digest(seed: int, workdir) -> str:
+    """Write criterion 12's scene for `seed` under `workdir` and return the
+    digest of the scene directory."""
+    scene_dir = os.path.join(workdir, "scene")
+    _write_scene(seed, scene_dir)
+    return output_digest(scene_dir)
 
 
 def golden_digest(seed: int, workdir) -> str:
@@ -83,6 +80,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         print(golden_digest(args.seed, os.path.join(tmp, "run")))
         print(refine_digest(args.seed, os.path.join(tmp, "refine")))
+        print(scene_digest(args.seed, os.path.join(tmp, "scene")))
 
 
 if __name__ == "__main__":

@@ -214,6 +214,18 @@ def backproject_ray(u: float, v: float, view: CameraView, scale: int = 1) -> Ray
     return Ray(origin=view.pose.camera_center(), direction=d_world)
 
 
+def pixel_rays(view: CameraView, scale: int = 1):
+    """Unnormalized rays through every pixel center of the 1/scale grid.
+
+    Returns (origin (3,), directions (H, W, 3)); each direction has camera-
+    frame z component 1, so the ray parameter equals camera-frame depth.
+    """
+    k, w, h = view.scaled(scale)
+    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    d_cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(uu)], axis=-1)
+    return view.pose.camera_center(), d_cam @ view.pose.rotation  # (R^T d) for row vectors
+
+
 def ray_grid(view: CameraView, scale: int = 1):
     """Rays through every pixel center of the 1/scale grid.
 
@@ -221,15 +233,11 @@ def ray_grid(view: CameraView, scale: int = 1):
     axis_cos is the dot of each direction with the optical axis; dividing a
     camera depth by it converts to distance along the unit ray.
     """
-    k, w, h = view.scaled(scale)
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    d_cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(uu)], axis=-1)
-    d_world = d_cam @ view.pose.rotation  # (R^T d) for row vectors
-    norms = np.linalg.norm(d_world, axis=-1, keepdims=True)
-    d_world = d_world / norms
+    origin, d_world = pixel_rays(view, scale)
+    d_world = d_world / np.linalg.norm(d_world, axis=-1, keepdims=True)
     axis = view.pose.rotation[2]  # optical axis in world coordinates
     axis_cos = d_world @ axis
-    return view.pose.camera_center(), d_world, axis_cos
+    return origin, d_world, axis_cos
 
 
 def homography_warp(q, depth: float, k_ref: Intrinsics, k_src: Intrinsics, rel: Pose):

@@ -16,9 +16,8 @@ import numpy as np
 
 from mvsweep.harness import formats
 from mvsweep.harness.config import PipelineConfig, load_config, save_config
-from mvsweep.harness.pipeline import evaluate_outputs, run_pipeline
-from mvsweep.harness.boxes import Box3D
-from mvsweep.scenegen import generate_scene, make_trajectory, raycast
+from mvsweep.harness.pipeline import evaluate_outputs, run_pipeline, write_scene
+from mvsweep.scenegen import generate_scene, make_trajectory
 from mvsweep.splat import rasterize
 
 
@@ -70,19 +69,9 @@ def _load_or_default_config(args) -> PipelineConfig:
 
 def cmd_scene_gen(args) -> int:
     out = _require_out(args, "scene-gen")
-    if args.threads < 1:
-        raise SystemExit("--threads must be >= 1")
     scene = generate_scene(seed=args.seed, n_boxes=args.boxes)
     views = make_trajectory(scene, args.views, seed=args.seed)
-    os.makedirs(out, exist_ok=True)
-    formats.save_scene(os.path.join(out, "scene.txt"), scene)
-    formats.save_cameras(os.path.join(out, "cameras.txt"), views)
-    gt_boxes = [Box3D.from_corners(b.lo, b.hi) for b in scene.boxes]
-    formats.save_boxes(os.path.join(out, "boxes.txt"), gt_boxes)
-    for i, view in enumerate(views):
-        gt = raycast(scene, view)
-        formats.save_ppm(os.path.join(out, f"view_{i:03d}.ppm"), gt.image)
-        formats.save_raster(os.path.join(out, f"depth_{i:03d}.mvsr"), gt.depth)
+    write_scene(out, scene, views)
     save_config(os.path.join(out, "config_used.txt"), _load_or_default_config(args))
     print(f"wrote scene with {len(scene.boxes)} boxes and {len(views)} views to {out}")
     return 0

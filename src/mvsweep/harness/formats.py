@@ -28,6 +28,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _load_text(path, parse):
+    """parse() of the text file at `path`; a ValueError gets the path as a
+    prefix."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_header(fh, path, fmt: str, what: str) -> tuple:
     """Unpack a fixed binary header; a short file is a ValueError."""
     size = struct.calcsize(fmt)
@@ -107,12 +118,7 @@ def save_cameras(path, views) -> None:
 
 
 def load_cameras(path) -> list[CameraView]:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return cameras_from_text(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _load_text(path, cameras_from_text)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +243,19 @@ _SPLAT_DTYPE = np.dtype(
         ("col", "<u4"),
     ]
 )
+_IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
 
 
 def save_splats(path, splats: GaussianSplatSet) -> None:
+    """The record keeps the general layout of a unit quaternion and three
+    scales: an isotropic splat is the identity quaternion with its sigma in
+    all three scale slots."""
     n = len(splats)
     rec = np.empty(n, dtype=_SPLAT_DTYPE)
     rec["mean"] = splats.means
     rec["alpha"] = splats.opacities
-    rec["quat"] = splats.quaternions
-    rec["scale"] = splats.scales
+    rec["quat"] = _IDENTITY_QUAT
+    rec["scale"] = splats.sigmas[:, None]
     rec["color"] = splats.colors
     rec["view"] = splats.source_view
     rec["row"] = splats.pixel_rows
@@ -264,11 +274,16 @@ def load_splats(path) -> GaussianSplatSet:
         (n,) = _read_header(fh, path, "<I", "splat")
         raw = _read_payload(fh, path, n * _SPLAT_DTYPE.itemsize, f"splat header count {n}")
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
+    bad = np.flatnonzero(np.any(rec["quat"] != _IDENTITY_QUAT, axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: splat {bad[0]}: quat must be the identity (1, 0, 0, 0)")
+    bad = np.flatnonzero(np.any(rec["scale"] != rec["scale"][:, :1], axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: splat {bad[0]}: scale must hold three equal values")
     return GaussianSplatSet(
         means=rec["mean"].astype(np.float64),
         opacities=rec["alpha"].astype(np.float64),
-        quaternions=rec["quat"].astype(np.float64),
-        scales=rec["scale"].astype(np.float64),
+        sigmas=rec["scale"][:, 0].astype(np.float64),
         colors=rec["color"].astype(np.float64),
         source_view=rec["view"].astype(np.int64),
         pixel_rows=rec["row"].astype(np.int64),
@@ -298,43 +313,59 @@ def scene_to_text(scene: SceneSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The field of each value of a scene-listing record, in order.
+_SCENE_RECORDS = {
+    "room": ("lo",) * 3 + ("hi",) * 3,
+    "walls": ("walls",),
+    "wall_seed": ("wall_seed",),
+    "background": ("background",) * 3,
+    "box": ("lo",) * 3 + ("hi",) * 3 + ("texture_seed",) + ("color",) * 3,
+}
+_INT_FIELDS = ("walls", "wall_seed", "texture_seed")
+
+
+def _scene_record(lineno: int, kind: str, vals: list[str]) -> list:
+    """The parsed values of one scene-listing record; a missing, extra or
+    unparsable value is a ValueError naming the line and the field."""
+    where = f"scene listing: line {lineno}: {kind}"
+    names = _SCENE_RECORDS.get(kind)
+    if names is None:
+        raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
+    if len(vals) != len(names):
+        field = names[min(len(vals), len(names) - 1)]
+        raise ValueError(f"{where}: {len(names)} values expected, got {len(vals)} (field {field})")
+    out = []
+    for name, v in zip(names, vals):
+        try:
+            out.append(int(v) if name in _INT_FIELDS else float(v))
+        except ValueError:
+            raise ValueError(f"{where}: field {name}: {v!r} is not a number") from None
+    return out
+
+
 def scene_from_text(text: str) -> SceneSpec:
-    room = walls = wall_seed = background = None
+    records = {}
     boxes = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         kind, _, rest = line.partition(" ")
-        vals = rest.split()
-        if kind == "room":
-            room = [float(x) for x in vals]
-        elif kind == "walls":
-            walls = vals[0] == "1"
-        elif kind == "wall_seed":
-            wall_seed = int(vals[0])
-        elif kind == "background":
-            background = [float(x) for x in vals]
-        elif kind == "box":
-            boxes.append(
-                TexturedBox(
-                    lo=np.array([float(x) for x in vals[:3]]),
-                    hi=np.array([float(x) for x in vals[3:6]]),
-                    texture_seed=int(vals[6]),
-                    color=np.array([float(x) for x in vals[7:10]]),
-                )
-            )
+        v = _scene_record(lineno, kind, rest.split())
+        if kind == "box":
+            boxes.append(TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6], color=v[7:]))
         else:
-            raise ValueError(f"scene listing: unknown record {kind!r}")
-    if room is None or walls is None or wall_seed is None or background is None:
-        raise ValueError("scene listing: missing room/walls/wall_seed/background")
+            records[kind] = v
+    missing = [kind for kind in _SCENE_RECORDS if kind not in records and kind != "box"]
+    if missing:
+        raise ValueError(f"scene listing: missing {'/'.join(missing)}")
     return SceneSpec(
-        room_lo=np.array(room[:3]),
-        room_hi=np.array(room[3:]),
+        room_lo=records["room"][:3],
+        room_hi=records["room"][3:],
         boxes=tuple(boxes),
-        background=np.array(background),
-        wall_seed=wall_seed,
-        walls=walls,
+        background=records["background"],
+        wall_seed=records["wall_seed"][0],
+        walls=records["walls"][0] == 1,
     )
 
 
@@ -344,8 +375,7 @@ def save_scene(path, scene: SceneSpec) -> None:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    with open(path) as fh:
-        return scene_from_text(fh.read())
+    return _load_text(path, scene_from_text)
 
 
 def boxes_to_text(boxes) -> str:
@@ -385,8 +415,7 @@ def save_boxes(path, boxes) -> None:
 
 
 def load_boxes(path):
-    with open(path) as fh:
-        return boxes_from_text(fh.read())
+    return _load_text(path, boxes_from_text)
 
 
 def metrics_to_text(metrics: dict[str, float]) -> str:
@@ -396,12 +425,15 @@ def metrics_to_text(metrics: dict[str, float]) -> str:
 
 def metrics_from_text(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         key, _, val = line.partition(" ")
-        out[key] = float(val)
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValueError(f"metrics: line {lineno}: {key}: {val!r} is not a number") from None
     return out
 
 
@@ -411,5 +443,4 @@ def save_metrics(path, metrics: dict[str, float]) -> None:
 
 
 def load_metrics(path) -> dict[str, float]:
-    with open(path) as fh:
-        return metrics_from_text(fh.read())
+    return _load_text(path, metrics_from_text)

@@ -20,7 +20,7 @@ from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
 from mvsweep.harness.config import PipelineConfig
 from mvsweep.harness import formats
 from mvsweep.sampling import VoxelGrid, build_volume, sample_topk
-from mvsweep.scenegen import multiview_coverage, quarter_depth
+from mvsweep import scenegen
 from mvsweep.splat import (
     GaussianSplatSet,
     build_splats,
@@ -50,6 +50,21 @@ class PipelineResult:
     refined_views: list[int] | None = None
     loss_trace: list[float] | None = None
     splats: GaussianSplatSet | None = None
+
+
+def write_scene(scene_dir, spec, views) -> None:
+    """Write the scene directory load_scene reads: scene listing, cameras,
+    ground-truth boxes, and each view's ray-cast image and depth raster."""
+    os.makedirs(scene_dir, exist_ok=True)
+    formats.save_scene(os.path.join(scene_dir, "scene.txt"), spec)
+    formats.save_cameras(os.path.join(scene_dir, "cameras.txt"), views)
+    formats.save_boxes(
+        os.path.join(scene_dir, "boxes.txt"), [Box3D.from_corners(b.lo, b.hi) for b in spec.boxes]
+    )
+    for i, view in enumerate(views):
+        gt = scenegen.raycast(spec, view)
+        formats.save_ppm(os.path.join(scene_dir, f"view_{i:03d}.ppm"), gt.image)
+        formats.save_raster(os.path.join(scene_dir, f"depth_{i:03d}.mvsr"), gt.depth)
 
 
 def load_scene(scene_dir) -> SceneData:
@@ -108,8 +123,8 @@ def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
 
 
 def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map, metrics, tag):
-    gt_q = quarter_depth(gt_depths[ref_index])
-    cover = multiview_coverage(views, gt_depths, ref_index, src_indices)
+    gt_q = scenegen.quarter_depth(gt_depths[ref_index])
+    cover = scenegen.multiview_coverage(views, gt_depths, ref_index, src_indices)
     mask = (
         (gt_q >= config.depth_min)
         & (gt_q <= config.depth_max)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, look_at
+from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, pixel_rays
 
 # Default room matches the default 40x40x16 voxel grid at pitch
 # (0.16, 0.16, 0.2): x, y in [-3.2, 3.2], z in [0, 3.2].
@@ -356,18 +356,6 @@ def make_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _camera_rays(view: CameraView):
-    """World origin and per-pixel world direction with camera-z component 1,
-    so the ray parameter equals camera-frame depth."""
-    k = view.intrinsics
-    uu, vv = np.meshgrid(
-        np.arange(view.width, dtype=np.float64), np.arange(view.height, dtype=np.float64)
-    )
-    d_cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(uu)], axis=-1)
-    d_world = d_cam @ view.pose.rotation  # rows: R^T @ d
-    return view.pose.camera_center(), d_world
-
-
 def _room_exit(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Exit distance and face id for rays starting inside the room AABB."""
     with np.errstate(divide="ignore"):
@@ -418,7 +406,7 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
     walls disabled); the image is pure albedo, so multi-view colors of a
     surface point match exactly.
     """
-    origin, dirs = _camera_rays(view)
+    origin, dirs = pixel_rays(view)
     inside_room = np.all(origin > scene.room_lo) and np.all(origin < scene.room_hi)
     if not inside_room:
         raise ValueError("camera must be inside the room")
@@ -498,7 +486,7 @@ def multiview_coverage(
 
     ref = views[ref_index]
     gt_q = quarter_depth(depths[ref_index])
-    origin, dirs = _camera_rays(ref)
+    origin, dirs = pixel_rays(ref)
     pts = origin + gt_q[..., None] * dirs[1::4, 1::4]
     flat = pts.reshape(-1, 3)
     count = np.zeros(gt_q.shape, dtype=np.int64)
@@ -536,7 +524,7 @@ def surface_free_masks(scene: SceneSpec, views, grid_spec, depths=None, stride: 
 
     for vi, view in enumerate(views):
         depth = depths[vi] if depths is not None else raycast(scene, view).depth
-        cam_origin, dirs = _camera_rays(view)
+        cam_origin, dirs = pixel_rays(view)
         d = depth[::stride, ::stride]
         rays = dirs[::stride, ::stride]
         m = d > 0

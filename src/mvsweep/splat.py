@@ -3,8 +3,10 @@ alpha-blending rasterizer at feature (quarter) resolution, the L2 rendering
 loss, and rendering-loss-driven refinement of the probability volumes.
 
 One primitive per quarter-res pixel: its center sits on the pixel ray at the
-regressed depth, its opacity is the peak probability, its covariance is an
-isotropic pixel footprint, and its color is the block-pooled image color.
+regressed depth, its opacity is the peak probability, its covariance is
+sigma^2 I with sigma one pixel footprint at that depth, and its color is the
+block-pooled image color.  Splats are isotropic because refinement moves only
+depth: no orientation or per-axis scale is ever optimized.
 Refinement runs gradient descent on per-pixel plane logits; gradients flow
 analytically through softmax -> depth regression -> splat parameters ->
 projection -> alpha compositing, which a central finite-difference check can
@@ -26,7 +28,7 @@ run the forward pass alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,12 +48,12 @@ PAIR_CHUNK = 1 << 16
 
 @dataclass
 class GaussianSplatSet:
-    """Struct-of-arrays collection of 3D Gaussian primitives."""
+    """Struct-of-arrays collection of isotropic 3D Gaussian primitives: the
+    covariance of primitive i is sigmas[i]^2 I."""
 
     means: np.ndarray  # (N, 3) world centers, meters
     opacities: np.ndarray  # (N,) in [0, 1]
-    quaternions: np.ndarray  # (N, 4) unit, (w, x, y, z)
-    scales: np.ndarray  # (N, 3) stddevs, meters, > 0
+    sigmas: np.ndarray  # (N,) isotropic stddevs, meters, > 0
     colors: np.ndarray  # (N, 3) RGB in [0, 1]
     source_view: np.ndarray  # (N,) provenance view index
     pixel_rows: np.ndarray  # (N,)
@@ -59,50 +61,21 @@ class GaussianSplatSet:
 
     def __post_init__(self):
         n = self.means.shape[0]
-        for name in ("opacities", "quaternions", "scales", "colors", "source_view",
-                     "pixel_rows", "pixel_cols"):
-            if getattr(self, name).shape[0] != n:
-                raise ValueError(f"field {name} length mismatch")
-        if n:
-            norms = np.linalg.norm(self.quaternions, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("quaternions must be unit length")
-            if np.any(self.scales <= 0):
-                raise ValueError("scales must be positive")
-            if np.any((self.opacities < 0) | (self.opacities > 1)):
-                raise ValueError("opacities must lie in [0, 1]")
+        for f in fields(self)[1:]:
+            if getattr(self, f.name).shape[0] != n:
+                raise ValueError(f"field {f.name} length mismatch")
+        if not np.all(self.sigmas > 0):
+            raise ValueError("sigmas must be positive")
+        if np.any((self.opacities < 0) | (self.opacities > 1)):
+            raise ValueError("opacities must lie in [0, 1]")
 
     def __len__(self) -> int:
         return self.means.shape[0]
 
-    def covariances(self) -> np.ndarray:
-        """(N, 3, 3) world covariances R diag(s^2) R^T."""
-        r = quaternion_to_rotation(self.quaternions)
-        rs = r * (self.scales**2)[:, None, :]
-        t = rs[:, :, None, :] * r[:, None, :, :]  # (N, i, k, j) terms
-        return (t[..., 0] + t[..., 1]) + t[..., 2]
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Unit quaternions (w, x, y, z) -> rotation matrices, vectorized."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
-            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
-            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
-        ],
-        axis=-2,
-    )
-
 
 def concat_splats(sets: list[GaussianSplatSet]) -> GaussianSplatSet:
     return GaussianSplatSet(
-        *[
-            np.concatenate([getattr(s, f) for s in sets])
-            for f in ("means", "opacities", "quaternions", "scales", "colors",
-                      "source_view", "pixel_rows", "pixel_cols")
-        ]
+        *[np.concatenate([getattr(s, f.name) for s in sets]) for f in fields(GaussianSplatSet)]
     )
 
 
@@ -125,12 +98,12 @@ def build_splats(
     """One Gaussian per quarter-res pixel of `view`.
 
     Center: pixel ray at the regressed depth.  Opacity: the peak plane
-    probability.  Covariance: isotropic with sigma = footprint_scale * depth
-    / mean focal length at quarter scale (one pixel footprint).  Color: the
-    4x4 block mean of the full-res image, or `image` itself when it is
-    already quarter resolution.  `rays`, when given, is the view's
-    quarter-res `ray_grid`, computed once by a caller that builds splats
-    for the same view many times.
+    probability.  Sigma: footprint_scale * depth / mean focal length at
+    quarter scale (one pixel footprint).  Color: the 4x4 block mean of the
+    full-res image, or `image` itself when it is already quarter
+    resolution.  `rays`, when given, is the view's quarter-res `ray_grid`,
+    computed once by a caller that builds splats for the same view many
+    times.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
     if probs.shape[:2] != (gh, gw):
@@ -144,13 +117,10 @@ def build_splats(
     colors = _quarter(view, np.asarray(image, dtype=np.float64))
     n = gh * gw
     rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
-    quats = np.zeros((n, 4))
-    quats[:, 0] = 1.0
     return GaussianSplatSet(
         means=means.reshape(n, 3),
         opacities=alphas.reshape(n),
-        quaternions=quats,
-        scales=np.repeat(sigma.reshape(n, 1), 3, axis=1),
+        sigmas=sigma.reshape(n),
         colors=colors.reshape(n, 3),
         source_view=np.full(n, source_index, dtype=np.int64),
         pixel_rows=rows.reshape(n).astype(np.int64),
@@ -172,8 +142,8 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     symmetric 2D covariance [[a, b], [b, c]], screen-space dilation included;
     jac is (j00, j02, j11, j12), the nonzero entries of the perspective
     Jacobian [[j00, 0, j02], [0, j11, j12]].  Every covariance sum adds its
-    terms one at a time in row-major (j, k) order; the pinned forward-pass
-    tests hold that order fixed.
+    terms one at a time in a fixed order; the pinned forward-pass tests hold
+    that order fixed.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
     r = view.pose.rotation
@@ -189,13 +159,13 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     j11 = k.fy / z
     j12 = -k.fy * y / z**2
 
-    # cov_cam = R cov_world R^T.
-    cw = splats.covariances()[keep]
-    cov_cam = np.empty_like(cw)
+    # cov_cam = R (sigma^2 I) R^T.  Python's sum starts from integer 0, so an
+    # entry whose terms are all zero is +0.0, as in the reference's einsum.
+    s2 = splats.sigmas[keep] ** 2
+    cov_cam = np.empty((z.size, 3, 3))
     for i in range(3):
-        rc = [[r[i, j] * cw[:, j, m] for m in range(3)] for j in range(3)]
         for l in range(3):
-            cov_cam[:, i, l] = sum(rc[j][m] * r[l, m] for j in range(3) for m in range(3))
+            cov_cam[:, i, l] = sum((r[i, j] * s2) * r[l, j] for j in range(3))
     # cov2d = J cov_cam J^T over the nonzero Jacobian entries.
     c = cov_cam
     c00 = (
@@ -458,9 +428,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     """The backward pass of one view's L2 rendering loss from its forward
     state `st` and dL/d(colour image) `d_color` (n_px, 3).
 
-    Returns (d_means (N, 3), d_alphas (N,), d_sigma (N,)) where sigma is
-    the isotropic scale (all three scale entries assumed equal, as
-    build_splats produces).
+    Returns (d_means (N, 3), d_alphas (N,), d_sigmas (N,)).
 
     The colour gradient is constant within a pixel's run of pairs, so the
     colour that later pairs blend in enters as one scalar suffix sum of
@@ -579,7 +547,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         axis=1,
     )
 
-    sigma = splats.scales[st.keep, 0]
+    sigma = splats.sigmas[st.keep]
     keep_idx = np.flatnonzero(st.keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))

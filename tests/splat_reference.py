@@ -1,13 +1,14 @@
 """Reference oracle for the splat rasterizer: projection, pair order,
 compositing and the backward pass, in their direct per-pair form.
 
-Covariances are projected with einsum; every (primitive, pixel) pair is
-enumerated in primitive-index order and ordered with a three-key lexsort;
-the backward pass carries (P, 3) colour suffix sums, gathers each pair's
-(2, 2) inverse covariance, and runs the projection backward with einsum.
-It is slow and memory-hungry, and serves only as the yardstick the tests
-hold `mvsweep.splat` against: its forward pass to the bit, its gradients to
-a relative tolerance.
+World covariances are sigma^2 I, projected with einsum; every (primitive,
+pixel) pair is enumerated in primitive-index order and ordered with a
+three-key lexsort; the backward pass carries (P, 3) colour suffix sums,
+gathers each pair's (2, 2) inverse covariance, and runs the projection
+backward with einsum.  It is slow and memory-hungry, and serves only as the
+yardstick the tests hold `mvsweep.splat` against: its forward pass to the
+bit, its gradients to a relative tolerance.  quaternion_to_rotation builds
+the rotated views the tests render into.
 """
 
 from __future__ import annotations
@@ -21,8 +22,20 @@ from mvsweep.splat import (
     EPS_ALPHA,
     POWER_CUTOFF,
     RenderTarget,
-    quaternion_to_rotation,
 )
+
+
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z) -> rotation matrices, vectorized."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack(
+        [
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+        ],
+        axis=-2,
+    )
 
 
 def project_gaussians(splats, view):
@@ -43,8 +56,7 @@ def project_gaussians(splats, view):
     jac[:, 0, 2] = -k.fx * x_cam[:, 0] / z**2
     jac[:, 1, 1] = k.fy / z
     jac[:, 1, 2] = -k.fy * x_cam[:, 1] / z**2
-    rot = quaternion_to_rotation(splats.quaternions)
-    cov_world = np.einsum("nij,nj,nkj->nik", rot, splats.scales**2, rot)[keep]
+    cov_world = (splats.sigmas[keep] ** 2)[:, None, None] * np.eye(3)
     cov_cam = np.einsum("ij,njk,lk->nil", r, cov_world, r)
     cov2d = np.einsum("nij,njk,nlk->nil", jac, cov_cam, jac)
     cov2d[:, 0, 0] += COV_DILATION
@@ -203,7 +215,7 @@ def render_vjp(splats, view, target_image):
         + d_jac[:, 1, 2] * (2.0 * fy * y / (z2 * z))
     )
 
-    sigma = splats.scales[keep, 0]
+    sigma = splats.sigmas[keep]
     keep_idx = np.flatnonzero(keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))

@@ -216,31 +216,45 @@ class TestVolumeFormat:
         assert p.read_bytes() == p2.read_bytes()
 
 
+def random_splats(rng, n=17):
+    return GaussianSplatSet(
+        means=rng.uniform(-3, 3, (n, 3)),
+        opacities=rng.uniform(0, 1, n),
+        sigmas=rng.uniform(0.01, 0.1, n),
+        colors=rng.uniform(0, 1, (n, 3)),
+        source_view=rng.integers(0, 5, n),
+        pixel_rows=rng.integers(0, 60, n),
+        pixel_cols=rng.integers(0, 80, n),
+    )
+
+
 class TestSplatFormat:
     def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(4)
-        n = 17
-        q = rng.normal(size=(n, 4))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        splats = GaussianSplatSet(
-            means=rng.uniform(-3, 3, (n, 3)),
-            opacities=rng.uniform(0, 1, n),
-            quaternions=q,
-            scales=rng.uniform(0.01, 0.1, (n, 3)),
-            colors=rng.uniform(0, 1, (n, 3)),
-            source_view=rng.integers(0, 5, n),
-            pixel_rows=rng.integers(0, 60, n),
-            pixel_cols=rng.integers(0, 80, n),
-        )
+        splats = random_splats(np.random.default_rng(4))
         p = tmp_path / "s.mvsg"
         formats.save_splats(p, splats)
         loaded = formats.load_splats(p)
         np.testing.assert_array_equal(loaded.means, splats.means)
-        np.testing.assert_array_equal(loaded.quaternions, splats.quaternions)
+        np.testing.assert_array_equal(loaded.sigmas, splats.sigmas)
         np.testing.assert_array_equal(loaded.source_view, splats.source_view)
         p2 = tmp_path / "s2.mvsg"
         formats.save_splats(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("quat", 0, 0.5), ("quat", 3, 1e-300), ("scale", 2, 0.05),
+    ])
+    def test_anisotropic_record_rejected(self, tmp_path, field, index, value):
+        # Splats are isotropic: a record must hold the identity quaternion
+        # and three equal scales.
+        p = tmp_path / "aniso.mvsg"
+        formats.save_splats(p, random_splats(np.random.default_rng(5)))
+        data = bytearray(p.read_bytes())
+        rec = np.frombuffer(data, dtype=formats._SPLAT_DTYPE, offset=8)
+        rec[field][9, index] = value
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"aniso.mvsg: splat 9: {field} "):
+            formats.load_splats(p)
 
 
 class TestSceneFormat:
@@ -257,6 +271,28 @@ class TestSceneFormat:
             np.testing.assert_array_equal(a.hi, b.hi)
             assert a.texture_seed == b.texture_seed
         assert formats.scene_to_text(loaded) == text
+
+    def test_bare_walls_record_rejected(self):
+        text = formats.scene_to_text(generate_scene(seed=5, n_boxes=0)).replace("walls 1", "walls")
+        with pytest.raises(ValueError, match=r"line 2: walls: 1 values expected, got 0 "
+                                             r"\(field walls\)"):
+            formats.scene_from_text(text)
+
+    def test_short_box_record_rejected(self):
+        with pytest.raises(ValueError, match=r"line 1: box: 10 values expected, got 3 "
+                                             r"\(field hi\)"):
+            formats.scene_from_text("box 1 2 3\n")
+
+    def test_unparsable_field_named(self):
+        with pytest.raises(ValueError, match="line 1: box: field texture_seed: '1.5' is not"):
+            formats.scene_from_text("box 1 2 3 4 5 6 1.5 0 0 0\n")
+
+    def test_short_room_record_rejected_with_path(self, tmp_path):
+        p = tmp_path / "scene.txt"
+        p.write_text("room 1 2\n")
+        with pytest.raises(ValueError, match=r"scene.txt: scene listing: line 1: room: 6 values "
+                                             r"expected, got 2 \(field lo\)"):
+            formats.load_scene_spec(p)
 
 
 class TestBoxAndMetricsText:
@@ -277,6 +313,12 @@ class TestBoxAndMetricsText:
         metrics = {"depth_rmse_view0": 0.12345678901234567, "n_boxes": 3.0}
         text = formats.metrics_to_text(metrics)
         assert formats.metrics_from_text(text) == metrics
+
+    def test_metric_without_value_rejected_with_path(self, tmp_path):
+        p = tmp_path / "metrics.txt"
+        p.write_text("n_boxes 2.0\na\n")
+        with pytest.raises(ValueError, match="metrics.txt: metrics: line 2: a: '' is not a number"):
+            formats.load_metrics(p)
 
 
 class TestIou3d:

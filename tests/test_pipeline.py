@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from mvsweep.harness import formats
+from mvsweep.harness import formats, pipeline
 from mvsweep.harness.cli import main as cli_main
 from mvsweep.harness.config import PipelineConfig, save_config
 from mvsweep.harness.pipeline import (
@@ -12,24 +12,14 @@ from mvsweep.harness.pipeline import (
     load_scene,
     run_pipeline,
 )
-from mvsweep.scenegen import generate_scene, make_trajectory, raycast
-from mvsweep.harness.boxes import Box3D
+from mvsweep.scenegen import generate_scene, make_trajectory
 
 
 def write_scene(tmp_path, seed=5, n_boxes=1, n_views=4, image_size=(128, 96)):
     scene_dir = tmp_path / f"scene_{seed}"
-    os.makedirs(scene_dir, exist_ok=True)
     scene = generate_scene(seed=seed, n_boxes=n_boxes)
     views = make_trajectory(scene, n_views, seed=seed, image_size=image_size)
-    formats.save_scene(scene_dir / "scene.txt", scene)
-    formats.save_cameras(scene_dir / "cameras.txt", views)
-    formats.save_boxes(
-        scene_dir / "boxes.txt", [Box3D.from_corners(b.lo, b.hi) for b in scene.boxes]
-    )
-    for i, v in enumerate(views):
-        gt = raycast(scene, v)
-        formats.save_ppm(scene_dir / f"view_{i:03d}.ppm", gt.image)
-        formats.save_raster(scene_dir / f"depth_{i:03d}.mvsr", gt.depth)
+    pipeline.write_scene(scene_dir, scene, views)
     return scene_dir
 
 
@@ -218,11 +208,12 @@ class TestCli:
 
 
 # SHA-256 over every `--out` file of a `run` on criterion 12's seed-5 scene,
-# and of a `refine` on it (one novel view, 4 steps), as printed by
-# `scripts/golden_hash.py --seed 5`.  A change that keeps the pipeline's
-# behaviour fixed keeps both digests.
+# of a `refine` on it (one novel view, 4 steps), and over the files of the
+# scene directory itself, as printed by `scripts/golden_hash.py --seed 5`.
+# A change that keeps the pipeline's behaviour fixed keeps all three digests.
 GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
 REFINE_DIGEST_SEED5 = "aeaf2f8d8b2a9b4593a4455b67d652f556c14ee5686366c19b733655395c0af9"
+SCENE_DIGEST_SEED5 = "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f"
 
 
 def _golden_hash_module():
@@ -241,3 +232,7 @@ def test_golden_digest(tmp_path):
 
 def test_refine_digest(tmp_path):
     assert _golden_hash_module().refine_digest(5, tmp_path) == REFINE_DIGEST_SEED5
+
+
+def test_scene_digest(tmp_path):
+    assert _golden_hash_module().scene_digest(5, tmp_path) == SCENE_DIGEST_SEED5

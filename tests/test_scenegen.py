@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,11 @@ class TestValueNoise:
             base=np.array([0.6, 0.6, 0.6]),
         )
         assert patch.std() > 1e-3
+
+
+# SHA-256 of the float64 depth and image bytes of one ray-cast view.
+RAYCAST_DEPTH_SHA256 = "3ea69e172b71686dbe17e43bca092e203c6b689df2af5dd937351478b057566e"
+RAYCAST_IMAGE_SHA256 = "6eeaa0b3f83ec3b2ed0a0107a2911dbfe43859a076ae17c852110cd5642c36fe"
 
 
 class TestRaycast:
@@ -220,6 +227,16 @@ class TestRaycast:
         view = make_trajectory(scene, 2, seed=1)[0]
         gt = raycast(scene, view)
         assert gt.image.min() >= 0.0 and gt.image.max() <= 1.0
+
+    def test_float64_output_pinned(self):
+        # View 0 of criterion 12's seed-5 scene.  Scene files keep depth as
+        # f32 and images as 8 bits, so the scene digest alone would miss a
+        # change in the low bits of either.
+        scene = generate_scene(seed=5, n_boxes=1)
+        view = make_trajectory(scene, 3, seed=5, image_size=(128, 96))[0]
+        gt = raycast(scene, view)
+        assert hashlib.sha256(gt.depth.tobytes()).hexdigest() == RAYCAST_DEPTH_SHA256
+        assert hashlib.sha256(gt.image.tobytes()).hexdigest() == RAYCAST_IMAGE_SHA256
 
 
 class TestTrajectory:

@@ -10,13 +10,13 @@ from mvsweep.splat import (
     GaussianSplatSet,
     concat_splats,
     build_splats,
-    quaternion_to_rotation,
     rasterize,
     refine_probability_volume,
     refinement_loss_and_grad,
     rendering_loss,
     select_novel_sources,
 )
+from splat_reference import quaternion_to_rotation
 
 
 def grid_view(width=128, height=96, f=40.0, pose=None):
@@ -28,8 +28,7 @@ def single_splat(mu, alpha=1.0, sigma=0.05, color=(1.0, 0.0, 0.0)):
     return GaussianSplatSet(
         means=np.asarray(mu, dtype=float).reshape(1, 3),
         opacities=np.array([alpha], dtype=float),
-        quaternions=np.array([[1.0, 0.0, 0.0, 0.0]]),
-        scales=np.full((1, 3), sigma),
+        sigmas=np.array([sigma]),
         colors=np.asarray(color, dtype=float).reshape(1, 3),
         source_view=np.zeros(1, dtype=np.int64),
         pixel_rows=np.zeros(1, dtype=np.int64),
@@ -43,6 +42,7 @@ def ray_point(view, u, v, depth, scale=4):
 
 
 class TestQuaternions:
+    # The reference helper that builds the tests' rotated views.
     def test_identity(self):
         r = quaternion_to_rotation(np.array([[1.0, 0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(r[0], np.eye(3), atol=1e-15)
@@ -54,15 +54,17 @@ class TestQuaternions:
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(r, expected, atol=1e-12)
 
-    def test_covariance_isotropic_for_equal_scales(self):
-        rng = np.random.default_rng(0)
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        s = single_splat([0, 0, 1.0])
-        object.__setattr__ if False else None
-        s.quaternions[0] = q
-        s.scales[0] = 0.07
-        np.testing.assert_allclose(s.covariances()[0], 0.07**2 * np.eye(3), atol=1e-15)
+
+class TestProjection:
+    def test_camera_covariance_is_isotropic(self):
+        # R (sigma^2 I) R^T is sigma^2 I in every camera frame.
+        from mvsweep.splat import _project_gaussians
+
+        q = np.random.default_rng(0).normal(size=4)
+        view = grid_view(pose=Pose(quaternion_to_rotation(q / np.linalg.norm(q)), np.zeros(3)))
+        splat = single_splat(view.pose.rotation.T @ ray_point(view, 16, 12, 2.0), sigma=0.07)
+        cov_cam = _project_gaussians(splat, view)[6]
+        np.testing.assert_allclose(cov_cam[0], 0.07**2 * np.eye(3), atol=1e-15)
 
 
 class TestBuildSplats:
@@ -100,7 +102,7 @@ class TestBuildSplats:
         probs = np.zeros((gh, gw, 2))
         probs[..., 1] = 1.0
         splats = build_splats(view, probs, planes, np.zeros((96, 128, 3)))
-        np.testing.assert_allclose(splats.scales, 0.02, atol=1e-12)
+        np.testing.assert_allclose(splats.sigmas, 0.02, atol=1e-12)
 
     def test_colors_are_block_means(self):
         view = grid_view()
@@ -396,8 +398,7 @@ def _random_splats(rng, n, view, depths):
     return GaussianSplatSet(
         means=means,
         opacities=rng.uniform(0.05, 1.0, n),
-        quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)),
-        scales=np.repeat(rng.uniform(0.3, 2.5, (n, 1)) * z[:, None] / k.fx, 3, axis=1),
+        sigmas=rng.uniform(0.3, 2.5, n) * z / k.fx,
         colors=rng.uniform(0.0, 1.0, (n, 3)),
         source_view=np.zeros(n, dtype=np.int64),
         pixel_rows=np.zeros(n, dtype=np.int64),
@@ -485,9 +486,7 @@ class TestAgainstReference:
         rotation = quaternion_to_rotation(turn / np.linalg.norm(turn))
         view = grid_view(160, 120, pose=Pose(rotation, np.array([0.05, -0.02, 0.1])))
         splats = _random_splats(rng, 300, view, np.array([0.8, 1.2, 2.0]))
-        q = rng.normal(size=(len(splats), 4))
-        splats.quaternions = q / np.linalg.norm(q, axis=1, keepdims=True)
-        splats.scales = splats.scales * rng.uniform(0.5, 2.0, splats.scales.shape)
+        splats.sigmas = splats.sigmas * rng.uniform(0.5, 2.0, len(splats))
         a, b = rasterize(splats, view), reference_rasterize(splats, view)
         for name in ("color", "depth", "alpha"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -6,9 +6,11 @@ Generates the scene of acceptance criterion 12 for the given seed (1 box,
 it with criterion 12's config, and prints the SHA-256 over every file the
 run writes to its output directory.  The second line is the same digest for
 a refining run on that scene: one held-out novel view and 4 refinement
-steps.  The third is the digest of the scene directory itself.  A change
-that claims to keep behaviour fixed must keep all three digests;
-`tests/test_pipeline.py` pins them for seed 5.
+steps.  The third is the digest of the scene directory itself, and the
+fourth the SHA-256 over the float64 depth and image bytes of every ray-cast
+view of that scene, which the scene files keep only as f32 depth and 8-bit
+images.  A change that claims to keep behaviour fixed must keep all four
+digests; `tests/test_pipeline.py` pins them for seed 5.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
 """
@@ -21,7 +23,7 @@ import tempfile
 
 from mvsweep.harness.config import PipelineConfig
 from mvsweep.harness.pipeline import run_pipeline, write_scene
-from mvsweep.scenegen import generate_scene, make_trajectory
+from mvsweep.scenegen import generate_scene, make_trajectory, raycast
 
 
 def output_digest(out_dir) -> str:
@@ -40,10 +42,14 @@ def output_digest(out_dir) -> str:
 CONFIG = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=2)
 
 
-def _write_scene(seed: int, scene_dir) -> None:
-    """Criterion 12's scene for `seed`: 1 box, 3 views at 128x96."""
+def _scene(seed: int):
+    """Criterion 12's scene for `seed` and its views: 1 box, 3 views at 128x96."""
     scene = generate_scene(seed=seed, n_boxes=1)
-    write_scene(scene_dir, scene, make_trajectory(scene, 3, seed=seed, image_size=(128, 96)))
+    return scene, make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
+
+
+def _write_scene(seed: int, scene_dir) -> None:
+    write_scene(scene_dir, *_scene(seed))
 
 
 def scene_digest(seed: int, workdir) -> str:
@@ -52,6 +58,18 @@ def scene_digest(seed: int, workdir) -> str:
     scene_dir = os.path.join(workdir, "scene")
     _write_scene(seed, scene_dir)
     return output_digest(scene_dir)
+
+
+def raycast_digest(seed: int) -> str:
+    """SHA-256 over the float64 depth bytes, then the image bytes, of each
+    `raycast` view of criterion 12's scene for `seed`, in view order."""
+    h = hashlib.sha256()
+    scene, views = _scene(seed)
+    for view in views:
+        gt = raycast(scene, view)
+        h.update(gt.depth.tobytes())
+        h.update(gt.image.tobytes())
+    return h.hexdigest()
 
 
 def golden_digest(seed: int, workdir) -> str:
@@ -81,6 +99,7 @@ def main():
         print(golden_digest(args.seed, os.path.join(tmp, "run")))
         print(refine_digest(args.seed, os.path.join(tmp, "refine")))
         print(scene_digest(args.seed, os.path.join(tmp, "scene")))
+    print(raycast_digest(args.seed))
 
 
 if __name__ == "__main__":

@@ -208,12 +208,14 @@ class TestCli:
 
 
 # SHA-256 over every `--out` file of a `run` on criterion 12's seed-5 scene,
-# of a `refine` on it (one novel view, 4 steps), and over the files of the
-# scene directory itself, as printed by `scripts/golden_hash.py --seed 5`.
-# A change that keeps the pipeline's behaviour fixed keeps all three digests.
+# of a `refine` on it (one novel view, 4 steps), over the files of the scene
+# directory itself, and over the float64 depth and image of every ray-cast
+# view, as printed by `scripts/golden_hash.py --seed 5`.  A change that keeps
+# the pipeline's behaviour fixed keeps all four digests.
 GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
 REFINE_DIGEST_SEED5 = "aeaf2f8d8b2a9b4593a4455b67d652f556c14ee5686366c19b733655395c0af9"
 SCENE_DIGEST_SEED5 = "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f"
+RAYCAST_DIGEST_SEED5 = "07bfa2ddc0ad9a87a600ff42deb5e81632aa3ce9f499cd034e231210eb1fcb0e"
 
 
 def _golden_hash_module():
@@ -236,3 +238,7 @@ def test_refine_digest(tmp_path):
 
 def test_scene_digest(tmp_path):
     assert _golden_hash_module().scene_digest(5, tmp_path) == SCENE_DIGEST_SEED5
+
+
+def test_raycast_digest():
+    assert _golden_hash_module().raycast_digest(5) == RAYCAST_DIGEST_SEED5

@@ -1,9 +1,13 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mvsweep.camera import CameraView, Intrinsics, look_at, project
+from scenegen_reference import raycast as reference_raycast
+from scenegen_reference import surface_albedo as reference_albedo
+from scenegen_reference import value_noise as reference_noise
 from mvsweep.scenegen import (
     GroundTruth,
     SceneSpec,
@@ -364,3 +368,129 @@ class TestMultiViewConsistency:
                 consistent += 1
         assert total > 100
         assert consistent / total > 0.8
+
+
+def assert_bytes_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_raycast_matches_reference(scene, view):
+    gt, ref = raycast(scene, view), reference_raycast(scene, view)
+    assert_bytes_equal(gt.depth, ref.depth)
+    assert_bytes_equal(gt.image, ref.image)
+    assert_bytes_equal(gt.boxes, ref.boxes)
+    return gt
+
+
+def with_boxes(boxes, walls=True):
+    """The seed-3 room holding the given (lo, hi) boxes."""
+    room = generate_scene(seed=3, n_boxes=0)
+    return SceneSpec(
+        room_lo=room.room_lo,
+        room_hi=room.room_hi,
+        boxes=tuple(
+            TexturedBox(lo=np.array(lo), hi=np.array(hi), texture_seed=11 + i,
+                        color=np.array([0.7, 0.3 + 0.2 * i, 0.4]))
+            for i, (lo, hi) in enumerate(boxes)
+        ),
+        background=room.background,
+        wall_seed=room.wall_seed,
+        walls=walls,
+    )
+
+
+def box_corners(box):
+    return np.array([[x, y, z] for x in (box.lo[0], box.hi[0])
+                     for y in (box.lo[1], box.hi[1]) for z in (box.lo[2], box.hi[2])])
+
+
+# A 160x120 camera at the room's centre looking down +x.
+FORWARD_VIEW = CameraView(
+    Intrinsics(120.0, 120.0, 79.5, 59.5), look_at([0.0, 0.0, 1.6], [3.2, 0.0, 1.6]), 160, 120
+)
+
+
+class TestAgainstReference:
+    """`raycast`, `surface_albedo` and `value_noise` give the bytes of
+    `tests/scenegen_reference.py`, the per-corner, per-mask oracle."""
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_ten_view_scenes(self, seed):
+        scene = generate_scene(seed=seed, n_boxes=2)
+        for view in make_trajectory(scene, 10, seed=seed):
+            assert_raycast_matches_reference(scene, view)
+
+    def test_boxes_straddling_image_border(self):
+        # One box crosses the side border, the other the bottom-side corner.
+        scene = with_boxes([((2.0, 0.9, 1.0), (2.6, 1.8, 1.9)),
+                            ((2.2, -1.5, 0.2), (2.8, -0.8, 0.9))])
+        for box in scene.boxes:
+            valid = project(box_corners(box), FORWARD_VIEW)[3]
+            assert valid.any() and not valid.all()
+        gt = assert_raycast_matches_reference(scene, FORWARD_VIEW)
+        assert (gt.depth < 2.9).sum() > 100
+
+    def test_box_corner_behind_camera(self):
+        scene = with_boxes([((-1.0, 0.5, 1.0), (2.0, 1.2, 1.4))])
+        depth = project(box_corners(scene.boxes[0]), FORWARD_VIEW)[2]
+        assert (depth <= 0).any() and (depth > 0).any()
+        gt = assert_raycast_matches_reference(scene, FORWARD_VIEW)
+        assert (gt.depth < 2.0).sum() > 100
+
+    def test_open_room(self):
+        scene = with_boxes([((2.0, -0.4, 1.2), (2.6, 0.4, 2.0))], walls=False)
+        gt = assert_raycast_matches_reference(scene, FORWARD_VIEW)
+        assert (gt.depth == 0.0).any() and (gt.depth > 0.0).any()
+
+    # A CameraView is at least 4x4 pixels, the smallest image there is.
+    @pytest.mark.parametrize("size", [(4, 4), (200, 40), (4, 96)])
+    def test_image_shapes(self, size):
+        w, h = size
+        scene = generate_scene(seed=11, n_boxes=2)
+        k = Intrinsics(150.0, 150.0, (w - 1) / 2, (h - 1) / 2)
+        for view in make_trajectory(scene, 3, seed=4, intrinsics=k, image_size=size):
+            assert_raycast_matches_reference(scene, view)
+
+    def test_surface_albedo(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(-3.0, 3.0, (500, 3))
+        face_ids = rng.integers(-1, 7, 500)  # -1 and 6 are no face: albedo 0
+        base = np.array([0.3, 0.6, 0.9])
+        assert_bytes_equal(surface_albedo(points, face_ids, 17, base),
+                           reference_albedo(points, face_ids, 17, base))
+        assert_bytes_equal(surface_albedo(points[0], 2, 17, base),
+                           reference_albedo(points[0], 2, 17, base))
+
+    @pytest.mark.parametrize("case", ["scattered", "empty", "empty_2d", "0d", "nan", "inf",
+                                      "all_nan", "spread_1e6"])
+    def test_value_noise(self, case):
+        rng = np.random.default_rng(5)
+        x, y = {
+            "scattered": lambda: rng.uniform(-40.0, 40.0, (2, 37, 29)),
+            "empty": lambda: np.zeros((2, 0)),
+            "empty_2d": lambda: np.zeros((2, 3, 0)),
+            "0d": lambda: (np.float64(-2.3), np.float64(7.9)),
+            "nan": lambda: rng.uniform(-4.0, 4.0, (2, 50)) * np.r_[1.0, np.nan, [1.0] * 48],
+            "inf": lambda: np.array([[0.5, np.inf, 3.0], [1.5, 2.5, -np.inf]]),
+            "all_nan": lambda: np.full((2, 9), np.nan),
+            "spread_1e6": lambda: rng.uniform(0.0, 1e6, (2, 1000)),
+        }[case]()
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_bytes_equal(value_noise(x, y, 42), reference_noise(x, y, 42))
+
+    def test_value_noise_memory_bounded_on_wide_spread(self):
+        # 1,000 points spread over 1e6 lattice cells along x: hashing the
+        # covering lattice rectangle would take 2e6 cells (16 MB per array).
+        x = np.random.default_rng(6).uniform(0.0, 1e6, 1000)
+        y = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
+        value_noise(x, y, 42)
+        tracemalloc.start()
+        try:
+            value_noise(x, y, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 1000

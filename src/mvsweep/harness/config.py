@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from mvsweep.costvol import DepthPlanes
+from mvsweep.harness.formats import load_text
 from mvsweep.sampling import VoxelGridSpec
 
 
@@ -128,5 +129,4 @@ def save_config(path, config: PipelineConfig) -> None:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    return load_text(path, config_from_text)

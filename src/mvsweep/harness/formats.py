@@ -28,7 +28,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_text(path, parse):
+def load_text(path, parse):
     """parse() of the text file at `path`; a ValueError gets the path as a
     prefix."""
     with open(path) as fh:
@@ -118,7 +118,7 @@ def save_cameras(path, views) -> None:
 
 
 def load_cameras(path) -> list[CameraView]:
-    return _load_text(path, cameras_from_text)
+    return load_text(path, cameras_from_text)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +274,14 @@ def load_splats(path) -> GaussianSplatSet:
         (n,) = _read_header(fh, path, "<I", "splat")
         raw = _read_payload(fh, path, n * _SPLAT_DTYPE.itemsize, f"splat header count {n}")
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
-    bad = np.flatnonzero(np.any(rec["quat"] != _IDENTITY_QUAT, axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: splat {bad[0]}: quat must be the identity (1, 0, 0, 0)")
-    bad = np.flatnonzero(np.any(rec["scale"] != rec["scale"][:, :1], axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: splat {bad[0]}: scale must hold three equal values")
+    for field, bad, rule in (
+        ("quat", np.any(rec["quat"] != _IDENTITY_QUAT, axis=1), "must be the identity (1, 0, 0, 0)"),
+        ("scale", ~(rec["scale"][:, 0] > 0), "must be positive"),
+        ("scale", np.any(rec["scale"] != rec["scale"][:, :1], axis=1), "must hold three equal values"),
+        ("alpha", ~((rec["alpha"] >= 0) & (rec["alpha"] <= 1)), "must lie in [0, 1]"),
+    ):
+        if bad.any():
+            raise ValueError(f"{path}: splat {np.argmax(bad)}: {field} {rule}")
     return GaussianSplatSet(
         means=rec["mean"].astype(np.float64),
         opacities=rec["alpha"].astype(np.float64),
@@ -324,13 +326,10 @@ _SCENE_RECORDS = {
 _INT_FIELDS = ("walls", "wall_seed", "texture_seed")
 
 
-def _scene_record(lineno: int, kind: str, vals: list[str]) -> list:
-    """The parsed values of one scene-listing record; a missing, extra or
-    unparsable value is a ValueError naming the line and the field."""
-    where = f"scene listing: line {lineno}: {kind}"
-    names = _SCENE_RECORDS.get(kind)
-    if names is None:
-        raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
+def _parse_record(where: str, names: tuple, vals: list[str]) -> list:
+    """The parsed values of one text record, a field name per value; a
+    missing, extra or unparsable value is a ValueError naming `where` and the
+    field."""
     if len(vals) != len(names):
         field = names[min(len(vals), len(names) - 1)]
         raise ValueError(f"{where}: {len(names)} values expected, got {len(vals)} (field {field})")
@@ -351,18 +350,30 @@ def scene_from_text(text: str) -> SceneSpec:
         if not line:
             continue
         kind, _, rest = line.partition(" ")
-        v = _scene_record(lineno, kind, rest.split())
+        if kind not in _SCENE_RECORDS:
+            raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
+        where = f"scene listing: line {lineno}: {kind}"
+        v = _parse_record(where, _SCENE_RECORDS[kind], rest.split())
         if kind == "box":
-            boxes.append(TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6], color=v[7:]))
+            try:
+                box = TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6], color=v[7:])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            boxes.append((where, box))
         else:
             records[kind] = v
     missing = [kind for kind in _SCENE_RECORDS if kind not in records and kind != "box"]
     if missing:
         raise ValueError(f"scene listing: missing {'/'.join(missing)}")
+    room = np.array(records["room"])
+    for where, box in boxes:
+        for field, inside in (("lo", box.lo > room[:3]), ("hi", box.hi < room[3:])):
+            if not np.all(inside):
+                raise ValueError(f"{where}: field {field}: not strictly inside the room")
     return SceneSpec(
         room_lo=records["room"][:3],
         room_hi=records["room"][3:],
-        boxes=tuple(boxes),
+        boxes=tuple(box for _, box in boxes),
         background=records["background"],
         wall_seed=records["wall_seed"][0],
         walls=records["walls"][0] == 1,
@@ -375,7 +386,7 @@ def save_scene(path, scene: SceneSpec) -> None:
 
 
 def load_scene_spec(path) -> SceneSpec:
-    return _load_text(path, scene_from_text)
+    return load_text(path, scene_from_text)
 
 
 def boxes_to_text(boxes) -> str:
@@ -392,20 +403,24 @@ def boxes_to_text(boxes) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_BOX_FIELDS = ("center",) * 3 + ("size",) * 3 + ("yaw", "score")
+
+
 def boxes_from_text(text: str):
     from mvsweep.harness.boxes import Box3D
 
     out = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        vals = [float(x) for x in line.split()]
-        if len(vals) != 8:
-            raise ValueError("box record must have 8 fields")
-        out.append(
-            Box3D(center=np.array(vals[:3]), size=np.array(vals[3:6]), yaw=vals[6], score=vals[7])
-        )
+        where = f"box listing: line {lineno}"
+        vals = _parse_record(where, _BOX_FIELDS, line.split())
+        try:
+            out.append(Box3D(center=np.array(vals[:3]), size=np.array(vals[3:6]),
+                             yaw=vals[6], score=vals[7]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out
 
 
@@ -415,7 +430,7 @@ def save_boxes(path, boxes) -> None:
 
 
 def load_boxes(path):
-    return _load_text(path, boxes_from_text)
+    return load_text(path, boxes_from_text)
 
 
 def metrics_to_text(metrics: dict[str, float]) -> str:
@@ -443,4 +458,4 @@ def save_metrics(path, metrics: dict[str, float]) -> None:
 
 
 def load_metrics(path) -> dict[str, float]:
-    return _load_text(path, metrics_from_text)
+    return load_text(path, metrics_from_text)

@@ -13,11 +13,11 @@ placed on a horizontal arc around the room center.  Face ids are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, pixel_rays
+from mvsweep.camera import CameraView, Intrinsics, look_at, pixel_rays
 
 # Default room matches the default 40x40x16 voxel grid at pitch
 # (0.16, 0.16, 0.2): x, y in [-3.2, 3.2], z in [0, 3.2].
@@ -119,6 +119,31 @@ def _hash_unit(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     return h.astype(np.float64) / float(2**64)
 
 
+def _corner_hashes(ix: np.ndarray, iy: np.ndarray, seed: int):
+    """_hash_unit at the corners (ix, iy), (ix + 1, iy), (ix, iy + 1) and
+    (ix + 1, iy + 1) of every lattice cell.
+
+    When the lattice rectangle covering all corners holds at most 4 points
+    per cell looked up (the hashes the per-corner way computes), it is hashed
+    once and the corners are gathered from it.  A wider spread, as a huge
+    room or a non-finite coordinate gives, hashes each corner instead, so
+    memory stays proportional to the input.
+    """
+    if ix.size:
+        x0, y0 = ix.min(), iy.min()
+        nx = int(ix.max()) - int(x0) + 2  # Python ints: the spread may exceed int64
+        ny = int(iy.max()) - int(y0) + 2
+        if nx * ny <= 4 * ix.size:
+            gx, gy = np.meshgrid(np.arange(nx, dtype=np.int64) + x0,
+                                 np.arange(ny, dtype=np.int64) + y0)
+            lattice = _hash_unit(gx, gy, seed).ravel()
+            k = (iy - y0) * nx + (ix - x0)
+            return (lattice.take(k), lattice.take(k + 1),
+                    lattice.take(k + nx), lattice.take(k + nx + 1))
+    return (_hash_unit(ix, iy, seed), _hash_unit(ix + 1, iy, seed),
+            _hash_unit(ix, iy + 1, seed), _hash_unit(ix + 1, iy + 1, seed))
+
+
 def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     """Smoothstep-interpolated lattice noise in [0, 1), period 1."""
     x = np.asarray(x, dtype=np.float64)
@@ -132,10 +157,7 @@ def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     iy = iy.astype(np.int64)
     wx = fx * fx * (3.0 - 2.0 * fx)
     wy = fy * fy * (3.0 - 2.0 * fy)
-    v00 = _hash_unit(ix, iy, seed)
-    v10 = _hash_unit(ix + 1, iy, seed)
-    v01 = _hash_unit(ix, iy + 1, seed)
-    v11 = _hash_unit(ix + 1, iy + 1, seed)
+    v00, v10, v01, v11 = _corner_hashes(ix, iy, seed)
     top = v00 + (v10 - v00) * wx
     bot = v01 + (v11 - v01) * wx
     return top + (bot - top) * wy
@@ -158,8 +180,28 @@ def _face_albedo(s: np.ndarray, t: np.ndarray, base: np.ndarray, seed: int) -> n
     return np.clip(out, 0.0, 1.0)
 
 
-_FACE_AXIS = np.array([0, 0, 1, 1, 2, 2])  # normal axis per face id
 _INPLANE = {0: (1, 2), 1: (1, 2), 2: (0, 2), 3: (0, 2), 4: (0, 1), 5: (0, 1)}
+
+
+def _sorted_albedo(points: np.ndarray, keys: np.ndarray, surfaces) -> np.ndarray:
+    """Albedo of points sorted by key, (N, 3).
+
+    Point i lies on face keys[i] % 6 of surface keys[i] // 6, and surfaces[s]
+    is surface s's (seed base, base albedo).  Each run of equal keys is one
+    _face_albedo call; a key that names no face of a listed surface gets 0.
+    """
+    out = np.zeros((len(keys), 3))
+    if not len(keys):
+        return out
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    for lo, hi in zip(starts, np.r_[starts[1:], len(keys)]):
+        if keys[lo] not in range(6 * len(surfaces)):
+            continue
+        surface, fid = divmod(int(keys[lo]), 6)
+        seed_base, base = surfaces[surface]
+        a, b = _INPLANE[fid]
+        out[lo:hi] = _face_albedo(points[lo:hi, a], points[lo:hi, b], base, seed_base * 6 + fid)
+    return out
 
 
 def surface_albedo(points: np.ndarray, face_ids: np.ndarray, seed_base: int, base: np.ndarray) -> np.ndarray:
@@ -170,13 +212,9 @@ def surface_albedo(points: np.ndarray, face_ids: np.ndarray, seed_base: int, bas
     """
     points = np.atleast_2d(points)
     face_ids = np.atleast_1d(face_ids)
+    order = np.argsort(face_ids, kind="stable")
     out = np.zeros((points.shape[0], 3))
-    for fid in range(6):
-        m = face_ids == fid
-        if not m.any():
-            continue
-        a, b = _INPLANE[fid]
-        out[m] = _face_albedo(points[m, a], points[m, b], base, seed_base * 6 + fid)
+    out[order] = _sorted_albedo(points[order], face_ids[order], ((seed_base, base),))
     return out
 
 
@@ -399,6 +437,32 @@ def _box_entry(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndar
     return t_near, face
 
 
+def _box_window(view: CameraView, lo: np.ndarray, hi: np.ndarray):
+    """(row slice, column slice) of the pixels whose rays can hit the box, or
+    None when there are none.
+
+    With every corner in front of the camera the box projects inside the
+    bounding rectangle of its 8 projected corners, which is padded by one
+    pixel against rounding and clipped to the image.  A corner at or behind
+    the camera gives the whole image.
+    """
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, 3)
+    cam = view.pose.transform(corners)
+    whole = slice(0, view.height), slice(0, view.width)
+    if not np.all(cam[:, 2] > 0):
+        return whole
+    k = view.intrinsics
+    u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
+    v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        return whole
+    c0, c1 = max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 1, view.width - 1)
+    r0, r1 = max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 1, view.height - 1)
+    if c0 > c1 or r0 > r1:
+        return None
+    return slice(r0, r1 + 1), slice(c0, c1 + 1)
+
+
 def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
     """Per-pixel nearest intersection against every box and the room walls.
 
@@ -415,37 +479,37 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
             raise ValueError("camera is inside a box")
 
     h, w = dirs.shape[:2]
-    best_t = np.full((h, w), np.inf)
-    best_face = np.full((h, w), -1, dtype=np.int8)
+    if scene.walls:
+        best_t, best_face = _room_exit(origin, dirs, scene.room_lo, scene.room_hi)
+    else:
+        best_t = np.full((h, w), np.inf)
+        best_face = np.full((h, w), -1, dtype=np.int8)
     best_surface = np.full((h, w), -1, dtype=np.int32)  # -1 walls, else box index
 
-    if scene.walls:
-        t_room, f_room = _room_exit(origin, dirs, scene.room_lo, scene.room_hi)
-        best_t = t_room
-        best_face = f_room
-        best_surface = np.full((h, w), -1, dtype=np.int32)
-
     for bi, box in enumerate(scene.boxes):
-        t_box, f_box = _box_entry(origin, dirs, box.lo, box.hi)
-        closer = t_box < best_t
-        best_t = np.where(closer, t_box, best_t)
-        best_face = np.where(closer, f_box, best_face)
-        best_surface = np.where(closer, bi, best_surface)
+        win = _box_window(view, box.lo, box.hi)
+        if win is None:
+            continue
+        t_box, f_box = _box_entry(origin, dirs[win], box.lo, box.hi)
+        closer = t_box < best_t[win]
+        np.copyto(best_t[win], t_box, where=closer)
+        np.copyto(best_face[win], f_box, where=closer)
+        best_surface[win][closer] = bi
 
     hit = np.isfinite(best_t)
     depth = np.where(hit, best_t, 0.0)
+    # Hit pixels sorted by (surface, face), so each face of each surface is
+    # one contiguous run for _sorted_albedo.
+    idx = np.flatnonzero(hit)
+    keys = (best_surface.ravel()[idx] + 1) * 6 + best_face.ravel()[idx]
+    order = np.argsort(keys, kind="stable")
+    idx, keys = idx[order], keys[order]
+    pts = origin + best_t.ravel()[idx][:, None] * dirs.reshape(-1, 3)[idx]
+    surfaces = ((scene.wall_seed, scene.background),) + tuple(
+        (b.texture_seed, b.color) for b in scene.boxes
+    )
     image = np.zeros((h, w, 3))
-    if hit.any():
-        pts = origin + best_t[..., None] * dirs
-        for bi in range(-1, len(scene.boxes)):
-            m = hit & (best_surface == bi)
-            if not m.any():
-                continue
-            if bi < 0:
-                base, seed = scene.background, scene.wall_seed
-            else:
-                base, seed = scene.boxes[bi].color, scene.boxes[bi].texture_seed
-            image[m] = surface_albedo(pts[m], best_face[m], seed, base)
+    image.reshape(-1, 3)[idx] = _sorted_albedo(pts, keys, surfaces)
 
     gt_boxes = (
         np.stack([np.stack([b.lo, b.hi]) for b in scene.boxes])

@@ -12,6 +12,7 @@ from mvsweep.harness.config import (
     PipelineConfig,
     config_from_text,
     config_to_text,
+    load_config,
 )
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
 from mvsweep.scenegen import generate_scene
@@ -96,6 +97,12 @@ class TestConfig:
     def test_non_finite_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
+
+    def test_load_error_names_path_line_and_field(self, tmp_path):
+        p = tmp_path / "config.txt"
+        p.write_text("top_k=x\n")
+        with pytest.raises(ValueError, match=r"config.txt: line 1: top_k='x' is not a valid int"):
+            load_config(p)
 
     def test_every_field_has_a_key(self):
         from dataclasses import fields
@@ -256,6 +263,22 @@ class TestSplatFormat:
         with pytest.raises(ValueError, match=f"aniso.mvsg: splat 9: {field} "):
             formats.load_splats(p)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("scale", 0.0, "must be positive"),
+        ("scale", np.nan, "must be positive"),
+        ("alpha", 2.0, r"must lie in \[0, 1\]"),
+        ("alpha", np.nan, r"must lie in \[0, 1\]"),
+    ])
+    def test_out_of_range_record_rejected(self, tmp_path, field, value, rule):
+        p = tmp_path / "range.mvsg"
+        formats.save_splats(p, random_splats(np.random.default_rng(5)))
+        data = bytearray(p.read_bytes())
+        rec = np.frombuffer(data, dtype=formats._SPLAT_DTYPE, offset=8)
+        rec[field][11] = value  # all three scale slots, so they stay equal
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"range.mvsg: splat 11: {field} {rule}"):
+            formats.load_splats(p)
+
 
 class TestSceneFormat:
     def test_round_trip(self):
@@ -295,6 +318,23 @@ class TestSceneFormat:
             formats.load_scene_spec(p)
 
 
+    def test_box_outside_room_names_line_and_field(self, tmp_path):
+        scene = generate_scene(seed=5, n_boxes=2)
+        text = formats.scene_to_text(scene).splitlines()
+        vals = text[5].split()
+        vals[4] = "9.0"  # hi y beyond the room's 3.2
+        text[5] = " ".join(vals)
+        p = tmp_path / "scene.txt"
+        p.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match="scene.txt: scene listing: line 6: box: field hi: "
+                                             "not strictly inside the room"):
+            formats.load_scene_spec(p)
+
+    def test_inverted_box_names_line(self):
+        with pytest.raises(ValueError, match="line 1: box: box min corner must be strictly below"):
+            formats.scene_from_text("box 1 2 3 0 5 6 1 0 0 0\n")
+
+
 class TestBoxAndMetricsText:
     def test_boxes_round_trip(self):
         boxes = [
@@ -308,6 +348,17 @@ class TestBoxAndMetricsText:
             np.testing.assert_array_equal(a.size, b.size)
             assert a.score == b.score
         assert formats.boxes_to_text(loaded) == text
+
+    @pytest.mark.parametrize("record, message", [
+        ("1 2 3", r"line 2: 8 values expected, got 3 \(field size\)"),
+        ("1 2 x 4 5 6 0 1", r"line 2: field center: 'x' is not a number"),
+        ("1 2 3 4 0 6 0 1", r"line 2: box sizes must be positive"),
+    ])
+    def test_bad_box_record_names_path_line_and_field(self, tmp_path, record, message):
+        p = tmp_path / "boxes.txt"
+        p.write_text("0 0 0 1 1 1 0 1\n" + record + "\n")
+        with pytest.raises(ValueError, match="boxes.txt: box listing: " + message):
+            formats.load_boxes(p)
 
     def test_metrics_round_trip(self):
         metrics = {"depth_rmse_view0": 0.12345678901234567, "n_boxes": 3.0}

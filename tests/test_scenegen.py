@@ -12,6 +12,7 @@ from mvsweep.scenegen import (
     GroundTruth,
     SceneSpec,
     TexturedBox,
+    _box_window,
     generate_scene,
     make_trajectory,
     raycast,
@@ -430,6 +431,8 @@ class TestAgainstReference:
         for box in scene.boxes:
             valid = project(box_corners(box), FORWARD_VIEW)[3]
             assert valid.any() and not valid.all()
+            rows, cols = _box_window(FORWARD_VIEW, box.lo, box.hi)
+            assert 0 < (rows.stop - rows.start) * (cols.stop - cols.start) < 160 * 120 / 4
         gt = assert_raycast_matches_reference(scene, FORWARD_VIEW)
         assert (gt.depth < 2.9).sum() > 100
 
@@ -437,8 +440,18 @@ class TestAgainstReference:
         scene = with_boxes([((-1.0, 0.5, 1.0), (2.0, 1.2, 1.4))])
         depth = project(box_corners(scene.boxes[0]), FORWARD_VIEW)[2]
         assert (depth <= 0).any() and (depth > 0).any()
+        box = scene.boxes[0]
+        assert _box_window(FORWARD_VIEW, box.lo, box.hi) == (slice(0, 120), slice(0, 160))
         gt = assert_raycast_matches_reference(scene, FORWARD_VIEW)
         assert (gt.depth < 2.0).sum() > 100
+
+    def test_box_outside_image(self):
+        # In front of the camera, 65 degrees off its axis: no pixel is tested.
+        scene = with_boxes([((0.5, 2.0, 1.4), (0.9, 2.6, 1.8))])
+        box = scene.boxes[0]
+        assert (project(box_corners(box), FORWARD_VIEW)[2] > 0).all()
+        assert _box_window(FORWARD_VIEW, box.lo, box.hi) is None
+        assert_raycast_matches_reference(scene, FORWARD_VIEW)
 
     def test_open_room(self):
         scene = with_boxes([((2.0, -0.4, 1.2), (2.6, 0.4, 2.0))], walls=False)

@@ -360,6 +360,8 @@ def scene_from_text(text: str) -> SceneSpec:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             boxes.append((where, box))
+        elif kind == "room" and not np.all(np.array(v[:3]) < v[3:]):
+            raise ValueError(f"{where}: field hi: must lie strictly above lo")
         else:
             records[kind] = v
     missing = [kind for kind in _SCENE_RECORDS if kind not in records and kind != "box"]

@@ -124,10 +124,10 @@ def _corner_hashes(ix: np.ndarray, iy: np.ndarray, seed: int):
     (ix + 1, iy + 1) of every lattice cell.
 
     When the lattice rectangle covering all corners holds at most 4 points
-    per cell looked up (the hashes the per-corner way computes), it is hashed
-    once and the corners are gathered from it.  A wider spread, as a huge
-    room or a non-finite coordinate gives, hashes each corner instead, so
-    memory stays proportional to the input.
+    per query point, no more than hashing every corner would take, it is
+    hashed once and the corners are gathered from it.  A wider spread, as a
+    huge room or a non-finite coordinate gives, hashes each corner instead,
+    so memory stays proportional to the input.  Both hash the same integers.
     """
     if ix.size:
         x0, y0 = ix.min(), iy.min()

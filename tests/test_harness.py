@@ -330,6 +330,10 @@ class TestSceneFormat:
                                              "not strictly inside the room"):
             formats.load_scene_spec(p)
 
+    def test_degenerate_room_names_line(self):
+        with pytest.raises(ValueError, match="line 2: room: field hi: must lie strictly above lo"):
+            formats.scene_from_text("walls 1\nroom 1 1 1 0 2 2\n")
+
     def test_inverted_box_names_line(self):
         with pytest.raises(ValueError, match="line 1: box: box min corner must be strictly below"):
             formats.scene_from_text("box 1 2 3 0 5 6 1 0 0 0\n")

@@ -1,6 +1,6 @@
 """Reference oracle for the plane sweep: the pixel-major cost volume with a
-masked scatter per (source, plane), and the bilinear sampler with 2-D fancy
-indexing.
+masked scatter per (source, plane), the bilinear sampler with 2-D fancy
+indexing, and score smoothing one depth slice at a time.
 
 Each source view is warped through every plane; the cells whose warp lands
 in front of the source camera and inside its grid are gathered with a
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from mvsweep.camera import CameraView, DOWNSAMPLE, homography_warp, in_bounds, relative_pose
-from mvsweep.costvol import CostVolume, DepthPlanes
+from mvsweep.costvol import CostVolume, DepthPlanes, softmax
 
 
 def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -79,3 +79,19 @@ def build_cost_volume(
     var = np.maximum(acc_sq / n - mean * mean, 0.0)
     costs = np.where(count[:, :, None, :] >= 2, var, cost_penalty)
     return CostVolume(costs=costs, valid_views=count)
+
+
+def _binomial_smooth(plane: np.ndarray) -> np.ndarray:
+    p = np.pad(plane, 1, mode="symmetric")
+    horiz = (p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]) * 0.25
+    return (horiz[:-2] + 2.0 * horiz[1:-1] + horiz[2:]) * 0.25
+
+
+def cost_to_probability(volume: CostVolume, temperature: float) -> np.ndarray:
+    """Tempered softmax of the negated channel-mean costs, each depth slice
+    smoothed on its own with the mirrored-border 3x3 binomial kernel."""
+    score = -volume.costs.mean(axis=2)
+    score = np.stack(
+        [_binomial_smooth(score[:, :, mi]) for mi in range(score.shape[2])], axis=2
+    )
+    return softmax(score / temperature)

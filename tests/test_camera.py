@@ -16,6 +16,9 @@ from mvsweep.camera import (
     relative_pose,
     scale_intrinsics,
 )
+from mvsweep.costvol import select_source_views
+from mvsweep.scenegen import generate_scene, make_trajectory
+from mvsweep.splat import select_novel_sources
 
 
 def random_pose(rng) -> Pose:
@@ -226,6 +229,49 @@ class TestBackprojectRay:
             assert axis_cos[r, c] == pytest.approx(
                 float(ray.direction @ view.pose.rotation[2])
             )
+
+
+class TestNearestViews:
+    """Camera-centre view selection follows both selectors in
+    `tests/camera_reference.py`: the plane-sweep source pick and the
+    novel-view source pick."""
+
+    @staticmethod
+    def line_views(xs):
+        return [CameraView(Intrinsics(40.0, 40.0, 15.5, 15.5),
+                           Pose(np.eye(3), np.array([-x, 0.0, 0.0])), 32, 32) for x in xs]
+
+    @staticmethod
+    def view_sets():
+        # Exactly equidistant cameras on a line, and a generated trajectory.
+        scene = generate_scene(seed=7, n_boxes=1)
+        return [
+            TestNearestViews.line_views([0.0, -1.0, 1.0, 2.0, -2.0, 0.5, -0.5]),
+            make_trajectory(scene, 10, seed=7, image_size=(64, 48)),
+        ]
+
+    def test_matches_source_selector(self):
+        from camera_reference import select_source_views as reference
+
+        for views in self.view_sets():
+            n = len(views)
+            for ref in range(n):
+                for count in range(1, n):
+                    assert select_source_views(views, ref, count) == reference(views, ref, count)
+                with pytest.raises(ValueError):
+                    select_source_views(views, ref, n)
+
+    def test_matches_novel_selector(self):
+        from camera_reference import select_novel_sources as reference
+
+        for views in self.view_sets():
+            n = len(views)
+            targets = views + self.line_views([0.25, -1.5, 0.0])
+            for target in targets:
+                for count in range(1, n + 1):
+                    assert select_novel_sources(views, target, count) == reference(views, target, count)
+                with pytest.raises(ValueError):
+                    select_novel_sources(views, target, n + 1)
 
 
 class TestHomographyWarp:

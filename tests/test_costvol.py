@@ -211,6 +211,17 @@ class TestCostToProbability:
         after = cost_to_probability(vol2, temperature=0.05, smooth=False)
         assert np.all(after[..., 2] >= base[..., 2] - 1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 7, 6, 5), (9, 1, 6, 5), (1, 1, 6, 3), (12, 16, 6, 12)])
+    def test_matches_per_slice_oracle(self, shape):
+        # Smoothing all slices at once gives the bytes of smoothing each
+        # slice alone, on 1-wide and 1-high grids as well.
+        from costvol_reference import cost_to_probability as reference_probability
+
+        costs = np.random.default_rng(8).uniform(0, 2, size=shape)
+        vol = CostVolume(costs, np.full(shape[:2] + shape[3:], 3))
+        assert_bytes_equal(cost_to_probability(vol, temperature=0.05),
+                           reference_probability(vol, temperature=0.05))
+
     def test_rejects_bad_temperature(self):
         vol = CostVolume(np.zeros((1, 1, 6, 2)), np.full((1, 1, 2), 3))
         with pytest.raises(ValueError):

@@ -1,90 +1,2 @@
 """Multi-view plane-sweep geometry engine with probabilistic voxel feature
 placement and splat-based depth refinement, verified on synthetic scenes."""
-
-from mvsweep.camera import (
-    CameraView,
-    Intrinsics,
-    Pose,
-    Ray,
-    backproject_ray,
-    homography_warp,
-    project,
-    relative_pose,
-    scale_intrinsics,
-)
-from mvsweep.costvol import (
-    CostVolume,
-    DepthPlanes,
-    build_cost_volume,
-    cost_to_probability,
-    eval_depth,
-    extract_features,
-    regress_depth,
-    select_source_views,
-)
-from mvsweep.sampling import (
-    DepthProposalSet,
-    VoxelGrid,
-    VoxelGridSpec,
-    build_volume,
-    build_volume_vanilla,
-    gate_and_weight,
-    proposals_from_depth,
-    sample_topk,
-)
-from mvsweep.scenegen import (
-    GroundTruth,
-    SceneSpec,
-    generate_scene,
-    make_trajectory,
-    raycast,
-)
-from mvsweep.splat import (
-    GaussianSplatSet,
-    RenderTarget,
-    build_splats,
-    rasterize,
-    refine_probability_volume,
-    rendering_loss,
-    select_novel_sources,
-)
-
-__all__ = [
-    "CameraView",
-    "CostVolume",
-    "DepthPlanes",
-    "DepthProposalSet",
-    "GaussianSplatSet",
-    "GroundTruth",
-    "Intrinsics",
-    "Pose",
-    "Ray",
-    "RenderTarget",
-    "SceneSpec",
-    "VoxelGrid",
-    "VoxelGridSpec",
-    "backproject_ray",
-    "build_cost_volume",
-    "build_splats",
-    "build_volume",
-    "build_volume_vanilla",
-    "cost_to_probability",
-    "eval_depth",
-    "extract_features",
-    "gate_and_weight",
-    "generate_scene",
-    "homography_warp",
-    "make_trajectory",
-    "project",
-    "proposals_from_depth",
-    "rasterize",
-    "raycast",
-    "refine_probability_volume",
-    "regress_depth",
-    "relative_pose",
-    "rendering_loss",
-    "sample_topk",
-    "scale_intrinsics",
-    "select_novel_sources",
-    "select_source_views",
-]

@@ -1,5 +1,5 @@
 """Pinhole camera model: projection, rays, intrinsic scaling, relative poses,
-and plane-induced homography warping.
+plane-induced homography warping, and nearest-pixel and nearest-view lookup.
 
 Conventions (OpenCV-style, used by every module):
   - World and camera frames are right-handed; the camera looks along +z,
@@ -39,22 +39,6 @@ class Intrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
-
-    def inverse_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [1.0 / self.fx, 0.0, -self.cx / self.fx],
-                [0.0, 1.0 / self.fy, -self.cy / self.fy],
-                [0.0, 0.0, 1.0],
-            ],
-            dtype=np.float64,
-        )
 
 
 def scale_intrinsics(k: Intrinsics, factor: float) -> Intrinsics:
@@ -148,22 +132,6 @@ class CameraView:
         )
 
 
-@dataclass(frozen=True)
-class Ray:
-    """World-space ray with unit direction."""
-
-    origin: np.ndarray  # (3,)
-    direction: np.ndarray  # (3,), unit norm
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("ray direction must be unit length")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-
 def in_bounds(u, v, width: int, height: int):
     """Pixel-center bounds test for a width x height grid (inclusive band)."""
     u = np.asarray(u)
@@ -199,19 +167,31 @@ def project(point, view: CameraView, scale: int = 1):
     return u, v, depth, valid
 
 
-def backproject_ray(u: float, v: float, view: CameraView, scale: int = 1) -> Ray:
-    """World ray through pixel center (u, v) of the 1/scale grid.
+def nearest_pixel(points, view: CameraView, scale: int = 1):
+    """Project world points (..., 3) at 1/scale resolution and round each to
+    the nearest pixel of that grid, clamped into it.
 
-    The ray is unit-length, so a point at camera-frame depth D sits at
-    parameter D / cos(angle to the optical axis) along it.
+    Returns (valid, rows, cols, depth) with project()'s valid and depth.
     """
-    k, w, h = view.scaled(scale)
-    if not in_bounds(u, v, w, h):
-        raise ValueError(f"pixel ({u}, {v}) outside {w}x{h} grid")
-    d_cam = np.array([(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0])
-    d_world = view.pose.rotation.T @ d_cam
-    d_world /= np.linalg.norm(d_world)
-    return Ray(origin=view.pose.camera_center(), direction=d_world)
+    u, v, depth, valid = project(points, view, scale)
+    _, w, h = view.scaled(scale)
+    cols = np.clip(np.round(np.nan_to_num(u)).astype(np.int64), 0, w - 1)
+    rows = np.clip(np.round(np.nan_to_num(v)).astype(np.int64), 0, h - 1)
+    return valid, rows, cols, depth
+
+
+def nearest_views(views: list[CameraView], target: CameraView, count: int,
+                  exclude: int | None = None) -> list[int]:
+    """Indices of the `count` views whose camera centers lie nearest to the
+    target's, ties to the lower index; view `exclude` is never a candidate.
+    Asking for more views than there are candidates is a ValueError."""
+    candidates = np.array([i for i in range(len(views)) if i != exclude], dtype=np.int64)
+    if count > candidates.size:
+        raise ValueError(f"count {count} exceeds the {candidates.size} candidate views")
+    center = target.pose.camera_center()
+    dists = np.array([np.linalg.norm(views[i].pose.camera_center() - center) for i in candidates])
+    order = np.lexsort((candidates, dists))
+    return [int(i) for i in candidates[order[:count]]]
 
 
 def pixel_rays(view: CameraView, scale: int = 1):

@@ -111,20 +111,6 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     return np.concatenate([pooled, gx[..., None], gy[..., None], std[..., None]], axis=2)
 
 
-def select_source_views(views: list[CameraView], ref_index: int, count: int) -> list[int]:
-    """Indices of the `count` views nearest to view `ref_index` by camera
-    center distance (reference excluded, ties to the lower index)."""
-    if count >= len(views):
-        raise ValueError("count must be smaller than the number of views")
-    ref_center = views[ref_index].pose.camera_center()
-    candidates = [i for i in range(len(views)) if i != ref_index]
-    dists = np.array(
-        [np.linalg.norm(views[i].pose.camera_center() - ref_center) for i in candidates]
-    )
-    order = np.lexsort((np.array(candidates), dists))
-    return [candidates[i] for i in order[:count]]
-
-
 def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear lookup of an (H, W, C) grid at continuous pixel coordinates,
     clamping to the edge so the half-pixel boundary band stays usable.
@@ -226,8 +212,10 @@ def build_cost_volume(
     )
 
 
-def _binomial_smooth(plane: np.ndarray) -> np.ndarray:
-    p = np.pad(plane, 1, mode="symmetric")
+def _binomial_smooth(score: np.ndarray) -> np.ndarray:
+    """3x3 binomial blur of every (H, W) slice of an (H, W, M) score, with
+    mirrored borders; the slice axis is not padded."""
+    p = np.pad(score, ((1, 1), (1, 1), (0, 0)), mode="symmetric")
     horiz = (p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]) * 0.25
     return (horiz[:-2] + 2.0 * horiz[1:-1] + horiz[2:]) * 0.25
 
@@ -245,9 +233,7 @@ def cost_to_probability(
         raise ValueError("temperature must be positive")
     score = -volume.costs.mean(axis=2)  # (H, W, M)
     if smooth:
-        score = np.stack(
-            [_binomial_smooth(score[:, :, mi]) for mi in range(score.shape[2])], axis=2
-        )
+        score = _binomial_smooth(score)
     return softmax(score / temperature)
 
 

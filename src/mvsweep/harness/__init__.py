@@ -1,16 +1,2 @@
 """Pipeline driver, configuration, bit-exact file formats, box extraction and
 the command-line interface."""
-
-from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
-from mvsweep.harness.config import PipelineConfig
-from mvsweep.harness.pipeline import PipelineResult, load_scene, run_pipeline
-
-__all__ = [
-    "Box3D",
-    "PipelineConfig",
-    "PipelineResult",
-    "extract_boxes",
-    "iou3d",
-    "load_scene",
-    "run_pipeline",
-]

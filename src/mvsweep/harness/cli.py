@@ -108,8 +108,7 @@ def cmd_eval(args) -> int:
     text = formats.metrics_to_text(metrics)
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        formats.save_text(args.out, text)
     sys.stdout.write(text)
     return 0
 

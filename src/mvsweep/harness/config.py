@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from mvsweep.costvol import DepthPlanes
-from mvsweep.harness.formats import load_text
+from mvsweep.harness.formats import load_text, save_text
 from mvsweep.sampling import VoxelGridSpec
 
 
@@ -45,7 +46,7 @@ class PipelineConfig:
         self.grid_pitch = tuple(float(v) for v in self.grid_pitch)
         self.grid_origin = tuple(float(v) for v in self.grid_origin)
         for f in fields(self):
-            if f.name in _INT_FIELDS or f.name == "grid_dims":
+            if _parse_type(f) is int:
                 continue
             value = getattr(self, f.name)
             values = value if isinstance(value, tuple) else (value,)
@@ -77,9 +78,11 @@ class PipelineConfig:
         return VoxelGridSpec(self.grid_dims, self.grid_origin, self.grid_pitch)
 
 
-_INT_FIELDS = {"num_planes", "top_k", "source_views", "refine_steps",
-               "refine_novel_views", "novel_source_views", "min_component"}
-_TUPLE_FIELDS = {"grid_dims": int, "grid_pitch": float, "grid_origin": float}
+def _parse_type(f):
+    """The type a field's text value parses to: that of its default, or of
+    the default's items for a tuple field.  Every default is a literal int,
+    float or tuple of one of these."""
+    return type(f.default[0] if isinstance(f.default, tuple) else f.default)
 
 
 def config_to_text(config: PipelineConfig) -> str:
@@ -87,7 +90,7 @@ def config_to_text(config: PipelineConfig) -> str:
     lines = []
     for f in fields(config):
         v = getattr(config, f.name)
-        if f.name in _TUPLE_FIELDS:
+        if isinstance(v, tuple):
             lines.append(f"{f.name}={','.join(repr(x) for x in v)}")
         else:
             lines.append(f"{f.name}={v!r}")
@@ -96,8 +99,8 @@ def config_to_text(config: PipelineConfig) -> str:
 
 def config_from_text(text: str) -> PipelineConfig:
     """Parse a key=value listing; unknown keys are errors."""
-    known = {f.name for f in fields(PipelineConfig)}
-    values = {}
+    known = {f.name: f for f in fields(PipelineConfig)}
+    values, line_of = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,20 +115,27 @@ def config_from_text(text: str) -> PipelineConfig:
         if key in values:
             raise ValueError(f"line {ln}: duplicate config key {key!r}")
         # Integers parse as int(token), as config_to_text writes them.
-        cast = _TUPLE_FIELDS.get(key, int if key in _INT_FIELDS else float)
+        cast = _parse_type(known[key])
         try:
-            if key in _TUPLE_FIELDS:
+            if isinstance(known[key].default, tuple):
                 values[key] = tuple(cast(p) for p in val.split(","))
             else:
                 values[key] = cast(val)
         except ValueError:
             raise ValueError(f"line {ln}: {key}={val!r} is not a valid {cast.__name__}") from None
-    return PipelineConfig(**values)
+        line_of[key] = ln
+    try:
+        return PipelineConfig(**values)
+    except ValueError as exc:
+        # Blame the line of the first field the message names that the text set.
+        named = [line_of[w] for w in re.findall(r"\w+", str(exc)) if w in line_of]
+        if not named:
+            raise
+        raise ValueError(f"line {named[0]}: {exc}") from None
 
 
 def save_config(path, config: PipelineConfig) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_text(config))
+    save_text(path, config_to_text(config))
 
 
 def load_config(path) -> PipelineConfig:

@@ -39,13 +39,34 @@ def load_text(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_header(fh, path, fmt: str, what: str) -> tuple:
-    """Unpack a fixed binary header; a short file is a ValueError."""
-    size = struct.calcsize(fmt)
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated {what} header")
-    return struct.unpack(fmt, data)
+def save_text(path, text: str) -> None:
+    """Write `text` to the file at `path`; load_text reads it back."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _save_binary(path, header: bytes, payload: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+
+
+def _load_binary(path, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, bytes]:
+    """The fixed header and the payload of a binary file: a 4-byte magic,
+    a little-endian header `fmt`, then as many bytes as `payload(*header)`
+    declares.  That call returns the byte count and a description of the
+    header fields it comes from, for the error a short file raises."""
+    with open(path, "rb") as fh:
+        got = fh.read(4)
+        if got != magic:
+            raise ValueError(f"{path}: bad {what} magic {got!r}")
+        size = struct.calcsize(fmt)
+        data = fh.read(size)
+        if len(data) != size:
+            raise ValueError(f"{path}: truncated {what} header")
+        header = struct.unpack(fmt, data)
+        nbytes, declared = payload(*header)
+        return header, _read_payload(fh, path, nbytes, f"{what} header {declared}")
 
 
 def _read_payload(fh, path, nbytes: int, what: str) -> bytes:
@@ -113,8 +134,7 @@ def cameras_from_text(text: str) -> list[CameraView]:
 
 
 def save_cameras(path, views) -> None:
-    with open(path, "w") as fh:
-        fh.write(cameras_to_text(views))
+    save_text(path, cameras_to_text(views))
 
 
 def load_cameras(path) -> list[CameraView]:
@@ -132,9 +152,7 @@ def save_ppm(path, image: np.ndarray) -> None:
         raise ValueError("expected (H, W, 3) image")
     data = np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _save_binary(path, f"P6\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
 
 
 def load_ppm(path) -> np.ndarray:
@@ -171,22 +189,15 @@ def save_raster(path, data: np.ndarray) -> None:
         arr = arr[..., None]
     if arr.ndim != 3:
         raise ValueError("raster must be 2D or 3D")
-    rows, cols, ch = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_RASTER)
-        fh.write(struct.pack("<III", rows, cols, ch))
-        fh.write(arr.astype("<f4").tobytes())
+    header = MAGIC_RASTER + struct.pack("<III", *arr.shape)
+    _save_binary(path, header, arr.astype("<f4").tobytes())
 
 
 def load_raster(path) -> np.ndarray:
     """Returns (rows, cols, channels) float64; single-channel stays 3D."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC_RASTER:
-            raise ValueError(f"{path}: bad raster magic {magic!r}")
-        rows, cols, ch = _read_header(fh, path, "<III", "raster")
-        raw = _read_payload(fh, path, rows * cols * ch * 4,
-                            f"raster header rows x cols x channels {rows}x{cols}x{ch}")
+    (rows, cols, ch), raw = _load_binary(
+        path, MAGIC_RASTER, "<III", "raster",
+        lambda r, c, ch: (r * c * ch * 4, f"rows x cols x channels {r}x{c}x{ch}"))
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols, ch).astype(np.float64)
 
 
@@ -201,25 +212,19 @@ def save_volume(path, grid: VoxelGrid) -> None:
     nx, ny, nz = grid.spec.dims
     c = grid.feature_mean.shape[-1]
     payload = np.concatenate([grid.feature_mean, grid.score[..., None]], axis=-1)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_VOLUME)
-        fh.write(struct.pack("<IIII", nx, ny, nz, c))
-        fh.write(struct.pack("<3f", *grid.spec.origin))
-        fh.write(struct.pack("<3f", *grid.spec.pitch))
-        fh.write(payload.astype("<f4").tobytes())
+    header = MAGIC_VOLUME + struct.pack("<IIII3f3f", nx, ny, nz, c, *grid.spec.origin,
+                                        *grid.spec.pitch)
+    _save_binary(path, header, payload.astype("<f4").tobytes())
 
 
 def load_volume(path) -> VoxelGrid:
     """The stored format carries no per-voxel view counts, so valid_count is
     None on restored grids."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC_VOLUME:
-            raise ValueError(f"{path}: bad volume magic {magic!r}")
-        nx, ny, nz, c, *geometry = _read_header(fh, path, "<IIII3f3f", "volume")
-        origin, pitch = tuple(geometry[:3]), tuple(geometry[3:])
-        raw = _read_payload(fh, path, nx * ny * nz * (c + 1) * 4,
-                            f"volume header dims x channels {nx}x{ny}x{nz}x{c}")
+    (nx, ny, nz, c, *geometry), raw = _load_binary(
+        path, MAGIC_VOLUME, "<IIII3f3f", "volume",
+        lambda nx, ny, nz, c, *_: (nx * ny * nz * (c + 1) * 4,
+                                   f"dims x channels {nx}x{ny}x{nz}x{c}"))
+    origin, pitch = tuple(geometry[:3]), tuple(geometry[3:])
     payload = np.frombuffer(raw, dtype="<f4").reshape(nx, ny, nz, c + 1).astype(np.float64)
     spec = VoxelGridSpec((nx, ny, nz), origin, pitch)
     return VoxelGrid(
@@ -260,19 +265,12 @@ def save_splats(path, splats: GaussianSplatSet) -> None:
     rec["view"] = splats.source_view
     rec["row"] = splats.pixel_rows
     rec["col"] = splats.pixel_cols
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_SPLATS)
-        fh.write(struct.pack("<I", n))
-        fh.write(rec.tobytes())
+    _save_binary(path, MAGIC_SPLATS + struct.pack("<I", n), rec.tobytes())
 
 
 def load_splats(path) -> GaussianSplatSet:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC_SPLATS:
-            raise ValueError(f"{path}: bad splat magic {magic!r}")
-        (n,) = _read_header(fh, path, "<I", "splat")
-        raw = _read_payload(fh, path, n * _SPLAT_DTYPE.itemsize, f"splat header count {n}")
+    _, raw = _load_binary(path, MAGIC_SPLATS, "<I", "splat",
+                          lambda n: (n * _SPLAT_DTYPE.itemsize, f"count {n}"))
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
     for field, bad, rule in (
         ("quat", np.any(rec["quat"] != _IDENTITY_QUAT, axis=1), "must be the identity (1, 0, 0, 0)"),
@@ -383,8 +381,7 @@ def scene_from_text(text: str) -> SceneSpec:
 
 
 def save_scene(path, scene: SceneSpec) -> None:
-    with open(path, "w") as fh:
-        fh.write(scene_to_text(scene))
+    save_text(path, scene_to_text(scene))
 
 
 def load_scene_spec(path) -> SceneSpec:
@@ -427,8 +424,7 @@ def boxes_from_text(text: str):
 
 
 def save_boxes(path, boxes) -> None:
-    with open(path, "w") as fh:
-        fh.write(boxes_to_text(boxes))
+    save_text(path, boxes_to_text(boxes))
 
 
 def load_boxes(path):
@@ -455,8 +451,7 @@ def metrics_from_text(text: str) -> dict[str, float]:
 
 
 def save_metrics(path, metrics: dict[str, float]) -> None:
-    with open(path, "w") as fh:
-        fh.write(metrics_to_text(metrics))
+    save_text(path, metrics_to_text(metrics))
 
 
 def load_metrics(path) -> dict[str, float]:

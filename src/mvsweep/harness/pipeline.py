@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from mvsweep.camera import nearest_views
 from mvsweep.costvol import (
     build_cost_volume,
     cost_to_probability,
     eval_depth,
     extract_features,
     regress_depth,
-    select_source_views,
 )
 from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
 from mvsweep.harness.config import PipelineConfig
@@ -26,7 +26,6 @@ from mvsweep.splat import (
     build_splats,
     concat_splats,
     refine_probability_volume,
-    select_novel_sources,
 )
 
 
@@ -143,7 +142,7 @@ def _detection_sources(views, det_idx: list[int], source_views: int) -> dict[int
     det_views = [views[i] for i in det_idx]
     n_src = min(source_views, len(det_idx) - 1)
     return {
-        i: [det_idx[p] for p in select_source_views(det_views, pos, n_src)]
+        i: [det_idx[p] for p in nearest_views(det_views, det_views[pos], n_src, exclude=pos)]
         for pos, i in enumerate(det_idx)
     }
 
@@ -214,7 +213,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     if refine:
         selected: set[int] = set()
         for nv in novel_idx:
-            picks = select_novel_sources(det_views, views[nv], min(config.novel_source_views, len(det_views)))
+            picks = nearest_views(det_views, views[nv], min(config.novel_source_views, len(det_views)))
             selected.update(det_idx[p] for p in picks)
         refined_views = sorted(selected)
         result = refine_probability_volume(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, DOWNSAMPLE, project
+from mvsweep.camera import DOWNSAMPLE, nearest_pixel
 from mvsweep.costvol import DepthPlanes
 
 # Guards the confidence-normalized division when every matched confidence is
@@ -106,38 +106,6 @@ def proposals_from_depth(depth_map: np.ndarray) -> DepthProposalSet:
     )
 
 
-def gate_and_weight(
-    voxel_depth: float,
-    proposal_depths: np.ndarray,
-    proposal_scores: np.ndarray,
-    feature: np.ndarray,
-    window: float,
-):
-    """Match a voxel's camera depth against one pixel's depth proposals.
-
-    Returns (weighted feature, gate, matched score): inside the window
-    (inclusive), the nearest proposal wins -- ties prefer the higher score,
-    then the earlier proposal -- and the feature is scaled by its score.
-    Outside, everything is zero.
-    """
-    if not window > 0:
-        raise ValueError("window must be positive")
-    proposal_depths = np.asarray(proposal_depths, dtype=np.float64)
-    proposal_scores = np.asarray(proposal_scores, dtype=np.float64)
-    feature = np.asarray(feature, dtype=np.float64)
-    dist = np.abs(voxel_depth - proposal_depths)
-    best = 0
-    for j in range(1, dist.size):
-        if dist[j] < dist[best] or (
-            dist[j] == dist[best] and proposal_scores[j] > proposal_scores[best]
-        ):
-            best = j
-    if dist[best] <= window:
-        score = float(proposal_scores[best])
-        return score * feature, 1, score
-    return np.zeros_like(feature), 0, 0.0
-
-
 @dataclass
 class VoxelGrid:
     """Aggregated multi-view features on a voxel lattice.
@@ -159,22 +127,13 @@ class VoxelGrid:
         return self.score[..., None] * self.feature_mean
 
 
-def _nearest_pixel_lookup(view: CameraView, centers_flat: np.ndarray):
-    """Project voxel centers at feature scale; nearest-neighbor pixel indices.
-
-    Returns (valid, rows, cols, depth) over the flattened voxel list.
-    """
-    u, v, depth, valid = project(centers_flat, view, scale=DOWNSAMPLE)
-    _, gw, gh = view.scaled(DOWNSAMPLE)
-    cols = np.clip(np.round(np.nan_to_num(u)).astype(np.int64), 0, gw - 1)
-    rows = np.clip(np.round(np.nan_to_num(v)).astype(np.int64), 0, gh - 1)
-    return valid, rows, cols, depth
-
-
 def _match_proposals(depth: np.ndarray, prop_d: np.ndarray, prop_s: np.ndarray, window: float):
-    """Vectorized gate_and_weight over flattened voxels.
+    """Match each voxel's camera depth against its pixel's depth proposals.
 
-    depth: (N,), prop_d/prop_s: (N, k).  Returns (gate (N,) bool, score (N,)).
+    depth: (N,), prop_d/prop_s: (N, k).  Returns (gate (N,) bool, score (N,)):
+    the nearest proposal wins -- ties prefer the higher score, then the
+    earlier proposal -- and gates the voxel in when it lies within the
+    window (inclusive), with its score as the matched confidence.
     """
     dist = np.abs(depth[:, None] - prop_d)
     best_dist = dist[:, 0].copy()
@@ -209,7 +168,7 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     gate_sum = np.zeros(centers.shape[0], dtype=np.int64)
 
     for feat, view, proposals in items:
-        valid, rows, cols, depth = _nearest_pixel_lookup(view, centers)
+        valid, rows, cols, depth = nearest_pixel(centers, view, DOWNSAMPLE)
         if not valid.any():
             continue
         prop_d = proposals.depths[rows, cols]  # (N, k)
@@ -234,25 +193,16 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
 
 
 def build_volume_vanilla(items, spec: VoxelGridSpec) -> VoxelGrid:
-    """Depth-unaware baseline: plain mean of all backprojected features over
-    views with a valid projection; surface score fixed to 1 where any view
-    contributed."""
-    if not items:
-        raise ValueError("need at least one view")
-    centers = spec.centers().reshape(-1, 3)
-    c = items[0][0].shape[-1]
-    num = np.zeros((centers.shape[0], c))
-    count = np.zeros(centers.shape[0], dtype=np.int64)
-    for feat, view in items:
-        valid, rows, cols, depth = _nearest_pixel_lookup(view, centers)
-        num += feat[rows, cols] * valid[:, None]
-        count += valid
-    nx, ny, nz = spec.dims
-    mean = np.where(count[:, None] > 0, num / np.maximum(count[:, None], 1), 0.0)
-    score = (count > 0).astype(np.float64)
-    return VoxelGrid(
-        spec=spec,
-        feature_mean=mean.reshape(nx, ny, nz, c),
-        score=score.reshape(nx, ny, nz),
-        valid_count=count.reshape(nx, ny, nz),
+    """Depth-unaware baseline over (feature map, view) pairs: plain mean of
+    all backprojected features over views with a valid projection; surface
+    score fixed to 1 where any view contributed.
+
+    It is build_volume with one proposal per pixel at depth 0 with score 1
+    and an unbounded window, so every valid projection is gated in with
+    unit weight.
+    """
+    return build_volume(
+        [(feat, view, proposals_from_depth(np.zeros(feat.shape[:2]))) for feat, view in items],
+        spec,
+        window=np.inf,
     )

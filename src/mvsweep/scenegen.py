@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, Intrinsics, look_at, pixel_rays
+from mvsweep.camera import CameraView, Intrinsics, look_at, nearest_pixel, pixel_rays
 
 # Default room matches the default 40x40x16 voxel grid at pitch
 # (0.16, 0.16, 0.2): x, y in [-3.2, 3.2], z in [0, 3.2].
@@ -228,11 +228,6 @@ def _aabb_xy_clearance(lo, hi) -> float:
     dx = max(lo[0], 0.0) + max(-hi[0], 0.0)
     dy = max(lo[1], 0.0) + max(-hi[1], 0.0)
     return float(np.hypot(dx, dy))
-
-
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return float((a + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def _snap_to_wall_normal(azimuth: float, rng) -> float:
@@ -546,8 +541,6 @@ def multiview_coverage(
     observed by fewer than 2 sources have no multi-view depth constraint and
     are excluded from depth evaluation.
     """
-    from mvsweep.camera import project
-
     ref = views[ref_index]
     gt_q = quarter_depth(depths[ref_index])
     origin, dirs = pixel_rays(ref)
@@ -555,10 +548,7 @@ def multiview_coverage(
     flat = pts.reshape(-1, 3)
     count = np.zeros(gt_q.shape, dtype=np.int64)
     for si in source_indices:
-        sv = views[si]
-        u, v, d, valid = project(flat, sv)
-        uu = np.clip(np.round(np.nan_to_num(u)).astype(np.int64), 0, sv.width - 1)
-        vv = np.clip(np.round(np.nan_to_num(v)).astype(np.int64), 0, sv.height - 1)
+        valid, vv, uu, d = nearest_pixel(flat, views[si])
         unoccluded = depths[si][vv, uu] >= d - tol
         miss = depths[si][vv, uu] == 0.0  # open rooms: a miss occludes nothing
         count += (valid & (unoccluded | miss)).reshape(gt_q.shape)

@@ -66,7 +66,7 @@ class GaussianSplatSet:
                 raise ValueError(f"field {f.name} length mismatch")
         if not np.all(self.sigmas > 0):
             raise ValueError("sigmas must be positive")
-        if np.any((self.opacities < 0) | (self.opacities > 1)):
+        if not np.all((self.opacities >= 0) & (self.opacities <= 1)):
             raise ValueError("opacities must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -406,17 +406,6 @@ def rendering_loss(rendered: RenderTarget, target_image: np.ndarray) -> float:
         raise ValueError("rendered/target shape mismatch")
     diff = rendered.color - target_image
     return float(np.mean(diff * diff))
-
-
-def select_novel_sources(views: list[CameraView], novel: CameraView, count: int) -> list[int]:
-    """Indices of the `count` views nearest to the novel camera center
-    (ties to the lower index)."""
-    if count > len(views):
-        raise ValueError("count exceeds the number of views")
-    center = novel.pose.camera_center()
-    dists = np.array([np.linalg.norm(v.pose.camera_center() - center) for v in views])
-    order = np.lexsort((np.arange(len(views)), dists))
-    return [int(i) for i in order[:count]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Reference oracles for voxel aggregation: the depth-unaware baseline as its
-own loop over views.
+"""Reference oracles for voxel aggregation.
 
-Each voxel center is projected into every view at feature scale and rounded
-to the nearest pixel; a view with a valid projection adds that pixel's
-feature, and the feature mean is the plain mean over those views.  It serves
-only as the yardstick the tests hold `mvsweep.sampling.build_volume_vanilla`
-against, to the bit.
+`gate_and_weight` matches one voxel's camera depth against one pixel's
+proposals, as a scalar loop.  `build_volume_vanilla` is the depth-unaware
+baseline as its own loop over views: each voxel center is projected into
+every view at feature scale and rounded to the nearest pixel; a view with a
+valid projection adds that pixel's feature, and the feature mean is the
+plain mean over those views.  They serve only as the yardsticks the tests
+hold `mvsweep.sampling` against.
 """
 
 from __future__ import annotations
@@ -14,6 +15,38 @@ import numpy as np
 
 from mvsweep.camera import DOWNSAMPLE, project
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
+
+
+def gate_and_weight(
+    voxel_depth: float,
+    proposal_depths: np.ndarray,
+    proposal_scores: np.ndarray,
+    feature: np.ndarray,
+    window: float,
+):
+    """Match a voxel's camera depth against one pixel's depth proposals.
+
+    Returns (weighted feature, gate, matched score): inside the window
+    (inclusive), the nearest proposal wins -- ties prefer the higher score,
+    then the earlier proposal -- and the feature is scaled by its score.
+    Outside, everything is zero.
+    """
+    if not window > 0:
+        raise ValueError("window must be positive")
+    proposal_depths = np.asarray(proposal_depths, dtype=np.float64)
+    proposal_scores = np.asarray(proposal_scores, dtype=np.float64)
+    feature = np.asarray(feature, dtype=np.float64)
+    dist = np.abs(voxel_depth - proposal_depths)
+    best = 0
+    for j in range(1, dist.size):
+        if dist[j] < dist[best] or (
+            dist[j] == dist[best] and proposal_scores[j] > proposal_scores[best]
+        ):
+            best = j
+    if dist[best] <= window:
+        score = float(proposal_scores[best])
+        return score * feature, 1, score
+    return np.zeros_like(feature), 0, 0.0
 
 
 def build_volume_vanilla(items, spec: VoxelGridSpec) -> VoxelGrid:

@@ -12,7 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, homography_warp, project, relative_pose
+from mvsweep.camera import (
+    CameraView,
+    Intrinsics,
+    Pose,
+    homography_warp,
+    nearest_views,
+    project,
+    relative_pose,
+)
 from mvsweep.costvol import (
     CostVolume,
     DepthPlanes,
@@ -20,7 +28,6 @@ from mvsweep.costvol import (
     cost_to_probability,
     extract_features,
     regress_depth,
-    select_source_views,
 )
 from mvsweep.harness import formats
 from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
@@ -93,7 +100,7 @@ def depth_suite():
         volumes = []
         sources = []
         for i in range(3):
-            src = select_source_views(views, i, CONFIG.source_views)
+            src = nearest_views(views, views[i], CONFIG.source_views, exclude=i)
             sources.append(src)
             vol = build_cost_volume(
                 feats[i], views[i], [feats[j] for j in src], [views[j] for j in src],
@@ -410,7 +417,7 @@ def test_criterion_10_box_extraction():
         feats = [extract_features(g.image) for g in gts]
         items = []
         for i in range(len(views)):
-            src = select_source_views(views, i, CONFIG.source_views)
+            src = nearest_views(views, views[i], CONFIG.source_views, exclude=i)
             vol = build_cost_volume(
                 feats[i], views[i], [feats[j] for j in src], [views[j] for j in src],
                 PLANES, CONFIG.cost_penalty,

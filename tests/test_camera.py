@@ -7,18 +7,18 @@ from mvsweep.camera import (
     CameraView,
     Intrinsics,
     Pose,
-    backproject_ray,
     homography_warp,
     in_bounds,
     look_at,
+    nearest_views,
     project,
     ray_grid,
     relative_pose,
     scale_intrinsics,
 )
-from mvsweep.costvol import select_source_views
 from mvsweep.scenegen import generate_scene, make_trajectory
-from mvsweep.splat import select_novel_sources
+
+from camera_reference import backproject_ray
 
 
 def random_pose(rng) -> Pose:
@@ -257,9 +257,10 @@ class TestNearestViews:
             n = len(views)
             for ref in range(n):
                 for count in range(1, n):
-                    assert select_source_views(views, ref, count) == reference(views, ref, count)
+                    assert nearest_views(views, views[ref], count, exclude=ref) == reference(
+                        views, ref, count)
                 with pytest.raises(ValueError):
-                    select_source_views(views, ref, n)
+                    nearest_views(views, views[ref], n, exclude=ref)
 
     def test_matches_novel_selector(self):
         from camera_reference import select_novel_sources as reference
@@ -269,9 +270,9 @@ class TestNearestViews:
             targets = views + self.line_views([0.25, -1.5, 0.0])
             for target in targets:
                 for count in range(1, n + 1):
-                    assert select_novel_sources(views, target, count) == reference(views, target, count)
+                    assert nearest_views(views, target, count) == reference(views, target, count)
                 with pytest.raises(ValueError):
-                    select_novel_sources(views, target, n + 1)
+                    nearest_views(views, target, n + 1)
 
 
 class TestHomographyWarp:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, look_at
+from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, nearest_views
 from mvsweep.costvol import (
     CostVolume,
     DepthPlanes,
@@ -14,7 +14,6 @@ from mvsweep.costvol import (
     eval_depth,
     extract_features,
     regress_depth,
-    select_source_views,
 )
 from mvsweep.scenegen import generate_scene, make_trajectory, raycast
 
@@ -97,24 +96,24 @@ class TestSelectSourceViews:
 
     def test_line_middle_gets_neighbors(self):
         views = self._views_on_line([0.0, 1.0, 2.0])
-        assert set(select_source_views(views, 1, 2)) == {0, 2}
+        assert set(nearest_views(views, views[1], 2, exclude=1)) == {0, 2}
 
     def test_all_others(self):
         views = self._views_on_line([0.0, 1.0, 2.0, 3.5])
-        assert sorted(select_source_views(views, 0, 3)) == [1, 2, 3]
+        assert sorted(nearest_views(views, views[0], 3, exclude=0)) == [1, 2, 3]
 
     def test_tie_prefers_lower_index(self):
         views = self._views_on_line([0.0, -1.0, 1.0])
-        assert select_source_views(views, 0, 1) == [1]
+        assert nearest_views(views, views[0], 1, exclude=0) == [1]
 
     def test_nearest_first(self):
         views = self._views_on_line([0.0, 3.0, 0.5, 1.0])
-        assert select_source_views(views, 0, 2) == [2, 3]
+        assert nearest_views(views, views[0], 2, exclude=0) == [2, 3]
 
     def test_count_must_leave_reference(self):
         views = self._views_on_line([0.0, 1.0])
         with pytest.raises(ValueError):
-            select_source_views(views, 0, 2)
+            nearest_views(views, views[0], 2, exclude=0)
 
 
 class TestBuildCostVolume:
@@ -314,7 +313,7 @@ class TestSyntheticDepthSanity:
         gts = [raycast(scene, v) for v in views]
         feats = [extract_features(g.image) for g in gts]
         planes = DepthPlanes.uniform(12, 0.2, 5.0)
-        srcs = select_source_views(views, 0, 2)
+        srcs = nearest_views(views, views[0], 2, exclude=0)
         vol = build_cost_volume(
             feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes
         )
@@ -357,7 +356,7 @@ class TestSweepMatchesOracle:
         views = make_trajectory(scene, 3, seed=7)
         feats = [extract_features(raycast(scene, v).image) for v in views]
         planes = DepthPlanes.uniform(12, 0.2, 5.0)
-        srcs = select_source_views(views, 0, 2)
+        srcs = nearest_views(views, views[0], 2, exclude=0)
         vol, ref = assert_sweep_matches_oracle(
             feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes
         )

@@ -98,6 +98,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             PipelineConfig(**{name: value})
 
+    @pytest.mark.parametrize("text, message", [
+        ("num_planes=12\ntop_k=0\n", r"line 2: top_k must lie in \[1, num_planes\]"),
+        ("# sweep\n\nmatch_window=-1\n", "line 3: match_window must be positive"),
+    ])
+    def test_rejected_value_names_line_and_field(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_text(text)
+
     def test_load_error_names_path_line_and_field(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text("top_k=x\n")

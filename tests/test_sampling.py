@@ -11,11 +11,12 @@ from mvsweep.sampling import (
     VoxelGridSpec,
     build_volume,
     build_volume_vanilla,
-    gate_and_weight,
     proposals_from_depth,
     sample_topk,
 )
 from mvsweep.scenegen import generate_scene, make_trajectory, raycast
+
+from sampling_reference import gate_and_weight
 
 
 def topk_oracle(row, k):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mvsweep.camera import CameraView, Intrinsics, Pose
+from mvsweep.camera import CameraView, Intrinsics, Pose, nearest_views
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
 from mvsweep.scenegen import generate_scene, make_trajectory, quarter_depth, raycast
 from mvsweep.splat import (
@@ -14,7 +14,6 @@ from mvsweep.splat import (
     refine_probability_volume,
     refinement_loss_and_grad,
     rendering_loss,
-    select_novel_sources,
 )
 from splat_reference import quaternion_to_rotation
 
@@ -65,6 +64,13 @@ class TestProjection:
         splat = single_splat(view.pose.rotation.T @ ray_point(view, 16, 12, 2.0), sigma=0.07)
         cov_cam = _project_gaussians(splat, view)[6]
         np.testing.assert_allclose(cov_cam[0], 0.07**2 * np.eye(3), atol=1e-15)
+
+
+class TestSplatSetValidation:
+    @pytest.mark.parametrize("alpha", [-0.25, 1.5, np.nan])
+    def test_opacity_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="opacities"):
+            single_splat([0.0, 0.0, 2.0], alpha=alpha)
 
 
 class TestBuildSplats:
@@ -218,17 +224,17 @@ class TestSelectNovelSources:
 
     def test_coincident_view_first(self):
         views = self._views([0.0, 1.0, 2.0])
-        assert select_novel_sources(views, views[1], 3)[0] == 1
+        assert nearest_views(views, views[1], 3)[0] == 1
 
     def test_collinear_nearest_three(self):
         views = self._views([0.0, 0.5, 1.0, 1.5, 3.0])
         novel = self._views([0.6])[0]
-        assert sorted(select_novel_sources(views, novel, 3)) == [0, 1, 2]
+        assert sorted(nearest_views(views, novel, 3)) == [0, 1, 2]
 
     def test_count_validated(self):
         views = self._views([0.0, 1.0])
         with pytest.raises(ValueError):
-            select_novel_sources(views, views[0], 3)
+            nearest_views(views, views[0], 3)
 
 
 class TestGradients:

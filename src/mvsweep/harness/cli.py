@@ -12,8 +12,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from mvsweep.harness import formats
 from mvsweep.harness.config import PipelineConfig, load_config, save_config
 from mvsweep.harness.pipeline import evaluate_outputs, run_pipeline, write_scene

@@ -4,7 +4,7 @@ voxel feature volume, extracted boxes and a metrics report out."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

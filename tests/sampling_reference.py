@@ -1,12 +1,13 @@
 """Reference oracles for voxel aggregation.
 
 `gate_and_weight` matches one voxel's camera depth against one pixel's
-proposals, as a scalar loop.  `build_volume_vanilla` is the depth-unaware
-baseline as its own loop over views: each voxel center is projected into
-every view at feature scale and rounded to the nearest pixel; a view with a
-valid projection adds that pixel's feature, and the feature mean is the
-plain mean over those views.  They serve only as the yardsticks the tests
-hold `mvsweep.sampling` against.
+proposals, as a scalar loop.  `build_volume` is the depth-gated volume with
+voxel-major `(N, C)` accumulators and a 2-D fancy-index feature gather per
+view.  `build_volume_vanilla` is the depth-unaware baseline as its own loop
+over views: each voxel center is projected into every view at feature scale
+and rounded to the nearest pixel; a view with a valid projection adds that
+pixel's feature, and the feature mean is the plain mean over those views.
+They serve only as the yardsticks the tests hold `mvsweep.sampling` against.
 """
 
 from __future__ import annotations
@@ -47,6 +48,58 @@ def gate_and_weight(
         score = float(proposal_scores[best])
         return score * feature, 1, score
     return np.zeros_like(feature), 0, 0.0
+
+
+def _match_proposals(depth, prop_d, prop_s, window):
+    """Nearest proposal per voxel (ties: higher score, then earlier), gated
+    by the inclusive window."""
+    dist = np.abs(depth[:, None] - prop_d)
+    best_dist = dist[:, 0].copy()
+    best_score = prop_s[:, 0].copy()
+    for j in range(1, dist.shape[1]):
+        better = (dist[:, j] < best_dist) | (
+            (dist[:, j] == best_dist) & (prop_s[:, j] > best_score)
+        )
+        best_dist = np.where(better, dist[:, j], best_dist)
+        best_score = np.where(better, prop_s[:, j], best_score)
+    gate = best_dist <= window
+    return gate, np.where(gate, best_score, 0.0)
+
+
+def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
+    """Depth-gated, confidence-weighted aggregation over (feature map, view,
+    proposals): gated features scaled by matched confidence, averaged with
+    confidence normalization; the score is the mean matched confidence."""
+    centers = spec.centers().reshape(-1, 3)
+    c = items[0][0].shape[-1]
+    num = np.zeros((centers.shape[0], c))
+    weight_sum = np.zeros(centers.shape[0])
+    gate_sum = np.zeros(centers.shape[0], dtype=np.int64)
+    for feat, view, proposals in items:
+        u, v, depth, valid = project(centers, view, scale=DOWNSAMPLE)
+        if not valid.any():
+            continue
+        _, gw, gh = view.scaled(DOWNSAMPLE)
+        cols = np.clip(np.round(np.nan_to_num(u)).astype(np.int64), 0, gw - 1)
+        rows = np.clip(np.round(np.nan_to_num(v)).astype(np.int64), 0, gh - 1)
+        gate, score = _match_proposals(
+            depth, proposals.depths[rows, cols], proposals.scores[rows, cols], window
+        )
+        gate &= valid
+        score = np.where(gate, score, 0.0)
+        num += score[:, None] * feat[rows, cols] * gate[:, None]
+        weight_sum += score
+        gate_sum += gate
+    nx, ny, nz = spec.dims
+    safe = np.where(weight_sum > 1e-12, weight_sum, 1.0)
+    feature_mean = np.where((weight_sum > 1e-12)[:, None], num / safe[:, None], 0.0)
+    score = np.where(gate_sum > 0, weight_sum / np.maximum(gate_sum, 1), 0.0)
+    return VoxelGrid(
+        spec=spec,
+        feature_mean=feature_mean.reshape(nx, ny, nz, c),
+        score=score.reshape(nx, ny, nz),
+        valid_count=gate_sum.reshape(nx, ny, nz),
+    )
 
 
 def build_volume_vanilla(items, spec: VoxelGridSpec) -> VoxelGrid:

@@ -405,6 +405,25 @@ class TestSweepMatchesOracle:
         planes = DepthPlanes.uniform(4, 1.0, 4.0)
         assert_sweep_matches_oracle(ref_feat, ref_view, [src_feat], [src_view], planes)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_few_channel_grids(self, channels):
+        # Two rotated sources with partial overlap: penalty and valid cells
+        # mix on every plane, at channel counts other than the descriptor's.
+        rng = np.random.default_rng(6 + channels)
+        k = Intrinsics(50.0, 50.0, 39.5, 23.5)
+        poses = [look_at((0.3 * i, -0.1 * i, 0.0), (0.0, 0.0, 2.5), up=(0.0, -1.0, 0.0))
+                 for i in range(3)]
+        views = [CameraView(k, pose, 80, 48) for pose in poses]
+        feats = [rng.uniform(-1, 1, size=(12, 20, channels)) for _ in views]
+        planes = DepthPlanes.uniform(6, 0.5, 4.0)
+        vol, ref = assert_sweep_matches_oracle(feats[0], views[0], feats[1:], views[1:], planes)
+        assert vol.costs.shape == (12, 20, channels, 6)
+        for mi in range(planes.count):
+            assert set(np.unique(vol.valid_views[:, :, mi])) == {1, 2, 3}
+        assert_bytes_equal(
+            cost_to_probability(vol, temperature=0.05), cost_to_probability(ref, temperature=0.05)
+        )
+
     @pytest.mark.parametrize("shape", [(6, 7, 3), (5, 1, 2), (1, 5, 2), (12, 16, 6)])
     def test_bilinear_sample_on_border_band(self, shape):
         from costvol_reference import bilinear_sample as reference_sample

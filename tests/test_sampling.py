@@ -332,6 +332,46 @@ class TestVanillaMatchesOracle:
         self.assert_matches(views, spec, seed)
 
 
+class TestBuildVolumeMatchesOracle:
+    """The depth-gated volume reproduces the voxel-major loop in
+    `tests/sampling_reference.py` to the bit."""
+
+    @staticmethod
+    def assert_matches(views, spec, seed, channels=6):
+        from sampling_reference import build_volume as reference_volume
+
+        rng = np.random.default_rng(seed)
+        planes = DepthPlanes.uniform(12, 0.2, 5.0)
+        items = []
+        for v in views:
+            shape = (v.height // 4, v.width // 4)
+            logits = rng.normal(0.0, 1.0, shape + (planes.count,))
+            probs = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+            feat = rng.normal(0.0, 1.0, shape + (channels,))
+            items.append((feat, v, sample_topk(probs, planes, 3)))
+        grid = build_volume(items, spec, window=0.2)
+        ref = reference_volume(items, spec, window=0.2)
+        for name in ("feature_mean", "score", "valid_count"):
+            a, b = getattr(grid, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        # Both gated-in and gated-out voxels occur.
+        assert 0 < np.count_nonzero(grid.valid_count) < grid.valid_count.size
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_default_grid(self, seed):
+        spec = VoxelGridSpec((40, 40, 16), (-3.2, -3.2, 0.0), (0.16, 0.16, 0.2))
+        self.assert_matches(TestVanillaMatchesOracle.scene_views(seed), spec, seed)
+
+    @pytest.mark.parametrize("channels", [1, 6])
+    def test_coarse_grid_past_the_cameras(self, channels):
+        views = TestVanillaMatchesOracle.scene_views(7)
+        spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
+        centers = spec.centers().reshape(-1, 3)
+        assert all((v.pose.transform(centers)[:, 2] <= 0).any() for v in views)
+        self.assert_matches(views, spec, 7, channels)
+
+
 class TestDegenerateToVanilla:
     def test_uniform_full_k_wide_window_matches_vanilla(self):
         # Uniform B, k = M, window >= depth range: the depth-aware volume's

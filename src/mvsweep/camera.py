@@ -139,6 +139,30 @@ def in_bounds(u, v, width: int, height: int):
     return (u >= -0.5) & (u <= width - 0.5) & (v >= -0.5) & (v <= height - 0.5)
 
 
+def project_points(points: np.ndarray, k: Intrinsics, pose: Pose):
+    """Pinhole projection of points (..., 3) through `pose`, which maps their
+    frame to the camera frame (world-to-camera for world points, the source
+    pose relative to the reference for reference-frame points).
+
+    Returns (u, v, depth, in_front), each (...); depth is camera-frame z, and
+    u, v are finite but meaningless where the point is not in front of the
+    camera (depth <= EPS_Z).
+    """
+    rotated = points @ pose.rotation.T
+    # Translate each coordinate on its own: adding the (3,) vector to the
+    # (..., 3) array runs one length-3 inner loop per point.
+    x, y, depth = (rotated[..., i] + pose.translation[i] for i in range(3))
+    in_front = depth > EPS_Z
+    safe = np.where(in_front, depth, 1.0)
+    u = k.fx * x
+    u += k.cx * depth
+    u /= safe
+    v = k.fy * y
+    v += k.cy * depth
+    v /= safe
+    return u, v, depth, in_front
+
+
 def project(point, view: CameraView, scale: int = 1):
     """Project world points onto the image grid at 1/scale resolution.
 
@@ -152,16 +176,10 @@ def project(point, view: CameraView, scale: int = 1):
     k, w, h = view.scaled(scale)
     pts = np.asarray(point, dtype=np.float64)
     squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-
-    cam = view.pose.transform(pts)  # (..., 3)
-    depth = cam[..., 2]
-    safe = np.where(depth > EPS_Z, depth, 1.0)
-    u = (k.fx * cam[..., 0] + k.cx * depth) / safe
-    v = (k.fy * cam[..., 1] + k.cy * depth) / safe
-    valid = (depth > EPS_Z) & in_bounds(u, v, w, h)
-    u = np.where(depth > EPS_Z, u, np.nan)
-    v = np.where(depth > EPS_Z, v, np.nan)
+    u, v, depth, in_front = project_points(np.atleast_2d(pts), k, view.pose)
+    valid = in_front & in_bounds(u, v, w, h)
+    u = np.where(in_front, u, np.nan)
+    v = np.where(in_front, v, np.nan)
     if squeeze:
         return float(u[0]), float(v[0]), float(depth[0]), bool(valid[0])
     return u, v, depth, valid
@@ -220,9 +238,19 @@ def ray_grid(view: CameraView, scale: int = 1):
     return origin, d_world, axis_cos
 
 
+def plane_points(q, depth: float, k_ref: Intrinsics) -> np.ndarray:
+    """Reference-frame points (..., 3) where the rays through reference-grid
+    pixels q (..., 2) meet the fronto-parallel plane at the given depth."""
+    if not depth > 0:
+        raise ValueError(f"plane depth must be positive, got {depth}")
+    x = (q[..., 0] - k_ref.cx) / k_ref.fx * depth
+    y = (q[..., 1] - k_ref.cy) / k_ref.fy * depth
+    return np.stack([x, y, np.full_like(x, depth)], axis=-1)
+
+
 def homography_warp(q, depth: float, k_ref: Intrinsics, k_src: Intrinsics, rel: Pose):
     """Map reference-grid pixels onto a source grid through the fronto-parallel
-    plane at the given reference depth.
+    plane at the given reference depth: plane_points, then project_points.
 
     q: (2,) or (..., 2) pixel coordinates on the reference grid.
     rel: pose of the source camera relative to the reference camera.
@@ -230,24 +258,10 @@ def homography_warp(q, depth: float, k_ref: Intrinsics, k_src: Intrinsics, rel: 
     in_front with their own grid-bounds test; coordinates are NaN behind the
     source camera.
     """
-    if not depth > 0:
-        raise ValueError(f"plane depth must be positive, got {depth}")
     q = np.asarray(q, dtype=np.float64)
     squeeze = q.ndim == 1
-    q2 = np.atleast_2d(q)
-
-    x = (q2[..., 0] - k_ref.cx) / k_ref.fx * depth
-    y = (q2[..., 1] - k_ref.cy) / k_ref.fy * depth
-    pts_ref = np.stack([x, y, np.full_like(x, depth)], axis=-1)
-    pts_src = pts_ref @ rel.rotation.T + rel.translation
-    d_src = pts_src[..., 2]
-    in_front = d_src > EPS_Z
-    safe = np.where(in_front, d_src, 1.0)
-    u = (k_src.fx * pts_src[..., 0] + k_src.cx * d_src) / safe
-    v = (k_src.fy * pts_src[..., 1] + k_src.cy * d_src) / safe
-    u = np.where(in_front, u, np.nan)
-    v = np.where(in_front, v, np.nan)
-    uv = np.stack([u, v], axis=-1)
+    u, v, d_src, in_front = project_points(plane_points(np.atleast_2d(q), depth, k_ref), k_src, rel)
+    uv = np.stack([np.where(in_front, u, np.nan), np.where(in_front, v, np.nan)], axis=-1)
     if squeeze:
         return uv[0], float(d_src[0]), bool(in_front[0])
     return uv, d_src, in_front

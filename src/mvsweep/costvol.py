@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, DOWNSAMPLE, homography_warp, in_bounds, relative_pose
+from mvsweep.camera import (
+    CameraView,
+    DOWNSAMPLE,
+    in_bounds,
+    plane_points,
+    project_points,
+    relative_pose,
+)
 
 FEATURE_CHANNELS = 6
 
@@ -115,30 +122,61 @@ def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     """Bilinear lookup of an (H, W, C) grid at continuous pixel coordinates,
     clamping to the edge so the half-pixel boundary band stays usable.
 
-    The four corners are gathered from the grid flattened to (H*W, C) at row
-    `y*W + x`.  Non-finite coordinates are rejected.
+    The entry point of `_sample_channels` for an (H, W, C) grid: returns
+    u.shape + (C,).  Non-finite coordinates are rejected.
     """
     bad = np.count_nonzero(~np.isfinite(u)) + np.count_nonzero(~np.isfinite(v))
     if bad:
         raise ValueError(f"{bad} sample coordinates are not finite")
-    h, w = grid.shape[:2]
-    flat = grid.reshape((h * w,) + grid.shape[2:])
+    h, w, c = grid.shape
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
+    corners = np.empty((4, c, u.size))
+    sample = _sample_channels(channel_major(grid), h, w, u.ravel(), v.ravel(), corners)
+    return sample.T.reshape(u.shape + (c,))
+
+
+def channel_major(grid: np.ndarray) -> np.ndarray:
+    """An (H, W, C) grid as a contiguous channel-major (C, H*W) array."""
+    return np.ascontiguousarray(grid.reshape(-1, grid.shape[-1]).T)
+
+
+def _sample_channels(flat, h: int, w: int, u, v, corners) -> np.ndarray:
+    """Bilinear lookup of a (C, H*W) channel-major grid at N finite pixel
+    coordinates u, v, clamped to the edge; returns corners[3] holding the
+    (C, N) samples.
+
+    The four corners are gathered into corners (4, C, N) from column
+    `y*W + x` and blended in place: the top edge into corners[1], the bottom
+    edge and then the sample into corners[3].
+    """
     x = np.clip(u, 0.0, w - 1.0)
     y = np.clip(v, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 2) if w > 1 else np.zeros_like(x, np.int64)
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 2) if h > 1 else np.zeros_like(y, np.int64)
-    fx = (x - x0)[..., None]
-    fy = (y - y0)[..., None]
+    # floor(x) >= 0, so clamping the cell into the grid needs only the upper
+    # bound (a one-wide or one-high grid has one cell, at 0).
+    x0 = np.minimum(np.floor(x).astype(np.int64), max(w - 2, 0))
+    y0 = np.minimum(np.floor(y).astype(np.int64), max(h - 2, 0))
+    fx = x - x0
+    fy = y - y0
     x1 = np.minimum(x0 + 1, w - 1)
     row0 = y0 * w
     row1 = np.minimum(y0 + 1, h - 1) * w
-    g00 = flat.take(row0 + x0, axis=0)
-    g10 = flat.take(row0 + x1, axis=0)
-    g01 = flat.take(row1 + x0, axis=0)
-    g11 = flat.take(row1 + x1, axis=0)
-    top = g00 + (g10 - g00) * fx
-    bot = g01 + (g11 - g01) * fx
-    return top + (bot - top) * fy
+    g00, g10, g01, g11 = corners
+    # Every index is in range; mode="clip" only spares take() its buffering.
+    flat.take(row0 + x0, axis=1, out=g00, mode="clip")
+    flat.take(row0 + x1, axis=1, out=g10, mode="clip")
+    flat.take(row1 + x0, axis=1, out=g01, mode="clip")
+    flat.take(row1 + x1, axis=1, out=g11, mode="clip")
+    # top = g00 + (g10 - g00) * fx, bot likewise, sample = top + (bot - top) * fy
+    g10 -= g00
+    g10 *= fx
+    g10 += g00
+    g11 -= g01
+    g11 *= fx
+    g11 += g01
+    g11 -= g10
+    g11 *= fy
+    g11 += g10
+    return g11
 
 
 def build_cost_volume(
@@ -157,15 +195,20 @@ def build_cost_volume(
     population variance.  When fewer than 2 views survive, the cost is the
     penalty value.
 
-    The sweep runs plane by plane.  Each plane keeps (H*W, C) sums of the
-    descriptors and of their squares, starting from the reference, and an
-    (H*W,) view count; every source is warped, sampled and added in source
-    order, then the plane's variance and penalty are finished at once.  An
-    excluded cell is sampled at coordinate 0 and its sample multiplied by 0:
-    the sums are never -0.0, so adding that +-0.0 leaves them unchanged, and
-    each cell receives the same adds in the same order as an accumulation
-    over only the surviving views.  Costs are stored plane-major and
-    returned as (H, W, C, M) and (H, W, M) views.
+    The sweep runs plane by plane and is channel-major: descriptors, sums
+    and corner gathers are (C, H*W), so per-cell factors (bilinear weights,
+    the in-bounds mask, the view count) broadcast along the long axis.  The
+    work buffers are allocated once per call and every step writes into
+    them.  Each plane's reference-frame points are built once; every source
+    projects them, is sampled and added in source order into the (C, H*W)
+    sums of the descriptors and of their squares, which start from the
+    reference, and into an (H*W,) view count; then the plane's variance and
+    penalty are finished at once.  An excluded cell is sampled at coordinate
+    0 and its sample multiplied by 0: the sums are never -0.0, so adding
+    that +-0.0 leaves them unchanged, and each cell receives the same adds
+    in the same order as an accumulation over only the surviving views.
+    Costs are stored (M, C, H*W) and returned as (H, W, C, M) and (H, W, M)
+    views.
     """
     if not src_feats:
         raise ValueError("need at least one source view")
@@ -179,35 +222,48 @@ def build_cost_volume(
     m = planes.count
     uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     q = np.stack([uu, vv], axis=-1)  # (H, W, 2)
-    ref = ref_feat.reshape(h * w, c)
-    ref_sq = ref * ref
+    ref = channel_major(ref_feat)
+    # 0.0 + x turns -0.0 into +0.0, so the sums start, and stay, free of -0.0.
+    ref0 = 0.0 + ref
+    ref_sq0 = 0.0 + ref * ref
     sources = [
-        (feat, view.scaled(DOWNSAMPLE), relative_pose(ref_view.pose, view.pose))
+        (channel_major(feat), feat.shape[:2], view.scaled(DOWNSAMPLE),
+         relative_pose(ref_view.pose, view.pose))
         for feat, view in zip(src_feats, src_views)
     ]
 
-    costs = np.empty((m, h * w, c))
+    costs = np.empty((m, c, h * w))
     count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes
+    acc = np.empty((c, h * w))
+    acc_sq = np.empty((c, h * w))
+    corners = np.empty((4, c, h * w))
     for mi, depth in enumerate(planes.depths):
-        acc = 0.0 + ref
-        acc_sq = 0.0 + ref_sq
+        pts = plane_points(q, float(depth), k_ref)
+        np.copyto(acc, ref0)
+        np.copyto(acc_sq, ref_sq0)
         n_views = count[mi]
-        for feat, (k_src, sw, sh), rel in sources:
-            uv, _, front = homography_warp(q, float(depth), k_ref, k_src, rel)
-            u = uv[..., 0].reshape(-1)
-            v = uv[..., 1].reshape(-1)
+        for flat, (fh, fw), (k_src, sw, sh), rel in sources:
+            u, v, _, front = project_points(pts, k_src, rel)
+            u = u.reshape(-1)
+            v = v.reshape(-1)
             ok = front.reshape(-1) & in_bounds(u, v, sw, sh)
-            sample = bilinear_sample(feat, np.where(ok, u, 0.0), np.where(ok, v, 0.0))
-            sample *= ok[:, None]
+            sample = _sample_channels(
+                flat, fh, fw, np.where(ok, u, 0.0), np.where(ok, v, 0.0), corners
+            )
+            sample *= ok
             acc += sample
-            acc_sq += sample * sample
+            square = np.multiply(sample, sample, out=corners[0])
+            acc_sq += square
             n_views += ok
-        n = n_views[:, None].astype(np.float64)
-        mean = acc / n
-        var = np.maximum(acc_sq / n - mean * mean, 0.0)
-        costs[mi] = np.where(n_views[:, None] >= 2, var, cost_penalty)
+        n = n_views.astype(np.float64)
+        mean = np.divide(acc, n, out=acc)
+        acc_sq /= n
+        cost = costs[mi]
+        np.subtract(acc_sq, np.multiply(mean, mean, out=mean), out=cost)
+        np.maximum(cost, 0.0, out=cost)
+        np.copyto(cost, cost_penalty, where=n_views < 2)
     return CostVolume(
-        costs=costs.reshape(m, h, w, c).transpose(1, 2, 3, 0),
+        costs=costs.reshape(m, c, h, w).transpose(2, 3, 1, 0),
         valid_views=count.reshape(m, h, w).transpose(1, 2, 0),
     )
 

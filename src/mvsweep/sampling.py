@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mvsweep.camera import DOWNSAMPLE, nearest_pixel
-from mvsweep.costvol import DepthPlanes
+from mvsweep.costvol import DepthPlanes, channel_major
 
 # Guards the confidence-normalized division when every matched confidence is
 # numerically negligible.
@@ -130,20 +130,18 @@ class VoxelGrid:
 def _match_proposals(depth: np.ndarray, prop_d: np.ndarray, prop_s: np.ndarray, window: float):
     """Match each voxel's camera depth against its pixel's depth proposals.
 
-    depth: (N,), prop_d/prop_s: (N, k).  Returns (gate (N,) bool, score (N,)):
+    depth: (N,), prop_d/prop_s: (k, N).  Returns (gate (N,) bool, score (N,)):
     the nearest proposal wins -- ties prefer the higher score, then the
     earlier proposal -- and gates the voxel in when it lies within the
     window (inclusive), with its score as the matched confidence.
     """
-    dist = np.abs(depth[:, None] - prop_d)
-    best_dist = dist[:, 0].copy()
-    best_score = prop_s[:, 0].copy()
-    for j in range(1, dist.shape[1]):
-        better = (dist[:, j] < best_dist) | (
-            (dist[:, j] == best_dist) & (prop_s[:, j] > best_score)
-        )
-        best_dist = np.where(better, dist[:, j], best_dist)
-        best_score = np.where(better, prop_s[:, j], best_score)
+    dist = np.abs(depth - prop_d)
+    best_dist = dist[0].copy()
+    best_score = prop_s[0].copy()
+    for j in range(1, dist.shape[0]):
+        better = (dist[j] < best_dist) | ((dist[j] == best_dist) & (prop_s[j] > best_score))
+        best_dist = np.where(better, dist[j], best_dist)
+        best_score = np.where(better, prop_s[j], best_score)
     gate = best_dist <= window
     return gate, np.where(gate, best_score, 0.0)
 
@@ -156,37 +154,52 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     voxel's camera depth.  Gated features, scaled by matched confidence, are
     averaged with confidence normalization; the surface score is the plain
     mean of matched confidences.
+
+    Features, proposals and the feature sums are channel-major (C, N), so
+    per-voxel factors broadcast along the long axis; each view's features
+    are gathered into one buffer reused across views.  feature_mean is
+    returned as an (nx, ny, nz, C) view of the channel-major result.
     """
     if not items:
         raise ValueError("need at least one view")
     if not window > 0:
         raise ValueError("window must be positive")
     centers = spec.centers().reshape(-1, 3)
+    n = centers.shape[0]
     c = items[0][0].shape[-1]
-    num = np.zeros((centers.shape[0], c))
-    weight_sum = np.zeros(centers.shape[0])
-    gate_sum = np.zeros(centers.shape[0], dtype=np.int64)
+    num = np.zeros((c, n))
+    gathered = np.empty((c, n))
+    weight_sum = np.zeros(n)
+    gate_sum = np.zeros(n, dtype=np.int64)
 
     for feat, view, proposals in items:
+        _, gw, gh = view.scaled(DOWNSAMPLE)
+        if feat.shape[:2] != (gh, gw) or proposals.depths.shape[:2] != (gh, gw):
+            raise ValueError(f"feature map and proposals must be {gh}x{gw} for this view")
         valid, rows, cols, depth = nearest_pixel(centers, view, DOWNSAMPLE)
         if not valid.any():
             continue
-        prop_d = proposals.depths[rows, cols]  # (N, k)
-        prop_s = proposals.scores[rows, cols]
+        pixel = rows * gw + cols
+        prop_d = channel_major(proposals.depths).take(pixel, axis=1)  # (k, N)
+        prop_s = channel_major(proposals.scores).take(pixel, axis=1)
         gate, score = _match_proposals(depth, prop_d, prop_s, window)
         gate &= valid
         score = np.where(gate, score, 0.0)
-        num += score[:, None] * feat[rows, cols] * gate[:, None]
+        # num += score * feature * gate, per channel
+        channel_major(feat).take(pixel, axis=1, out=gathered, mode="clip")
+        gathered *= score
+        gathered *= gate
+        num += gathered
         weight_sum += score
         gate_sum += gate
 
     nx, ny, nz = spec.dims
     safe = np.where(weight_sum > _WEIGHT_EPS, weight_sum, 1.0)
-    feature_mean = np.where((weight_sum > _WEIGHT_EPS)[:, None], num / safe[:, None], 0.0)
+    feature_mean = np.where(weight_sum > _WEIGHT_EPS, num / safe, 0.0)
     score = np.where(gate_sum > 0, weight_sum / np.maximum(gate_sum, 1), 0.0)
     return VoxelGrid(
         spec=spec,
-        feature_mean=feature_mean.reshape(nx, ny, nz, c),
+        feature_mean=feature_mean.T.reshape(nx, ny, nz, c),
         score=score.reshape(nx, ny, nz),
         valid_count=gate_sum.reshape(nx, ny, nz),
     )

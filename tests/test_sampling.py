@@ -204,6 +204,15 @@ class TestBuildVolume:
         assert grid.valid_count[0, 0, 0] == 0
         np.testing.assert_array_equal(grid.feature, 0.0)
 
+    @pytest.mark.parametrize("feat_shape,prop_shape", [((6, 8), (8, 8)), ((8, 8), (8, 10))])
+    def test_grid_size_must_match_view(self, feat_shape, prop_shape):
+        # The view's feature grid is 8x8.  A smaller map used to raise an
+        # IndexError and a larger one was silently cropped.
+        feat = np.ones(feat_shape + (2,))
+        props = constant_proposals(prop_shape, [2.0], [1.0])
+        with pytest.raises(ValueError, match="must be 8x8"):
+            build_volume([(feat, pixel_aimed_view(), props)], single_voxel_spec(), window=0.2)
+
     def test_gate_excludes_mismatched_depth(self):
         view = pixel_aimed_view()
         props = constant_proposals((8, 8), [1.0], [1.0])  # proposals far from 2.0

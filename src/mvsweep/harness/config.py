@@ -42,13 +42,15 @@ class PipelineConfig:
     min_component: int = 4
 
     def __post_init__(self):
-        self.grid_dims = tuple(int(v) for v in self.grid_dims)
+        self.grid_dims = tuple(_integral("grid_dims", v) for v in self.grid_dims)
         self.grid_pitch = tuple(float(v) for v in self.grid_pitch)
         self.grid_origin = tuple(float(v) for v in self.grid_origin)
         for f in fields(self):
-            if _parse_type(f) is int:
-                continue
             value = getattr(self, f.name)
+            if _parse_type(f) is int:
+                if not isinstance(value, tuple):
+                    setattr(self, f.name, _integral(f.name, value))
+                continue
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{f.name} must be finite")
@@ -76,6 +78,18 @@ class PipelineConfig:
 
     def grid_spec(self) -> VoxelGridSpec:
         return VoxelGridSpec(self.grid_dims, self.grid_origin, self.grid_pitch)
+
+
+def _integral(name: str, value) -> int:
+    """value as an int, or a ValueError naming the field when it is not a
+    whole number (2.5, inf, NaN, "3")."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 def _parse_type(f):

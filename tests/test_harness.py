@@ -87,6 +87,24 @@ class TestConfig:
             PipelineConfig(grid_dims=dims)
 
     @pytest.mark.parametrize("name, value", [
+        ("top_k", 2.5),
+        ("grid_dims", (4.7, 4, 4)),
+        ("grid_dims", (4, float("inf"), 4)),
+        ("num_planes", float("nan")),
+        ("min_component", "4"),
+    ])
+    def test_non_integral_int_rejected(self, name, value):
+        # 2.5 used to reach sample_topk as a slice bound, and 4.7 was
+        # silently truncated to 4.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PipelineConfig(**{name: value})
+
+    def test_whole_float_int_becomes_int(self):
+        c = PipelineConfig(top_k=2.0, grid_dims=(8.0, 8, 4))
+        assert type(c.top_k) is int and c.top_k == 2
+        assert c.grid_dims == (8, 8, 4) and all(type(d) is int for d in c.grid_dims)
+
+    @pytest.mark.parametrize("name, value", [
         ("temperature", float("inf")),
         ("depth_max", float("inf")),
         ("cost_penalty", float("nan")),

@@ -10,7 +10,10 @@ steps.  The third is the digest of the scene directory itself, and the
 fourth the SHA-256 over the float64 depth and image bytes of every ray-cast
 view of that scene, which the scene files keep only as f32 depth and 8-bit
 images.  A change that claims to keep behaviour fixed must keep all four
-digests; `tests/test_pipeline.py` pins them for seed 5.
+digests; `tests/test_pipeline.py` pins them for seed 5.  A last line names
+the numpy version and the SIMD extensions numpy found on this CPU (the
+`found` list of `np.show_runtime()`): the pinned bytes hold for one numpy
+version on one SIMD class, so a mismatch is traced to its class from it.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
 """
@@ -20,6 +23,8 @@ import dataclasses
 import hashlib
 import os
 import tempfile
+
+import numpy as np
 
 from mvsweep.harness.config import PipelineConfig
 from mvsweep.harness.pipeline import run_pipeline, write_scene
@@ -91,6 +96,15 @@ def refine_digest(seed: int, workdir) -> str:
     return output_digest(out_dir)
 
 
+def runtime_line() -> str:
+    """The numpy version and the SIMD extensions it dispatches to on this
+    CPU, read from the tables `np.show_runtime()` prints."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    return f"numpy {np.__version__} simd found: {' '.join(found) or 'none'}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=5)
@@ -100,6 +114,7 @@ def main():
         print(refine_digest(args.seed, os.path.join(tmp, "refine")))
         print(scene_digest(args.seed, os.path.join(tmp, "scene")))
     print(raycast_digest(args.seed))
+    print(runtime_line())
 
 
 if __name__ == "__main__":

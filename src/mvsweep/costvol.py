@@ -231,6 +231,12 @@ def build_cost_volume(
          relative_pose(ref_view.pose, view.pose))
         for feat, view in zip(src_feats, src_views)
     ]
+    for i, (_, shape, (_, sw, sh), _) in enumerate(sources):
+        if shape != (sh, sw):
+            raise ValueError(
+                f"source {i}: feature grid {shape[0]}x{shape[1]} does not match "
+                f"the view's {sh}x{sw} quarter grid"
+            )
 
     costs = np.empty((m, c, h * w))
     count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes

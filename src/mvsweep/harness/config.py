@@ -10,6 +10,10 @@ from mvsweep.costvol import DepthPlanes
 from mvsweep.harness.formats import load_text, save_text
 from mvsweep.sampling import VoxelGridSpec
 
+# The largest voxel grid a config may ask for; its (nx, ny, nz, 3) centers
+# alone take 400 MB.
+MAX_VOXELS = 1 << 24
+
 
 @dataclass
 class PipelineConfig:
@@ -58,6 +62,9 @@ class PipelineConfig:
             raise ValueError("num_planes must be >= 2")
         if len(self.grid_dims) != 3 or min(self.grid_dims) < 1:
             raise ValueError("grid_dims must be three sizes >= 1")
+        voxels = math.prod(self.grid_dims)
+        if voxels > MAX_VOXELS:
+            raise ValueError(f"grid_dims {self.grid_dims} give {voxels} voxels, more than {MAX_VOXELS}")
         if not (1 <= self.top_k <= self.num_planes):
             raise ValueError("top_k must lie in [1, num_planes]")
         if not 0.0 < self.depth_min < self.depth_max:

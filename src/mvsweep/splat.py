@@ -12,17 +12,26 @@ analytically through softmax -> depth regression -> splat parameters ->
 projection -> alpha compositing, which a central finite-difference check can
 verify end to end.
 
-Rendering is split in two.  The forward pass (_render_forward) projects,
-gathers the (primitive, pixel) pairs and composites them; `rasterize` and
+Compositing follows 3D Gaussian Splatting (Kerbl et al., SIGGRAPH 2023),
+saturation rule included: each pixel blends its (primitive, pixel) pairs
+front to back, ordered by (depth, primitive index), and stops once its
+transmittance falls below T_MIN = 1e-4; a pair whose incoming transmittance
+is below T_MIN adds no colour, alpha, depth or gradient.  Nothing switches
+the rule off.
+
+Rendering is split in two.  The forward pass (_render_forward) projects
+the primitives, walks them front to back in chunks, and composites each
+chunk's pairs, sorted by pixel, on top of a running per-pixel
+log-transmittance, skipping the pixels already saturated; `rasterize` and
 the refinement loss both run it.  It returns a compact per-view state, the
-only per-pair arrays of which are the primitive, pixel id, pixel-order
-permutation, Gaussian falloff and transmittance.  The backward pass
-(_render_backward) reads that state and recomputes everything else it needs
-(alpha_eff, blend weights, pixel offsets) with the forward pass's own
-operations on the same operands, so loss and gradients are the same to the
-bit as a single fused pass.  The refinement line search asks for a gradient
-only when it will use one, so rejected trials and the last step's trials
-run the forward pass alone.
+only per-pair arrays of which are the composited pairs' primitive, pixel
+id, Gaussian falloff and transmittance, in (chunk, pixel) order.  The
+backward pass (_render_backward) reads that state and recomputes everything
+else it needs (alpha_eff, blend weights, pixel offsets) with the forward
+pass's own operations on the same operands, so loss and gradients are the
+same to the bit as a single fused pass.  The refinement line search asks
+for a gradient only when it will use one, so rejected trials and the last
+step's trials run the forward pass alone.
 """
 
 from __future__ import annotations
@@ -35,10 +44,14 @@ import numpy as np
 from mvsweep.camera import CameraView, DOWNSAMPLE, EPS_Z, ray_grid
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth, softmax
 
-# Alpha-compositing constants: per-primitive opacity clamp, support cutoff at
-# 3 sigma (power = 0.5 * 3^2), screen-space covariance dilation, and the
-# minimum accumulated alpha below which rendered depth is left at 0.
+# Alpha-compositing constants: per-primitive opacity clamp, the saturation
+# transmittance (3D Gaussian Splatting's rule: a pair whose incoming
+# transmittance is below T_MIN is not composited), support cutoff at 3 sigma
+# (power = 0.5 * 3^2), screen-space covariance dilation, and the minimum
+# accumulated alpha below which rendered depth is left at 0.
 ALPHA_CLAMP = 0.999
+T_MIN = 1e-4
+LOG_T_MIN = math.log(T_MIN)
 POWER_CUTOFF = 4.5
 COV_DILATION = 0.3
 EPS_ALPHA = 1e-4
@@ -183,57 +196,9 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     return keep, x_cam, z, mean2d, (c00, c01, c11), (j00, j02, j11, j12), cov_cam, k, gw, gh
 
 
-def _pair_chunk(idx, x0, y0, nx, ny, mean2d, inv00, inv01, inv11, gw):
-    """The 3-sigma (primitive, pixel) pairs of the primitives `idx`, listed
-    primitive by primitive, each bbox row-major: prim, pixel id and power."""
-    reps = nx[idx] * ny[idx]
-    # Bbox rows first, then the pixels along each row; dy and the dy^2 term
-    # of the power are per-row values.
-    row_prim = np.repeat(idx, ny[idx])
-    first_row = np.cumsum(ny[idx]) - ny[idx]
-    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
-    row_dy = row_y - mean2d[row_prim, 1]
-    row_n = nx[row_prim]
-    first_px = np.cumsum(row_n) - row_n
-    px = np.repeat(x0[row_prim] - first_px, row_n) + np.arange(row_n.sum())
-    dx = px - np.repeat(mean2d[idx, 0], reps)
-    dy = np.repeat(row_dy, row_n)
-    power = 0.5 * (
-        dx**2 * np.repeat(inv00[idx], reps)
-        + 2.0 * dx * dy * np.repeat(inv01[idx], reps)
-        + np.repeat(row_dy**2 * inv11[row_prim], row_n)
-    )
-    inside = power <= POWER_CUTOFF
-    pid = (np.repeat(row_y * gw, row_n) + px)[inside]
-    return np.repeat(idx, reps)[inside], pid, power[inside]
-
-
-def _gather_pairs(mean2d, cov2d, z, gw, gh):
-    """Enumerate (primitive, pixel) pairs within the 3-sigma support, and the
-    permutation that orders them by (pixel, depth, primitive index).
-
-    This is a rank-ordered counting sort, the per-pixel depth sort of 3D
-    Gaussian Splatting done in one pass.  One stable argsort of z ranks the
-    primitives by (depth, index), and pairs are listed primitive by
-    primitive in that rank order, each bbox row-major.  Every pixel's pairs
-    therefore already appear front to back, and one stable sort by pixel id
-    alone gives the full order.  That sort is numpy's radix sort on 16-bit
-    keys: one pass over the pixel id when the grid has at most 65,536
-    pixels, and above that a pass over its low 16 bits followed by a stable
-    pass over its high 16 bits (pixel ids fit 32 bits).
-
-    The ranked primitives are processed in chunks of about PAIR_CHUNK bbox
-    pixels, each compressed to its 3-sigma survivors before the next, so
-    the bbox-long temporaries never exist at full length.  Every pair gets
-    the same arithmetic as in one pass, so the outputs are the same to the
-    byte.  Survivors go straight into arrays sized for every bbox pixel,
-    which are then shrunk in place: no list of chunks outlives its chunk.
-
-    Returns, over the kept pairs in rank order: prim, pixel id, power and
-    the stable permutation `order` by pixel id (prim[order], pid[order] and
-    power[order] are in (pixel, depth, primitive index) order); then the
-    inverse 2D covariance entries inv00, inv01, inv11 (N,) per primitive.
-    """
+def _footprints(mean2d, cov2d, gw, gh):
+    """Per primitive: the 3-sigma bbox clipped to the grid, as (x0, y0, nx,
+    ny), and the inverse 2D covariance entries (inv00, inv01, inv11)."""
     a, b, c = cov2d
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     radius = 3.0 * np.sqrt(lam_max)
@@ -243,37 +208,101 @@ def _gather_pairs(mean2d, cov2d, z, gw, gh):
     y1 = np.minimum(np.floor(mean2d[:, 1] + radius), gh - 1).astype(np.int64)
     nx = np.maximum(x1 - x0 + 1, 0)
     ny = np.maximum(y1 - y0 + 1, 0)
-    counts = nx * ny
-
     det = a * c - b * b
-    inv00 = c / det
-    inv01 = -b / det
-    inv11 = a / det
+    return (x0, y0, nx, ny), (c / det, -b / det, a / det)
 
+
+def _pair_chunk(idx, bbox, mean2d, inv, gw, live=None):
+    """The 3-sigma (primitive, pixel) pairs of the primitives `idx`,
+    listed primitive by primitive, each bbox row-major: prim, pixel id and
+    power.  `live`, when given, is a (gh, gw) mask of the pixels to list:
+    bbox rows with no live pixel are dropped, found from the running count
+    of live pixels along each grid row, before their pixels are listed."""
+    x0, y0, nx, ny = bbox
+    inv00, inv01, inv11 = inv
+    row_prim = np.repeat(idx, ny[idx])
+    first_row = np.cumsum(ny[idx]) - ny[idx]
+    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
+    row_x0 = x0[row_prim]
+    row_n = nx[row_prim]
+    if live is not None:
+        live_cum = np.zeros((live.shape[0], live.shape[1] + 1), dtype=np.int64)
+        np.cumsum(live, axis=1, out=live_cum[:, 1:])
+        rows = np.flatnonzero(live_cum[row_y, row_x0 + row_n] > live_cum[row_y, row_x0])
+        row_prim, row_y, row_x0, row_n = (a.take(rows) for a in (row_prim, row_y, row_x0, row_n))
+    # Then the pixels along each row; dy and the dy^2 term of the power are
+    # per-row values.
+    row_dy = row_y - mean2d[row_prim, 1]
+    first_px = np.cumsum(row_n) - row_n
+    px = np.repeat(row_x0 - first_px, row_n) + np.arange(row_n.sum())
+    pid = np.repeat(row_y * gw, row_n)
+    pid += px
+    # power = 0.5 * (dx^2 inv00 + 2 dx dy inv01 + dy^2 inv11), formed in place
+    # in that order.
+    dx = np.subtract(px, np.repeat(mean2d[row_prim, 0], row_n))
+    del px
+    power = np.square(dx)
+    power *= np.repeat(inv00[row_prim], row_n)
+    dx *= 2.0
+    dx *= np.repeat(row_dy, row_n)
+    dx *= np.repeat(inv01[row_prim], row_n)
+    power += dx
+    del dx
+    power += np.repeat(row_dy**2 * inv11[row_prim], row_n)
+    power *= 0.5
+    inside = power <= POWER_CUTOFF
+    if live is not None:
+        inside &= live.take(pid)
+    sel = np.flatnonzero(inside)
+    return np.repeat(row_prim, row_n).take(sel), pid.take(sel), power.take(sel)
+
+
+def _pixel_order(pid, n_px):
+    """The stable permutation that sorts pixel ids: numpy's radix sort on
+    16-bit keys, one pass when the grid has at most 65,536 pixels, and above
+    that a pass over the low 16 bits followed by a stable pass over the high
+    16 bits (pixel ids fit 32 bits)."""
+    order = np.argsort(pid.astype(np.uint16), kind="stable")
+    if n_px > 65536:
+        order = order[np.argsort((pid[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
+
+
+def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
+    """The (primitive, pixel) pairs within the 3-sigma support, front to
+    back in chunks, each chunk sorted by pixel.
+
+    One stable argsort of z ranks the primitives by (depth, index); the
+    ranked primitives are cut into chunks of about PAIR_CHUNK bbox pixels,
+    and each chunk lists its pairs primitive by primitive in rank order, each
+    bbox row-major, then sorts them stably by pixel id, in cache.  Every
+    pixel's pairs within a chunk therefore run front to back, and chunks
+    come front to back, so the chunks in turn give every pixel's pairs in
+    (depth, primitive index) order.
+
+    `log_t` (gh*gw,) is the running per-pixel log-transmittance, which the
+    caller lowers between chunks: a chunk skips the pixels where it is
+    already below log(T_MIN), whose pairs the saturation rule drops anyway.
+    All zeros gives every pair.  Empty chunks are not yielded.
+
+    Yields prim, pixel id and power per chunk.
+    """
+    x0, y0, nx, ny = bbox
+    counts = nx * ny
     rank = np.argsort(z, kind="stable")
     idx = rank[counts[rank] > 0]  # on-screen primitives in (depth, index) order
     cum = np.cumsum(counts[idx])
     total = int(cum[-1]) if cum.size else 0
     cuts = np.searchsorted(cum, np.arange(PAIR_CHUNK, total, PAIR_CHUNK), side="right")
-    bounds = np.r_[0, cuts, idx.size]
-    prim = np.empty(total, dtype=np.int64)
-    pid = np.empty(total, dtype=np.int64)
-    power = np.empty(total)
-    n = 0
+    bounds = np.unique(np.r_[0, cuts, idx.size])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = _pair_chunk(idx[lo:hi], x0, y0, nx, ny, mean2d, inv00, inv01, inv11, gw)
-        m = part[0].size
-        for out, values in zip((prim, pid, power), part):
-            out[n : n + m] = values
-        n += m
-    del part
-    for out in (prim, pid, power):
-        out.resize(n, refcheck=False)
-    order = np.argsort(pid.astype(np.uint16), kind="stable")  # low 16 bits
-    if gw * gh > 65536:
-        # Second radix pass on the high 16 bits, stable over the first.
-        order = order[np.argsort((pid[order] >> 16).astype(np.uint16), kind="stable")]
-    return prim, pid, power, order, inv00, inv01, inv11
+        live = (log_t >= LOG_T_MIN).reshape(gh, gw)
+        prim, pid, power = _pair_chunk(
+            idx[lo:hi], bbox, mean2d, inv, gw, None if live.all() else live
+        )
+        if pid.size:
+            order = _pixel_order(pid, gw * gh)
+            yield prim.take(order), pid.take(order), power.take(order)
 
 
 def _take_into(values, idx, out):
@@ -287,7 +316,7 @@ def _opacity(alphas, prim, g):
     """Per-pair alpha_eff = min(opacity * g, ALPHA_CLAMP) and the clamped
     mask.  The forward pass and the backward pass both call this, so the
     backward pass recomputes alpha_eff bit for bit instead of storing it."""
-    alpha_eff = alphas[prim]
+    alpha_eff = alphas.take(prim)
     alpha_eff *= g
     clamped = alpha_eff > ALPHA_CLAMP
     alpha_eff[clamped] = ALPHA_CLAMP
@@ -300,12 +329,11 @@ class _ViewState:
 
     Per kept primitive: the projection (keep mask over all primitives,
     camera-frame centers, depth, 2D means, Jacobian entries, camera-frame
-    covariances), the inverse 2D covariance entries, opacities and colours.
-    Per pair, in rank order: primitive, pixel id, the pixel-order
-    permutation, Gaussian falloff g and transmittance.  Each covered
-    pixel's pair count closes the segments.  alpha_eff, the blend weight
-    and the pixel offsets are recomputed from these with the forward
-    pass's own operations, so they are not kept.
+    covariances), the inverse 2D covariance entries, opacities and colours
+    (channel-major, (3, n)).  Per composited pair, in (chunk, pixel) order:
+    primitive, pixel id, Gaussian falloff g and transmittance.  alpha_eff,
+    the blend weight and the pixel offsets are recomputed from these with
+    the forward pass's own operations, so they are not kept.
     """
 
     keep: np.ndarray
@@ -319,66 +347,83 @@ class _ViewState:
     colors: np.ndarray
     prim: np.ndarray
     pid: np.ndarray
-    order: np.ndarray
     g: np.ndarray
     trans: np.ndarray
-    seg_len: np.ndarray
 
 
 def _render_forward(splats: GaussianSplatSet, view: CameraView):
-    """The forward pass: projection, pair gathering and front-to-back alpha
-    blending into the quarter-res grid of `view`.
+    """The forward pass: projection, then front-to-back alpha blending into
+    the quarter-res grid of `view`, chunk by chunk, under the saturation
+    rule.
 
-    Pairs stay in rank order; only the per-pixel transmittance scan runs in
-    pixel order, through `order`.  bincount adds each pixel's pairs in input
-    order, front to back either way, so the sums match compositing the
-    pixel-sorted list term for term.  Temporaries are computed in place and
-    each is dropped before the next one is made.
+    A running per-pixel log-transmittance starts at 0.  Within a chunk's
+    pixel-sorted pairs, a pair's incoming log-transmittance is its pixel's
+    running value plus the sum of log1p(-alpha_eff) over the pixel's earlier
+    pairs in the chunk: the exclusive prefix sum over the chunk less its
+    value at the run's first pair.  Each step of that is monotone in its
+    rounded operands, so the value never increases along a pixel's pairs,
+    and the first pair of a run gets the running value exactly.  A pair
+    whose incoming transmittance is below T_MIN is dropped, so each run
+    keeps a prefix of its pairs, at least one, since saturated pixels are
+    skipped.  The kept pairs are written, in (chunk, pixel) order, straight
+    into arrays sized for every bbox pixel, which are then shrunk in place,
+    and their colours are added to the image while the chunk is in cache.
 
-    Returns the (n_px, 3) colour image, the per-pair blend weights w and the
-    _ViewState the backward pass reads.
+    Returns the (n_px, 3) colour image and the _ViewState the backward pass
+    and `rasterize` read.
     """
     keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
-    colors = splats.colors[keep]
-    prim, pid, power, order, inv00, inv01, inv11 = _gather_pairs(mean2d, cov2d, z, gw, gh)
+    colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
+    bbox, inv = _footprints(mean2d, cov2d, gw, gh)
     n_px = gh * gw
-    g = np.exp(np.negative(power, out=power), out=power)
-    del power
-
-    # Segmented exclusive cumulative product of (1 - alpha) by pixel id:
-    # log1p(-alpha_eff) in pixel order, its exclusive prefix sum, minus the
-    # sum before each pixel's segment, exponentiated.
-    alpha_eff = _opacity(alphas, prim, g)[0]
-    log_t = alpha_eff[order]
-    np.log1p(np.negative(log_t, out=log_t), out=log_t)
-    excl = np.cumsum(log_t)
-    excl -= log_t
-    del log_t
-    seg_len = np.bincount(pid, minlength=n_px)
-    seg_len = seg_len[seg_len > 0]
-    seg_start = np.cumsum(seg_len) - seg_len
-    excl -= np.repeat(excl[seg_start], seg_len)
-    np.exp(excl, out=excl)
-    trans = np.empty_like(excl)
-    trans[order] = excl
-    del excl
-
-    w = alpha_eff
-    w *= trans
-    color = np.empty((n_px, 3))
-    t = np.empty(prim.size)
-    for c, col in enumerate(colors.T):
-        _take_into(col, prim, t)
-        t *= w
-        color[:, c] = np.bincount(pid, weights=t, minlength=n_px)
-    del t
+    total = int(np.sum(bbox[2] * bbox[3]))
+    prim = np.empty(total, dtype=np.int64)
+    pid = np.empty(total, dtype=np.int64)
+    g = np.empty(total)
+    trans = np.empty(total)
+    log_t = np.zeros(n_px)
+    color = np.zeros((n_px, 3))
+    n = 0
+    for c_prim, c_pid, c_g in _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
+        np.exp(np.negative(c_g, out=c_g), out=c_g)
+        alpha_eff = _opacity(alphas, c_prim, c_g)[0]
+        log_a = np.log1p(np.negative(alpha_eff))
+        new_run = np.ones(c_pid.size, dtype=bool)
+        np.not_equal(c_pid[1:], c_pid[:-1], out=new_run[1:])
+        start = np.flatnonzero(new_run)
+        run_len = np.diff(start, append=c_pid.size)
+        run_px = c_pid[start]
+        # Incoming log-transmittance: the exclusive prefix sum over the
+        # chunk, less its value at the run's start, plus the running value.
+        excl = np.empty_like(log_a)
+        excl[0] = 0.0
+        np.cumsum(log_a[:-1], out=excl[1:])
+        excl -= np.repeat(excl[start], run_len)
+        excl += np.repeat(log_t[run_px], run_len)
+        last = start + run_len - 1
+        log_t[run_px] = excl[last] + log_a[last]
+        kept = excl >= LOG_T_MIN
+        sel = np.flatnonzero(kept)
+        m = sel.size
+        k_prim, k_pid, k_trans = prim[n : n + m], pid[n : n + m], trans[n : n + m]
+        for out, values in ((k_prim, c_prim), (k_pid, c_pid), (g[n : n + m], c_g), (k_trans, excl)):
+            _take_into(values, sel, out)
+        w = alpha_eff.take(sel)
+        w *= np.exp(k_trans, out=k_trans)
+        t = np.empty(m)
+        for c, col in enumerate(colors):
+            _take_into(col, k_prim, t)
+            t *= w
+            color[:, c] += np.bincount(k_pid, weights=t, minlength=n_px)
+        n += m
+    for out in (prim, pid, g, trans):
+        out.resize(n, refcheck=False)
     state = _ViewState(
         keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, cov_cam=cov_cam,
-        inv=(inv00, inv01, inv11), alphas=alphas, colors=colors,
-        prim=prim, pid=pid, order=order, g=g, trans=trans, seg_len=seg_len,
+        inv=inv, alphas=alphas, colors=colors, prim=prim, pid=pid, g=g, trans=trans,
     )
-    return color, w, state
+    return color, state
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -387,11 +432,13 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     Primitives behind the camera are culled; each survivor is projected with
     the perspective Jacobian, dilated in screen space, and composited
     front-to-back (depth ties broken by primitive index) within 3 sigma of
-    its 2D mean.
+    its 2D mean, until the pixel's transmittance falls below T_MIN.
     """
-    color, w, st = _render_forward(splats, view)
+    color, st = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
+    w = _opacity(st.alphas, st.prim, st.g)[0]
+    w *= st.trans
     acc = np.bincount(st.pid, weights=w, minlength=n_px)
     depth_num = np.bincount(st.pid, weights=w * st.z[st.prim], minlength=n_px)
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
@@ -419,12 +466,17 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
 
     Returns (d_means (N, 3), d_alphas (N,), d_sigmas (N,)).
 
-    The colour gradient is constant within a pixel's run of pairs, so the
-    colour that later pairs blend in enters as one scalar suffix sum of
-    w * (d_color . colour).  Per-pair terms are summed per primitive as
-    moments of the pixel offsets, which the primitive's inverse covariance
-    P then maps in closed form: d_mean2d = P m and d_cov2d = P M P / 2, with
-    m and M the first and (symmetric) second moments.
+    The colour gradient is constant over a pixel's pairs, so the colour
+    that later pairs blend in enters as one scalar suffix sum of
+    w * (d_color . colour).  The forward state lists pairs in (chunk,
+    pixel) order, so that suffix is the rest of the pair's run plus the
+    totals of its pixel's runs in later chunks, which a backward walk over
+    the run totals gives; no per-pair gather or scatter into pixel order is
+    needed.  Pairs the saturation rule dropped are not in the state and
+    contribute nothing.  Per-pair terms are summed per primitive as moments
+    of the pixel offsets, which the primitive's inverse covariance P then
+    maps in closed form: d_mean2d = P m and d_cov2d = P M P / 2, with m and
+    M the first and (symmetric) second moments.
 
     alpha_eff and w come from _opacity and the stored transmittance, and
     the pixel offsets from the pixel id and the 2D mean, with the forward
@@ -434,31 +486,49 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     """
     # The pass consumes `st`: each per-pair array it holds is released right
     # after its last read.
-    prim, pid, order, g, trans = st.prim, st.pid, st.order, st.g, st.trans
-    st.prim = st.pid = st.order = st.g = st.trans = None
+    k, gw, gh = view.scaled(DOWNSAMPLE)
+    prim, pid, g, trans = st.prim, st.pid, st.g, st.trans
+    st.prim = st.pid = st.g = st.trans = None
 
     # q = d_color . colour per pair, summed from 0 one channel at a time.
     q = np.zeros(prim.size)
     t = np.empty(prim.size)
     c = np.empty(prim.size)
-    for dc, col in zip(d_color.T, st.colors.T):
+    for dc, col in zip(d_color.T, st.colors):
         _take_into(dc, pid, t)
         t *= _take_into(col, prim, c)
         q += t
     del t, c
-    # Its blend-weighted suffix within each pixel segment is the colour
-    # arriving from behind the pair.
+    # Its blend-weighted suffix over the pixel's later pairs is the colour
+    # arriving from behind the pair.  A run is a maximal stretch of one
+    # pixel's pairs, and a group a maximal stretch of runs with increasing
+    # pixel ids (a chunk, or chunks whose pixel ranges follow on).  Groups
+    # run front to back and hold each pixel at most once, so the suffix is
+    # the rest of the pair's run plus the totals of its pixel's runs in
+    # later groups, summed group by group from the back.
     wq, clamped = _opacity(st.alphas, prim, g)
     wq *= trans
     wq *= q
-    csum = wq[order]
-    del wq
-    np.cumsum(csum, out=csum)
-    suffix_px = np.repeat(csum[np.cumsum(st.seg_len) - 1], st.seg_len)
-    suffix_px -= csum
-    suffix = csum
-    suffix[order] = suffix_px
-    del suffix_px, csum, order
+    new_run = np.ones(pid.size, dtype=bool)
+    np.not_equal(pid[1:], pid[:-1], out=new_run[1:])
+    start = np.flatnonzero(new_run)
+    del new_run
+    run_len = np.diff(start, append=pid.size)
+    run_total = np.add.reduceat(wq, start) if wq.size else wq
+    run_px = pid[start]
+    bounds = np.r_[0, np.flatnonzero(run_px[1:] < run_px[:-1]) + 1, start.size]
+    later = np.empty(start.size)
+    behind = np.zeros(gh * gw)
+    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+        px = run_px[lo:hi]
+        later[lo:hi] = behind[px]
+        behind[px] += run_total[lo:hi]
+    del run_total, behind, run_px
+    csum = np.cumsum(wq, out=wq)
+    later += csum[start + run_len - 1]
+    suffix = np.repeat(later, run_len)
+    suffix -= csum
+    del later, csum, wq
     # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
     # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff).
     u = q
@@ -474,7 +544,6 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
 
     n_kept = st.z.size
     alphas = st.alphas
-    k, gw, _ = view.scaled(DOWNSAMPLE)
     d_alpha_kept = np.bincount(prim, weights=u, minlength=n_kept)
     # dL/dpower = -opacity * u; moments of that over each primitive's pairs,
     # with the offsets dx, dy of each pair from its primitive's 2D mean.
@@ -586,8 +655,7 @@ def refinement_loss_and_grad(
     total_loss = 0.0
     states = []
     for view, img in zip(novel_views, novel_images):
-        color, w, state = _render_forward(splats, view)
-        del w
+        color, state = _render_forward(splats, view)
         _, gw, gh = view.scaled(DOWNSAMPLE)
         diff = color.reshape(gh, gw, 3) - img
         total_loss += float(np.mean(diff * diff))

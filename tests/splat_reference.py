@@ -3,12 +3,15 @@ compositing and the backward pass, in their direct per-pair form.
 
 World covariances are sigma^2 I, projected with einsum; every (primitive,
 pixel) pair is enumerated in primitive-index order and ordered with a
-three-key lexsort; the backward pass carries (P, 3) colour suffix sums,
-gathers each pair's (2, 2) inverse covariance, and runs the projection
-backward with einsum.  It is slow and memory-hungry, and serves only as the
-yardstick the tests hold `mvsweep.splat` against: its forward pass to the
-bit, its gradients to a relative tolerance.  quaternion_to_rotation builds
-the rotated views the tests render into.
+three-key lexsort; compositing is 3D Gaussian Splatting's per-pixel loop,
+front to back, multiplying the transmittance by 1 - alpha and skipping
+every pair whose incoming transmittance is below T_MIN; the backward pass
+carries (P, 3) colour suffix sums over the composited pairs, gathers each
+pair's (2, 2) inverse covariance, and runs the projection backward with
+einsum.  It is slow and memory-hungry, and serves only as the yardstick the
+tests hold `mvsweep.splat` against, to tolerances: `mvsweep.splat` sums
+log-transmittances chunk by chunk where this multiplies per pixel.
+quaternion_to_rotation builds the rotated views the tests render into.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from mvsweep.splat import (
     COV_DILATION,
     EPS_ALPHA,
     POWER_CUTOFF,
+    T_MIN,
     RenderTarget,
 )
 
@@ -118,25 +122,39 @@ def gather_pairs(mean2d, cov2d, z, gw, gh):
 
 
 def composite(prim, pid, power, alphas, colors, n_px):
-    """Front-to-back blending over pixel-sorted pairs: the (n_px, 3) colour,
-    the per-pair blend weight, falloff, alpha_eff, transmittance and
-    clamped mask, and each pixel run's start and length."""
+    """Front-to-back blending over pixel-sorted pairs, by the per-pixel
+    loop: a pair is composited only if the transmittance arriving at it is
+    at least T_MIN.
+
+    Returns the (n_px, 3) colour and the mask of composited pairs, then,
+    over the composited pairs: the blend weight, falloff, alpha_eff,
+    transmittance and clamped mask, and each pixel run's start and length.
+    """
     g_pair = np.exp(-power)
     alpha_raw = alphas[prim] * g_pair
     clamped = alpha_raw > ALPHA_CLAMP
     alpha_eff = np.where(clamped, ALPHA_CLAMP, alpha_raw)
-    log_t = np.log1p(-alpha_eff)
-    csum = np.cumsum(log_t)
+    trans = np.zeros(prim.size)
+    kept = np.zeros(prim.size, dtype=bool)
+    t = {}  # transmittance per pixel so far
+    for i, (p, a) in enumerate(zip(pid.tolist(), alpha_eff.tolist())):
+        t_in = t.get(p, 1.0)
+        if t_in < T_MIN:
+            continue
+        kept[i] = True
+        trans[i] = t_in
+        t[p] = t_in * (1.0 - a)
+    prim, pid, g_pair, alpha_eff, trans, clamped = (
+        a[kept] for a in (prim, pid, g_pair, alpha_eff, trans, clamped)
+    )
     seg_start = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
     seg_len = np.diff(np.r_[seg_start, pid.size])
-    base = np.repeat(csum[seg_start] - log_t[seg_start], seg_len)
-    trans = np.exp(csum - log_t - base)
     w_pair = alpha_eff * trans
     contrib = w_pair[:, None] * colors[prim]  # (P, 3)
     color = np.stack(
         [np.bincount(pid, weights=contrib[:, ch], minlength=n_px) for ch in range(3)], axis=1
     )
-    return color, w_pair, g_pair, alpha_eff, trans, clamped, seg_start, seg_len
+    return color, kept, w_pair, g_pair, alpha_eff, trans, clamped, seg_start, seg_len
 
 
 def rasterize(splats, view):
@@ -144,7 +162,10 @@ def rasterize(splats, view):
     keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = project_gaussians(splats, view)
     prim, pid, delta, inv, power = gather_pairs(mean2d, cov2d, z, gw, gh)
     n_px = gh * gw
-    color, w, *_ = composite(prim, pid, power, splats.opacities[keep], splats.colors[keep], n_px)
+    color, kept, w, *_ = composite(
+        prim, pid, power, splats.opacities[keep], splats.colors[keep], n_px
+    )
+    prim, pid = prim[kept], pid[kept]
     acc = np.bincount(pid, weights=w, minlength=n_px)
     depth_num = np.bincount(pid, weights=w * z[prim], minlength=n_px)
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
@@ -155,14 +176,16 @@ def rasterize(splats, view):
 
 def render_vjp(splats, view, target_image):
     """Loss and (d_means, d_alphas, d_sigma) of the L2 rendering loss, by the
-    per-pair (P, 3) suffix sums and einsum projection backward."""
+    per-pair (P, 3) suffix sums over the composited pairs and the einsum
+    projection backward."""
     keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = project_gaussians(splats, view)
     alphas = splats.opacities[keep]
     colors = splats.colors[keep]
     prim, pid, delta, inv, power = gather_pairs(mean2d, cov2d, z, gw, gh)
-    color, w_pair, g_pair, alpha_eff, trans, clamped, seg_start, seg_len = composite(
+    color, kept, w_pair, g_pair, alpha_eff, trans, clamped, seg_start, seg_len = composite(
         prim, pid, power, alphas, colors, gh * gw
     )
+    prim, pid, delta = prim[kept], pid[kept], delta[kept]
 
     diff = color.reshape(gh, gw, 3) - target_image
     loss = float(np.mean(diff * diff))

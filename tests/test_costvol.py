@@ -156,6 +156,15 @@ class TestBuildCostVolume:
         with pytest.raises(ValueError):
             build_cost_volume(np.zeros((8, 8, 6)), view, [], [], DepthPlanes.uniform(3, 1, 3))
 
+    def test_source_grid_must_match_its_view(self):
+        # A 5x3 grid for an 8x8 source view used to be sampled with its own
+        # size and bounds-tested against the view's grid, with no error.
+        view = simple_view()
+        feat = np.zeros((8, 8, 6))
+        planes = DepthPlanes.uniform(3, 1.0, 3.0)
+        with pytest.raises(ValueError, match=r"source 1: feature grid 5x3 .* 8x8 quarter grid"):
+            build_cost_volume(feat, view, [feat, np.zeros((5, 3, 6))], [view, view], planes)
+
     def test_costs_nonnegative_on_real_scene(self):
         scene = generate_scene(seed=2, n_boxes=1)
         views = make_trajectory(scene, 3, seed=0, image_size=(64, 48))

@@ -86,6 +86,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid_dims"):
             PipelineConfig(grid_dims=dims)
 
+    def test_voxel_count_bounded(self):
+        # 10**30 voxels used to be accepted and to fail later, in
+        # VoxelGridSpec.centers, with an error that named no field.
+        from mvsweep.harness.config import MAX_VOXELS
+
+        with pytest.raises(ValueError, match="grid_dims"):
+            PipelineConfig(grid_dims=(10**30, 4, 4))
+        with pytest.raises(ValueError, match="line 2: grid_dims"):
+            config_from_text(f"top_k=2\ngrid_dims={MAX_VOXELS // 16 + 1},4,4\n")
+        assert PipelineConfig(grid_dims=(MAX_VOXELS // 16, 4, 4)).grid_dims[0] == MAX_VOXELS // 16
+
     @pytest.mark.parametrize("name, value", [
         ("top_k", 2.5),
         ("grid_dims", (4.7, 4, 4)),

@@ -211,9 +211,11 @@ class TestCli:
 # of a `refine` on it (one novel view, 4 steps), over the files of the scene
 # directory itself, and over the float64 depth and image of every ray-cast
 # view, as printed by `scripts/golden_hash.py --seed 5`.  A change that keeps
-# the pipeline's behaviour fixed keeps all four digests.
+# the pipeline's behaviour fixed keeps all four digests.  The refine digest
+# was re-pinned when the splat forward pass took up 3D Gaussian Splatting's
+# saturation rule (a pair behind a transmittance below 1e-4 is dropped).
 GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
-REFINE_DIGEST_SEED5 = "aeaf2f8d8b2a9b4593a4455b67d652f556c14ee5686366c19b733655395c0af9"
+REFINE_DIGEST_SEED5 = "994da172e73e04b2c062cbb17a85ec237cd411b46bcc6df683ebef6ded877337"
 SCENE_DIGEST_SEED5 = "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f"
 RAYCAST_DIGEST_SEED5 = "07bfa2ddc0ad9a87a600ff42deb5e81632aa3ce9f499cd034e231210eb1fcb0e"
 

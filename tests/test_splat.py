@@ -269,6 +269,43 @@ class TestGradients:
             an = grads[vi][r, c, m]
             assert abs(fd - an) / max(abs(fd) + abs(an), 1e-8) < 1e-3
 
+    def test_central_differences_where_pixels_saturate(self):
+        # Criterion 11's scene and probes with footprints 1.5x wider, so that
+        # pixels saturate: the rule drops about a quarter of the pairs, and
+        # the gradient of the composited pairs is still the loss's gradient.
+        from mvsweep.costvol import softmax
+        from mvsweep.splat import _render_forward
+
+        planes, src_views, src_imgs, novel_views, novel_imgs, logits = _criterion11_inputs()
+        novel_imgs = [block_mean(i) for i in novel_imgs]
+        scale = 1.5
+        splats = concat_splats([
+            build_splats(v, softmax(lg), planes, img, scale, source_index=i)
+            for i, (v, lg, img) in enumerate(zip(src_views, logits, src_imgs))
+        ])
+        listed = sum(prim.size for prim, _, _ in _listed_pairs(splats, novel_views[0])[0])
+        composited = _render_forward(splats, novel_views[0])[1].prim.size
+        assert composited <= 0.95 * listed
+
+        def loss_and_grad(lgs):
+            return refinement_loss_and_grad(
+                lgs, planes, src_views, src_imgs, novel_views, novel_imgs, scale
+            )
+
+        loss, grads = loss_and_grad(logits)
+        rng = np.random.default_rng(0)
+        h = 1e-4
+        for _ in range(12):
+            vi = int(rng.integers(0, 2))
+            r, c, m = (int(rng.integers(0, s)) for s in (12, 16, 6))
+            lp = [x.copy() for x in logits]
+            lp[vi][r, c, m] += h
+            lm = [x.copy() for x in logits]
+            lm[vi][r, c, m] -= h
+            fd = (loss_and_grad(lp)[0] - loss_and_grad(lm)[0]) / (2 * h)
+            an = grads[vi][r, c, m]
+            assert abs(fd - an) / max(abs(fd) + abs(an), 1e-8) < 1e-3
+
 
 class TestRefinement:
     def _one_hot_volumes(self, gts, planes, indices):
@@ -382,12 +419,12 @@ class TestSelfRender:
         assert psnr >= 18.0
 
 
-# Pinned before the pair sort, compositing and projection sums were rewritten:
-# the first loss of a small fixed refinement, and the SHA-256 of the colour,
-# depth and alpha images of one of its splat sets.  The rewrite keeps every
-# forward floating-point operation in order, so both match to the bit.
-FORWARD_LOSS0 = "0x1.257b98b7b860ep-4"
-FORWARD_DIGEST = "685d8b47fbc1d78d1a04b06a633a19be04d62781fbb8d99ec9b55026dd1fed80"
+# The first loss of a small fixed refinement, and the SHA-256 of the colour,
+# depth and alpha images of one of its splat sets.  Re-pinned when the
+# forward pass took up 3D Gaussian Splatting's saturation rule and began to
+# sum log-transmittances chunk by chunk: the loss moved by 4 ulp.
+FORWARD_LOSS0 = "0x1.257b98b7b8612p-4"
+FORWARD_DIGEST = "5f4283e34d944bb397d351c6c5661b3bd1b3b2ada3b1d651a4d39076c9de1451"
 
 
 def _random_splats(rng, n, view, depths):
@@ -412,20 +449,55 @@ def _random_splats(rng, n, view, depths):
     )
 
 
+def _listed_pairs(splats, view):
+    """The pairs the chunk walk lists before the saturation rule drops any
+    (no pixel saturated): (prim, pid, power) per chunk, and the depths."""
+    from mvsweep.splat import _footprints, _pixel_chunks, _project_gaussians
+
+    _, _, z, mean2d, cov2d, _, _, _, gw, gh = _project_gaussians(splats, view)
+    bbox, inv = _footprints(mean2d, cov2d, gw, gh)
+    return list(_pixel_chunks(mean2d, z, bbox, inv, gw, gh, np.zeros(gw * gh))), z
+
+
+def _pixel_sorted(chunks):
+    """The chunks' pairs concatenated and stably sorted by pixel id."""
+    prim, pid, power = (np.concatenate(a) for a in zip(*chunks))
+    order = np.argsort(pid, kind="stable")
+    return prim[order], pid[order], power[order]
+
+
+# Oracle tolerances of the composited images: mvsweep.splat sums
+# log-transmittances chunk by chunk, the oracle multiplies transmittances
+# pixel by pixel.
+COLOR_ALPHA_ATOL = 1e-11
+DEPTH_ATOL = 1e-10
+
+
+def _assert_render_close(a, b):
+    np.testing.assert_allclose(a.color, b.color, rtol=0, atol=COLOR_ALPHA_ATOL)
+    np.testing.assert_allclose(a.alpha, b.alpha, rtol=0, atol=COLOR_ALPHA_ATOL)
+    np.testing.assert_allclose(a.depth, b.depth, rtol=0, atol=DEPTH_ATOL)
+
+
 class TestPairOrder:
     # Quarter grids of 32x24 and 256x256 pixels take one 16-bit radix pass,
     # 260x260 (67,600 pixels) a low and a high 16-bit pass.
     @pytest.mark.parametrize("size", [(128, 96), (1024, 1024), (1040, 1040)])
     def test_matches_three_key_lexsort(self, size):
-        from mvsweep.splat import _gather_pairs, _project_gaussians
+        from mvsweep.splat import _project_gaussians
         from splat_reference import gather_pairs_unsorted
 
         view = grid_view(*size, f=0.5 * size[0])
         rng = np.random.default_rng(size[0])
         splats = _random_splats(rng, 400, view, np.array([1.0, 1.5, 2.0, 3.0]))
-        _, _, z, mean2d, cov2d, _, _, _, gw, gh = _project_gaussians(splats, view)
-        prim, pid, power, order, *_ = _gather_pairs(mean2d, cov2d, z, gw, gh)
+        chunks, z = _listed_pairs(splats, view)
+        for _, pid, _ in chunks:
+            assert np.all(pid[1:] >= pid[:-1])  # each chunk is sorted by pixel
+        # Chunks run front to back, so a stable pixel sort of their
+        # concatenation is the full per-pixel (depth, index) order.
+        prim, pid, power = _pixel_sorted(chunks)
 
+        _, _, _, mean2d, cov2d, _, _, _, gw, gh = _project_gaussians(splats, view)
         ref_cov2d = np.empty((z.size, 2, 2))
         ref_cov2d[:, 0, 0], ref_cov2d[:, 0, 1], ref_cov2d[:, 1, 1] = cov2d
         ref_cov2d[:, 1, 0] = cov2d[1]
@@ -435,27 +507,36 @@ class TestPairOrder:
         ties = (sorted_pid[1:] == sorted_pid[:-1]) & (sorted_z[1:] == sorted_z[:-1])
         assert ties.sum() > 0  # the index tie-break decides some pixels' order
         assert (rpid.max() >= 65536) == (gw * gh > 65536)
-        np.testing.assert_array_equal(prim[order], rprim[ref])
-        np.testing.assert_array_equal(pid[order], rpid[ref])
-        np.testing.assert_array_equal(power[order], rpower[ref])
-
+        np.testing.assert_array_equal(prim, rprim[ref])
+        np.testing.assert_array_equal(pid, rpid[ref])
+        np.testing.assert_array_equal(power, rpower[ref])
 
     @pytest.mark.parametrize("chunk", [1, 37, 4096])
     def test_chunked_gather_matches_one_pass(self, monkeypatch, chunk):
         # Chunks of one primitive, of a few primitives, and of many, against
-        # the whole bbox list in one chunk.
+        # the whole bbox list in one chunk: the same pairs to the byte before
+        # the saturation rule, and the same images within the oracle
+        # tolerance after it.
         import mvsweep.splat as splat_module
 
         view = grid_view(160, 120)
         splats = _random_splats(np.random.default_rng(4), 300, view, np.array([0.8, 1.2, 2.0]))
-        _, _, z, mean2d, cov2d, _, _, _, gw, gh = splat_module._project_gaussians(splats, view)
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 1 << 40)
-        whole = splat_module._gather_pairs(mean2d, cov2d, z, gw, gh)
+        whole_chunks = _listed_pairs(splats, view)[0]
+        whole_render = rasterize(splats, view)
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", chunk)
-        chunked = splat_module._gather_pairs(mean2d, cov2d, z, gw, gh)
-        assert whole[0].size > 4 * chunk
-        for a, b in zip(whole, chunked):
+        chunks = _listed_pairs(splats, view)[0]
+        assert len(whole_chunks) == 1 and len(chunks) > 4
+        assert whole_chunks[0][0].size > 4 * chunk
+        for a, b in zip(_pixel_sorted(whole_chunks), _pixel_sorted(chunks)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        _assert_render_close(rasterize(splats, view), whole_render)
+        # The rule drops the same pairs whatever the chunks.
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", 1 << 40)
+        composited = splat_module._render_forward(splats, view)[1].prim.size
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", chunk)
+        assert splat_module._render_forward(splats, view)[1].prim.size == composited
+        assert composited < whole_chunks[0][0].size
 
 
 class TestAgainstReference:
@@ -484,8 +565,8 @@ class TestAgainstReference:
         assert digest.hexdigest() == FORWARD_DIGEST
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rasterize_bit_identical(self, seed):
-        from splat_reference import rasterize as reference_rasterize
+    def test_rasterize_matches_reference(self, seed):
+        import splat_reference as ref
 
         rng = np.random.default_rng(seed)
         turn = np.r_[1.0, rng.normal(0.0, 0.1, 3)]
@@ -493,52 +574,98 @@ class TestAgainstReference:
         view = grid_view(160, 120, pose=Pose(rotation, np.array([0.05, -0.02, 0.1])))
         splats = _random_splats(rng, 300, view, np.array([0.8, 1.2, 2.0]))
         splats.sigmas = splats.sigmas * rng.uniform(0.5, 2.0, len(splats))
-        a, b = rasterize(splats, view), reference_rasterize(splats, view)
-        for name in ("color", "depth", "alpha"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        _assert_render_close(rasterize(splats, view), ref.rasterize(splats, view))
+        # The saturation rule decides: the oracle drops pairs here.
+        keep, _, z, mean2d, cov2d, _, _, _, gw, gh = ref.project_gaussians(splats, view)
+        prim, pid, _, _, power = ref.gather_pairs(mean2d, cov2d, z, gw, gh)
+        kept = ref.composite(
+            prim, pid, power, splats.opacities[keep], splats.colors[keep], gw * gh
+        )[1]
+        assert 0 < np.count_nonzero(~kept) < kept.size
+
+    def test_saturated_stack_drops_the_third_pair(self):
+        # Three splats at opacity 1 (clamped to 0.999) centred on one pixel,
+        # front to back: the transmittance arriving at them is 1, 1e-3 and
+        # 1e-6, so the third is below T_MIN and not composited.
+        view = grid_view()
+        stack = concat_splats([
+            single_splat(ray_point(view, 16, 12, depth), sigma=0.001, color=color)
+            for depth, color in ((1.0, (1.0, 0.0, 0.0)), (2.0, (0.0, 1.0, 0.0)),
+                                 (3.0, (0.0, 0.0, 1.0)))
+        ])
+        rt = rasterize(stack, view)
+        w1 = 0.999
+        w2 = 0.999 * (1.0 - 0.999)
+        np.testing.assert_allclose(rt.color[12, 16], [w1, w2, 0.0], rtol=0, atol=1e-15)
+        assert rt.color[12, 16, 2] == 0.0
+        assert rt.alpha[12, 16] == pytest.approx(w1 + w2, abs=1e-15)
+        assert rt.depth[12, 16] == pytest.approx((w1 * 1.0 + w2 * 2.0) / (w1 + w2), abs=1e-12)
+        # A neighbouring pixel, reached by each splat's dilated tail, is far
+        # from saturated and composites all three.
+        assert rt.color[12, 17, 2] > 0.0
 
     def test_gradients_match_reference(self, monkeypatch):
         # Criterion 11's scene and logits.  The closed-form backward sums in
-        # a different order than the reference, so gradients agree to a
-        # tolerance, relative to the largest gradient entry.
+        # a different order than the reference, so loss and gradients agree
+        # to a tolerance, the gradients relative to their largest entry.
+        _assert_gradients_match_reference(monkeypatch, footprint_scale=1.0)
+
+    def test_gradients_match_reference_across_chunks(self, monkeypatch):
+        # The same scene in chunks of 64 bbox pixels, with footprints wide
+        # enough that pixels saturate: a pair's colour suffix then runs on
+        # through the pixel's runs in later chunks, and the rule drops pairs
+        # chunks after the one that saturated their pixel.
         import mvsweep.splat as splat_module
-        from splat_reference import render_vjp
 
-        scene = generate_scene(seed=3, n_boxes=1)
-        views = make_trajectory(scene, 4, seed=5, image_size=(64, 48))
-        gts = [raycast(scene, v) for v in views]
-        planes = DepthPlanes.uniform(6, 0.5, 4.5)
-        rng = np.random.default_rng(0)
-        logits = [rng.normal(0, 1.0, (12, 16, 6)) for _ in range(2)]
-        target = block_mean(gts[3].image)
-        args = (logits, planes, views[:2], [gts[0].image, gts[1].image], [views[3]], [target])
-        loss, grads = refinement_loss_and_grad(*args)
-        ref_losses = []
+        chunks = []
+        pixel_chunks = splat_module._pixel_chunks
 
-        def reference_backward(splats, view, state, d_color):
-            ref_loss, *ref_grads = render_vjp(splats, view, target)
-            ref_losses.append(ref_loss)
-            return ref_grads
+        def counting_chunks(*args):
+            for chunk in pixel_chunks(*args):
+                chunks.append(chunk)
+                yield chunk
 
-        monkeypatch.setattr(splat_module, "_render_backward", reference_backward)
-        _, ref_grads = refinement_loss_and_grad(*args)
-        assert ref_losses == [loss]
-        for g, ref in zip(grads, ref_grads):
-            assert np.max(np.abs(g - ref)) <= 1e-9 * np.max(np.abs(ref))
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
+        monkeypatch.setattr(splat_module, "_pixel_chunks", counting_chunks)
+        _assert_gradients_match_reference(monkeypatch, footprint_scale=1.5)
+        assert len(chunks) >= 40  # two forward passes of one view
 
 
-# Pinned before the forward pass was split from the backward pass: criterion
-# 11's scene refined for 4 steps at a step size that forces line-search
-# halvings (7 evaluations, 2 of them rejected trials, one on the last step),
-# and the loss and gradient of one evaluation at criterion 11's logits.  The
-# split keeps every floating-point operation, so all of it matches to the bit.
+def _assert_gradients_match_reference(monkeypatch, footprint_scale):
+    import mvsweep.splat as splat_module
+    from splat_reference import render_vjp
+
+    planes, src_views, src_imgs, novel_views, novel_imgs, logits = _criterion11_inputs()
+    target = block_mean(novel_imgs[0])
+    args = (logits, planes, src_views, src_imgs, novel_views, [target], footprint_scale)
+    loss, grads = refinement_loss_and_grad(*args)
+    ref_losses = []
+
+    def reference_backward(splats, view, state, d_color):
+        ref_loss, *ref_grads = render_vjp(splats, view, target)
+        ref_losses.append(ref_loss)
+        return ref_grads
+
+    monkeypatch.setattr(splat_module, "_render_backward", reference_backward)
+    _, ref_grads = refinement_loss_and_grad(*args)
+    assert len(ref_losses) == 1
+    assert ref_losses[0] == pytest.approx(loss, rel=1e-12, abs=0)
+    for g, ref in zip(grads, ref_grads):
+        assert np.max(np.abs(g - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+# Criterion 11's scene refined for 4 steps at a step size that forces
+# line-search halvings (7 evaluations, 2 of them rejected trials, one on the
+# last step), and the loss and gradient of one evaluation at criterion 11's
+# logits.  Re-pinned when the saturation rule was adopted: it drops about 2%
+# of this scene's pairs, which moves every loss by about 5e-6 relative.
 REFINE_TRACE = [
-    "0x1.607fac5ce9d5bp-5", "0x1.f0a722d8c640ep-6", "0x1.b062f0140f08bp-6",
-    "0x1.9e1e32ee89115p-6", "0x1.76ec4efbcdc71p-6",
+    "0x1.60802411701e7p-5", "0x1.f0ac3449263e7p-6", "0x1.b08641c6ed6a6p-6",
+    "0x1.9db79dd0067c4p-6", "0x1.75f18542b2c15p-6",
 ]
-REFINE_VOLUMES_DIGEST = "597c4a5506dba98e06bd544c2e8bb238ee188c1bd0e56f7110f94b6b829c0898"
-GRAD_LOSS = "0x1.607fac5ce9d67p-5"
-GRAD_DIGEST = "2bac627e2ec0221b5f8412a0048f7a0996a919e133d4999180dc63f8334671ff"
+REFINE_VOLUMES_DIGEST = "a3f218ad90e847c96ba74628cb1a179c400722b8a74f63609c261621aaec2bf7"
+GRAD_LOSS = "0x1.60802411701f4p-5"
+GRAD_DIGEST = "3dbd37a04fa80b273111bad5df32c463b1d79cac4c0491d407c60fb0977defd9"
 
 
 def _criterion11_inputs():
@@ -658,27 +785,29 @@ def _traced_peak(fn, *args):
 
 
 class TestMemoryBudget:
-    # Traced peak bytes per (primitive, pixel) pair: for one loss-and-gradient
-    # evaluation per pair summed over both novel views (measured 64.9), and
-    # for one rasterize per pair of its view (measured 63.0), each with a
-    # margin of about 10%.  The fused render-and-backward pass this replaced
-    # peaked at 90.7 and 119.7 on the same scene.
+    # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
+    # or not: for one loss-and-gradient evaluation per pair summed over both
+    # novel views (measured 51.2; 64.9 before the saturation rule), and for
+    # one rasterize per pair of its view (measured 66.8; 63.0 before: the
+    # forward pass now keeps four per-pair arrays sized for every bbox pixel
+    # where it kept three).  The fused render-and-backward pass of an older
+    # engine peaked at 90.7 and 119.7 on the same scene.
     LOSS_AND_GRAD_BYTES_PER_PAIR = 72
     RASTERIZE_BYTES_PER_PAIR = 70
 
     def test_loss_and_grad_and_rasterize_peaks(self):
         from mvsweep.costvol import softmax
-        from mvsweep.splat import _gather_pairs, _project_gaussians
+        from splat_reference import gather_pairs_unsorted, project_gaussians
 
         logits, planes, src_v, src_i, nov_v, nov_i = _budget_inputs()
         splats = concat_splats([
             build_splats(v, softmax(lg), planes, img, source_index=i)
             for i, (v, lg, img) in enumerate(zip(src_v, logits, src_i))
         ])
-        pairs = []
+        pairs = []  # every 3-sigma pair, composited or not
         for view in nov_v:
-            _, _, z, mean2d, cov2d, _, _, _, gw, gh = _project_gaussians(splats, view)
-            pairs.append(_gather_pairs(mean2d, cov2d, z, gw, gh)[0].size)
+            _, _, _, mean2d, cov2d, _, _, _, gw, gh = project_gaussians(splats, view)
+            pairs.append(gather_pairs_unsorted(mean2d, cov2d, gw, gh)[0].size)
         peak = _traced_peak(refinement_loss_and_grad, logits, planes, src_v, src_i, nov_v, nov_i)
         raster_peak = _traced_peak(rasterize, splats, nov_v[0])
         assert peak <= self.LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)

@@ -10,10 +10,11 @@ steps.  The third is the digest of the scene directory itself, and the
 fourth the SHA-256 over the float64 depth and image bytes of every ray-cast
 view of that scene, which the scene files keep only as f32 depth and 8-bit
 images.  A change that claims to keep behaviour fixed must keep all four
-digests; `tests/test_pipeline.py` pins them for seed 5.  A last line names
-the numpy version and the SIMD extensions numpy found on this CPU (the
-`found` list of `np.show_runtime()`): the pinned bytes hold for one numpy
-version on one SIMD class, so a mismatch is traced to its class from it.
+digests; `tests/test_pipeline.py` pins them for seed 5, one row per SIMD
+class.  A last line names the numpy version, the SIMD class and the SIMD
+extensions numpy found on this CPU (the `found` list of
+`np.show_runtime()`): the pinned bytes hold for one numpy version on one
+SIMD class, so a mismatch is traced to its class from it.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
 """
@@ -22,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import platform
 import tempfile
 
 import numpy as np
@@ -96,13 +98,29 @@ def refine_digest(seed: int, workdir) -> str:
     return output_digest(out_dir)
 
 
-def runtime_line() -> str:
-    """The numpy version and the SIMD extensions it dispatches to on this
-    CPU, read from the tables `np.show_runtime()` prints."""
+def simd_found() -> list[str]:
+    """The SIMD extensions numpy dispatches to on this CPU: the `found` list
+    of `np.show_runtime()`, after any `NPY_DISABLE_CPU_FEATURES`."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
-    return f"numpy {np.__version__} simd found: {' '.join(found) or 'none'}"
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+def simd_class(found: list[str]) -> str:
+    """The class of numpy kernels a `found` list selects.  On x86-64 numpy's
+    AVX-512 kernels give other last bits than its AVX2 ones, and its baseline
+    kernels give the AVX2 bits; other machines are named by their list."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"{platform.machine()} {' '.join(found) or 'baseline'}"
+    return "AVX-512" if "X86_V4" in found else "AVX2" if "X86_V3" in found else "baseline"
+
+
+def runtime_line() -> str:
+    """The numpy version, the SIMD class and the SIMD extensions numpy
+    dispatches to on this CPU."""
+    found = simd_found()
+    return (f"numpy {np.__version__} simd class {simd_class(found)} "
+            f"found: {' '.join(found) or 'none'}")
 
 
 def main():

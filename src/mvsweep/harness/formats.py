@@ -16,7 +16,7 @@ import numpy as np
 
 from mvsweep.camera import CameraView, Intrinsics, Pose
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
-from mvsweep.scenegen import SceneSpec, TexturedBox
+from mvsweep.scenegen import SceneSpec, TexturedBox, base_albedo, room_bounds
 from mvsweep.splat import GaussianSplatSet
 
 MAGIC_RASTER = b"MVSR"
@@ -150,6 +150,8 @@ def save_ppm(path, image: np.ndarray) -> None:
     """Float image in [0, 1] quantized to 8 bits; (H, W, 3)."""
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError("expected (H, W, 3) image")
+    if not np.all(np.isfinite(image)):
+        raise ValueError(f"{path}: image has non-finite values")
     data = np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape[:2]
     _save_binary(path, f"P6\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
@@ -352,16 +354,18 @@ def scene_from_text(text: str) -> SceneSpec:
             raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
         where = f"scene listing: line {lineno}: {kind}"
         v = _parse_record(where, _SCENE_RECORDS[kind], rest.split())
-        if kind == "box":
-            try:
-                box = TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6], color=v[7:])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            boxes.append((where, box))
-        elif kind == "room" and not np.all(np.array(v[:3]) < v[3:]):
-            raise ValueError(f"{where}: field hi: must lie strictly above lo")
-        else:
-            records[kind] = v
+        try:
+            if kind == "box":
+                boxes.append((where, TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6],
+                                                 color=v[7:])))
+                continue
+            if kind == "room":
+                room_bounds(v[:3], v[3:], fields=("lo", "hi"))
+            elif kind == "background":
+                base_albedo("background", v)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        records[kind] = v
     missing = [kind for kind in _SCENE_RECORDS if kind not in records and kind != "box"]
     if missing:
         raise ValueError(f"scene listing: missing {'/'.join(missing)}")

@@ -47,9 +47,33 @@ _OCTAVES = ((0.45, 0.30), (0.22, 0.50), (0.09, 0.20))
 _LUM_SQUASH = 6.0
 _CHROMA_PERIOD = 0.25
 _CHROMA_AMP = 0.55
+# Albedo is shaded in slices of at most this many points of one face run.
+_ALBEDO_BLOCK = 16384
 
 _DEFAULT_INTRINSICS = Intrinsics(fx=300.0, fy=300.0, cx=159.5, cy=119.5)
 _DEFAULT_SIZE = (320, 240)  # (width, height)
+
+
+def base_albedo(field: str, value) -> np.ndarray:
+    """`value` as a (3,) base albedo; a ValueError naming `field` unless each
+    entry lies in [0, 1], which NaN does not."""
+    albedo = np.asarray(value, dtype=np.float64).reshape(3)
+    if not np.all((albedo >= 0.0) & (albedo <= 1.0)):
+        raise ValueError(f"field {field}: base albedo must lie in [0, 1], got {albedo.tolist()}")
+    return albedo
+
+
+def room_bounds(lo, hi, fields=("room_lo", "room_hi")) -> tuple[np.ndarray, np.ndarray]:
+    """`lo` and `hi` as (3,) room corners; a ValueError naming the field (of
+    `fields`) unless both are finite and lo lies strictly below hi."""
+    lo = np.asarray(lo, dtype=np.float64).reshape(3)
+    hi = np.asarray(hi, dtype=np.float64).reshape(3)
+    for field, corner in zip(fields, (lo, hi)):
+        if not np.all(np.isfinite(corner)):
+            raise ValueError(f"field {field}: room bounds must be finite, got {corner.tolist()}")
+    if not np.all(lo < hi):
+        raise ValueError(f"field {fields[1]}: must lie strictly above {fields[0]}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -66,7 +90,7 @@ class TexturedBox:
             raise ValueError("box min corner must be strictly below max corner")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "color", np.asarray(self.color, dtype=np.float64).reshape(3))
+        object.__setattr__(self, "color", base_albedo("color", self.color))
 
 
 @dataclass(frozen=True)
@@ -74,21 +98,18 @@ class SceneSpec:
     room_lo: np.ndarray
     room_hi: np.ndarray
     boxes: tuple[TexturedBox, ...]
-    background: np.ndarray  # wall base albedo
+    background: np.ndarray  # wall base albedo in [0, 1]
     wall_seed: int
     walls: bool = True
 
     def __post_init__(self):
-        lo = np.asarray(self.room_lo, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.room_hi, dtype=np.float64).reshape(3)
-        if not np.all(lo < hi):
-            raise ValueError("degenerate room bounds")
+        lo, hi = room_bounds(self.room_lo, self.room_hi)
         for b in self.boxes:
             if not (np.all(b.lo > lo) and np.all(b.hi < hi)):
                 raise ValueError("box not strictly inside room")
         object.__setattr__(self, "room_lo", lo)
         object.__setattr__(self, "room_hi", hi)
-        object.__setattr__(self, "background", np.asarray(self.background, dtype=np.float64).reshape(3))
+        object.__setattr__(self, "background", base_albedo("background", self.background))
 
 
 @dataclass
@@ -108,9 +129,9 @@ _M3 = np.uint64(0x94D049BB133111EB)
 
 
 def _hash_unit(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic lattice hash -> float64 in [0, 1)."""
-    h = ix.astype(np.uint64) * np.uint64(0x8DA6B343)
-    h ^= iy.astype(np.uint64) * np.uint64(0xD8163841)
+    """Deterministic lattice hash -> float64 in [0, 1); ix and iy broadcast."""
+    h = (ix.astype(np.uint64) * np.uint64(0x8DA6B343)) ^ (
+        iy.astype(np.uint64) * np.uint64(0xD8163841))
     h ^= np.uint64((seed * 0xCB1AB31F) & 0xFFFFFFFFFFFFFFFF)
     h = (h + _M1) & np.uint64(0xFFFFFFFFFFFFFFFF)
     h = ((h ^ (h >> np.uint64(30))) * _M2) & np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -125,18 +146,18 @@ def _corner_hashes(ix: np.ndarray, iy: np.ndarray, seed: int):
 
     When the lattice rectangle covering all corners holds at most 4 points
     per query point, no more than hashing every corner would take, it is
-    hashed once and the corners are gathered from it.  A wider spread, as a
-    huge room or a non-finite coordinate gives, hashes each corner instead,
-    so memory stays proportional to the input.  Both hash the same integers.
+    hashed once, from a broadcast row of x and column of y, and the corners
+    are gathered from it.  A wider spread, as a huge room or a non-finite
+    coordinate gives, hashes each corner instead, so memory stays
+    proportional to the input.  Both hash the same integers.
     """
     if ix.size:
         x0, y0 = ix.min(), iy.min()
         nx = int(ix.max()) - int(x0) + 2  # Python ints: the spread may exceed int64
         ny = int(iy.max()) - int(y0) + 2
         if nx * ny <= 4 * ix.size:
-            gx, gy = np.meshgrid(np.arange(nx, dtype=np.int64) + x0,
-                                 np.arange(ny, dtype=np.int64) + y0)
-            lattice = _hash_unit(gx, gy, seed).ravel()
+            lattice = _hash_unit(np.arange(nx, dtype=np.int64) + x0,
+                                 (np.arange(ny, dtype=np.int64) + y0)[:, None], seed).ravel()
             k = (iy - y0) * nx + (ix - x0)
             return (lattice.take(k), lattice.take(k + 1),
                     lattice.take(k + nx), lattice.take(k + nx + 1))
@@ -163,21 +184,22 @@ def value_noise(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     return top + (bot - top) * wy
 
 
-def _face_albedo(s: np.ndarray, t: np.ndarray, base: np.ndarray, seed: int) -> np.ndarray:
-    """Albedo for in-plane surface coordinates (s, t) in meters: (N, 3)."""
+def _face_albedo(s: np.ndarray, t: np.ndarray, base: np.ndarray, seed: int,
+                 out: np.ndarray) -> None:
+    """Write the albedo at in-plane surface coordinates (s, t), in meters,
+    into out, (N, 3).  _sorted_albedo passes one block of at most
+    _ALBEDO_BLOCK points per call, small enough that the temporaries of
+    the six value_noise calls stay in cache."""
     lum = np.zeros_like(s)
     for i, (period, weight) in enumerate(_OCTAVES):
         lum += weight * value_noise(s / period + 17.1 * i, t / period + 9.7 * i, seed + 101 * i)
     lum = 1.0 / (1.0 + np.exp(-_LUM_SQUASH * (lum - 0.5)))
-    chroma = [
-        value_noise(s / _CHROMA_PERIOD + o1, t / _CHROMA_PERIOD + o2, seed + off)
-        for o1, o2, off in ((3.7, 11.9, 7777), (23.3, 5.1, 9999), (41.9, 31.7, 4343))
-    ]
-    out = np.empty(s.shape + (3,))
     bright = 0.35 + 1.3 * lum
-    for ch in range(3):
-        out[..., ch] = base[ch] * bright + _CHROMA_AMP * (chroma[ch] - 0.5)
-    return np.clip(out, 0.0, 1.0)
+    sc, tc = s / _CHROMA_PERIOD, t / _CHROMA_PERIOD
+    for ch, (o1, o2, off) in enumerate(((3.7, 11.9, 7777), (23.3, 5.1, 9999), (41.9, 31.7, 4343))):
+        chroma = value_noise(sc + o1, tc + o2, seed + off)
+        out[:, ch] = base[ch] * bright + _CHROMA_AMP * (chroma - 0.5)
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 _INPLANE = {0: (1, 2), 1: (1, 2), 2: (0, 2), 3: (0, 2), 4: (0, 1), 5: (0, 1)}
@@ -187,8 +209,11 @@ def _sorted_albedo(points: np.ndarray, keys: np.ndarray, surfaces) -> np.ndarray
     """Albedo of points sorted by key, (N, 3).
 
     Point i lies on face keys[i] % 6 of surface keys[i] // 6, and surfaces[s]
-    is surface s's (seed base, base albedo).  Each run of equal keys is one
-    _face_albedo call; a key that names no face of a listed surface gets 0.
+    is surface s's (seed base, base albedo).  Each run of equal keys is
+    shaded in slices of at most _ALBEDO_BLOCK points, one _face_albedo call
+    each, so that a large face's temporaries stay in cache; every point gets
+    the same operations whatever the slicing.  A key that names no face of a
+    listed surface gets 0.
     """
     out = np.zeros((len(keys), 3))
     if not len(keys):
@@ -200,7 +225,9 @@ def _sorted_albedo(points: np.ndarray, keys: np.ndarray, surfaces) -> np.ndarray
         surface, fid = divmod(int(keys[lo]), 6)
         seed_base, base = surfaces[surface]
         a, b = _INPLANE[fid]
-        out[lo:hi] = _face_albedo(points[lo:hi, a], points[lo:hi, b], base, seed_base * 6 + fid)
+        for j in range(lo, hi, _ALBEDO_BLOCK):
+            k = min(j + _ALBEDO_BLOCK, hi)
+            _face_albedo(points[j:k, a], points[j:k, b], base, seed_base * 6 + fid, out[j:k])
     return out
 
 

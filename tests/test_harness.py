@@ -193,6 +193,14 @@ class TestPpm(object):
         formats.save_ppm(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_image_rejected_with_path(self, tmp_path, value):
+        img = np.full((4, 5, 3), 0.5)
+        img[2, 3, 1] = value
+        with pytest.raises(ValueError, match="nan.ppm: image has non-finite values"):
+            formats.save_ppm(tmp_path / "nan.ppm", img)
+        assert not (tmp_path / "nan.ppm").exists()
+
     def test_rejects_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
@@ -370,6 +378,24 @@ class TestSceneFormat:
     def test_degenerate_room_names_line(self):
         with pytest.raises(ValueError, match="line 2: room: field hi: must lie strictly above lo"):
             formats.scene_from_text("walls 1\nroom 1 1 1 0 2 2\n")
+
+    # Line 1 is the room, line 4 the background, line 5 the first box; the
+    # index counts the record name as value 0.
+    @pytest.mark.parametrize("line, index, value, message", [
+        (1, 2, "nan", r"line 1: room: field lo: room bounds must be finite"),
+        (1, 2, "-inf", r"line 1: room: field lo: room bounds must be finite"),
+        (1, 5, "inf", r"line 1: room: field hi: room bounds must be finite"),
+        (4, 2, "nan", r"line 4: background: field background: base albedo must lie in \[0, 1\]"),
+        (4, 2, "1.5", r"line 4: background: field background: base albedo must lie in \[0, 1\]"),
+        (5, 9, "nan", r"line 5: box: field color: base albedo must lie in \[0, 1\]"),
+    ])
+    def test_non_finite_or_out_of_range_value_names_line(self, line, index, value, message):
+        text = formats.scene_to_text(generate_scene(seed=5, n_boxes=1)).splitlines()
+        vals = text[line - 1].split()
+        vals[index] = value
+        text[line - 1] = " ".join(vals)
+        with pytest.raises(ValueError, match=message):
+            formats.scene_from_text("\n".join(text) + "\n")
 
     def test_inverted_box_names_line(self):
         with pytest.raises(ValueError, match="line 1: box: box min corner must be strictly below"):

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from mvsweep.harness.pipeline import (
     run_pipeline,
 )
 from mvsweep.scenegen import generate_scene, make_trajectory
+
+from simd_pins import SCRIPT, SIMD_CLASS, X86_CLASSES, assert_pinned, emulation_env, golden_hash
 
 
 def write_scene(tmp_path, seed=5, n_boxes=1, n_views=4, image_size=(128, 96)):
@@ -210,37 +214,70 @@ class TestCli:
 # SHA-256 over every `--out` file of a `run` on criterion 12's seed-5 scene,
 # of a `refine` on it (one novel view, 4 steps), over the files of the scene
 # directory itself, and over the float64 depth and image of every ray-cast
-# view, as printed by `scripts/golden_hash.py --seed 5`.  A change that keeps
-# the pipeline's behaviour fixed keeps all four digests.  The refine digest
-# was re-pinned when the splat forward pass took up 3D Gaussian Splatting's
-# saturation rule (a pair behind a transmittance below 1e-4 is dropped).
-GOLDEN_DIGEST_SEED5 = "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814"
-REFINE_DIGEST_SEED5 = "994da172e73e04b2c062cbb17a85ec237cd411b46bcc6df683ebef6ded877337"
-SCENE_DIGEST_SEED5 = "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f"
-RAYCAST_DIGEST_SEED5 = "07bfa2ddc0ad9a87a600ff42deb5e81632aa3ce9f499cd034e231210eb1fcb0e"
-
-
-def _golden_hash_module():
-    import importlib.util
-
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "golden_hash.py")
-    spec = importlib.util.spec_from_file_location("golden_hash", path)
-    golden_hash = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden_hash)
-    return golden_hash
+# view, as printed by `scripts/golden_hash.py --seed 5`, one row per SIMD
+# class.  A change that keeps the pipeline's behaviour fixed keeps all four
+# digests.  The refine digest was re-pinned when the splat forward pass took
+# up 3D Gaussian Splatting's saturation rule (a pair behind a transmittance
+# below 1e-4 is dropped).  The AVX2 and baseline rows are equal: numpy 2.4.6
+# has the same float64 exp, log and log1p bits on both.  The scene files keep
+# depth as f32 and images as 8 bits, so the scene digest is equal on all three.
+GOLDEN_DIGEST_SEED5 = {
+    "AVX-512": "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814",
+    "AVX2": "08633690d65c6dbcddbcbf34f749b8d15ba5bb22b362b2decd08d454e92a00c6",
+    "baseline": "08633690d65c6dbcddbcbf34f749b8d15ba5bb22b362b2decd08d454e92a00c6",
+}
+REFINE_DIGEST_SEED5 = {
+    "AVX-512": "994da172e73e04b2c062cbb17a85ec237cd411b46bcc6df683ebef6ded877337",
+    "AVX2": "6ab17e9cc5a8f460e57c2f51b9edf0314acd397e93d552365191aab9631ae2db",
+    "baseline": "6ab17e9cc5a8f460e57c2f51b9edf0314acd397e93d552365191aab9631ae2db",
+}
+SCENE_DIGEST_SEED5 = {
+    "AVX-512": "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f",
+    "AVX2": "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f",
+    "baseline": "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f",
+}
+RAYCAST_DIGEST_SEED5 = {
+    "AVX-512": "07bfa2ddc0ad9a87a600ff42deb5e81632aa3ce9f499cd034e231210eb1fcb0e",
+    "AVX2": "837e1c492898de23720774f13a0119efc7b881f63089af2597e14aa50287329e",
+    "baseline": "837e1c492898de23720774f13a0119efc7b881f63089af2597e14aa50287329e",
+}
+DIGESTS_SEED5 = {"golden": GOLDEN_DIGEST_SEED5, "refine": REFINE_DIGEST_SEED5,
+                 "scene": SCENE_DIGEST_SEED5, "raycast": RAYCAST_DIGEST_SEED5}
 
 
 def test_golden_digest(tmp_path):
-    assert _golden_hash_module().golden_digest(5, tmp_path) == GOLDEN_DIGEST_SEED5
+    assert_pinned("golden digest", golden_hash.golden_digest(5, tmp_path), GOLDEN_DIGEST_SEED5)
 
 
 def test_refine_digest(tmp_path):
-    assert _golden_hash_module().refine_digest(5, tmp_path) == REFINE_DIGEST_SEED5
+    assert_pinned("refine digest", golden_hash.refine_digest(5, tmp_path), REFINE_DIGEST_SEED5)
 
 
 def test_scene_digest(tmp_path):
-    assert _golden_hash_module().scene_digest(5, tmp_path) == SCENE_DIGEST_SEED5
+    assert_pinned("scene digest", golden_hash.scene_digest(5, tmp_path), SCENE_DIGEST_SEED5)
 
 
 def test_raycast_digest():
-    assert _golden_hash_module().raycast_digest(5) == RAYCAST_DIGEST_SEED5
+    assert_pinned("raycast digest", golden_hash.raycast_digest(5), RAYCAST_DIGEST_SEED5)
+
+
+@pytest.mark.parametrize("cls", X86_CLASSES)
+def test_golden_hash_script_per_simd_class(cls):
+    # The script in a fresh process whose numpy dispatches as `cls`: it names
+    # that class and prints that class's row of all four digests.
+    env = emulation_env(cls)
+    if env is None:
+        pytest.skip(f"this host cannot emulate SIMD class {cls} (it is {SIMD_CLASS})")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, SCRIPT, "--seed", "5"], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    *digests, runtime = proc.stdout.splitlines()
+    assert f" simd class {cls} found: " in runtime
+    for (name, rows), actual in zip(DIGESTS_SEED5.items(), digests, strict=True):
+        assert_pinned(f"{name} digest", actual, rows, cls)
+
+
+def test_missing_simd_row_names_the_class_and_the_value():
+    with pytest.raises(AssertionError, match="no row for SIMD class 'AVX2': add 'AVX2': 'ab12'"):
+        assert_pinned("golden digest", "ab12", {"AVX-512": "ab12"}, "AVX2")

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvsweep import scenegen
 from mvsweep.camera import CameraView, Intrinsics, look_at, project
 from scenegen_reference import raycast as reference_raycast
 from scenegen_reference import surface_albedo as reference_albedo
 from scenegen_reference import value_noise as reference_noise
+from simd_pins import assert_pinned
 from mvsweep.scenegen import (
     GroundTruth,
     SceneSpec,
@@ -71,6 +73,40 @@ class TestGenerateScene:
                     assert not overlap
 
 
+class TestSceneValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("room_lo", (-np.inf, -3.2, 0.0)),
+        ("room_hi", (3.2, np.nan, 3.2)),
+        ("room_hi", (3.2, 3.2, np.inf)),
+    ])
+    def test_non_finite_room_bounds_rejected(self, field, value):
+        room = generate_scene(seed=3, n_boxes=0)
+        kw = dict(room_lo=room.room_lo, room_hi=room.room_hi, boxes=(),
+                  background=room.background, wall_seed=room.wall_seed)
+        kw[field] = np.array(value)
+        with pytest.raises(ValueError, match=f"field {field}: room bounds must be finite"):
+            SceneSpec(**kw)
+
+    @pytest.mark.parametrize("value", [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5), (0.5, 0.5, -0.1),
+                                       (1.0 + 1e-12, 0.5, 0.5)])
+    def test_background_outside_unit_range_rejected(self, value):
+        # raycast would shade a NaN background into NaN pixels, which an
+        # 8-bit scene image cannot hold.
+        room = generate_scene(seed=3, n_boxes=0)
+        with pytest.raises(ValueError, match=r"field background: base albedo must lie in \[0, 1\]"):
+            SceneSpec(room_lo=room.room_lo, room_hi=room.room_hi, boxes=(),
+                      background=np.array(value), wall_seed=room.wall_seed)
+
+    @pytest.mark.parametrize("value", [(0.2, np.nan, 0.4), (-np.inf, 0.3, 0.4), (0.2, 0.3, 2.0)])
+    def test_box_color_outside_unit_range_rejected(self, value):
+        with pytest.raises(ValueError, match=r"field color: base albedo must lie in \[0, 1\]"):
+            TexturedBox(lo=np.zeros(3), hi=np.ones(3), texture_seed=1, color=np.array(value))
+
+    def test_unit_range_endpoints_accepted(self):
+        box = TexturedBox(lo=np.zeros(3), hi=np.ones(3), texture_seed=1, color=(0.0, 1.0, 0.5))
+        assert box.color.tolist() == [0.0, 1.0, 0.5]
+
+
 class TestValueNoise:
     def test_deterministic_and_bounded(self):
         x = np.linspace(-4, 4, 101)
@@ -98,9 +134,19 @@ class TestValueNoise:
         assert patch.std() > 1e-3
 
 
-# SHA-256 of the float64 depth and image bytes of one ray-cast view.
-RAYCAST_DEPTH_SHA256 = "3ea69e172b71686dbe17e43bca092e203c6b689df2af5dd937351478b057566e"
-RAYCAST_IMAGE_SHA256 = "6eeaa0b3f83ec3b2ed0a0107a2911dbfe43859a076ae17c852110cd5642c36fe"
+# SHA-256 of the float64 depth and image bytes of one ray-cast view, one row
+# per SIMD class.  The image goes through np.exp, whose AVX-512 kernel gives
+# other last bits than the AVX2 and baseline ones; the depth does not.
+RAYCAST_DEPTH_SHA256 = {
+    "AVX-512": "3ea69e172b71686dbe17e43bca092e203c6b689df2af5dd937351478b057566e",
+    "AVX2": "3ea69e172b71686dbe17e43bca092e203c6b689df2af5dd937351478b057566e",
+    "baseline": "3ea69e172b71686dbe17e43bca092e203c6b689df2af5dd937351478b057566e",
+}
+RAYCAST_IMAGE_SHA256 = {
+    "AVX-512": "6eeaa0b3f83ec3b2ed0a0107a2911dbfe43859a076ae17c852110cd5642c36fe",
+    "AVX2": "77d36654831a8fdf5a59d3b42be3a68495cdbbe0b9d8ec2c8b96f9e8c397d6a0",
+    "baseline": "77d36654831a8fdf5a59d3b42be3a68495cdbbe0b9d8ec2c8b96f9e8c397d6a0",
+}
 
 
 class TestRaycast:
@@ -240,8 +286,8 @@ class TestRaycast:
         scene = generate_scene(seed=5, n_boxes=1)
         view = make_trajectory(scene, 3, seed=5, image_size=(128, 96))[0]
         gt = raycast(scene, view)
-        assert hashlib.sha256(gt.depth.tobytes()).hexdigest() == RAYCAST_DEPTH_SHA256
-        assert hashlib.sha256(gt.image.tobytes()).hexdigest() == RAYCAST_IMAGE_SHA256
+        assert_pinned("depth", hashlib.sha256(gt.depth.tobytes()).hexdigest(), RAYCAST_DEPTH_SHA256)
+        assert_pinned("image", hashlib.sha256(gt.image.tobytes()).hexdigest(), RAYCAST_IMAGE_SHA256)
 
 
 class TestTrajectory:
@@ -466,6 +512,43 @@ class TestAgainstReference:
         k = Intrinsics(150.0, 150.0, (w - 1) / 2, (h - 1) / 2)
         for view in make_trajectory(scene, 3, seed=4, intrinsics=k, image_size=size):
             assert_raycast_matches_reference(scene, view)
+
+    def test_default_size_view_with_long_face_run(self, monkeypatch):
+        # A 320x240 trajectory view whose largest face run (51,122 points, a
+        # wall) is shaded in more than three default albedo blocks.
+        runs = []
+        sorted_albedo = scenegen._sorted_albedo
+
+        def recording(points, keys, surfaces):
+            runs.extend(np.unique(keys, return_counts=True)[1])
+            return sorted_albedo(points, keys, surfaces)
+
+        monkeypatch.setattr(scenegen, "_sorted_albedo", recording)
+        scene = generate_scene(seed=7, n_boxes=2)
+        assert_raycast_matches_reference(scene, make_trajectory(scene, 10, seed=7)[0])
+        assert max(runs) > 3 * scenegen._ALBEDO_BLOCK
+
+    def test_surface_albedo_one_face_40k_points(self):
+        points = np.random.default_rng(8).uniform(-3.0, 3.0, (40000, 3))
+        base = np.array([0.55, 0.4, 0.7])
+        assert_bytes_equal(surface_albedo(points, np.full(40000, 3), 29, base),
+                           reference_albedo(points, np.full(40000, 3), 29, base))
+
+    # Blocks of one point, of a prime count that splits every run unevenly,
+    # and of a quarter of the default size.
+    @pytest.mark.parametrize("block", [1, 37, 4096])
+    def test_albedo_block_size_keeps_bytes(self, monkeypatch, block):
+        monkeypatch.setattr(scenegen, "_ALBEDO_BLOCK", block)
+        rng = np.random.default_rng(9)
+        points = rng.uniform(-3.0, 3.0, (50, 3))
+        face_ids = rng.integers(-1, 7, 50)
+        base = np.array([0.3, 0.6, 0.9])
+        assert_bytes_equal(surface_albedo(points, face_ids, 17, base),
+                           reference_albedo(points, face_ids, 17, base))
+        if block > 1:  # one call per point would take seconds on a whole view
+            scene = with_boxes([((2.0, -0.4, 1.2), (2.6, 0.4, 2.0)),
+                                ((2.2, -1.5, 0.2), (2.8, -0.8, 0.9))])
+            assert_raycast_matches_reference(scene, FORWARD_VIEW)
 
     def test_surface_albedo(self):
         rng = np.random.default_rng(3)

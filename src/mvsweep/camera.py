@@ -212,14 +212,17 @@ def nearest_views(views: list[CameraView], target: CameraView, count: int,
     return [int(i) for i in candidates[order[:count]]]
 
 
-def pixel_rays(view: CameraView, scale: int = 1):
-    """Unnormalized rays through every pixel center of the 1/scale grid.
+def pixel_rays(view: CameraView, scale: int = 1, start: int = 0, step: int = 1):
+    """Unnormalized rays through the pixel centers of the 1/scale grid, every
+    `step`-th row and column from `start` (every pixel by default).
 
     Returns (origin (3,), directions (H, W, 3)); each direction has camera-
     frame z component 1, so the ray parameter equals camera-frame depth.
     """
     k, w, h = view.scaled(scale)
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    uu, vv = np.meshgrid(
+        np.arange(start, w, step, dtype=np.float64), np.arange(start, h, step, dtype=np.float64)
+    )
     d_cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(uu)], axis=-1)
     return view.pose.camera_center(), d_cam @ view.pose.rotation  # (R^T d) for row vectors
 

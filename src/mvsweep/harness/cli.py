@@ -2,8 +2,10 @@
 
 Subcommands: scene-gen, run, refine, render, eval.  Global flags --config,
 --out, --threads and --seed apply across subcommands; --threads is accepted
-for interface compatibility but results never depend on it (the engine is
-deterministic and single-threaded).
+for interface compatibility and changes nothing.  Results never depend on
+threads: refinement renders the novel views of one evaluation on threads of
+their own and sums their losses and gradients in view order, so every byte
+is what one thread running every view in turn gives.
 """
 
 from __future__ import annotations

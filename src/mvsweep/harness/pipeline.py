@@ -10,6 +10,7 @@ import numpy as np
 
 from mvsweep.camera import nearest_views
 from mvsweep.costvol import (
+    block_mean,
     build_cost_volume,
     cost_to_probability,
     eval_depth,
@@ -191,6 +192,14 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     det_idx = [i for i in range(n) if i not in novel_idx]
 
     features = {i: extract_features(scene.images[i]) for i in det_idx}
+    if refine:
+        # Refinement and its splats read quarter-res colours only: a
+        # detection view's are its features' first three channels (the block
+        # mean of its image, to the bit), a novel view's one block mean.  The
+        # full-res images are not read again.
+        colors = {i: features[i][..., :3] for i in det_idx}
+        colors.update((i, block_mean(scene.images[i])) for i in novel_idx)
+        scene.images.clear()
 
     # Per-reference plane sweep over its nearest detection-view sources.
     det_views = [views[i] for i in det_idx]
@@ -220,9 +229,9 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
             [volumes[i] for i in refined_views],
             planes,
             [views[i] for i in refined_views],
-            [scene.images[i] for i in refined_views],
+            [colors[i] for i in refined_views],
             [views[i] for i in novel_idx],
-            [scene.images[i] for i in novel_idx],
+            [colors[i] for i in novel_idx],
             steps=config.refine_steps,
             step_size=config.refine_step_size,
             footprint_scale=config.splat_footprint,
@@ -233,7 +242,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         splats = concat_splats(
             [
                 build_splats(
-                    views[i], volumes[i], planes, scene.images[i],
+                    views[i], volumes[i], planes, colors[i],
                     footprint_scale=config.splat_footprint, source_index=i,
                 )
                 for i in refined_views

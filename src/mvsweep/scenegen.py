@@ -570,8 +570,8 @@ def multiview_coverage(
     """
     ref = views[ref_index]
     gt_q = quarter_depth(depths[ref_index])
-    origin, dirs = pixel_rays(ref)
-    pts = origin + gt_q[..., None] * dirs[1::4, 1::4]
+    origin, dirs = pixel_rays(ref, start=1, step=4)  # quarter_depth's sample pixels
+    pts = origin + gt_q[..., None] * dirs
     flat = pts.reshape(-1, 3)
     count = np.zeros(gt_q.shape, dtype=np.int64)
     for si in source_indices:

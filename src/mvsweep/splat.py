@@ -32,11 +32,22 @@ pass's own operations on the same operands, so loss and gradients are the
 same to the bit as a single fused pass.  The refinement line search asks
 for a gradient only when it will use one, so rejected trials and the last
 step's trials run the forward pass alone.
+
+The novel views of one refinement evaluation are independent until their
+losses and gradients are summed, so they run at once: the first on the
+calling thread, each further view on a thread of its own that lives for
+that evaluation and runs both its forward and its backward pass (numpy
+releases the interpreter lock inside its array operations).  Every pass
+computes exactly what it computes alone, and the sums are formed on the
+calling thread in view order, so the results are the same to the bit as
+one thread running every pass in turn, however the threads interleave.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -331,9 +342,10 @@ class _ViewState:
     camera-frame centers, depth, 2D means, Jacobian entries, camera-frame
     covariances), the inverse 2D covariance entries, opacities and colours
     (channel-major, (3, n)).  Per composited pair, in (chunk, pixel) order:
-    primitive, pixel id, Gaussian falloff g and transmittance.  alpha_eff,
-    the blend weight and the pixel offsets are recomputed from these with
-    the forward pass's own operations, so they are not kept.
+    primitive and pixel id (int32, widened where a pass gathers with them),
+    Gaussian falloff g and transmittance.  alpha_eff, the blend weight and
+    the pixel offsets are recomputed from these with the forward pass's own
+    operations, so they are not kept.
     """
 
     keep: np.ndarray
@@ -378,8 +390,8 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     bbox, inv = _footprints(mean2d, cov2d, gw, gh)
     n_px = gh * gw
     total = int(np.sum(bbox[2] * bbox[3]))
-    prim = np.empty(total, dtype=np.int64)
-    pid = np.empty(total, dtype=np.int64)
+    prim = np.empty(total, dtype=np.int32)
+    pid = np.empty(total, dtype=np.int32)
     g = np.empty(total)
     trans = np.empty(total)
     log_t = np.zeros(n_px)
@@ -406,9 +418,11 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
         kept = excl >= LOG_T_MIN
         sel = np.flatnonzero(kept)
         m = sel.size
-        k_prim, k_pid, k_trans = prim[n : n + m], pid[n : n + m], trans[n : n + m]
-        for out, values in ((k_prim, c_prim), (k_pid, c_pid), (g[n : n + m], c_g), (k_trans, excl)):
-            _take_into(values, sel, out)
+        k_prim, k_pid, k_trans = c_prim.take(sel), c_pid.take(sel), trans[n : n + m]
+        prim[n : n + m] = k_prim
+        pid[n : n + m] = k_pid
+        _take_into(c_g, sel, g[n : n + m])
+        _take_into(excl, sel, k_trans)
         w = alpha_eff.take(sel)
         w *= np.exp(k_trans, out=k_trans)
         t = np.empty(m)
@@ -437,10 +451,11 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     color, st = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
-    w = _opacity(st.alphas, st.prim, st.g)[0]
+    prim, pid = st.prim.astype(np.intp), st.pid.astype(np.intp)
+    w = _opacity(st.alphas, prim, st.g)[0]
     w *= st.trans
-    acc = np.bincount(st.pid, weights=w, minlength=n_px)
-    depth_num = np.bincount(st.pid, weights=w * st.z[st.prim], minlength=n_px)
+    acc = np.bincount(pid, weights=w, minlength=n_px)
+    depth_num = np.bincount(pid, weights=w * st.z.take(prim), minlength=n_px)
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
     return RenderTarget(
         color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
@@ -487,18 +502,20 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     # The pass consumes `st`: each per-pair array it holds is released right
     # after its last read.
     k, gw, gh = view.scaled(DOWNSAMPLE)
-    prim, pid, g, trans = st.prim, st.pid, st.g, st.trans
+    prim = st.prim.astype(np.intp)
+    pid, g, trans = st.pid, st.g, st.trans  # pid stays int32
     st.prim = st.pid = st.g = st.trans = None
 
-    # q = d_color . colour per pair, summed from 0 one channel at a time.
+    # q = d_color . colour per pair, summed from 0 one channel at a time, in
+    # cache-sized slices.
     q = np.zeros(prim.size)
-    t = np.empty(prim.size)
-    c = np.empty(prim.size)
-    for dc, col in zip(d_color.T, st.colors):
-        _take_into(dc, pid, t)
-        t *= _take_into(col, prim, c)
-        q += t
-    del t, c
+    for lo in range(0, prim.size, PAIR_CHUNK):
+        p_idx = prim[lo : lo + PAIR_CHUNK]
+        x_idx = pid[lo : lo + PAIR_CHUNK].astype(np.intp)
+        for dc, col in zip(d_color.T, st.colors):
+            t = dc.take(x_idx)
+            t *= col.take(p_idx)
+            q[lo : lo + PAIR_CHUNK] += t
     # Its blend-weighted suffix over the pixel's later pairs is the colour
     # arriving from behind the pair.  A run is a maximal stretch of one
     # pixel's pairs, and a group a maximal stretch of runs with increasing
@@ -509,6 +526,12 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     wq, clamped = _opacity(st.alphas, prim, g)
     wq *= trans
     wq *= q
+    # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
+    # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff); its first
+    # product is formed now so that trans is released before the suffix.
+    u = q
+    u *= trans
+    del trans
     new_run = np.ones(pid.size, dtype=bool)
     np.not_equal(pid[1:], pid[:-1], out=new_run[1:])
     start = np.flatnonzero(new_run)
@@ -529,11 +552,6 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     suffix = np.repeat(later, run_len)
     suffix -= csum
     del later, csum, wq
-    # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
-    # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff).
-    u = q
-    u *= trans
-    del trans
     one_minus = _opacity(st.alphas, prim, g)[0]
     suffix /= np.subtract(1.0, one_minus, out=one_minus)
     u -= suffix
@@ -616,6 +634,23 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     return d_means, d_alphas, d_sigmas
 
 
+def _view_forward(splats: GaussianSplatSet, view: CameraView, image: np.ndarray):
+    """One novel view's forward pass against its quarter-res target: the L2
+    loss, the _ViewState and dL/d(colour image) (n_px, 3)."""
+    color, state = _render_forward(splats, view)
+    _, gw, gh = view.scaled(DOWNSAMPLE)
+    diff = color.reshape(gh, gw, 3) - image
+    return float(np.mean(diff * diff)), state, (2.0 / diff.size) * diff.reshape(-1, 3)
+
+
+def _per_view(pools, fn, view_args):
+    """fn(*args) for each view's args, in view order: the first view's on
+    the calling thread and each further view's on its own pool's thread,
+    all at once."""
+    futures = [pool.submit(fn, *args) for pool, args in zip(pools, view_args[1:])]
+    return [fn(*args) for args in view_args[:1]] + [f.result() for f in futures]
+
+
 def refinement_loss_and_grad(
     logits: list[np.ndarray],
     planes: DepthPlanes,
@@ -639,9 +674,15 @@ def refinement_loss_and_grad(
 
     The forward pass runs once per novel view and keeps that view's compact
     _ViewState; the backward passes run from those states only once the
-    summed loss is known to be at most `max_loss`, one view at a time, each
-    state dropped after its pass.  There is never a second forward pass,
-    and loss and gradient are the same to the bit whatever `max_loss` is.
+    summed loss is known to be at most `max_loss`, each state dropped as
+    its pass consumes it.  There is never a second forward pass, and loss
+    and gradient are the same to the bit whatever `max_loss` is.
+
+    The views' passes run at once: the first view's on the calling thread,
+    each further view's on a thread of its own that lives for this call,
+    which runs both that view's forward and its backward pass.  Losses and
+    gradients are summed here in view order, so they are the same to the
+    bit as one thread running every pass in turn.
     """
     if source_rays is None:
         source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
@@ -652,24 +693,28 @@ def refinement_loss_and_grad(
     ]
     splats = concat_splats(sets)
 
-    total_loss = 0.0
-    states = []
-    for view, img in zip(novel_views, novel_images):
-        color, state = _render_forward(splats, view)
-        _, gw, gh = view.scaled(DOWNSAMPLE)
-        diff = color.reshape(gh, gw, 3) - img
-        total_loss += float(np.mean(diff * diff))
-        states.append((state, (2.0 / diff.size) * diff.reshape(-1, 3)))
-    if not np.isfinite(total_loss):
-        raise ValueError("rendering loss is not finite")
-    if not total_loss <= max_loss:
-        return total_loss, None
+    with ExitStack() as stack:
+        pools = [
+            stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in novel_views[1:]
+        ]
+        passes = _per_view(pools, _view_forward, [
+            (splats, view, img) for view, img in zip(novel_views, novel_images)
+        ])
+        total_loss = 0.0
+        for loss, _, _ in passes:
+            total_loss += loss
+        if not np.isfinite(total_loss):
+            raise ValueError("rendering loss is not finite")
+        if not total_loss <= max_loss:
+            return total_loss, None
+        view_grads = _per_view(pools, _render_backward, [
+            (splats, view, state, d_color) for view, (_, state, d_color) in zip(novel_views, passes)
+        ])
 
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
-    for view, (state, d_color) in zip(novel_views, states):
-        dm, da, ds = _render_backward(splats, view, state, d_color)
+    for dm, da, ds in view_grads:
         d_means += dm
         d_alphas += da
         d_sigmas += ds

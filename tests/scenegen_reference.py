@@ -1,6 +1,7 @@
 """Reference oracle for the ray caster: value noise that hashes the four
 lattice corners of every point, albedo masked per surface and then per face,
-and a slab test of every box over the whole image.
+and a slab test of every box over the whole image; and multi-view coverage
+from full-resolution pixel rays sliced to the quarter-res samples.
 
 It is slow, and serves only as the yardstick the tests hold
 `mvsweep.scenegen` against, to the bit.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mvsweep.camera import CameraView, pixel_rays
+from mvsweep.camera import CameraView, nearest_pixel, pixel_rays
 from mvsweep.scenegen import (
     _CHROMA_AMP,
     _CHROMA_PERIOD,
@@ -20,6 +21,7 @@ from mvsweep.scenegen import (
     GroundTruth,
     SceneSpec,
     _room_exit,
+    quarter_depth,
 )
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
@@ -159,3 +161,20 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
         else np.zeros((0, 2, 3))
     )
     return GroundTruth(depth=depth, image=image, boxes=gt_boxes)
+
+
+def multiview_coverage(views, depths, ref_index, source_indices, tol=0.05):
+    """How many of the sources observe each quarter-res pixel's ground-truth
+    point, with rays cast through every full-res pixel and then sliced."""
+    ref = views[ref_index]
+    gt_q = quarter_depth(depths[ref_index])
+    origin, dirs = pixel_rays(ref)
+    pts = origin + gt_q[..., None] * dirs[1::4, 1::4]
+    flat = pts.reshape(-1, 3)
+    count = np.zeros(gt_q.shape, dtype=np.int64)
+    for si in source_indices:
+        valid, vv, uu, d = nearest_pixel(flat, views[si])
+        unoccluded = depths[si][vv, uu] >= d - tol
+        miss = depths[si][vv, uu] == 0.0
+        count += (valid & (unoccluded | miss)).reshape(gt_q.shape)
+    return count

@@ -12,13 +12,21 @@ einsum.  It is slow and memory-hungry, and serves only as the yardstick the
 tests hold `mvsweep.splat` against, to tolerances: `mvsweep.splat` sums
 log-transmittances chunk by chunk where this multiplies per pixel.
 quaternion_to_rotation builds the rotated views the tests render into.
+
+refinement_loss_and_grad is the serial form of `mvsweep.splat`'s: it runs
+the engine's own forward and backward passes, one novel view after the
+other on the calling thread, and is the yardstick, to the bit, for how the
+engine spreads those passes over threads and sums their results.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from mvsweep.camera import DOWNSAMPLE, EPS_Z
+from mvsweep.camera import DOWNSAMPLE, EPS_Z, ray_grid
+from mvsweep.costvol import softmax
 from mvsweep.splat import (
     ALPHA_CLAMP,
     COV_DILATION,
@@ -26,6 +34,10 @@ from mvsweep.splat import (
     POWER_CUTOFF,
     T_MIN,
     RenderTarget,
+    _render_backward,
+    _render_forward,
+    build_splats,
+    concat_splats,
 )
 
 
@@ -247,3 +259,66 @@ def render_vjp(splats, view, target_image):
     d_alphas[keep_idx] = d_alpha_kept
     d_sigmas[keep_idx] = 2.0 * sigma * np.trace(d_cov_cam, axis1=1, axis2=2)
     return loss, d_means, d_alphas, d_sigmas
+
+
+def refinement_loss_and_grad(
+    logits, planes, source_views, source_images, novel_views, novel_images,
+    footprint_scale=1.0, max_loss=math.inf, source_rays=None,
+):
+    """(loss, grads) or (loss, None), as `mvsweep.splat` computes them, with
+    every forward and backward pass on the calling thread in view order."""
+    if source_rays is None:
+        source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
+    probs = [softmax(lg) for lg in logits]
+    sets = [
+        build_splats(v, p, planes, img, footprint_scale, source_index=i, rays=rays)
+        for i, (v, p, img, rays) in enumerate(zip(source_views, probs, source_images, source_rays))
+    ]
+    splats = concat_splats(sets)
+
+    total_loss = 0.0
+    states = []
+    for view, img in zip(novel_views, novel_images):
+        color, state = _render_forward(splats, view)
+        _, gw, gh = view.scaled(DOWNSAMPLE)
+        diff = color.reshape(gh, gw, 3) - img
+        total_loss += float(np.mean(diff * diff))
+        states.append((state, (2.0 / diff.size) * diff.reshape(-1, 3)))
+    if not np.isfinite(total_loss):
+        raise ValueError("rendering loss is not finite")
+    if not total_loss <= max_loss:
+        return total_loss, None
+
+    d_means = np.zeros_like(splats.means)
+    d_alphas = np.zeros(len(splats))
+    d_sigmas = np.zeros(len(splats))
+    for view, (state, d_color) in zip(novel_views, states):
+        dm, da, ds = _render_backward(splats, view, state, d_color)
+        d_means += dm
+        d_alphas += da
+        d_sigmas += ds
+
+    grads = []
+    offset = 0
+    for view, p, (_, dirs, axis_cos) in zip(source_views, probs, source_rays):
+        gh, gw = p.shape[:2]
+        n = gh * gw
+        dm = d_means[offset : offset + n].reshape(gh, gw, 3)
+        da = d_alphas[offset : offset + n].reshape(gh, gw)
+        ds = d_sigmas[offset : offset + n].reshape(gh, gw)
+        offset += n
+
+        k, _, _ = view.scaled(DOWNSAMPLE)
+        f_mean = 0.5 * (k.fx + k.fy)
+        d_depth = (
+            np.einsum("hwc,hwc->hw", dm, dirs) / axis_cos + ds * footprint_scale / f_mean
+        )
+        up = d_depth[..., None] * planes.depths[None, None, :]
+        arg = p.argmax(axis=2)
+        rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
+        up_max = np.zeros_like(up)
+        up_max[rows, cols, arg] = da
+        up = up + up_max
+        inner = (up * p).sum(axis=2, keepdims=True)
+        grads.append(p * (up - inner))
+    return total_loss, grads

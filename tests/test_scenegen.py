@@ -6,6 +6,7 @@ import pytest
 
 from mvsweep import scenegen
 from mvsweep.camera import CameraView, Intrinsics, look_at, project
+from scenegen_reference import multiview_coverage as reference_coverage
 from scenegen_reference import raycast as reference_raycast
 from scenegen_reference import surface_albedo as reference_albedo
 from scenegen_reference import value_noise as reference_noise
@@ -17,6 +18,7 @@ from mvsweep.scenegen import (
     _box_window,
     generate_scene,
     make_trajectory,
+    multiview_coverage,
     raycast,
     surface_albedo,
     value_noise,
@@ -559,6 +561,20 @@ class TestAgainstReference:
                            reference_albedo(points, face_ids, 17, base))
         assert_bytes_equal(surface_albedo(points[0], 2, 17, base),
                            reference_albedo(points[0], 2, 17, base))
+
+    @pytest.mark.parametrize("size", [(320, 240), (64, 48)])
+    def test_multiview_coverage(self, size):
+        # Every view against all the others, at two image sizes.
+        scene = generate_scene(seed=21, n_boxes=2)
+        views = make_trajectory(scene, 5, seed=3, image_size=size)
+        depths = [raycast(scene, v).depth for v in views]
+        seen = set()
+        for ref in range(len(views)):
+            sources = [i for i in range(len(views)) if i != ref]
+            cover = multiview_coverage(views, depths, ref, sources)
+            assert_bytes_equal(cover, reference_coverage(views, depths, ref, sources))
+            seen.update(np.unique(cover).tolist())
+        assert {0, len(views) - 1} <= seen
 
     @pytest.mark.parametrize("case", ["scattered", "empty", "empty_2d", "0d", "nan", "inf",
                                       "all_nan", "spread_1e6"])

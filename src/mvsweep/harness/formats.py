@@ -51,33 +51,40 @@ def _save_binary(path, header: bytes, payload: bytes) -> None:
         fh.write(payload)
 
 
+def _read_header(fh, path, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, int]:
+    """The fixed header of a binary file open at its start, and its payload
+    size: a 4-byte magic, a little-endian header `fmt`, then as many bytes as
+    `payload(*header)` declares.  That call returns the byte count and a
+    description of the header fields it comes from, for the error a short
+    file raises.  The payload is checked for size, not read."""
+    got = fh.read(4)
+    if got != magic:
+        raise ValueError(f"{path}: bad {what} magic {got!r}")
+    size = struct.calcsize(fmt)
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated {what} header")
+    header = struct.unpack(fmt, data)
+    nbytes, declared = payload(*header)
+    _check_payload(fh, path, nbytes, f"{what} header {declared}")
+    return header, nbytes
+
+
 def _load_binary(path, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, bytes]:
-    """The fixed header and the payload of a binary file: a 4-byte magic,
-    a little-endian header `fmt`, then as many bytes as `payload(*header)`
-    declares.  That call returns the byte count and a description of the
-    header fields it comes from, for the error a short file raises."""
+    """The fixed header (see _read_header) and the payload of a binary file."""
     with open(path, "rb") as fh:
-        got = fh.read(4)
-        if got != magic:
-            raise ValueError(f"{path}: bad {what} magic {got!r}")
-        size = struct.calcsize(fmt)
-        data = fh.read(size)
-        if len(data) != size:
-            raise ValueError(f"{path}: truncated {what} header")
-        header = struct.unpack(fmt, data)
-        nbytes, declared = payload(*header)
-        return header, _read_payload(fh, path, nbytes, f"{what} header {declared}")
+        header, nbytes = _read_header(fh, path, magic, fmt, what, payload)
+        return header, fh.read(nbytes)
 
 
-def _read_payload(fh, path, nbytes: int, what: str) -> bytes:
-    """Read the `nbytes` a header declares.  The declared size is checked
-    against what the file holds before reading, so a corrupt header cannot
-    ask for more memory than the file has bytes."""
+def _check_payload(fh, path, nbytes: int, what: str) -> None:
+    """Check that the file holds the `nbytes` a header declares, before
+    they are read, so a corrupt header cannot ask for more memory than the
+    file has bytes."""
     held = os.fstat(fh.fileno()).st_size - fh.tell()
     if nbytes > held:
         raise ValueError(f"{path}: truncated data: {what} declares {nbytes} bytes, "
                          f"the file holds {held}")
-    return fh.read(nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +164,43 @@ def save_ppm(path, image: np.ndarray) -> None:
     _save_binary(path, f"P6\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
 
 
+def _ppm_header(fh, path) -> tuple[int, int]:
+    """Width and height from the header of a PPM open at its start; the
+    file is checked to hold the payload they declare, which is not read."""
+    magic = fh.readline().strip()
+    if magic != b"P6":
+        raise ValueError(f"{path}: not a P6 PPM")
+    dims = fh.readline().split()
+    while dims and dims[0].startswith(b"#"):
+        dims = fh.readline().split()
+    try:
+        w, h = (int(d) for d in dims)
+        maxval = int(fh.readline())
+    except ValueError:
+        raise ValueError(f"{path}: PPM header needs a width, a height and a maxval") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PPM width and height must be positive, got {w}x{h}")
+    if maxval != 255:
+        raise ValueError(f"{path}: only 8-bit PPM supported")
+    _check_payload(fh, path, w * h * 3, f"PPM header {w}x{h}")
+    return w, h
+
+
+def ppm_size(path) -> tuple[int, int]:
+    """Width and height of the PPM at `path`, checked as load_ppm checks
+    them, without decoding its pixels."""
+    with open(path, "rb") as fh:
+        return _ppm_header(fh, path)
+
+
 def load_ppm(path) -> np.ndarray:
     """Returns float64 in [0, 1]."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a P6 PPM")
-        dims = fh.readline().split()
-        while dims and dims[0].startswith(b"#"):
-            dims = fh.readline().split()
-        try:
-            w, h = (int(d) for d in dims)
-            maxval = int(fh.readline())
-        except ValueError:
-            raise ValueError(f"{path}: PPM header needs a width, a height and a maxval") from None
-        if w < 1 or h < 1:
-            raise ValueError(f"{path}: PPM width and height must be positive, got {w}x{h}")
-        if maxval != 255:
-            raise ValueError(f"{path}: only 8-bit PPM supported")
-        raw = _read_payload(fh, path, w * h * 3, f"PPM header {w}x{h}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+        w, h = _ppm_header(fh, path)
+        raw = fh.read(w * h * 3)
+    image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64)
+    image /= 255.0  # in place: one full-size float64 array per decode
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +219,20 @@ def save_raster(path, data: np.ndarray) -> None:
     _save_binary(path, header, arr.astype("<f4").tobytes())
 
 
+_RASTER_HEADER = (MAGIC_RASTER, "<III", "raster",
+                  lambda r, c, ch: (r * c * ch * 4, f"rows x cols x channels {r}x{c}x{ch}"))
+
+
+def raster_shape(path) -> tuple[int, int, int]:
+    """(rows, cols, channels) of the raster at `path`, checked as
+    load_raster checks them, without decoding its values."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, *_RASTER_HEADER)[0]
+
+
 def load_raster(path) -> np.ndarray:
     """Returns (rows, cols, channels) float64; single-channel stays 3D."""
-    (rows, cols, ch), raw = _load_binary(
-        path, MAGIC_RASTER, "<III", "raster",
-        lambda r, c, ch: (r * c * ch * 4, f"rows x cols x channels {r}x{c}x{ch}"))
+    (rows, cols, ch), raw = _load_binary(path, *_RASTER_HEADER)
     return np.frombuffer(raw, dtype="<f4").reshape(rows, cols, ch).astype(np.float64)
 
 

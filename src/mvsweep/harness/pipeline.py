@@ -32,11 +32,26 @@ from mvsweep.splat import (
 
 @dataclass
 class SceneData:
+    """A checked scene directory: cameras, boxes and scene listing parsed,
+    and each view's image and ground-truth depth known by path, their
+    headers checked against its camera.  No pixel is held: each decode is
+    fresh, so the caller decides how long the pixels live."""
+
     views: list
-    images: list[np.ndarray]
-    gt_depths: list[np.ndarray] | None
+    image_paths: list[str]
+    depth_paths: list[str] | None
     gt_boxes: list[Box3D] | None
     spec: object | None
+
+    def gt_depth(self, i: int) -> np.ndarray:
+        """View i's ground-truth depth; a non-finite value is a ValueError
+        naming the file."""
+        path = self.depth_paths[i]
+        depth = formats.load_raster(path)[..., 0]
+        bad = depth.size - np.count_nonzero(np.isfinite(depth))
+        if bad:
+            raise ValueError(f"{path}: ground-truth depth has {bad} non-finite values")
+        return depth
 
 
 @dataclass
@@ -68,7 +83,11 @@ def write_scene(scene_dir, spec, views) -> None:
 
 
 def load_scene(scene_dir) -> SceneData:
-    """Read cameras, images and (optionally) ground-truth depth and boxes.
+    """Read cameras and (optionally) ground-truth boxes and scene listing,
+    and check each view's image and (optional) ground-truth depth raster
+    from its header: its size against the camera, a depth raster's one
+    channel, and that the file holds the payload its header declares.  No
+    pixel is decoded here; see SceneData.
 
     Raises errors naming the offending file when anything required is
     missing or malformed.
@@ -78,28 +97,34 @@ def load_scene(scene_dir) -> SceneData:
         raise FileNotFoundError(f"scene is missing its camera listing: {cam_path}")
     views = formats.load_cameras(cam_path)
 
-    images = []
-    for i in range(len(views)):
+    image_paths = []
+    for i, view in enumerate(views):
         img_path = os.path.join(scene_dir, f"view_{i:03d}.ppm")
         if not os.path.exists(img_path):
             raise FileNotFoundError(f"scene is missing image for view {i}: {img_path}")
-        img = formats.load_ppm(img_path)
-        if img.shape[:2] != (views[i].height, views[i].width):
+        w, h = formats.ppm_size(img_path)
+        if (w, h) != (view.width, view.height):
             raise ValueError(
-                f"{img_path}: image is {img.shape[1]}x{img.shape[0]} but the camera "
-                f"listing says {views[i].width}x{views[i].height}"
+                f"{img_path}: image is {w}x{h} but the camera "
+                f"listing says {view.width}x{view.height}"
             )
-        images.append(img)
+        image_paths.append(img_path)
 
-    gt_depths = None
+    depth_paths = None
     depth0 = os.path.join(scene_dir, "depth_000.mvsr")
     if os.path.exists(depth0):
-        gt_depths = []
-        for i in range(len(views)):
+        depth_paths = []
+        for i, view in enumerate(views):
             dpath = os.path.join(scene_dir, f"depth_{i:03d}.mvsr")
             if not os.path.exists(dpath):
                 raise FileNotFoundError(f"scene has depth_000.mvsr but is missing {dpath}")
-            gt_depths.append(formats.load_raster(dpath)[..., 0])
+            rows, cols, ch = formats.raster_shape(dpath)
+            if (rows, cols, ch) != (view.height, view.width, 1):
+                raise ValueError(
+                    f"{dpath}: depth raster is {cols}x{rows}x{ch} but the camera listing "
+                    f"says {view.width}x{view.height}x1 (width x height x channels)"
+                )
+            depth_paths.append(dpath)
 
     gt_boxes = None
     boxes_path = os.path.join(scene_dir, "boxes.txt")
@@ -111,7 +136,8 @@ def load_scene(scene_dir) -> SceneData:
     if os.path.exists(spec_path):
         spec = formats.load_scene_spec(spec_path)
 
-    return SceneData(views=views, images=images, gt_depths=gt_depths, gt_boxes=gt_boxes, spec=spec)
+    return SceneData(views=views, image_paths=image_paths, depth_paths=depth_paths,
+                     gt_boxes=gt_boxes, spec=spec)
 
 
 def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
@@ -152,10 +178,13 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict
     """Depth metrics of every detection view and their mean, then box
     metrics when boxes are given."""
     metrics: dict[str, float] = {}
-    if scene.gt_depths is not None:
+    if scene.depth_paths is not None:
+        # Decoded for scoring and dropped after it; every source is a scored
+        # detection view too.
+        gt_depths = {i: scene.gt_depth(i) for i in depth_maps}
         for i, depth_map in depth_maps.items():
             _depth_metrics(
-                config, scene.views, scene.gt_depths, i, sources[i], depth_map, metrics, f"view{i}"
+                config, scene.views, gt_depths, i, sources[i], depth_map, metrics, f"view{i}"
             )
         rmses = [v for k, v in metrics.items() if k.startswith("depth_rmse_view")]
         if rmses:
@@ -191,15 +220,15 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         novel_idx = []
     det_idx = [i for i in range(n) if i not in novel_idx]
 
-    features = {i: extract_features(scene.images[i]) for i in det_idx}
+    # Each image is decoded where it is used and dropped right after, so at
+    # most one full-res image is alive at a time.
+    features = {i: extract_features(formats.load_ppm(scene.image_paths[i])) for i in det_idx}
     if refine:
         # Refinement and its splats read quarter-res colours only: a
         # detection view's are its features' first three channels (the block
-        # mean of its image, to the bit), a novel view's one block mean.  The
-        # full-res images are not read again.
+        # mean of its image, to the bit), a novel view's one block mean.
         colors = {i: features[i][..., :3] for i in det_idx}
-        colors.update((i, block_mean(scene.images[i])) for i in novel_idx)
-        scene.images.clear()
+        colors.update((i, block_mean(formats.load_ppm(scene.image_paths[i]))) for i in novel_idx)
 
     # Per-reference plane sweep over its nearest detection-view sources.
     det_views = [views[i] for i in det_idx]

@@ -213,6 +213,16 @@ class TestPpm(object):
         with pytest.raises(ValueError, match="head.ppm: PPM header needs a width"):
             formats.load_ppm(p)
 
+    def test_size_from_header_checks_the_payload(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        formats.save_ppm(p, np.zeros((6, 10, 3)))
+        assert formats.ppm_size(p) == (10, 6)
+        p.write_bytes(p.read_bytes()[:-1])
+        for read in (formats.ppm_size, formats.load_ppm):
+            with pytest.raises(ValueError, match="img.ppm: truncated data: PPM header 10x6 "
+                                                 "declares 180 bytes, the file holds 179"):
+                read(p)
+
 
 class TestRaster:
     def test_round_trip(self, tmp_path):
@@ -238,6 +248,15 @@ class TestRaster:
         p.write_bytes(data[:-4])
         with pytest.raises(ValueError, match="truncated"):
             formats.load_raster(p)
+
+    def test_shape_from_header_checks_the_payload(self, tmp_path):
+        p = tmp_path / "t.mvsr"
+        formats.save_raster(p, np.ones((3, 4, 2)))
+        assert formats.raster_shape(p) == (3, 4, 2)
+        p.write_bytes(p.read_bytes()[:-4])
+        for read in (formats.raster_shape, formats.load_raster):
+            with pytest.raises(ValueError, match="t.mvsr: truncated data: raster header"):
+                read(p)
 
     def test_oversized_header_rejected_before_reading(self, tmp_path):
         # 10^6 x 10^6 x 1 float32 values: 4e12 bytes declared, 16 held.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mvsweep.harness.pipeline import (
 )
 from mvsweep.scenegen import generate_scene, make_trajectory
 
+import pipeline_reference
 from simd_pins import SCRIPT, SIMD_CLASS, X86_CLASSES, assert_pinned, emulation_env, golden_hash
 
 
@@ -69,10 +71,101 @@ class TestLoadScene:
         scene_dir = write_scene(tmp_path, n_boxes=2)
         data = load_scene(scene_dir)
         assert len(data.views) == 4
-        assert len(data.images) == 4
-        assert data.gt_depths is not None and len(data.gt_depths) == 4
+        assert len(data.image_paths) == 4
+        assert data.depth_paths is not None and len(data.depth_paths) == 4
         assert len(data.gt_boxes) == 2
         assert data.spec is not None
+        # Decoding a view gives the eager loader's arrays, byte for byte.
+        ref = pipeline_reference.load_scene(scene_dir)
+        for i in range(4):
+            image = formats.load_ppm(data.image_paths[i])
+            for got, want in ((image, ref.images[i]), (data.gt_depth(i), ref.gt_depths[i])):
+                assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+class TestGroundTruthDepthChecked:
+    """A ground-truth depth raster that does not fit its camera, or holds a
+    non-finite value, is a ValueError naming the file, from `run` and from
+    `eval` alike."""
+
+    CASES = {
+        "size": (np.ones((32, 32)), "depth_001.mvsr: depth raster is 32x32x1 but the camera "
+                                    "listing says 80x60x1"),
+        "channels": (np.ones((60, 80, 2)), "depth_001.mvsr: depth raster is 80x60x2 but the "
+                                           "camera listing says 80x60x1"),
+        "nan": (np.full((60, 80), np.nan), "depth_001.mvsr: ground-truth depth has 4800 "
+                                           "non-finite values"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_by_run_and_eval(self, tmp_path, case):
+        scene_dir = write_scene(tmp_path, n_views=4, image_size=(80, 60))
+        out = tmp_path / "out"
+        run_pipeline(scene_dir, small_config(), out_dir=out)
+        data, message = self.CASES[case]
+        formats.save_raster(scene_dir / "depth_001.mvsr", data)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(scene_dir, small_config())
+        with pytest.raises(ValueError, match=message):
+            evaluate_outputs(scene_dir, out, small_config())
+
+
+class TestStreamingDecode:
+    """Each view's image is decoded once, where it is used, and dropped
+    before the next; ground truth is decoded only to score it."""
+
+    @staticmethod
+    def track_decodes(monkeypatch):
+        """Wrap formats.load_ppm; returns, per call, the decoded file's name
+        and how many images decoded earlier were still alive."""
+        real = formats.load_ppm
+        decoded, calls = [], []
+
+        def load_ppm(path):
+            calls.append((os.path.basename(path), sum(ref() is not None for ref in decoded)))
+            image = real(path)
+            decoded.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(formats, "load_ppm", load_ppm)
+        return calls
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_one_image_alive_and_each_decoded_once(self, tmp_path, monkeypatch, refine):
+        scene_dir = write_scene(tmp_path, n_views=5, image_size=(64, 48))
+        calls = self.track_decodes(monkeypatch)
+        config = small_config(refine_steps=1, refine_novel_views=2)
+        run_pipeline(scene_dir, config, out_dir=tmp_path / "out", refine=refine)
+        assert sorted(name for name, _ in calls) == [f"view_{i:03d}.ppm" for i in range(5)]
+        assert [alive for _, alive in calls] == [0] * 5
+
+    def test_eval_decodes_no_image(self, tmp_path, monkeypatch):
+        scene_dir = write_scene(tmp_path)
+        run_pipeline(scene_dir, small_config(), out_dir=tmp_path / "out")
+        calls = self.track_decodes(monkeypatch)
+        metrics = evaluate_outputs(scene_dir, tmp_path / "out", small_config())
+        assert "depth_rmse_mean" in metrics
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["short_ppm", "depth_header"])
+    def test_bad_header_fails_in_load_scene_before_compute(self, tmp_path, monkeypatch, case):
+        scene_dir = write_scene(tmp_path)
+        if case == "short_ppm":
+            path = scene_dir / "view_002.ppm"
+            path.write_bytes(path.read_bytes()[:-1])
+            message = "view_002.ppm: truncated data: PPM header 128x96"
+        else:
+            formats.save_raster(scene_dir / "depth_002.mvsr", np.ones((96, 64)))
+            message = "depth_002.mvsr: depth raster is 64x96x1"
+        calls = self.track_decodes(monkeypatch)
+        computed = []
+        monkeypatch.setattr(pipeline, "extract_features", lambda image: computed.append(1))
+        with pytest.raises(ValueError, match=message):
+            load_scene(scene_dir)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(scene_dir, small_config())
+        assert calls == [] and computed == []
 
 
 class TestRunPipeline:

@@ -282,20 +282,16 @@ def _binomial_smooth(score: np.ndarray) -> np.ndarray:
     return (horiz[:-2] + 2.0 * horiz[1:-1] + horiz[2:]) * 0.25
 
 
-def cost_to_probability(
-    volume: CostVolume, temperature: float, smooth: bool = True
-) -> np.ndarray:
+def cost_to_probability(volume: CostVolume, temperature: float) -> np.ndarray:
     """(H, W, M) per-pixel categorical distribution over depth planes.
 
-    Scores are the negated channel-mean costs, optionally smoothed per depth
-    slice with a 3x3 binomial kernel (mirrored borders), then passed through
-    a tempered softmax.
+    Scores are the negated channel-mean costs, smoothed per depth slice with
+    a 3x3 binomial kernel (mirrored borders), then passed through a tempered
+    softmax.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    score = -volume.costs.mean(axis=2)  # (H, W, M)
-    if smooth:
-        score = _binomial_smooth(score)
+    score = _binomial_smooth(-volume.costs.mean(axis=2))  # (H, W, M)
     return softmax(score / temperature)
 
 

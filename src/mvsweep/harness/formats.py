@@ -55,8 +55,8 @@ def _read_header(fh, path, magic: bytes, fmt: str, what: str, payload) -> tuple[
     """The fixed header of a binary file open at its start, and its payload
     size: a 4-byte magic, a little-endian header `fmt`, then as many bytes as
     `payload(*header)` declares.  That call returns the byte count and a
-    description of the header fields it comes from, for the error a short
-    file raises.  The payload is checked for size, not read."""
+    description of the header fields it comes from, for the error a file of
+    another size raises.  The payload is checked for size, not read."""
     got = fh.read(4)
     if got != magic:
         raise ValueError(f"{path}: bad {what} magic {got!r}")
@@ -78,13 +78,42 @@ def _load_binary(path, magic: bytes, fmt: str, what: str, payload) -> tuple[tupl
 
 
 def _check_payload(fh, path, nbytes: int, what: str) -> None:
-    """Check that the file holds the `nbytes` a header declares, before
-    they are read, so a corrupt header cannot ask for more memory than the
-    file has bytes."""
+    """Check that the rest of the file is exactly the `nbytes` a header
+    declares, before they are read: a corrupt header can neither ask for
+    more memory than the file has bytes nor leave bytes unread."""
     held = os.fstat(fh.fileno()).st_size - fh.tell()
-    if nbytes > held:
-        raise ValueError(f"{path}: truncated data: {what} declares {nbytes} bytes, "
+    if nbytes != held:
+        problem = "truncated" if nbytes > held else "trailing"
+        raise ValueError(f"{path}: {problem} data: {what} declares {nbytes} bytes, "
                          f"the file holds {held}")
+
+
+def _records(text: str):
+    """(line number, stripped line) of each non-blank line of `text`."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+# The text fields parsed as integers; every other field is a float.
+_INT_FIELDS = ("views", "width", "height", "walls", "wall_seed", "texture_seed")
+
+
+def _parse_record(where: str, names: tuple, vals: list[str]) -> list:
+    """The parsed values of one text record, a field name per value; a
+    missing, extra or unparsable value is a ValueError naming `where` and the
+    field."""
+    if len(vals) != len(names):
+        field = names[min(len(vals), len(names) - 1)]
+        raise ValueError(f"{where}: {len(names)} values expected, got {len(vals)} (field {field})")
+    out = []
+    for name, v in zip(names, vals):
+        try:
+            out.append(int(v) if name in _INT_FIELDS else float(v))
+        except ValueError:
+            raise ValueError(f"{where}: field {name}: {v!r} is not a number") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -106,34 +135,28 @@ def cameras_to_text(views: list[CameraView]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The field of each value of a camera-listing record: the view count, then
+# per view an intrinsics record and a row-major 3x4 [R|t] record.
+_INTRINSICS_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
+_POSE_FIELDS = ("R", "R", "R", "t") * 3
+
+
 def cameras_from_text(text: str) -> list[CameraView]:
-    tokens = text.split("\n")
-    rows = [t for t in tokens if t.strip()]
+    rows = list(_records(text))
     if not rows:
         raise ValueError("camera listing: empty, expected the view count")
-    try:
-        n = int(rows[0])
-    except ValueError:
-        raise ValueError(f"camera listing: view count {rows[0]!r} is not an integer") from None
+    lineno, line = rows[0]
+    (n,) = _parse_record(f"camera listing: line {lineno}", ("views",), line.split())
     if len(rows) != 1 + 2 * n:
         raise ValueError(f"camera listing: expected {1 + 2 * n} lines, got {len(rows)}")
     views = []
     for i in range(n):
-        head = rows[1 + 2 * i].split()
-        if len(head) != 6:
-            raise ValueError(
-                f"camera listing: view {i} intrinsics line must have 6 values "
-                f"(fx fy cx cy width height), got {len(head)}"
-            )
-        try:
-            fx, fy, cx, cy = (float(x) for x in head[:4])
-            width, height = int(head[4]), int(head[5])
-            vals = [float(x) for x in rows[2 + 2 * i].split()]
-        except ValueError as exc:
-            raise ValueError(f"camera listing: view {i}: {exc}") from None
-        if len(vals) != 12:
-            raise ValueError(f"camera listing: view {i} [R|t] must have 12 values")
-        rt = np.array(vals).reshape(3, 4)
+        (head_no, head), (pose_no, pose) = rows[1 + 2 * i : 3 + 2 * i]
+        fx, fy, cx, cy, width, height = _parse_record(
+            f"camera listing: line {head_no}: view {i} intrinsics", _INTRINSICS_FIELDS, head.split()
+        )
+        rt = np.array(_parse_record(f"camera listing: line {pose_no}: view {i} [R|t]",
+                                    _POSE_FIELDS, pose.split())).reshape(3, 4)
         views.append(
             CameraView(Intrinsics(fx, fy, cx, cy), Pose(rt[:, :3], rt[:, 3]), width, height)
         )
@@ -165,8 +188,9 @@ def save_ppm(path, image: np.ndarray) -> None:
 
 
 def _ppm_header(fh, path) -> tuple[int, int]:
-    """Width and height from the header of a PPM open at its start; the
-    file is checked to hold the payload they declare, which is not read."""
+    """Width and height from the header of a PPM open at its start; the rest
+    of the file is checked to be exactly the payload they declare, which is
+    not read."""
     magic = fh.readline().strip()
     if magic != b"P6":
         raise ValueError(f"{path}: not a P6 PPM")
@@ -356,32 +380,12 @@ _SCENE_RECORDS = {
     "background": ("background",) * 3,
     "box": ("lo",) * 3 + ("hi",) * 3 + ("texture_seed",) + ("color",) * 3,
 }
-_INT_FIELDS = ("walls", "wall_seed", "texture_seed")
-
-
-def _parse_record(where: str, names: tuple, vals: list[str]) -> list:
-    """The parsed values of one text record, a field name per value; a
-    missing, extra or unparsable value is a ValueError naming `where` and the
-    field."""
-    if len(vals) != len(names):
-        field = names[min(len(vals), len(names) - 1)]
-        raise ValueError(f"{where}: {len(names)} values expected, got {len(vals)} (field {field})")
-    out = []
-    for name, v in zip(names, vals):
-        try:
-            out.append(int(v) if name in _INT_FIELDS else float(v))
-        except ValueError:
-            raise ValueError(f"{where}: field {name}: {v!r} is not a number") from None
-    return out
 
 
 def scene_from_text(text: str) -> SceneSpec:
     records = {}
     boxes = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         kind, _, rest = line.partition(" ")
         if kind not in _SCENE_RECORDS:
             raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
@@ -446,10 +450,7 @@ def boxes_from_text(text: str):
     from mvsweep.harness.boxes import Box3D
 
     out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         where = f"box listing: line {lineno}"
         vals = _parse_record(where, _BOX_FIELDS, line.split())
         try:
@@ -475,10 +476,7 @@ def metrics_to_text(metrics: dict[str, float]) -> str:
 
 def metrics_from_text(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _records(text):
         key, _, val = line.partition(" ")
         try:
             out[key] = float(val)

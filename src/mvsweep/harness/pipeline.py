@@ -86,8 +86,8 @@ def load_scene(scene_dir) -> SceneData:
     """Read cameras and (optionally) ground-truth boxes and scene listing,
     and check each view's image and (optional) ground-truth depth raster
     from its header: its size against the camera, a depth raster's one
-    channel, and that the file holds the payload its header declares.  No
-    pixel is decoded here; see SceneData.
+    channel, and that the file holds exactly the payload its header
+    declares.  No pixel is decoded here; see SceneData.
 
     Raises errors naming the offending file when anything required is
     missing or malformed.
@@ -144,8 +144,7 @@ def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
     """Evenly spaced interior view indices held out as novel render targets."""
     if n_novel >= n_views - 1:
         raise ValueError("holdout would leave fewer than one detection view")
-    idx = sorted({int(round((j + 1) * n_views / (n_novel + 1))) for j in range(n_novel)})
-    return [min(i, n_views - 1) for i in idx]
+    return [round((j + 1) * n_views / (n_novel + 1)) for j in range(n_novel)]
 
 
 def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map, metrics, tag):

@@ -63,10 +63,6 @@ class DepthProposalSet:
     depths: np.ndarray  # (H, W, k) meters
     scores: np.ndarray  # (H, W, k), positive, sums to 1 per pixel
 
-    @property
-    def k(self) -> int:
-        return self.plane_indices.shape[-1]
-
 
 def sample_topk(probs: np.ndarray, planes: DepthPlanes, k: int) -> DepthProposalSet:
     """Per pixel, the k most probable planes with renormalized scores.
@@ -111,20 +107,16 @@ class VoxelGrid:
     """Aggregated multi-view features on a voxel lattice.
 
     feature_mean is the confidence-weighted mean of matched pixel features,
-    score the mean matched confidence over gated views (0 in free space), and
-    feature = score * feature_mean.  valid_count is the number of views whose
-    projection was gated in (None for grids restored from disk, where it is
-    not stored).
+    and score the mean matched confidence over gated views (0 in free
+    space), the surface score that weights it.  valid_count is the number of
+    views whose projection was gated in (None for grids restored from disk,
+    where it is not stored).
     """
 
     spec: VoxelGridSpec
     feature_mean: np.ndarray  # (nx, ny, nz, C)
     score: np.ndarray  # (nx, ny, nz)
     valid_count: np.ndarray | None  # (nx, ny, nz) int
-
-    @property
-    def feature(self) -> np.ndarray:
-        return self.score[..., None] * self.feature_mean
 
 
 def _match_proposals(depth: np.ndarray, prop_d: np.ndarray, prop_s: np.ndarray, window: float):

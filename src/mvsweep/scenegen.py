@@ -1,6 +1,6 @@
 """Procedural synthetic scenes: textured axis-aligned boxes inside a room,
-rendered with a ray caster that supplies ground-truth images, depth maps and
-box annotations.
+rendered with a ray caster that supplies ground-truth images and depth
+maps.
 
 Rendering is pure albedo (no shading) so a surface point has exactly the same
 color in every view, and every face carries deterministic value-noise texture
@@ -116,7 +116,6 @@ class SceneSpec:
 class GroundTruth:
     depth: np.ndarray  # (H, W) camera-frame z in meters, 0 where no hit
     image: np.ndarray  # (H, W, 3) albedo in [0, 1]
-    boxes: np.ndarray  # (n, 2, 3) lo/hi corners of scene boxes
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +227,6 @@ def _sorted_albedo(points: np.ndarray, keys: np.ndarray, surfaces) -> np.ndarray
         for j in range(lo, hi, _ALBEDO_BLOCK):
             k = min(j + _ALBEDO_BLOCK, hi)
             _face_albedo(points[j:k, a], points[j:k, b], base, seed_base * 6 + fid, out[j:k])
-    return out
-
-
-def surface_albedo(points: np.ndarray, face_ids: np.ndarray, seed_base: int, base: np.ndarray) -> np.ndarray:
-    """Albedo at 3D surface points lying on the given faces of one surface.
-
-    The color depends only on the point, the face and the surface seed, so
-    every view observing the same point sees exactly the same albedo.
-    """
-    points = np.atleast_2d(points)
-    face_ids = np.atleast_1d(face_ids)
-    order = np.argsort(face_ids, kind="stable")
-    out = np.zeros((points.shape[0], 3))
-    out[order] = _sorted_albedo(points[order], face_ids[order], ((seed_base, base),))
     return out
 
 
@@ -532,13 +517,7 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
     )
     image = np.zeros((h, w, 3))
     image.reshape(-1, 3)[idx] = _sorted_albedo(pts, keys, surfaces)
-
-    gt_boxes = (
-        np.stack([np.stack([b.lo, b.hi]) for b in scene.boxes])
-        if scene.boxes
-        else np.zeros((0, 2, 3))
-    )
-    return GroundTruth(depth=depth, image=image, boxes=gt_boxes)
+    return GroundTruth(depth=depth, image=image)
 
 
 # ---------------------------------------------------------------------------
@@ -580,48 +559,3 @@ def multiview_coverage(
         miss = depths[si][vv, uu] == 0.0  # open rooms: a miss occludes nothing
         count += (valid & (unoccluded | miss)).reshape(gt_q.shape)
     return count
-
-
-# ---------------------------------------------------------------------------
-# ground-truth voxel classification (oracle for surface-score checks)
-# ---------------------------------------------------------------------------
-
-
-def surface_free_masks(scene: SceneSpec, views, grid_spec, depths=None, stride: int = 2):
-    """Classify voxels of `grid_spec` into observed-surface vs free space.
-
-    Surface: the voxel cell contains a surface point backprojected from some
-    view's ground-truth depth map.  Free: strictly inside the room, outside
-    every box, and not adjacent (26-neighborhood) to a surface voxel.
-    Voxels that are neither (inside boxes, in walls, or in the one-voxel
-    shell around surfaces) belong to no class.
-    """
-    from scipy import ndimage
-
-    dims = tuple(int(d) for d in grid_spec.dims)
-    surface = np.zeros(dims, dtype=bool)
-    origin = np.asarray(grid_spec.origin, dtype=np.float64)
-    pitch = np.asarray(grid_spec.pitch, dtype=np.float64)
-
-    for vi, view in enumerate(views):
-        depth = depths[vi] if depths is not None else raycast(scene, view).depth
-        cam_origin, dirs = pixel_rays(view)
-        d = depth[::stride, ::stride]
-        rays = dirs[::stride, ::stride]
-        m = d > 0
-        pts = cam_origin + d[m, None] * rays[m]
-        idx = np.floor((pts - origin) / pitch).astype(np.int64)
-        ok = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-        idx = idx[ok]
-        surface[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-
-    centers = grid_spec.centers()
-    inside_room = np.all(centers > scene.room_lo + 1e-9, axis=-1) & np.all(
-        centers < scene.room_hi - 1e-9, axis=-1
-    )
-    in_box = np.zeros(dims, dtype=bool)
-    for b in scene.boxes:
-        in_box |= np.all(centers >= b.lo, axis=-1) & np.all(centers <= b.hi, axis=-1)
-    near_surface = ndimage.binary_dilation(surface, structure=np.ones((3, 3, 3), dtype=bool))
-    free = inside_room & ~in_box & ~near_surface
-    return surface, free

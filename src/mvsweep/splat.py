@@ -1,6 +1,6 @@
 """Pixel-aligned Gaussian splats from depth probability volumes, a forward
-alpha-blending rasterizer at feature (quarter) resolution, the L2 rendering
-loss, and rendering-loss-driven refinement of the probability volumes.
+alpha-blending rasterizer at feature (quarter) resolution, and refinement of
+the probability volumes driven by the L2 rendering loss.
 
 One primitive per quarter-res pixel: its center sits on the pixel ray at the
 regressed depth, its opacity is the peak probability, its covariance is
@@ -316,6 +316,16 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
             yield prim.take(order), pid.take(order), power.take(order)
 
 
+def _runs(pid):
+    """The start and the length of each run of the pair pixel ids `pid`: a
+    maximal stretch of one pixel's pairs."""
+    new_run = np.ones(pid.size, dtype=bool)
+    np.not_equal(pid[1:], pid[:-1], out=new_run[1:])
+    start = np.flatnonzero(new_run)
+    del new_run
+    return start, np.diff(start, append=pid.size)
+
+
 def _take_into(values, idx, out):
     """values[idx] written into `out`.  The indices are always in range;
     mode="clip" only spares np.take the temporary copy of `out` it makes
@@ -401,10 +411,7 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
         np.exp(np.negative(c_g, out=c_g), out=c_g)
         alpha_eff = _opacity(alphas, c_prim, c_g)[0]
         log_a = np.log1p(np.negative(alpha_eff))
-        new_run = np.ones(c_pid.size, dtype=bool)
-        np.not_equal(c_pid[1:], c_pid[:-1], out=new_run[1:])
-        start = np.flatnonzero(new_run)
-        run_len = np.diff(start, append=c_pid.size)
+        start, run_len = _runs(c_pid)
         run_px = c_pid[start]
         # Incoming log-transmittance: the exclusive prefix sum over the
         # chunk, less its value at the run's start, plus the running value.
@@ -460,14 +467,6 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     return RenderTarget(
         color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
     )
-
-
-def rendering_loss(rendered: RenderTarget, target_image: np.ndarray) -> float:
-    """Mean squared color error over pixels and channels."""
-    if rendered.color.shape != target_image.shape:
-        raise ValueError("rendered/target shape mismatch")
-    diff = rendered.color - target_image
-    return float(np.mean(diff * diff))
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +531,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     u = q
     u *= trans
     del trans
-    new_run = np.ones(pid.size, dtype=bool)
-    np.not_equal(pid[1:], pid[:-1], out=new_run[1:])
-    start = np.flatnonzero(new_run)
-    del new_run
-    run_len = np.diff(start, append=pid.size)
+    start, run_len = _runs(pid)
     run_total = np.add.reduceat(wq, start) if wq.size else wq
     run_px = pid[start]
     bounds = np.r_[0, np.flatnonzero(run_px[1:] < run_px[:-1]) + 1, start.size]

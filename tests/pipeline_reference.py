@@ -1,10 +1,11 @@
 """Reference oracle for scene loading: an eager loader that decodes every
 view's image and every ground-truth depth raster up front, each with its own
-copy of the decoders (two full-size float64 arrays per image).
+copy of the decoders (two full-size float64 arrays per image); and the
+held-out view indices as clamped and de-duplicated rounded positions.
 
 It holds a whole scene's pixels at once, and serves only as the yardstick
 the tests hold `mvsweep.harness.pipeline.load_scene` and its per-view
-decoding against, to the bit.
+decoding, and `holdout_novel_indices`, against.
 """
 
 from __future__ import annotations
@@ -95,3 +96,11 @@ def load_scene(scene_dir) -> EagerScene:
 
     return EagerScene(views=views, images=images, gt_depths=gt_depths, gt_boxes=gt_boxes,
                       spec=spec)
+
+
+def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
+    """Evenly spaced interior view indices held out as novel render targets."""
+    if n_novel >= n_views - 1:
+        raise ValueError("holdout would leave fewer than one detection view")
+    idx = sorted({int(round((j + 1) * n_views / (n_novel + 1))) for j in range(n_novel)})
+    return [min(i, n_views - 1) for i in idx]

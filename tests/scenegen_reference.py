@@ -155,12 +155,7 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
                 base, seed = scene.boxes[bi].color, scene.boxes[bi].texture_seed
             image[m] = surface_albedo(pts[m], best_face[m], seed, base)
 
-    gt_boxes = (
-        np.stack([np.stack([b.lo, b.hi]) for b in scene.boxes])
-        if scene.boxes
-        else np.zeros((0, 2, 3))
-    )
-    return GroundTruth(depth=depth, image=image, boxes=gt_boxes)
+    return GroundTruth(depth=depth, image=image)
 
 
 def multiview_coverage(views, depths, ref_index, source_indices, tol=0.05):

@@ -46,9 +46,9 @@ from mvsweep.scenegen import (
     multiview_coverage,
     quarter_depth,
     raycast,
-    surface_free_masks,
 )
 from mvsweep.splat import refine_probability_volume, refinement_loss_and_grad
+from scenegen_oracles import surface_free_masks
 
 CONFIG = PipelineConfig()
 PLANES = CONFIG.planes()

@@ -207,16 +207,18 @@ class TestCostToProbability:
         np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-6)
         assert np.all(probs >= 0)
 
-    def test_monotone_trust_without_smoothing(self):
-        # Lowering one plane's cost must not lower its probability.
+    def test_monotone_trust(self):
+        # Lowering one plane's cost must not lower its probability: the
+        # smoothing is linear with positive weights, so it raises that
+        # plane's score everywhere too.
         rng = np.random.default_rng(4)
         costs = rng.uniform(0.1, 1.0, size=(3, 3, 6, 5))
         vol = CostVolume(costs, np.full((3, 3, 5), 3))
-        base = cost_to_probability(vol, temperature=0.05, smooth=False)
+        base = cost_to_probability(vol, temperature=0.05)
         lowered = costs.copy()
         lowered[..., 2] -= 0.05
         vol2 = CostVolume(lowered, vol.valid_views)
-        after = cost_to_probability(vol2, temperature=0.05, smooth=False)
+        after = cost_to_probability(vol2, temperature=0.05)
         assert np.all(after[..., 2] >= base[..., 2] - 1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 7, 6, 5), (9, 1, 6, 5), (1, 1, 6, 3), (12, 16, 6, 12)])

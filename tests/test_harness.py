@@ -19,6 +19,11 @@ from mvsweep.scenegen import generate_scene
 from mvsweep.splat import GaussianSplatSet
 
 
+def append_bytes(path, n):
+    with open(path, "ab") as fh:
+        fh.write(bytes(n))
+
+
 def random_views(rng, n=3):
     views = []
     for _ in range(n):
@@ -176,7 +181,8 @@ class TestCameraFormat:
 
     def test_short_intrinsics_line_rejected(self):
         pose = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"])
-        with pytest.raises(ValueError, match="view 0 intrinsics line must have 6 values"):
+        with pytest.raises(ValueError, match=r"line 2: view 0 intrinsics: 6 values expected, "
+                                             r"got 5 \(field height\)"):
             formats.cameras_from_text(f"1\n1 1 0 0 8\n{pose}\n")
 
 
@@ -223,6 +229,15 @@ class TestPpm(object):
                                                  "declares 180 bytes, the file holds 179"):
                 read(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        formats.save_ppm(p, np.zeros((4, 4, 3)))
+        append_bytes(p, 1000)
+        for read in (formats.ppm_size, formats.load_ppm):
+            with pytest.raises(ValueError, match="img.ppm: trailing data: PPM header 4x4 "
+                                                 "declares 48 bytes, the file holds 1048"):
+                read(p)
+
 
 class TestRaster:
     def test_round_trip(self, tmp_path):
@@ -265,6 +280,16 @@ class TestRaster:
         with pytest.raises(ValueError, match="huge.mvsr: truncated data: raster header"):
             formats.load_raster(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "t.mvsr"
+        formats.save_raster(p, np.ones((3, 4)))
+        append_bytes(p, 100)
+        for read in (formats.raster_shape, formats.load_raster):
+            with pytest.raises(ValueError, match=r"t.mvsr: trailing data: raster header rows x cols "
+                                                 r"x channels 3x4x1 declares 48 bytes, the file "
+                                                 r"holds 148"):
+                read(p)
+
 
 class TestVolumeFormat:
     def test_round_trip(self, tmp_path):
@@ -285,6 +310,17 @@ class TestVolumeFormat:
         p2 = tmp_path / "v2.mvsv"
         formats.save_volume(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        spec = VoxelGridSpec((4, 3, 2), (-1.0, 0.0, 0.5), (0.25, 0.25, 0.5))
+        grid = VoxelGrid(spec=spec, feature_mean=np.zeros((4, 3, 2, 6)), score=np.zeros((4, 3, 2)),
+                         valid_count=None)
+        p = tmp_path / "v.mvsv"
+        formats.save_volume(p, grid)
+        append_bytes(p, 7)
+        with pytest.raises(ValueError, match="v.mvsv: trailing data: volume header dims x channels "
+                                             "4x3x2x6 declares 672 bytes, the file holds 679"):
+            formats.load_volume(p)
 
 
 def random_splats(rng, n=17):
@@ -311,6 +347,14 @@ class TestSplatFormat:
         p2 = tmp_path / "s2.mvsg"
         formats.save_splats(p2, loaded)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "s.mvsg"
+        formats.save_splats(p, random_splats(np.random.default_rng(4)))
+        append_bytes(p, 124)  # one more record's worth
+        with pytest.raises(ValueError, match="s.mvsg: trailing data: splat header count 17 "
+                                             "declares 2108 bytes, the file holds 2232"):
+            formats.load_splats(p)
 
     @pytest.mark.parametrize("field, index, value", [
         ("quat", 0, 0.5), ("quat", 3, 1e-300), ("scale", 2, 0.05),

@@ -1,0 +1,100 @@
+"""The package keeps only what the engine runs.
+
+Every public top-level function and class of `src/mvsweep`, and every public
+method and property of those classes, must be used by name outside its own
+definition: from the package, the bench (`perfbench/`) or `scripts/`.  A
+name only tests use belongs under `tests/`.  ALLOWED lists the few that stay
+in the package for a test, with the test that needs each.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mvsweep"
+USERS = ("src", "perfbench", "scripts")
+
+ALLOWED = {
+    "camera.homography_warp": "test_acceptance.py::test_criterion_02_homography_oracle",
+    "camera.Pose.identity": "the identity poses of test_camera.py, test_costvol.py, test_splat.py",
+    "costvol.bilinear_sample": "test_costvol.py::TestBilinear and the sampler's oracle tests",
+    "costvol.DepthPlanes.nearest_index": (
+        "test_costvol.py::TestDepthPlanes::test_nearest_index and "
+        "TestSyntheticDepthSanity::test_argmax_plane_matches_ground_truth"
+    ),
+    "sampling.build_volume_vanilla": "test_acceptance.py::test_criterion_04_degenerate_to_vanilla",
+    "harness.formats.load_volume": (
+        "test_acceptance.py::test_criterion_12_determinism_and_round_trips (MVSV round trip)"
+    ),
+    "harness.formats.load_metrics": (
+        "test_acceptance.py::test_criterion_12_determinism_and_round_trips and the metrics "
+        "checks of test_pipeline.py"
+    ),
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _definitions():
+    """(path, dotted name, node, is_member) of each public top-level function
+    and class of the package and each public method and property of those
+    classes; the dotted name is relative to `mvsweep`."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, f"{module}.{node.name}", node, False
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield path, f"{module}.{node.name}.{sub.name}", sub, True
+
+
+def _uses(tree, skip=None) -> tuple[set, set]:
+    """(names, attributes) that `tree` uses outside the node `skip`.  Names
+    include imported ones; a string constant that is a dotted name counts
+    for both, as a getattr by name spells it.  Docstrings do not count."""
+    names, attrs = set(), set()
+    lines = range(skip.lineno, skip.end_lineno + 1) if skip is not None else range(0)
+    prose = {id(n.value) for n in ast.walk(tree)
+             if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
+    for n in ast.walk(tree):
+        if getattr(n, "lineno", None) in lines or id(n) in prose:
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            attrs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.fullmatch(n.value):
+            names.update(n.value.split("."))
+            attrs.update(n.value.split("."))
+    return names, attrs
+
+
+def _unused() -> list[str]:
+    trees = {p: ast.parse(p.read_text()) for d in USERS for p in sorted((ROOT / d).rglob("*.py"))}
+    uses = {p: _uses(tree) for p, tree in trees.items()}
+    unused = []
+    for path, name, node, is_member in _definitions():
+        short = name.rsplit(".", 1)[-1]
+        for p, tree in trees.items():
+            names, attrs = _uses(tree, node) if p == path else uses[p]
+            if short in attrs or (not is_member and short in names):
+                break
+        else:
+            unused.append(name)
+    return unused
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    assert [name for name in _unused() if name not in ALLOWED] == []
+
+
+def test_allowlist_names_only_unused_names():
+    defined = {name for _, name, _, _ in _definitions()}
+    assert sorted(set(ALLOWED) - defined) == []
+    assert sorted(set(ALLOWED) - set(_unused())) == []

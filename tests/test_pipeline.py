@@ -49,6 +49,15 @@ class TestHoldout:
         with pytest.raises(ValueError):
             holdout_novel_indices(3, 2)
 
+    def test_matches_clamped_deduplicated_oracle(self):
+        # The rounded positions are already distinct, increasing and below
+        # n_views for every allowed holdout, so neither a clamp nor a
+        # de-duplication changes them.
+        for n_views in range(2, 400):
+            for n_novel in range(n_views - 1):
+                assert holdout_novel_indices(n_views, n_novel) == \
+                    pipeline_reference.holdout_novel_indices(n_views, n_novel)
+
 
 class TestLoadScene:
     def test_missing_camera_file(self, tmp_path):
@@ -166,6 +175,18 @@ class TestStreamingDecode:
         with pytest.raises(ValueError, match=message):
             run_pipeline(scene_dir, small_config())
         assert calls == [] and computed == []
+
+    @pytest.mark.parametrize("name,message", [
+        ("view_002.ppm", "PPM header 128x96 declares 36864 bytes, the file holds 36865"),
+        ("depth_002.mvsr", "raster header rows x cols x channels 96x128x1 declares 49152 bytes, "
+                           "the file holds 49153"),
+    ], ids=["ppm", "depth"])
+    def test_trailing_bytes_fail_in_load_scene(self, tmp_path, name, message):
+        scene_dir = write_scene(tmp_path)
+        with open(scene_dir / name, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match=f"{name}: trailing data: {message}"):
+            load_scene(scene_dir)
 
 
 class TestRunPipeline:

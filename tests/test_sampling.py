@@ -48,7 +48,7 @@ class TestSampleTopk:
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(12), size=(6, 8))
         ps = sample_topk(probs, planes, k=3)
-        assert ps.k == 3
+        assert ps.plane_indices.shape == ps.depths.shape == ps.scores.shape == (6, 8, 3)
         np.testing.assert_allclose(ps.scores.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_ties_take_lower_plane_index(self):
@@ -173,7 +173,8 @@ class TestBuildVolume:
         np.testing.assert_allclose(grid.feature_mean[0, 0, 0], [3.0, -1.0], atol=1e-12)
         assert grid.score[0, 0, 0] == pytest.approx(0.7)
         assert grid.valid_count[0, 0, 0] == 1
-        np.testing.assert_allclose(grid.feature[0, 0, 0], [2.1, -0.7], atol=1e-12)
+        np.testing.assert_allclose(grid.score[0, 0, 0] * grid.feature_mean[0, 0, 0], [2.1, -0.7],
+                                   atol=1e-12)
 
     def test_two_view_weighted_mean(self):
         view = pixel_aimed_view()
@@ -202,7 +203,6 @@ class TestBuildVolume:
         np.testing.assert_array_equal(grid.feature_mean, 0.0)
         assert grid.score[0, 0, 0] == 0.0
         assert grid.valid_count[0, 0, 0] == 0
-        np.testing.assert_array_equal(grid.feature, 0.0)
 
     @pytest.mark.parametrize("feat_shape,prop_shape", [((6, 8), (8, 8)), ((8, 8), (8, 10))])
     def test_grid_size_must_match_view(self, feat_shape, prop_shape):
@@ -235,7 +235,6 @@ class TestBuildVolume:
         grid = build_volume(items, spec, window=0.2)
         assert np.all((grid.score == 0) == (grid.valid_count == 0))
         assert grid.score.min() >= 0.0 and grid.score.max() <= 1.0
-        np.testing.assert_allclose(grid.feature, grid.score[..., None] * grid.feature_mean)
 
     def test_convex_hull_of_contributions(self):
         view = pixel_aimed_view()
@@ -409,7 +408,7 @@ class TestProposalsFromDepth:
     def test_single_full_confidence_entry(self):
         depth = np.array([[1.5, 2.5], [3.5, 0.7]])
         ps = proposals_from_depth(depth)
-        assert ps.k == 1
+        assert ps.plane_indices.shape == ps.scores.shape == (2, 2, 1)
         np.testing.assert_allclose(ps.scores, 1.0)
         np.testing.assert_allclose(ps.depths[..., 0], depth)
 

@@ -16,7 +16,6 @@ from mvsweep.splat import (
     rasterize,
     refine_probability_volume,
     refinement_loss_and_grad,
-    rendering_loss,
 )
 from simd_pins import SIMD_CLASS, X86_CLASSES, assert_pinned, emulation_env
 from splat_reference import quaternion_to_rotation
@@ -190,32 +189,37 @@ class TestRasterize:
 
 
 class TestRenderingLoss:
-    def _target(self, color):
-        from mvsweep.splat import RenderTarget
+    """The L2 loss `_view_forward` takes of a rendered colour image against
+    a novel view's quarter-res target."""
 
-        return RenderTarget(color=color, depth=np.zeros(color.shape[:2]),
-                            alpha=np.ones(color.shape[:2]))
+    def _loss(self, monkeypatch, rendered, target):
+        import mvsweep.splat as splat_module
 
-    def test_identical_is_zero(self):
+        h, w = target.shape[:2]
+        monkeypatch.setattr(splat_module, "_render_forward",
+                            lambda splats, view: (rendered.reshape(-1, 3), None))
+        return splat_module._view_forward(None, grid_view(4 * w, 4 * h), target)[0]
+
+    def test_identical_is_zero(self, monkeypatch):
         img = np.random.default_rng(0).uniform(0, 1, (4, 4, 3))
-        assert rendering_loss(self._target(img), img) == 0.0
+        assert self._loss(monkeypatch, img, img) == 0.0
 
-    def test_constant_difference(self):
+    def test_constant_difference(self, monkeypatch):
         img = np.full((4, 4, 3), 0.5)
-        assert rendering_loss(self._target(img + 0.1), img) == pytest.approx(0.01, abs=1e-12)
+        assert self._loss(monkeypatch, img + 0.1, img) == pytest.approx(0.01, abs=1e-12)
 
-    def test_single_pixel_difference(self):
+    def test_single_pixel_difference(self, monkeypatch):
         img = np.zeros((2, 2, 3))
         rendered = img.copy()
         rendered[0, 0, 0] = 0.3
-        assert rendering_loss(self._target(rendered), img) == pytest.approx(0.0075, abs=1e-15)
+        assert self._loss(monkeypatch, rendered, img) == pytest.approx(0.0075, abs=1e-15)
 
-    def test_nonnegative_and_zero_iff_equal(self):
+    def test_nonnegative_and_zero_iff_equal(self, monkeypatch):
         rng = np.random.default_rng(5)
         a = rng.uniform(0, 1, (3, 3, 3))
         b = a.copy()
         b[1, 1, 1] += 1e-9
-        assert rendering_loss(self._target(a), b) > 0.0
+        assert self._loss(monkeypatch, a, b) > 0.0
 
 
 class TestSelectNovelSources:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from mvsweep.sampling import VoxelGrid
 
@@ -40,8 +39,66 @@ class Box3D:
         return cls(center=(lo + hi) / 2.0, size=hi - lo, yaw=0.0, score=score)
 
 
-# 26-connectivity: all voxels sharing a face, edge or corner.
-_STRUCTURE = np.ones((3, 3, 3), dtype=bool)
+# The 13 of the 26 neighbour offsets that come after a voxel in C order; with
+# their opposites they make 26-connectivity (face, edge and corner contact).
+_FORWARD_OFFSETS = tuple(
+    (dx, dy, dz)
+    for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+    if (dx, dy, dz) > (0, 0, 0)
+)
+
+
+def _shifted(a: np.ndarray, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Views of `a` at each cell p and at p + offset, over the cells where
+    both lie inside `a`."""
+    here, there = [], []
+    for o, n in zip(offset, a.shape):
+        here.append(slice(max(-o, 0), n - max(o, 0)))
+        there.append(slice(max(o, 0), n - max(-o, 0)))
+    return a[tuple(here)], a[tuple(there)]
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """26-connected components of a 3D boolean `mask`: int32 labels (0 off
+    the mask) and their count.  Components are numbered from 1 in the scan
+    order of their first voxel.
+
+    Hot voxels get ids 1..n in C order (0 marks a cold cell) and a parent
+    forest over those ids.  For each forward offset in turn, every pair of
+    hot neighbours with different roots hooks the larger root onto the
+    smaller, and pointer jumping then flattens the forest back to stars
+    (Shiloach and Vishkin, 1982); the pairs still split hook again until
+    none is.  A merge never splits a pair, so one pass over the 13 offsets
+    joins every component, and each root is its component's first voxel.
+    Only one offset's pairs are held at a time; int32 ids cover any grid a
+    PipelineConfig allows (MAX_VOXELS = 2**24).
+    """
+    n = int(np.count_nonzero(mask))
+    ids = np.zeros(mask.shape, dtype=np.int32)
+    ids[mask] = np.arange(1, n + 1, dtype=np.int32)
+    parent = np.arange(n + 1, dtype=np.int32)
+    for offset in _FORWARD_OFFSETS:
+        hot_here, hot_there = _shifted(mask, offset)
+        both = hot_here & hot_there
+        here, there = _shifted(ids, offset)
+        a, b = here[both], there[both]
+        while True:
+            root_a, root_b = parent[a], parent[b]
+            split = root_a != root_b
+            if not split.any():
+                break
+            a, b, root_a, root_b = a[split], b[split], root_a[split], root_b[split]
+            np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+            while True:
+                grand = parent[parent]
+                if np.array_equal(grand, parent):
+                    break
+                parent = grand
+    is_root = parent == np.arange(n + 1, dtype=np.int32)
+    # Cell 0 is its own root, so the cumulative count less one labels it 0
+    # and each component by the rank of its root.
+    rank = np.cumsum(is_root, dtype=np.int32) - 1
+    return rank[parent][ids], int(rank[-1])
 
 
 def extract_boxes(grid: VoxelGrid, threshold_ratio: float = 0.5, min_voxels: int = 4) -> list[Box3D]:
@@ -59,7 +116,7 @@ def extract_boxes(grid: VoxelGrid, threshold_ratio: float = 0.5, min_voxels: int
     if smax <= 0.0:
         return []
     mask = grid.score >= threshold_ratio * smax
-    labels, count = ndimage.label(mask, structure=_STRUCTURE)
+    labels, count = _label(mask)
     origin = np.asarray(grid.spec.origin)
     pitch = np.asarray(grid.spec.pitch)
     candidates = []

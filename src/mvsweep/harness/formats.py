@@ -29,19 +29,19 @@ def _fmt(x: float) -> str:
 
 
 def load_text(path, parse):
-    """parse() of the text file at `path`; a ValueError gets the path as a
-    prefix."""
-    with open(path) as fh:
-        text = fh.read()
+    """parse() of the UTF-8 text file at `path`; a ValueError, a byte that
+    is not UTF-8 included, gets the path as a prefix."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def save_text(path, text: str) -> None:
-    """Write `text` to the file at `path`; load_text reads it back."""
-    with open(path, "w") as fh:
+    """Write `text` to the file at `path` as UTF-8; load_text reads it back."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -139,6 +139,10 @@ def cameras_to_text(views: list[CameraView]) -> str:
 # per view an intrinsics record and a row-major 3x4 [R|t] record.
 _INTRINSICS_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
 _POSE_FIELDS = ("R", "R", "R", "t") * 3
+# The largest magnitude of an [R|t] entry.  Pose's orthonormality check and
+# every later transform multiply two entries and add three products, which
+# then stay finite: a NaN, an infinity or 1e308 is rejected before that.
+_MAX_POSE_ENTRY = 1e150
 
 
 def cameras_from_text(text: str) -> list[CameraView]:
@@ -147,19 +151,30 @@ def cameras_from_text(text: str) -> list[CameraView]:
         raise ValueError("camera listing: empty, expected the view count")
     lineno, line = rows[0]
     (n,) = _parse_record(f"camera listing: line {lineno}", ("views",), line.split())
+    if n < 0:
+        raise ValueError(f"camera listing: line {lineno}: field views: must be >= 0, got {n}")
     if len(rows) != 1 + 2 * n:
         raise ValueError(f"camera listing: expected {1 + 2 * n} lines, got {len(rows)}")
     views = []
     for i in range(n):
         (head_no, head), (pose_no, pose) = rows[1 + 2 * i : 3 + 2 * i]
-        fx, fy, cx, cy, width, height = _parse_record(
-            f"camera listing: line {head_no}: view {i} intrinsics", _INTRINSICS_FIELDS, head.split()
-        )
-        rt = np.array(_parse_record(f"camera listing: line {pose_no}: view {i} [R|t]",
-                                    _POSE_FIELDS, pose.split())).reshape(3, 4)
-        views.append(
-            CameraView(Intrinsics(fx, fy, cx, cy), Pose(rt[:, :3], rt[:, 3]), width, height)
-        )
+        head_where = f"camera listing: line {head_no}: view {i} intrinsics"
+        fx, fy, cx, cy, width, height = _parse_record(head_where, _INTRINSICS_FIELDS, head.split())
+        pose_where = f"camera listing: line {pose_no}: view {i} [R|t]"
+        entries = _parse_record(pose_where, _POSE_FIELDS, pose.split())
+        for name, v in zip(_POSE_FIELDS, entries):
+            if not abs(v) <= _MAX_POSE_ENTRY:
+                raise ValueError(f"{pose_where}: field {name}: {v!r} is not a finite value "
+                                 f"of magnitude at most {_MAX_POSE_ENTRY:g}")
+        rt = np.array(entries).reshape(3, 4)
+        try:
+            pose_rt = Pose(rt[:, :3], rt[:, 3])
+        except ValueError as exc:
+            raise ValueError(f"{pose_where}: {exc}") from None
+        try:
+            views.append(CameraView(Intrinsics(fx, fy, cx, cy), pose_rt, width, height))
+        except ValueError as exc:
+            raise ValueError(f"{head_where}: {exc}") from None
     return views
 
 

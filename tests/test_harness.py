@@ -1,4 +1,6 @@
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,9 @@ class TestConfig:
         assert keys == {f.name for f in fields(PipelineConfig)}
 
 
+IDENTITY_RT = "1 0 0 0 0 1 0 0 0 0 1 0"
+
+
 class TestCameraFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -178,6 +183,35 @@ class TestCameraFormat:
         p.write_text("\n")
         with pytest.raises(ValueError, match="cameras.txt: camera listing: empty"):
             formats.load_cameras(p)
+
+    def test_negative_view_count_rejected(self):
+        with pytest.raises(ValueError, match=r"camera listing: line 1: field views: must be >= 0, "
+                                             r"got -1"):
+            formats.cameras_from_text("-1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1e308"])
+    @pytest.mark.parametrize("index, field", [(0, "R"), (5, "R"), (10, "R"), (3, "t"), (11, "t")])
+    def test_bad_pose_entry_names_line_and_field(self, value, index, field):
+        # Rejected before Pose checks the rotation, so no overflow warning.
+        entries = IDENTITY_RT.split()
+        entries[index] = value
+        text = f"2\n1 1 0 0 8 8\n{IDENTITY_RT}\n1 1 0 0 8 8\n{' '.join(entries)}\n"
+        message = rf"line 5: view 1 \[R\|t\]: field {field}: {re.escape(repr(float(value)))} is not"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                formats.cameras_from_text(text)
+
+    @pytest.mark.parametrize("head, rt, message", [
+        ("1 1 0 0 8 8", "1 0 0 0 0 1 0 0 0 0 0.5 0", r"line 3: view 0 \[R\|t\]: rotation is not "
+                                                     r"orthonormal"),
+        ("1 1 0 0 8 8", "1 0 0 0 0 1 0 0 0 0 -1 0", r"line 3: view 0 \[R\|t\]: rotation must have "
+                                                    r"determinant \+1"),
+        ("-1 1 0 0 8 8", IDENTITY_RT, "line 2: view 0 intrinsics: focal lengths must be positive"),
+    ])
+    def test_camera_error_names_the_line(self, head, rt, message):
+        with pytest.raises(ValueError, match="camera listing: " + message):
+            formats.cameras_from_text(f"1\n{head}\n{rt}\n")
 
     def test_short_intrinsics_line_rejected(self):
         pose = " ".join(["1", "0", "0", "0", "0", "1", "0", "0", "0", "0", "1", "0"])
@@ -500,6 +534,41 @@ class TestBoxAndMetricsText:
         p.write_text("n_boxes 2.0\na\n")
         with pytest.raises(ValueError, match="metrics.txt: metrics: line 2: a: '' is not a number"):
             formats.load_metrics(p)
+
+
+def _text_listings():
+    """pytest params of each text format: file name, text and loader."""
+    boxes = [Box3D(center=[0.1, -0.2, 1.3], size=[0.5, 0.6, 0.7])]
+    listings = [
+        ("cameras.txt", formats.cameras_to_text(random_views(np.random.default_rng(0))),
+         formats.load_cameras),
+        ("scene.txt", formats.scene_to_text(generate_scene(seed=3, n_boxes=1)),
+         formats.load_scene_spec),
+        ("boxes.txt", formats.boxes_to_text(boxes), formats.load_boxes),
+        ("metrics.txt", formats.metrics_to_text({"n_boxes": 2.0, "rmse": 0.5}),
+         formats.load_metrics),
+        ("config.txt", config_to_text(PipelineConfig()), load_config),
+    ]
+    return [pytest.param(*listing, id=listing[0]) for listing in listings]
+
+
+class TestTextEncoding:
+    @pytest.mark.parametrize("name, text, load", _text_listings())
+    def test_non_utf8_byte_names_the_path(self, tmp_path, name, text, load):
+        p = tmp_path / name
+        raw = text.encode("utf-8")
+        cut = raw.index(b"\n") + 1
+        p.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+        with pytest.raises(ValueError, match=rf"{name}: 'utf-8' codec can't decode byte 0xff in "
+                                             rf"position {cut}") as info:
+            load(p)
+        assert not isinstance(info.value, UnicodeDecodeError)
+
+    def test_text_is_written_and_read_as_utf8(self, tmp_path):
+        p = tmp_path / "notes.txt"
+        formats.save_text(p, "caf\u00e9 \u2264 1\n")
+        assert p.read_bytes() == b"caf\xc3\xa9 \xe2\x89\xa4 1\n"
+        assert formats.load_text(p, str) == "caf\u00e9 \u2264 1\n"
 
 
 class TestIou3d:

@@ -5,13 +5,19 @@ method and property of those classes, must be used by name outside its own
 definition: from the package, the bench (`perfbench/`) or `scripts/`.  A
 name only tests use belongs under `tests/`.  ALLOWED lists the few that stay
 in the package for a test, with the test that needs each.
+
+The engine needs numpy alone at run time: scipy is a test-only oracle, and a
+run must not import it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mvsweep"
@@ -98,3 +104,35 @@ def test_allowlist_names_only_unused_names():
     defined = {name for _, name, _, _ in _definitions()}
     assert sorted(set(ALLOWED) - defined) == []
     assert sorted(set(ALLOWED) - set(_unused())) == []
+
+
+# Generates a small scene, then runs `refine` on it through the CLI module's
+# imports, and prints the scipy modules loaded by then.
+_RUN_WITHOUT_SCIPY = """
+import sys
+import mvsweep.harness.cli
+from mvsweep.harness import pipeline
+from mvsweep.harness.config import PipelineConfig
+from mvsweep.scenegen import generate_scene, make_trajectory
+
+scene_dir, out_dir = sys.argv[1:]
+scene = generate_scene(seed=5, n_boxes=1)
+pipeline.write_scene(scene_dir, scene, make_trajectory(scene, 5, seed=5, image_size=(64, 48)))
+config = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4),
+                        grid_origin=(-3.2, -3.2, 0.0), min_component=2, refine_steps=1)
+result = pipeline.run_pipeline(scene_dir, config, out_dir=out_dir, refine=True)
+assert result.boxes and result.refined_views
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_refine_run_imports_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(tmp_path / "scene"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert [p.name for p in PACKAGE.rglob("*.py") if "scipy" in p.read_text()] == []

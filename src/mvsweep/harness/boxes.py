@@ -108,28 +108,38 @@ def extract_boxes(grid: VoxelGrid, threshold_ratio: float = 0.5, min_voxels: int
     26-connectivity; components of at least min_voxels cells become boxes
     spanning their member voxel centers plus half a pitch per side.  The box
     score is the mean member score; output is ordered by descending score,
-    ties by the component's first voxel in scan order.
+    ties by the component's first voxel in scan order.  One stable argsort
+    of the hot voxels' labels groups each component's voxels in scan order;
+    corners come from their extreme indices, as a center origin + (i + 0.5)
+    * pitch grows with i.
     """
     if not 0.0 < threshold_ratio <= 1.0:
         raise ValueError("threshold_ratio must lie in (0, 1]")
     smax = float(grid.score.max()) if grid.score.size else 0.0
     if smax <= 0.0:
         return []
-    mask = grid.score >= threshold_ratio * smax
-    labels, count = _label(mask)
+    labels = _label(grid.score >= threshold_ratio * smax)[0].ravel()
+    hot = np.flatnonzero(labels)
+    comp = labels.take(hot)
+    del labels
+    hot = hot.take(np.argsort(comp, kind="stable"))
+    sizes = np.bincount(comp)[1:]
+    del comp
+    starts = np.cumsum(sizes) - sizes
+    coords = np.unravel_index(hot, grid.spec.dims)
+    lo_idx = np.stack([np.minimum.reduceat(c, starts) for c in coords], axis=1)
+    hi_idx = np.stack([np.maximum.reduceat(c, starts) for c in coords], axis=1)
+    del coords
+    scores = grid.score.ravel().take(hot)
     origin = np.asarray(grid.spec.origin)
     pitch = np.asarray(grid.spec.pitch)
+    lo = origin + (lo_idx + 0.5) * pitch - pitch / 2.0
+    hi = origin + (hi_idx + 0.5) * pitch + pitch / 2.0
     candidates = []
-    for comp in range(1, count + 1):
-        idx = np.argwhere(labels == comp)
-        if idx.shape[0] < min_voxels:
-            continue
-        centers = origin + (idx + 0.5) * pitch
-        lo = centers.min(axis=0) - pitch / 2.0
-        hi = centers.max(axis=0) + pitch / 2.0
-        score = float(grid.score[labels == comp].mean())
-        seed = int(np.ravel_multi_index(idx[0], grid.spec.dims))
-        candidates.append((score, seed, Box3D.from_corners(lo, hi, score=score)))
+    for c in np.flatnonzero(sizes >= min_voxels):
+        first = starts[c]
+        score = float(scores[first : first + sizes[c]].mean())
+        candidates.append((score, int(hot[first]), Box3D.from_corners(lo[c], hi[c], score=score)))
     candidates.sort(key=lambda t: (-t[0], t[1]))
     return [box for _, _, box in candidates]
 

@@ -139,10 +139,18 @@ def cameras_to_text(views: list[CameraView]) -> str:
 # per view an intrinsics record and a row-major 3x4 [R|t] record.
 _INTRINSICS_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
 _POSE_FIELDS = ("R", "R", "R", "t") * 3
-# The largest magnitude of an [R|t] entry.  Pose's orthonormality check and
-# every later transform multiply two entries and add three products, which
-# then stay finite: a NaN, an infinity or 1e308 is rejected before that.
+# The largest magnitude of an fx, fy, cx, cy or [R|t] entry.  Pose's checks
+# and every later transform or projection multiply two entries and add three
+# products, which then stay finite: a NaN, an infinity or 1e308 is rejected.
 _MAX_POSE_ENTRY = 1e150
+
+
+def _check_bounded(where: str, names, values) -> None:
+    """Reject, naming `where` and the field, a value beyond _MAX_POSE_ENTRY."""
+    for name, v in zip(names, values):
+        if not abs(v) <= _MAX_POSE_ENTRY:
+            raise ValueError(f"{where}: field {name}: {v!r} is not a finite value "
+                             f"of magnitude at most {_MAX_POSE_ENTRY:g}")
 
 
 def cameras_from_text(text: str) -> list[CameraView]:
@@ -160,12 +168,10 @@ def cameras_from_text(text: str) -> list[CameraView]:
         (head_no, head), (pose_no, pose) = rows[1 + 2 * i : 3 + 2 * i]
         head_where = f"camera listing: line {head_no}: view {i} intrinsics"
         fx, fy, cx, cy, width, height = _parse_record(head_where, _INTRINSICS_FIELDS, head.split())
+        _check_bounded(head_where, _INTRINSICS_FIELDS, (fx, fy, cx, cy))
         pose_where = f"camera listing: line {pose_no}: view {i} [R|t]"
         entries = _parse_record(pose_where, _POSE_FIELDS, pose.split())
-        for name, v in zip(_POSE_FIELDS, entries):
-            if not abs(v) <= _MAX_POSE_ENTRY:
-                raise ValueError(f"{pose_where}: field {name}: {v!r} is not a finite value "
-                                 f"of magnitude at most {_MAX_POSE_ENTRY:g}")
+        _check_bounded(pose_where, _POSE_FIELDS, entries)
         rt = np.array(entries).reshape(3, 4)
         try:
             pose_rt = Pose(rt[:, :3], rt[:, 3])
@@ -346,11 +352,14 @@ def load_splats(path) -> GaussianSplatSet:
     _, raw = _load_binary(path, MAGIC_SPLATS, "<I", "splat",
                           lambda n: (n * _SPLAT_DTYPE.itemsize, f"count {n}"))
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
+    sigma, color = rec["scale"][:, 0], rec["color"]
     for field, bad, rule in (
+        ("mean", ~np.all(np.isfinite(rec["mean"]), axis=1), "must be finite"),
         ("quat", np.any(rec["quat"] != _IDENTITY_QUAT, axis=1), "must be the identity (1, 0, 0, 0)"),
-        ("scale", ~(rec["scale"][:, 0] > 0), "must be positive"),
+        ("scale", ~((sigma > 0) & np.isfinite(sigma)), "must be positive and finite"),
         ("scale", np.any(rec["scale"] != rec["scale"][:, :1], axis=1), "must hold three equal values"),
         ("alpha", ~((rec["alpha"] >= 0) & (rec["alpha"] <= 1)), "must lie in [0, 1]"),
+        ("color", ~np.all((color >= 0) & (color <= 1), axis=1), "must lie in [0, 1]"),
     ):
         if bad.any():
             raise ValueError(f"{path}: splat {np.argmax(bad)}: {field} {rule}")

@@ -6,7 +6,9 @@ One primitive per quarter-res pixel: its center sits on the pixel ray at the
 regressed depth, its opacity is the peak probability, its covariance is
 sigma^2 I with sigma one pixel footprint at that depth, and its color is the
 block-pooled image color.  Splats are isotropic because refinement moves only
-depth: no orientation or per-axis scale is ever optimized.
+depth: no orientation or per-axis scale is ever optimized, and sigma^2 I stays
+sigma^2 I in every camera frame, so its 2D covariance is sigma^2 J J^T (J the
+perspective Jacobian) plus a screen-space dilation.
 Refinement runs gradient descent on per-pixel plane logits; gradients flow
 analytically through softmax -> depth regression -> splat parameters ->
 projection -> alpha compositing, which a central finite-difference check can
@@ -161,17 +163,15 @@ def _quarter(view: CameraView, image: np.ndarray) -> np.ndarray:
 def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     """Camera-frame centers, 2D means and 2D covariances for all primitives.
 
-    Returns (keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh) over the
-    kept (in-front) primitives.  cov2d is the (a, b, c) triple of the
-    symmetric 2D covariance [[a, b], [b, c]], screen-space dilation included;
-    jac is (j00, j02, j11, j12), the nonzero entries of the perspective
-    Jacobian [[j00, 0, j02], [0, j11, j12]].  Every covariance sum adds its
-    terms one at a time in a fixed order; the pinned forward-pass tests hold
-    that order fixed.
+    Returns (keep, x_cam, z, mean2d, cov2d, jac, k, gw, gh) over the kept
+    (in-front) primitives.  jac is (j00, j02, j11, j12), the nonzero entries
+    of the perspective Jacobian J = [[j00, 0, j02], [0, j11, j12]].  A
+    covariance sigma^2 I keeps that form under any rotation, so cov2d is
+    sigma^2 J J^T plus the screen-space dilation, as the (a, b, c) triple of
+    the symmetric 2D covariance [[a, b], [b, c]].
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
-    r = view.pose.rotation
-    x_cam = splats.means @ r.T + view.pose.translation  # (N, 3)
+    x_cam = splats.means @ view.pose.rotation.T + view.pose.translation  # (N, 3)
     z = x_cam[:, 2]
     keep = z > EPS_Z
     x_cam = x_cam[keep]
@@ -182,29 +182,11 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
     j02 = -k.fx * x / z**2
     j11 = k.fy / z
     j12 = -k.fy * y / z**2
-
-    # cov_cam = R (sigma^2 I) R^T.  Python's sum starts from integer 0, so an
-    # entry whose terms are all zero is +0.0, as in the reference's einsum.
     s2 = splats.sigmas[keep] ** 2
-    cov_cam = np.empty((z.size, 3, 3))
-    for i in range(3):
-        for l in range(3):
-            cov_cam[:, i, l] = sum((r[i, j] * s2) * r[l, j] for j in range(3))
-    # cov2d = J cov_cam J^T over the nonzero Jacobian entries.
-    c = cov_cam
-    c00 = (
-        (j00 * c[:, 0, 0] * j00 + j00 * c[:, 0, 2] * j02)
-        + j02 * c[:, 2, 0] * j00 + j02 * c[:, 2, 2] * j02
-    ) + COV_DILATION
-    c01 = (
-        (j00 * c[:, 0, 1] * j11 + j00 * c[:, 0, 2] * j12)
-        + j02 * c[:, 2, 1] * j11 + j02 * c[:, 2, 2] * j12
-    )
-    c11 = (
-        (j11 * c[:, 1, 1] * j11 + j11 * c[:, 1, 2] * j12)
-        + j12 * c[:, 2, 1] * j11 + j12 * c[:, 2, 2] * j12
-    ) + COV_DILATION
-    return keep, x_cam, z, mean2d, (c00, c01, c11), (j00, j02, j11, j12), cov_cam, k, gw, gh
+    c00 = s2 * (j00 * j00 + j02 * j02) + COV_DILATION
+    c01 = s2 * (j02 * j12)
+    c11 = s2 * (j11 * j11 + j12 * j12) + COV_DILATION
+    return keep, x_cam, z, mean2d, (c00, c01, c11), (j00, j02, j11, j12), k, gw, gh
 
 
 def _footprints(mean2d, cov2d, gw, gh):
@@ -349,13 +331,13 @@ class _ViewState:
     """What the backward pass reads from one view's forward pass.
 
     Per kept primitive: the projection (keep mask over all primitives,
-    camera-frame centers, depth, 2D means, Jacobian entries, camera-frame
-    covariances), the inverse 2D covariance entries, opacities and colours
-    (channel-major, (3, n)).  Per composited pair, in (chunk, pixel) order:
-    primitive and pixel id (int32, widened where a pass gathers with them),
-    Gaussian falloff g and transmittance.  alpha_eff, the blend weight and
-    the pixel offsets are recomputed from these with the forward pass's own
-    operations, so they are not kept.
+    camera-frame centers, depth, 2D means, Jacobian entries), the inverse
+    2D covariance entries, opacities and colours (channel-major, (3, n)).
+    Per composited pair, in (chunk, pixel) order: primitive and pixel id
+    (int32, widened where a pass gathers with them), Gaussian falloff g and
+    transmittance.  alpha_eff, the blend weight and the pixel offsets are
+    recomputed from these with the forward pass's own operations, so they
+    are not kept.
     """
 
     keep: np.ndarray
@@ -363,7 +345,6 @@ class _ViewState:
     z: np.ndarray
     mean2d: np.ndarray
     jac: tuple
-    cov_cam: np.ndarray
     inv: tuple
     alphas: np.ndarray
     colors: np.ndarray
@@ -394,7 +375,7 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     Returns the (n_px, 3) colour image and the _ViewState the backward pass
     and `rasterize` read.
     """
-    keep, x_cam, z, mean2d, cov2d, jac, cov_cam, k, gw, gh = _project_gaussians(splats, view)
+    keep, x_cam, z, mean2d, cov2d, jac, k, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
     colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
     bbox, inv = _footprints(mean2d, cov2d, gw, gh)
@@ -441,8 +422,8 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     for out in (prim, pid, g, trans):
         out.resize(n, refcheck=False)
     state = _ViewState(
-        keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, cov_cam=cov_cam,
-        inv=inv, alphas=alphas, colors=colors, prim=prim, pid=pid, g=g, trans=trans,
+        keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, inv=inv,
+        alphas=alphas, colors=colors, prim=prim, pid=pid, g=g, trans=trans,
     )
     return color, state
 
@@ -585,16 +566,16 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     )
     d_cov11 = 0.5 * (inv01 * inv01 * m_xx + 2.0 * inv01 * inv11 * m_xy + inv11 * inv11 * m_yy)
 
-    # Projection backward through cov2d = J C J^T + dilation and mean2d, with
-    # J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 D J C, d_cov_cam = J^T D J.
+    # Projection backward through cov2d = sigma^2 J J^T + dilation and mean2d,
+    # with J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 sigma^2 D J, and
+    # the isotropic world covariance takes the trace of d_cov_cam = J^T D J.
     j00, j02, j11, j12 = st.jac
-    cov_cam = st.cov_cam
-    jc0 = j00[:, None] * cov_cam[:, 0] + j02[:, None] * cov_cam[:, 2]  # row 0 of J C
-    jc1 = j11[:, None] * cov_cam[:, 1] + j12[:, None] * cov_cam[:, 2]  # row 1 of J C
-    d_j00 = 2.0 * (d_cov00 * jc0[:, 0] + d_cov01 * jc1[:, 0])
-    d_j02 = 2.0 * (d_cov00 * jc0[:, 2] + d_cov01 * jc1[:, 2])
-    d_j11 = 2.0 * (d_cov01 * jc0[:, 1] + d_cov11 * jc1[:, 1])
-    d_j12 = 2.0 * (d_cov01 * jc0[:, 2] + d_cov11 * jc1[:, 2])
+    sigma = splats.sigmas[st.keep]
+    two_s2 = 2.0 * sigma**2
+    d_j00 = two_s2 * d_cov00 * j00
+    d_j02 = two_s2 * (d_cov00 * j02 + d_cov01 * j12)
+    d_j11 = two_s2 * d_cov11 * j11
+    d_j12 = two_s2 * (d_cov01 * j02 + d_cov11 * j12)
     tr_d_cov_cam = (
         d_cov00 * (j00 * j00 + j02 * j02)
         + 2.0 * d_cov01 * j02 * j12
@@ -618,7 +599,6 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         axis=1,
     )
 
-    sigma = splats.sigmas[st.keep]
     keep_idx = np.flatnonzero(st.keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))

@@ -202,6 +202,20 @@ class TestCameraFormat:
             with pytest.raises(ValueError, match=message):
                 formats.cameras_from_text(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("index, field", [(0, "fx"), (1, "fy"), (2, "cx"), (3, "cy")])
+    def test_bad_intrinsics_entry_names_line_and_field(self, value, index, field):
+        # Rejected before Intrinsics or any projection sees it, so no warning.
+        head = "1 1 0 0 8 8".split()
+        head[index] = value
+        text = f"2\n1 1 0 0 8 8\n{IDENTITY_RT}\n{' '.join(head)}\n{IDENTITY_RT}\n"
+        message = (rf"line 4: view 1 intrinsics: field {field}: "
+                   rf"{re.escape(repr(float(value)))} is not")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                formats.cameras_from_text(text)
+
     @pytest.mark.parametrize("head, rt, message", [
         ("1 1 0 0 8 8", "1 0 0 0 0 1 0 0 0 0 0.5 0", r"line 3: view 0 \[R\|t\]: rotation is not "
                                                      r"orthonormal"),
@@ -410,16 +424,27 @@ class TestSplatFormat:
         ("scale", np.nan, "must be positive"),
         ("alpha", 2.0, r"must lie in \[0, 1\]"),
         ("alpha", np.nan, r"must lie in \[0, 1\]"),
+        ("scale", np.inf, "must be positive and finite"),
+        ("mean", [np.inf, 0.0, 1.0], "must be finite"),
+        ("mean", [0.0, 0.0, -np.inf], "must be finite"),
+        ("mean", [0.0, np.nan, 1.0], "must be finite"),
+        ("color", [np.nan, 0.5, 0.5], r"must lie in \[0, 1\]"),
+        ("color", [0.5, 1.5, 0.5], r"must lie in \[0, 1\]"),
+        ("color", [0.5, 0.5, -0.25], r"must lie in \[0, 1\]"),
+        ("color", [0.5, 0.5, np.inf], r"must lie in \[0, 1\]"),
     ])
     def test_out_of_range_record_rejected(self, tmp_path, field, value, rule):
+        # Rejected on load, with no warning, before any render reads them.
         p = tmp_path / "range.mvsg"
         formats.save_splats(p, random_splats(np.random.default_rng(5)))
         data = bytearray(p.read_bytes())
         rec = np.frombuffer(data, dtype=formats._SPLAT_DTYPE, offset=8)
-        rec[field][11] = value  # all three scale slots, so they stay equal
+        rec[field][11] = value  # a scalar fills all three scale slots, so they stay equal
         p.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=f"range.mvsg: splat 11: {field} {rule}"):
-            formats.load_splats(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"range.mvsg: splat 11: {field} {rule}"):
+                formats.load_splats(p)
 
 
 class TestSceneFormat:

@@ -332,18 +332,20 @@ class TestCli:
 # class.  A change that keeps the pipeline's behaviour fixed keeps all four
 # digests.  The refine digest was re-pinned when the splat forward pass took
 # up 3D Gaussian Splatting's saturation rule (a pair behind a transmittance
-# below 1e-4 is dropped).  The AVX2 and baseline rows are equal: numpy 2.4.6
-# has the same float64 exp, log and log1p bits on both.  The scene files keep
-# depth as f32 and images as 8 bits, so the scene digest is equal on all three.
+# below 1e-4 is dropped), and again when isotropic splats were projected in
+# closed form, sigma^2 J J^T + dilation.  The AVX2 and baseline rows are
+# equal: numpy 2.4.6 has the same float64 exp, log and log1p bits on both.
+# The scene files keep depth as f32 and images as 8 bits, so the scene digest
+# is equal on all three.
 GOLDEN_DIGEST_SEED5 = {
     "AVX-512": "a123784e31e092f17447941656485f0c857577dd5c2206ca3a8150af828ae814",
     "AVX2": "08633690d65c6dbcddbcbf34f749b8d15ba5bb22b362b2decd08d454e92a00c6",
     "baseline": "08633690d65c6dbcddbcbf34f749b8d15ba5bb22b362b2decd08d454e92a00c6",
 }
 REFINE_DIGEST_SEED5 = {
-    "AVX-512": "994da172e73e04b2c062cbb17a85ec237cd411b46bcc6df683ebef6ded877337",
-    "AVX2": "6ab17e9cc5a8f460e57c2f51b9edf0314acd397e93d552365191aab9631ae2db",
-    "baseline": "6ab17e9cc5a8f460e57c2f51b9edf0314acd397e93d552365191aab9631ae2db",
+    "AVX-512": "2ae97567c92fbbc3c294de403946b73844a9f1f21f15d41dc1cae68cd309aaa2",
+    "AVX2": "23d5c314f24c65f6580aef256b8d8ee6e0c39261a22b238778117fceb9f864a5",
+    "baseline": "23d5c314f24c65f6580aef256b8d8ee6e0c39261a22b238778117fceb9f864a5",
 }
 SCENE_DIGEST_SEED5 = {
     "AVX-512": "7c4b5e698631ecc5d8d67b05b3999a556bbf9b9948cba41c4ea19b73ff79339f",

@@ -6,6 +6,11 @@ mean R/G/B over each 4x4 patch, Sobel-x and Sobel-y of the pooled luminance
 (kernel scaled by 1/8 so responses stay in [-1, 1]), and the luminance
 standard deviation over the 3x3 pooled neighborhood.  Borders mirror the edge
 row/column.
+
+The sweep warps each reference cell through a fronto-parallel plane at depth
+d in closed form: its homogeneous source coordinates are d a + b, with a and
+b fixed per source (the plane-induced homography).  Bilinear samples come
+from a per-grid coefficient table, one gather per (plane, source) step.
 """
 
 from __future__ import annotations
@@ -14,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import (
-    CameraView,
-    DOWNSAMPLE,
-    in_bounds,
-    plane_points,
-    project_points,
-    relative_pose,
-)
+from mvsweep.camera import CameraView, DOWNSAMPLE, EPS_Z, in_bounds, relative_pose
 
 FEATURE_CHANNELS = 6
 
@@ -130,8 +128,8 @@ def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
         raise ValueError(f"{bad} sample coordinates are not finite")
     h, w, c = grid.shape
     u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
-    corners = np.empty((4, c, u.size))
-    sample = _sample_channels(channel_major(grid), h, w, u.ravel(), v.ravel(), corners)
+    work = _SampleBuffers(c, u.size)
+    sample = _sample_channels(_bilinear_table(grid), h, w, u.ravel(), v.ravel(), True, work)
     return sample.T.reshape(u.shape + (c,))
 
 
@@ -140,43 +138,76 @@ def channel_major(grid: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(-1, grid.shape[-1]).T)
 
 
-def _sample_channels(flat, h: int, w: int, u, v, corners) -> np.ndarray:
-    """Bilinear lookup of a (C, H*W) channel-major grid at N finite pixel
-    coordinates u, v, clamped to the edge; returns corners[3] holding the
-    (C, N) samples.
+def _bilinear_table(grid: np.ndarray) -> np.ndarray:
+    """The (4C, H*W + 1) bilinear coefficient table of an (H, W, C) grid.
 
-    The four corners are gathered into corners (4, C, N) from column
-    `y*W + x` and blended in place: the top edge into corners[1], the bottom
-    edge and then the sample into corners[3].
+    Column y*W + x describes the edge-clamped cell with corners g00 at
+    (y, x), g10 one column right, g01 one row down and g11 diagonal to it:
+    its rows hold g00, g10 - g00, g01 - g00 and (g11 - g01) - (g10 - g00),
+    C channels each, so the sample at fractions fx, fy in that cell is
+    A + fx B + fy (C + fx D).  The last column is all zero.
     """
-    x = np.clip(u, 0.0, w - 1.0)
-    y = np.clip(v, 0.0, h - 1.0)
-    # floor(x) >= 0, so clamping the cell into the grid needs only the upper
-    # bound (a one-wide or one-high grid has one cell, at 0).
-    x0 = np.minimum(np.floor(x).astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(np.floor(y).astype(np.int64), max(h - 2, 0))
-    fx = x - x0
-    fy = y - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    row0 = y0 * w
-    row1 = np.minimum(y0 + 1, h - 1) * w
-    g00, g10, g01, g11 = corners
+    h, w, c = grid.shape
+    g = grid.transpose(2, 0, 1)  # (C, H, W)
+    table = np.zeros((4, c, h * w + 1))
+    # Splitting the last axis of the first H*W columns needs no copy, so
+    # `cells` writes into `table`; a clamped corner leaves its difference 0.
+    cells = table[:, :, : h * w].reshape(4, c, h, w)
+    cells[0] = g
+    np.subtract(g[:, :, 1:], g[:, :, :-1], out=cells[1, :, :, :-1])
+    np.subtract(g[:, 1:], g[:, :-1], out=cells[2, :, :-1])
+    np.subtract(cells[2, :, :, 1:], cells[2, :, :, :-1], out=cells[3, :, :, :-1])
+    return table.reshape(4 * c, h * w + 1)
+
+
+class _SampleBuffers:
+    """Work buffers of `_sample_channels` for N samples of C channels."""
+
+    def __init__(self, c: int, n: int):
+        self.coeffs = np.empty((4 * c, n))  # the gathered table columns
+        self.x = np.empty(n)  # clamped coordinates, then bilinear fractions
+        self.y = np.empty(n)
+        self.x0 = np.empty(n)  # cell corners; y0 then the cell's column
+        self.y0 = np.empty(n)
+        self.col = np.empty(n, dtype=np.int64)
+        self.off = np.empty(n, dtype=bool)
+
+
+def _sample_channels(table, h: int, w: int, u, v, ok, work: _SampleBuffers) -> np.ndarray:
+    """Bilinear lookup of an (H, W, C) grid, given as its `_bilinear_table`,
+    at N pixel coordinates u, v clamped to the edge; returns the (C, N)
+    samples, a view into work.coeffs.
+
+    Where `ok` is False, u and v are replaced by 0 before the integer cast
+    and the sample reads the table's zero column, so it is exactly +0.0.
+    One gather takes the four coefficient rows of every sample into
+    work.coeffs, where they are blended in place.
+    """
+    x, y, x0, y0, off = work.x, work.y, work.x0, work.y0, work.off
+    np.logical_not(ok, out=off)
+    for coord, corner, src, top in ((x, x0, u, w - 1.0), (y, y0, v, h - 1.0)):
+        np.clip(src, 0.0, top, out=coord)
+        np.copyto(coord, 0.0, where=off)
+        np.floor(coord, out=corner)
+        coord -= corner
+    # A coordinate on the last row or column keeps its cell there: that
+    # cell's clamped corners repeat it, so its differences are 0 and the
+    # sample is the edge value itself.
+    y0 *= w
+    y0 += x0  # the cell's column, exact: every value is an integer below 2**53
+    np.copyto(y0, h * w, where=off)
+    work.col[:] = y0
     # Every index is in range; mode="clip" only spares take() its buffering.
-    flat.take(row0 + x0, axis=1, out=g00, mode="clip")
-    flat.take(row0 + x1, axis=1, out=g10, mode="clip")
-    flat.take(row1 + x0, axis=1, out=g01, mode="clip")
-    flat.take(row1 + x1, axis=1, out=g11, mode="clip")
-    # top = g00 + (g10 - g00) * fx, bot likewise, sample = top + (bot - top) * fy
-    g10 -= g00
-    g10 *= fx
-    g10 += g00
-    g11 -= g01
-    g11 *= fx
-    g11 += g01
-    g11 -= g10
-    g11 *= fy
-    g11 += g10
-    return g11
+    table.take(work.col, axis=1, out=work.coeffs, mode="clip")
+    a, b, c, d = work.coeffs.reshape(4, -1, x.size)
+    # sample = (A + fx B) + fy (C + fx D), formed in place in b
+    d *= x
+    d += c
+    d *= y
+    b *= x
+    b += a
+    b += d
+    return b
 
 
 def build_cost_volume(
@@ -195,20 +226,26 @@ def build_cost_volume(
     population variance.  When fewer than 2 views survive, the cost is the
     penalty value.
 
+    The warp is the plane-induced homography in closed form: the reference
+    cell q meets the plane at depth d in the reference frame at d K_ref^-1 q,
+    so its homogeneous source coordinates are d a + b, with a = K_s R
+    K_ref^-1 q (3, H*W) and b = K_s t computed once per source.  Each
+    (plane, source) step is then hz = d a2 + b2, the front test hz > EPS_Z,
+    u = (d a0 + b0) / hz and v = (d a1 + b1) / hz, the grid's band test, and
+    one gather from the source's bilinear coefficient table.
+
     The sweep runs plane by plane and is channel-major: descriptors, sums
-    and corner gathers are (C, H*W), so per-cell factors (bilinear weights,
-    the in-bounds mask, the view count) broadcast along the long axis.  The
-    work buffers are allocated once per call and every step writes into
-    them.  Each plane's reference-frame points are built once; every source
-    projects them, is sampled and added in source order into the (C, H*W)
-    sums of the descriptors and of their squares, which start from the
-    reference, and into an (H*W,) view count; then the plane's variance and
-    penalty are finished at once.  An excluded cell is sampled at coordinate
-    0 and its sample multiplied by 0: the sums are never -0.0, so adding
-    that +-0.0 leaves them unchanged, and each cell receives the same adds
-    in the same order as an accumulation over only the surviving views.
-    Costs are stored (M, C, H*W) and returned as (H, W, C, M) and (H, W, M)
-    views.
+    and coefficient gathers are (C, H*W), so per-cell factors (bilinear
+    fractions, the view count) broadcast along the long axis.  The work
+    buffers are allocated once per call and every step writes into them.
+    Each source is sampled and added in source order into the (C, H*W) sums
+    of the descriptors and of their squares, which start from the reference,
+    and into an (H*W,) view count; then the plane's variance and penalty are
+    finished at once.  An excluded cell samples the table's zero column: the
+    sums are never -0.0, so adding that +0.0 leaves them unchanged, and each
+    cell receives the same adds in the same order as an accumulation over
+    only the surviving views.  Costs are stored (M, C, H*W) and returned as
+    (H, W, C, M) and (H, W, M) views.
     """
     if not src_feats:
         raise ValueError("need at least one source view")
@@ -220,46 +257,53 @@ def build_cost_volume(
         raise ValueError("reference feature grid does not match the view size")
 
     m = planes.count
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    q = np.stack([uu, vv], axis=-1)  # (H, W, 2)
+    # K_ref^-1 q for every reference cell, (3, H*W).
+    rays = np.ones((3, h, w))
+    rays[0] = (np.arange(w, dtype=np.float64) - k_ref.cx) / k_ref.fx
+    rays[1] = (np.arange(h, dtype=np.float64)[:, None] - k_ref.cy) / k_ref.fy
+    rays = rays.reshape(3, h * w)
     ref = channel_major(ref_feat)
     # 0.0 + x turns -0.0 into +0.0, so the sums start, and stay, free of -0.0.
     ref0 = 0.0 + ref
     ref_sq0 = 0.0 + ref * ref
-    sources = [
-        (channel_major(feat), feat.shape[:2], view.scaled(DOWNSAMPLE),
-         relative_pose(ref_view.pose, view.pose))
-        for feat, view in zip(src_feats, src_views)
-    ]
-    for i, (_, shape, (_, sw, sh), _) in enumerate(sources):
-        if shape != (sh, sw):
+    sources = []
+    for i, (feat, view) in enumerate(zip(src_feats, src_views)):
+        k_src, sw, sh = view.scaled(DOWNSAMPLE)
+        if feat.shape[:2] != (sh, sw):
             raise ValueError(
-                f"source {i}: feature grid {shape[0]}x{shape[1]} does not match "
+                f"source {i}: feature grid {feat.shape[0]}x{feat.shape[1]} does not match "
                 f"the view's {sh}x{sw} quarter grid"
             )
+        rel = relative_pose(ref_view.pose, view.pose)
+        kk = np.array([[k_src.fx, 0.0, k_src.cx], [0.0, k_src.fy, k_src.cy], [0.0, 0.0, 1.0]])
+        sources.append((_bilinear_table(feat), sw, sh, kk @ rel.rotation @ rays,
+                        kk @ rel.translation))
 
     costs = np.empty((m, c, h * w))
     count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes
     acc = np.empty((c, h * w))
     acc_sq = np.empty((c, h * w))
-    corners = np.empty((4, c, h * w))
+    hz = np.empty(h * w)
+    u = np.empty(h * w)
+    v = np.empty(h * w)
+    ok = np.empty(h * w, dtype=bool)
+    work = _SampleBuffers(c, h * w)
     for mi, depth in enumerate(planes.depths):
-        pts = plane_points(q, float(depth), k_ref)
         np.copyto(acc, ref0)
         np.copyto(acc_sq, ref_sq0)
         n_views = count[mi]
-        for flat, (fh, fw), (k_src, sw, sh), rel in sources:
-            u, v, _, front = project_points(pts, k_src, rel)
-            u = u.reshape(-1)
-            v = v.reshape(-1)
-            ok = front.reshape(-1) & in_bounds(u, v, sw, sh)
-            sample = _sample_channels(
-                flat, fh, fw, np.where(ok, u, 0.0), np.where(ok, v, 0.0), corners
-            )
-            sample *= ok
+        for table, sw, sh, a, b in sources:
+            np.multiply(a[2], depth, out=hz)
+            hz += b[2]
+            np.greater(hz, EPS_Z, out=ok)
+            for out, ai, bi in ((u, a[0], b[0]), (v, a[1], b[1])):
+                np.multiply(ai, depth, out=out)
+                out += bi
+                np.divide(out, hz, out=out, where=ok)
+            ok &= in_bounds(u, v, sw, sh)
+            sample = _sample_channels(table, sh, sw, u, v, ok, work)
             acc += sample
-            square = np.multiply(sample, sample, out=corners[0])
-            acc_sq += square
+            acc_sq += np.multiply(sample, sample, out=work.coeffs[:c])
             n_views += ok
         n = n_views.astype(np.float64)
         mean = np.divide(acc, n, out=acc)

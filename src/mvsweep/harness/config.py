@@ -13,6 +13,10 @@ from mvsweep.sampling import VoxelGridSpec
 # The largest voxel grid a config may ask for; its (nx, ny, nz, 3) centers
 # alone take 400 MB.
 MAX_VOXELS = 1 << 24
+# The deepest sweep plane a config may ask for, in meters: far beyond any
+# scene, and shallow enough that the splats placed on the planes stay inside
+# the splat loader's 1e10 bound.
+MAX_PLANE_DEPTH = 1e6
 
 
 @dataclass
@@ -69,6 +73,10 @@ class PipelineConfig:
             raise ValueError("top_k must lie in [1, num_planes]")
         if not 0.0 < self.depth_min < self.depth_max:
             raise ValueError("need 0 < depth_min < depth_max")
+        for name in ("depth_min", "depth_max"):
+            if getattr(self, name) > MAX_PLANE_DEPTH:
+                raise ValueError(f"{name} must be at most {MAX_PLANE_DEPTH:g}, "
+                                 f"got {getattr(self, name)!r}")
         for name in ("match_window", "temperature", "cost_penalty", "splat_footprint",
                      "refine_step_size"):
             if not getattr(self, name) > 0:

@@ -268,6 +268,14 @@ _RASTER_HEADER = (MAGIC_RASTER, "<III", "raster",
                   lambda r, c, ch: (r * c * ch * 4, f"rows x cols x channels {r}x{c}x{ch}"))
 
 
+def _f4_to_f8(raw: bytes) -> np.ndarray:
+    """Little-endian f32 payload bytes as float64.  Widening a signalling
+    NaN quiets it and raises the invalid flag; the NaN itself is kept, and
+    callers check finiteness where they need it."""
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+
+
 def raster_shape(path) -> tuple[int, int, int]:
     """(rows, cols, channels) of the raster at `path`, checked as
     load_raster checks them, without decoding its values."""
@@ -278,7 +286,7 @@ def raster_shape(path) -> tuple[int, int, int]:
 def load_raster(path) -> np.ndarray:
     """Returns (rows, cols, channels) float64; single-channel stays 3D."""
     (rows, cols, ch), raw = _load_binary(path, *_RASTER_HEADER)
-    return np.frombuffer(raw, dtype="<f4").reshape(rows, cols, ch).astype(np.float64)
+    return _f4_to_f8(raw).reshape(rows, cols, ch)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,13 @@ def load_volume(path) -> VoxelGrid:
         lambda nx, ny, nz, c, *_: (nx * ny * nz * (c + 1) * 4,
                                    f"dims x channels {nx}x{ny}x{nz}x{c}"))
     origin, pitch = tuple(geometry[:3]), tuple(geometry[3:])
-    payload = np.frombuffer(raw, dtype="<f4").reshape(nx, ny, nz, c + 1).astype(np.float64)
-    spec = VoxelGridSpec((nx, ny, nz), origin, pitch)
+    if not np.all(np.isfinite(geometry)):
+        raise ValueError(f"{path}: volume origin and pitch must be finite, got {origin}, {pitch}")
+    try:
+        spec = VoxelGridSpec((nx, ny, nz), origin, pitch)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    payload = _f4_to_f8(raw).reshape(nx, ny, nz, c + 1)
     return VoxelGrid(
         spec=spec, feature_mean=payload[..., :c], score=payload[..., c], valid_count=None
     )
@@ -329,6 +342,11 @@ _SPLAT_DTYPE = np.dtype(
     ]
 )
 _IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
+# The largest magnitude of a splat's center coordinate or sigma, in meters.
+# At 1e10 a splat seen from just in front of the default camera (depth
+# 2e-6) keeps its 2D covariance, that covariance's determinant and its
+# pixel bounds (below 1e18, inside int64) finite; at 1e200 they overflow.
+_MAX_SPLAT_MAGNITUDE = 1e10
 
 
 def save_splats(path, splats: GaussianSplatSet) -> None:
@@ -354,9 +372,11 @@ def load_splats(path) -> GaussianSplatSet:
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
     sigma, color = rec["scale"][:, 0], rec["color"]
     for field, bad, rule in (
-        ("mean", ~np.all(np.isfinite(rec["mean"]), axis=1), "must be finite"),
+        ("mean", ~np.all(np.abs(rec["mean"]) <= _MAX_SPLAT_MAGNITUDE, axis=1),
+         f"must be finite and at most {_MAX_SPLAT_MAGNITUDE:g} in magnitude"),
         ("quat", np.any(rec["quat"] != _IDENTITY_QUAT, axis=1), "must be the identity (1, 0, 0, 0)"),
-        ("scale", ~((sigma > 0) & np.isfinite(sigma)), "must be positive and finite"),
+        ("scale", ~((sigma > 0) & (sigma <= _MAX_SPLAT_MAGNITUDE)),
+         f"must be positive and finite, at most {_MAX_SPLAT_MAGNITUDE:g}"),
         ("scale", np.any(rec["scale"] != rec["scale"][:, :1], axis=1), "must hold three equal values"),
         ("alpha", ~((rec["alpha"] >= 0) & (rec["alpha"] <= 1)), "must lie in [0, 1]"),
         ("color", ~np.all((color >= 0) & (color <= 1), axis=1), "must lie in [0, 1]"),

@@ -6,7 +6,10 @@ Each source view is warped through every plane; the cells whose warp lands
 in front of the source camera and inside its grid are gathered with a
 boolean mask and added into `(H, W, C, M)` accumulators that start from the
 reference descriptor.  It is slow, and serves only as the yardstick the
-tests hold `mvsweep.costvol` against, to the bit.
+tests hold `mvsweep.costvol` against: to the bit for the view counts and
+the probability smoothing, within fixed tolerances for the costs and the
+samples, since the engine warps in closed form and samples from a
+coefficient table.
 """
 
 from __future__ import annotations

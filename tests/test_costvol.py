@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mvsweep.costvol import (
     extract_features,
     regress_depth,
 )
+from mvsweep.harness.config import MAX_PLANE_DEPTH
 from mvsweep.scenegen import generate_scene, make_trajectory, raycast
 
 
@@ -150,6 +153,22 @@ class TestBuildCostVolume:
         vol = build_cost_volume(feat, ref_view, [feat], [src_view], planes, cost_penalty=10.0)
         np.testing.assert_allclose(vol.costs, 10.0)
         assert np.all(vol.valid_views == 1)
+
+    @pytest.mark.parametrize("far", [MAX_PLANE_DEPTH, 1e300])
+    def test_far_planes_and_a_source_behind_warn_of_nothing(self, far):
+        # Planes out to the config's bound and to 1e300, seen by a source
+        # beside the reference and by one facing away from it: every warp
+        # coordinate stays finite, and nothing overflows or divides by zero.
+        ref_view = simple_view()
+        beside = simple_view(pose=Pose(np.eye(3), np.array([0.3, 0.0, 0.0])))
+        behind = simple_view(pose=Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)))
+        feat = np.random.default_rng(9).uniform(0, 1, size=(8, 8, 6))
+        planes = DepthPlanes.uniform(4, 0.5, far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vol = build_cost_volume(feat, ref_view, [feat, feat], [beside, behind], planes)
+        assert np.all(np.isfinite(vol.costs)) and np.all(vol.costs >= 0)
+        assert vol.valid_views.min() == 1 and vol.valid_views.max() == 2
 
     def test_requires_sources(self):
         view = simple_view()
@@ -353,14 +372,30 @@ def assert_sweep_matches_oracle(ref_feat, ref_view, src_feats, src_views, planes
 
     vol = build_cost_volume(ref_feat, ref_view, src_feats, src_views, planes)
     ref = reference_build(ref_feat, ref_view, src_feats, src_views, planes)
-    assert_bytes_equal(vol.costs, ref.costs)
+    assert vol.costs.shape == ref.costs.shape
+    np.testing.assert_allclose(vol.costs, ref.costs, rtol=0, atol=COST_ATOL)
     assert_bytes_equal(vol.valid_views, ref.valid_views)
     return vol, ref
 
 
+# The sweep warps in closed form, d a + b per plane, and blends each sample
+# as A + fx B + fy (C + fx D) from a coefficient table; the oracle projects
+# 3-D plane points and interpolates corner by corner, so the two round
+# differently in the last bits.  Fixed absolute tolerances, for descriptors
+# in [-1, 1]: costs (worst measured 8.4e-15 over 40 random configurations of
+# 1-23 x 1-23 cells, 1-3 sources and 1-6 channels), probabilities (worst
+# measured 3.8e-14 at temperature 5e-4 on four 320x240 scenes, 6.6e-15 at
+# 0.05) and single samples (worst measured 4.4e-16).  The view counts stay
+# exact.
+COST_ATOL = 1e-13
+PROB_ATOL = 1e-12
+SAMPLE_ATOL = 4e-15
+
+
 class TestSweepMatchesOracle:
     """The plane sweep reproduces the pixel-major, masked-scatter oracle in
-    `tests/costvol_reference.py` to the bit."""
+    `tests/costvol_reference.py`: its view counts to the bit, its costs, its
+    probabilities and its samples within fixed tolerances."""
 
     def test_textured_scene(self):
         scene = generate_scene(seed=31, n_boxes=0)
@@ -371,8 +406,9 @@ class TestSweepMatchesOracle:
         vol, ref = assert_sweep_matches_oracle(
             feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes
         )
-        assert_bytes_equal(
-            cost_to_probability(vol, temperature=5e-4), cost_to_probability(ref, temperature=5e-4)
+        np.testing.assert_allclose(
+            cost_to_probability(vol, temperature=5e-4), cost_to_probability(ref, temperature=5e-4),
+            rtol=0, atol=PROB_ATOL,
         )
 
     def test_source_behind_camera(self):
@@ -431,8 +467,9 @@ class TestSweepMatchesOracle:
         assert vol.costs.shape == (12, 20, channels, 6)
         for mi in range(planes.count):
             assert set(np.unique(vol.valid_views[:, :, mi])) == {1, 2, 3}
-        assert_bytes_equal(
-            cost_to_probability(vol, temperature=0.05), cost_to_probability(ref, temperature=0.05)
+        np.testing.assert_allclose(
+            cost_to_probability(vol, temperature=0.05), cost_to_probability(ref, temperature=0.05),
+            rtol=0, atol=PROB_ATOL,
         )
 
     @pytest.mark.parametrize("shape", [(6, 7, 3), (5, 1, 2), (1, 5, 2), (12, 16, 6)])
@@ -447,4 +484,36 @@ class TestSweepMatchesOracle:
         # Exact band edges and integer coordinates as well.
         u[:6] = [-0.5, w - 0.5, 0.0, w - 1.0, -0.5, w - 0.5]
         v[:6] = [-0.5, h - 0.5, 0.0, h - 1.0, h - 0.5, -0.5]
-        assert_bytes_equal(bilinear_sample(grid, u, v), reference_sample(grid, u, v))
+        np.testing.assert_allclose(bilinear_sample(grid, u, v), reference_sample(grid, u, v),
+                                   rtol=0, atol=SAMPLE_ATOL)
+
+
+class TestMemoryBudget:
+    # Traced peak bytes of one sweep per (cell, plane, channel) of its cost
+    # volume, plus a constant, for a 320x240 reference with 2 sources, 12
+    # planes and 6 channels (80x60 cells).  Measured 22.8, so the budget
+    # leaves 14%: the returned costs take 8 and the view counts 1.3, and the
+    # two sources' coefficient tables 5.3.  The four-corner sampler that the
+    # tables replaced peaked at 19.3, and a sweep that warps and samples
+    # every plane of a source at once peaked at 84.7.
+    SWEEP_BYTES_PER_CELL_PLANE_CHANNEL = 26
+    SWEEP_BYTES_CONSTANT = 64 * 1024
+
+    def test_sweep_peak(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(10)
+        k = Intrinsics(300.0, 300.0, 159.5, 119.5)
+        views = [CameraView(k, look_at((0.2 * i, -0.1 * i, 0.0), (0.0, 0.0, 2.5),
+                                       up=(0.0, -1.0, 0.0)), 320, 240) for i in range(3)]
+        feats = [rng.uniform(-1, 1, size=(60, 80, 6)) for _ in views]
+        planes = DepthPlanes.uniform(12, 0.5, 5.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_cost_volume(feats[0], views[0], feats[1:], views[1:], planes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        budget = self.SWEEP_BYTES_PER_CELL_PLANE_CHANNEL * 60 * 80 * 12 * 6
+        assert peak <= budget + self.SWEEP_BYTES_CONSTANT

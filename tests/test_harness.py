@@ -104,6 +104,19 @@ class TestConfig:
             config_from_text(f"top_k=2\ngrid_dims={MAX_VOXELS // 16 + 1},4,4\n")
         assert PipelineConfig(grid_dims=(MAX_VOXELS // 16, 4, 4)).grid_dims[0] == MAX_VOXELS // 16
 
+    def test_plane_depths_bounded(self):
+        # depth_max=1.7e308 used to be accepted, and the sweep then overflowed.
+        from mvsweep.harness.config import MAX_PLANE_DEPTH
+
+        above = float(np.nextafter(MAX_PLANE_DEPTH, np.inf))
+        with pytest.raises(ValueError, match=r"depth_max must be at most 1e\+06, got 1.7e\+308"):
+            PipelineConfig(depth_max=1.7e308)
+        with pytest.raises(ValueError, match="line 2: depth_max must be at most"):
+            config_from_text(f"num_planes=4\ndepth_max={above!r}\n")
+        with pytest.raises(ValueError, match="line 1: depth_min must be at most"):
+            config_from_text(f"depth_min={above!r}\ndepth_max=1e300\n")
+        assert PipelineConfig(depth_max=MAX_PLANE_DEPTH).planes().depths[-1] == MAX_PLANE_DEPTH
+
     @pytest.mark.parametrize("name, value", [
         ("top_k", 2.5),
         ("grid_dims", (4.7, 4, 4)),
@@ -383,7 +396,43 @@ def random_splats(rng, n=17):
     )
 
 
+# The splat loader's bound on a center coordinate or sigma, and the next
+# double above it.
+SPLAT_BOUND = 1e10
+ABOVE_SPLAT_BOUND = float(np.nextafter(SPLAT_BOUND, np.inf))
+
+
 class TestSplatFormat:
+    @pytest.mark.parametrize("mean, sigma", [
+        ((SPLAT_BOUND, 0.0, 0.0), SPLAT_BOUND),
+        ((-SPLAT_BOUND, 0.0, 0.0), 1e-3),
+        ((0.0, SPLAT_BOUND, 0.0), 1e-3),
+        ((0.0, -SPLAT_BOUND, 0.0), SPLAT_BOUND),
+        ((0.0, 0.0, 0.0), SPLAT_BOUND),
+        ((SPLAT_BOUND, 0.0, 0.0), 1e-300),
+    ])
+    def test_splat_at_the_bound_loads_and_renders(self, tmp_path, mean, sigma):
+        # A splat 2 EPS_Z in front of the default 320x240 camera, its center
+        # coordinate or sigma at the loader's bound, renders with no warning:
+        # its 2D covariance, the covariance's determinant and its pixel
+        # bounds stay finite and inside int64.
+        from mvsweep.camera import EPS_Z
+        from mvsweep.splat import rasterize
+
+        splats = GaussianSplatSet(
+            means=np.array([mean]), opacities=np.array([0.5]), sigmas=np.array([sigma]),
+            colors=np.full((1, 3), 0.5), source_view=np.zeros(1, dtype=np.int64),
+            pixel_rows=np.zeros(1, dtype=np.int64), pixel_cols=np.zeros(1, dtype=np.int64),
+        )
+        p = tmp_path / "bound.mvsg"
+        formats.save_splats(p, splats)
+        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5),
+                          Pose(np.eye(3), np.array([0.0, 0.0, 2 * EPS_Z])), 320, 240)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rasterize(formats.load_splats(p), view)
+        assert np.all(np.isfinite(out.color)) and np.all(np.isfinite(out.depth))
+
     def test_round_trip_exact(self, tmp_path):
         splats = random_splats(np.random.default_rng(4))
         p = tmp_path / "s.mvsg"
@@ -432,6 +481,10 @@ class TestSplatFormat:
         ("color", [0.5, 1.5, 0.5], r"must lie in \[0, 1\]"),
         ("color", [0.5, 0.5, -0.25], r"must lie in \[0, 1\]"),
         ("color", [0.5, 0.5, np.inf], r"must lie in \[0, 1\]"),
+        ("mean", [1e200, 0.0, 1.0], r"must be finite and at most 1e\+10 in magnitude"),
+        ("mean", [0.0, -ABOVE_SPLAT_BOUND, 1.0], r"must be finite and at most 1e\+10"),
+        ("scale", 1e200, r"must be positive and finite, at most 1e\+10"),
+        ("scale", ABOVE_SPLAT_BOUND, r"must be positive and finite, at most 1e\+10"),
     ])
     def test_out_of_range_record_rejected(self, tmp_path, field, value, rule):
         # Rejected on load, with no warning, before any render reads them.

@@ -25,15 +25,18 @@ Rendering is split in two.  The forward pass (_render_forward) projects
 the primitives, walks them front to back in chunks, and composites each
 chunk's pairs, sorted by pixel, on top of a running per-pixel
 log-transmittance, skipping the pixels already saturated; `rasterize` and
-the refinement loss both run it.  It returns a compact per-view state, the
-only per-pair arrays of which are the composited pairs' primitive, pixel
-id, Gaussian falloff and transmittance, in (chunk, pixel) order.  The
-backward pass (_render_backward) reads that state and recomputes everything
-else it needs (alpha_eff, blend weights, pixel offsets) with the forward
-pass's own operations on the same operands, so loss and gradients are the
-same to the bit as a single fused pass.  The refinement line search asks
-for a gradient only when it will use one, so rejected trials and the last
-step's trials run the forward pass alone.
+the refinement loss both run it.  It returns a compact per-view state whose
+per-pair arrays are kept chunk by chunk: for each chunk, front to back, its
+composited pairs' primitive, pixel id, Gaussian falloff and transmittance,
+in pixel order.  The backward pass (_render_backward) walks those chunks
+back to front, as 3D Gaussian Splatting walks each pixel's list, with a
+running per-pixel total of the colour arriving from behind, so no per-pair
+array of it spans more than one chunk.  It recomputes everything else it
+needs (alpha_eff, blend weights, pixel offsets) with the forward pass's own
+operations on the same operands, so loss and gradients are the same to the
+bit as a single fused pass over the same chunks.  The refinement line
+search asks for a gradient only when it will use one, so rejected trials
+and the last step's trials run the forward pass alone.
 
 The novel views of one refinement evaluation are independent until their
 losses and gradients are summed, so they run at once: the first on the
@@ -191,18 +194,25 @@ def _project_gaussians(splats: GaussianSplatSet, view: CameraView):
 
 def _footprints(mean2d, cov2d, gw, gh):
     """Per primitive: the 3-sigma bbox clipped to the grid, as (x0, y0, nx,
-    ny), and the inverse 2D covariance entries (inv00, inv01, inv11)."""
+    ny), and the inverse 2D covariance entries (inv00, inv01, inv11).
+
+    A covariance whose determinant a c - b^2 is not finite and positive (it
+    cancels to 0 for a splat far off-axis in both x and y) gets an empty
+    bbox and zero inverse entries, so it covers no pixel and its gradient is
+    0.  Bbox corners are clipped to the grid before the integer cast."""
     a, b, c = cov2d
+    det = a * c - b * b
+    ok = np.isfinite(det) & (det > 0)
+    a, b, c, det = (np.where(ok, v, 1.0) for v in (a, b, c, det))
     lam_max = 0.5 * (a + c) + np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     radius = 3.0 * np.sqrt(lam_max)
-    x0 = np.maximum(np.ceil(mean2d[:, 0] - radius), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(mean2d[:, 0] + radius), gw - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(mean2d[:, 1] - radius), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(mean2d[:, 1] + radius), gh - 1).astype(np.int64)
-    nx = np.maximum(x1 - x0 + 1, 0)
-    ny = np.maximum(y1 - y0 + 1, 0)
-    det = a * c - b * b
-    return (x0, y0, nx, ny), (c / det, -b / det, a / det)
+    x0 = np.clip(np.ceil(mean2d[:, 0] - radius), 0, gw).astype(np.int64)
+    x1 = np.clip(np.floor(mean2d[:, 0] + radius), -1, gw - 1).astype(np.int64)
+    y0 = np.clip(np.ceil(mean2d[:, 1] - radius), 0, gh).astype(np.int64)
+    y1 = np.clip(np.floor(mean2d[:, 1] + radius), -1, gh - 1).astype(np.int64)
+    nx = np.maximum(x1 - x0 + 1, 0) * ok
+    ny = np.maximum(y1 - y0 + 1, 0) * ok
+    return (x0, y0, nx, ny), (c / det * ok, -b / det * ok, a / det * ok)
 
 
 def _pair_chunk(idx, bbox, mean2d, inv, gw, live=None):
@@ -333,9 +343,11 @@ class _ViewState:
     Per kept primitive: the projection (keep mask over all primitives,
     camera-frame centers, depth, 2D means, Jacobian entries), the inverse
     2D covariance entries, opacities and colours (channel-major, (3, n)).
-    Per composited pair, in (chunk, pixel) order: primitive and pixel id
-    (int32, widened where a pass gathers with them), Gaussian falloff g and
-    transmittance.  alpha_eff, the blend weight and the pixel offsets are
+    `chunks` lists the forward pass's chunks front to back, each as the
+    arrays (prim, pid, g, trans) of its composited pairs in pixel order:
+    primitive and pixel id (int32, widened where a pass gathers with them),
+    Gaussian falloff g and transmittance.  Every primitive's pairs lie in
+    one chunk.  alpha_eff, the blend weight and the pixel offsets are
     recomputed from these with the forward pass's own operations, so they
     are not kept.
     """
@@ -348,10 +360,7 @@ class _ViewState:
     inv: tuple
     alphas: np.ndarray
     colors: np.ndarray
-    prim: np.ndarray
-    pid: np.ndarray
-    g: np.ndarray
-    trans: np.ndarray
+    chunks: list
 
 
 def _render_forward(splats: GaussianSplatSet, view: CameraView):
@@ -368,9 +377,9 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     and the first pair of a run gets the running value exactly.  A pair
     whose incoming transmittance is below T_MIN is dropped, so each run
     keeps a prefix of its pairs, at least one, since saturated pixels are
-    skipped.  The kept pairs are written, in (chunk, pixel) order, straight
-    into arrays sized for every bbox pixel, which are then shrunk in place,
-    and their colours are added to the image while the chunk is in cache.
+    skipped.  Each chunk's kept pairs are appended to the state's chunk
+    list, and their colours added to the image while the chunk is in cache;
+    nothing is allocated per bbox pixel of the whole view.
 
     Returns the (n_px, 3) colour image and the _ViewState the backward pass
     and `rasterize` read.
@@ -380,14 +389,9 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
     bbox, inv = _footprints(mean2d, cov2d, gw, gh)
     n_px = gh * gw
-    total = int(np.sum(bbox[2] * bbox[3]))
-    prim = np.empty(total, dtype=np.int32)
-    pid = np.empty(total, dtype=np.int32)
-    g = np.empty(total)
-    trans = np.empty(total)
     log_t = np.zeros(n_px)
     color = np.zeros((n_px, 3))
-    n = 0
+    chunks = []
     for c_prim, c_pid, c_g in _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
         np.exp(np.negative(c_g, out=c_g), out=c_g)
         alpha_eff = _opacity(alphas, c_prim, c_g)[0]
@@ -403,27 +407,20 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
         excl += np.repeat(log_t[run_px], run_len)
         last = start + run_len - 1
         log_t[run_px] = excl[last] + log_a[last]
-        kept = excl >= LOG_T_MIN
-        sel = np.flatnonzero(kept)
-        m = sel.size
-        k_prim, k_pid, k_trans = c_prim.take(sel), c_pid.take(sel), trans[n : n + m]
-        prim[n : n + m] = k_prim
-        pid[n : n + m] = k_pid
-        _take_into(c_g, sel, g[n : n + m])
-        _take_into(excl, sel, k_trans)
+        sel = np.flatnonzero(excl >= LOG_T_MIN)
+        k_prim, k_pid = c_prim.take(sel), c_pid.take(sel)
+        trans = np.exp(excl.take(sel))
         w = alpha_eff.take(sel)
-        w *= np.exp(k_trans, out=k_trans)
-        t = np.empty(m)
+        w *= trans
+        t = np.empty(sel.size)
         for c, col in enumerate(colors):
             _take_into(col, k_prim, t)
             t *= w
             color[:, c] += np.bincount(k_pid, weights=t, minlength=n_px)
-        n += m
-    for out in (prim, pid, g, trans):
-        out.resize(n, refcheck=False)
+        chunks.append((k_prim.astype(np.int32), k_pid.astype(np.int32), c_g.take(sel), trans))
     state = _ViewState(
         keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, inv=inv,
-        alphas=alphas, colors=colors, prim=prim, pid=pid, g=g, trans=trans,
+        alphas=alphas, colors=colors, chunks=chunks,
     )
     return color, state
 
@@ -435,15 +432,20 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     the perspective Jacobian, dilated in screen space, and composited
     front-to-back (depth ties broken by primitive index) within 3 sigma of
     its 2D mean, until the pixel's transmittance falls below T_MIN.
+    Accumulated alpha and depth are summed chunk by chunk with np.add.at,
+    which adds each pixel's pairs in turn from 0, front to back.
     """
     color, st = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
-    prim, pid = st.prim.astype(np.intp), st.pid.astype(np.intp)
-    w = _opacity(st.alphas, prim, st.g)[0]
-    w *= st.trans
-    acc = np.bincount(pid, weights=w, minlength=n_px)
-    depth_num = np.bincount(pid, weights=w * st.z.take(prim), minlength=n_px)
+    acc = np.zeros(n_px)
+    depth_num = np.zeros(n_px)
+    for prim, pid, g, trans in st.chunks:
+        w = _opacity(st.alphas, prim, g)[0]
+        w *= trans
+        np.add.at(acc, pid, w)
+        w *= st.z.take(prim)
+        np.add.at(depth_num, pid, w)
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
     return RenderTarget(
         color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
@@ -463,15 +465,19 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
 
     The colour gradient is constant over a pixel's pairs, so the colour
     that later pairs blend in enters as one scalar suffix sum of
-    w * (d_color . colour).  The forward state lists pairs in (chunk,
-    pixel) order, so that suffix is the rest of the pair's run plus the
-    totals of its pixel's runs in later chunks, which a backward walk over
-    the run totals gives; no per-pair gather or scatter into pixel order is
-    needed.  Pairs the saturation rule dropped are not in the state and
-    contribute nothing.  Per-pair terms are summed per primitive as moments
-    of the pixel offsets, which the primitive's inverse covariance P then
-    maps in closed form: d_mean2d = P m and d_cov2d = P M P / 2, with m and
-    M the first and (symmetric) second moments.
+    w * (d_color . colour).  The pass walks the forward state's chunks back
+    to front, as 3D Gaussian Splatting walks each pixel's list, popping each
+    chunk off the state: within a chunk, a pair's suffix is the rest of its
+    run (one pixel's pairs) from the chunk's own cumulative sum, plus
+    `behind`, a running per-pixel total of the chunks already walked, to
+    which the chunk's run totals are then added.  No per-pair array spans
+    more than one chunk.  Pairs the saturation rule dropped are not in the
+    state and contribute nothing.  Per-pair terms are summed per primitive
+    as moments of the pixel offsets, which the primitive's inverse
+    covariance P then maps in closed form: d_mean2d = P m and
+    d_cov2d = P M P / 2, with m and M the first and (symmetric) second
+    moments.  Every primitive's pairs lie in one chunk, so adding each
+    chunk's per-primitive sums to those of the others is exact.
 
     alpha_eff and w come from _opacity and the stored transmittance, and
     the pixel offsets from the pixel id and the 2D mean, with the forward
@@ -479,83 +485,62 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     forward pass kept.  Products are formed in place; each is a product of
     the same two operands as in a direct evaluation.
     """
-    # The pass consumes `st`: each per-pair array it holds is released right
-    # after its last read.
     k, gw, gh = view.scaled(DOWNSAMPLE)
-    prim = st.prim.astype(np.intp)
-    pid, g, trans = st.pid, st.g, st.trans  # pid stays int32
-    st.prim = st.pid = st.g = st.trans = None
-
-    # q = d_color . colour per pair, summed from 0 one channel at a time, in
-    # cache-sized slices.
-    q = np.zeros(prim.size)
-    for lo in range(0, prim.size, PAIR_CHUNK):
-        p_idx = prim[lo : lo + PAIR_CHUNK]
-        x_idx = pid[lo : lo + PAIR_CHUNK].astype(np.intp)
-        for dc, col in zip(d_color.T, st.colors):
-            t = dc.take(x_idx)
-            t *= col.take(p_idx)
-            q[lo : lo + PAIR_CHUNK] += t
-    # Its blend-weighted suffix over the pixel's later pairs is the colour
-    # arriving from behind the pair.  A run is a maximal stretch of one
-    # pixel's pairs, and a group a maximal stretch of runs with increasing
-    # pixel ids (a chunk, or chunks whose pixel ranges follow on).  Groups
-    # run front to back and hold each pixel at most once, so the suffix is
-    # the rest of the pair's run plus the totals of its pixel's runs in
-    # later groups, summed group by group from the back.
-    wq, clamped = _opacity(st.alphas, prim, g)
-    wq *= trans
-    wq *= q
-    # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
-    # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff); its first
-    # product is formed now so that trans is released before the suffix.
-    u = q
-    u *= trans
-    del trans
-    start, run_len = _runs(pid)
-    run_total = np.add.reduceat(wq, start) if wq.size else wq
-    run_px = pid[start]
-    bounds = np.r_[0, np.flatnonzero(run_px[1:] < run_px[:-1]) + 1, start.size]
-    later = np.empty(start.size)
-    behind = np.zeros(gh * gw)
-    for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
-        px = run_px[lo:hi]
-        later[lo:hi] = behind[px]
-        behind[px] += run_total[lo:hi]
-    del run_total, behind, run_px
-    csum = np.cumsum(wq, out=wq)
-    later += csum[start + run_len - 1]
-    suffix = np.repeat(later, run_len)
-    suffix -= csum
-    del later, csum, wq
-    one_minus = _opacity(st.alphas, prim, g)[0]
-    suffix /= np.subtract(1.0, one_minus, out=one_minus)
-    u -= suffix
-    del one_minus, suffix
-    u *= g
-    u[clamped] = 0.0
-    del g, clamped
-
     n_kept = st.z.size
-    alphas = st.alphas
-    d_alpha_kept = np.bincount(prim, weights=u, minlength=n_kept)
-    # dL/dpower = -opacity * u; moments of that over each primitive's pairs,
-    # with the offsets dx, dy of each pair from its primitive's 2D mean.
-    d = np.empty(prim.size)
-    dx = np.subtract(pid % gw, _take_into(st.mean2d[:, 0], prim, d), out=d)
-    ux = u * dx
-    m_x = alphas * np.bincount(prim, weights=ux, minlength=n_kept)
-    dx *= ux
-    m_xx = alphas * np.bincount(prim, weights=dx, minlength=n_kept)
-    dy = np.subtract(pid // gw, _take_into(st.mean2d[:, 1], prim, d), out=d)
-    ux *= dy
-    m_xy = alphas * np.bincount(prim, weights=ux, minlength=n_kept)
-    del ux
-    uy = u
-    uy *= dy
-    m_y = alphas * np.bincount(prim, weights=uy, minlength=n_kept)
-    dy *= uy
-    m_yy = alphas * np.bincount(prim, weights=dy, minlength=n_kept)
+    # Per kept primitive: dL/d(opacity), then the sums over its pairs of
+    # u dx, u dx^2, u dx dy, u dy and u dy^2 (see below).
+    sums = np.zeros((6, n_kept))
+    behind = np.zeros(gh * gw)
+    while st.chunks:
+        prim, pid, g, trans = st.chunks.pop()
+        prim, pid = prim.astype(np.intp), pid.astype(np.intp)
+        # q = d_color . colour per pair, summed from 0 one channel at a time.
+        q = np.zeros(prim.size)
+        for dc, col in zip(d_color.T, st.colors):
+            t = dc.take(pid)
+            t *= col.take(prim)
+            q += t
+        wq, clamped = _opacity(st.alphas, prim, g)
+        wq *= trans
+        wq *= q
+        # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
+        # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff).
+        u = q
+        u *= trans
+        # The colour arriving from behind a pair: the rest of its run, from
+        # the chunk's cumulative sum of wq, plus its pixel's `behind`.
+        start, run_len = _runs(pid)
+        run_px = pid[start]
+        later = behind[run_px]
+        behind[run_px] += np.add.reduceat(wq, start)
+        csum = np.cumsum(wq, out=wq)
+        later += csum[start + run_len - 1]
+        suffix = np.repeat(later, run_len)
+        suffix -= csum
+        one_minus = _opacity(st.alphas, prim, g)[0]
+        suffix /= np.subtract(1.0, one_minus, out=one_minus)
+        u -= suffix
+        u *= g
+        u[clamped] = 0.0
+        # dL/dpower = -opacity * u; moments of that over each primitive's
+        # pairs, with the offsets dx, dy of each pair from its primitive's
+        # 2D mean.
+        sums[0] += np.bincount(prim, weights=u, minlength=n_kept)
+        dx = np.subtract(pid % gw, st.mean2d[:, 0].take(prim))
+        ux = u * dx
+        sums[1] += np.bincount(prim, weights=ux, minlength=n_kept)
+        dx *= ux
+        sums[2] += np.bincount(prim, weights=dx, minlength=n_kept)
+        dy = np.subtract(pid // gw, st.mean2d[:, 1].take(prim))
+        ux *= dy
+        sums[3] += np.bincount(prim, weights=ux, minlength=n_kept)
+        uy = u
+        uy *= dy
+        sums[4] += np.bincount(prim, weights=uy, minlength=n_kept)
+        dy *= uy
+        sums[5] += np.bincount(prim, weights=dy, minlength=n_kept)
+    d_alpha_kept = sums[0]
+    m_x, m_xx, m_xy, m_y, m_yy = st.alphas * sums[1:]
 
     inv00, inv01, inv11 = st.inv
     d_mean0 = inv00 * m_x + inv01 * m_y

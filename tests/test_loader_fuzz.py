@@ -1,10 +1,14 @@
-"""The binary loaders under corruption: a file the engine wrote, truncated at
-any offset or with one byte changed in its header or its payload, either
-loads or raises a ValueError that names the file.  No other exception and
-no RuntimeWarning is allowed."""
+"""The loaders under corruption.  A binary file the engine wrote, truncated
+at any offset or with one byte changed in its header or its payload, and a
+text file the engine wrote (cameras, scene listing, boxes, metrics, config),
+truncated anywhere, with a token swapped for `nan`, `inf`, `-1` or `1e308`,
+or with a token duplicated or deleted, either loads or raises a ValueError
+(or FileNotFoundError) that names the file.  No other exception and no
+RuntimeWarning is allowed."""
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsweep.harness import formats
+from mvsweep.harness import formats, pipeline
+from mvsweep.harness.config import PipelineConfig, load_config, save_config
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
+from mvsweep.scenegen import generate_scene, make_trajectory
 from mvsweep.splat import GaussianSplatSet
 
 
@@ -76,7 +82,7 @@ def _loads_or_names_the_file(load, path, data: bytes) -> None:
         warnings.simplefilter("error")
         try:
             load(path)
-        except ValueError as exc:
+        except (ValueError, FileNotFoundError) as exc:
             assert str(path) in str(exc)
 
 
@@ -97,3 +103,67 @@ def test_flipped_byte(originals, name, in_header, where, flip):
     corrupt = bytearray(data)
     corrupt[at] ^= flip
     _loads_or_names_the_file(load, path, bytes(corrupt))
+
+
+# name: (file name, loader) of the text files; `text_originals` writes them.
+TEXT_LOADERS = {
+    "cameras": ("cameras.txt", formats.load_cameras),
+    "scene": ("scene.txt", formats.load_scene_spec),
+    "boxes": ("boxes.txt", formats.load_boxes),
+    "metrics": ("metrics.txt", formats.load_metrics),
+    "config": ("config.txt", load_config),
+}
+# A token of a text file: a run of characters other than whitespace and the
+# config listing's `=` and `,`.
+TOKEN = re.compile(r"[^\s=,]+")
+SWAPS = ("nan", "inf", "-1", "1e308")
+
+
+@pytest.fixture(scope="module")
+def text_originals(tmp_path_factory):
+    """name: (text the engine wrote, its token spans, loader, path to
+    corrupt): a 3-view 64x48 scene directory, the boxes and metrics of a
+    detection run on it, and the default config."""
+    root = tmp_path_factory.mktemp("text_fuzz")
+    scene = generate_scene(seed=7, n_boxes=2)
+    pipeline.write_scene(root / "scene", scene, make_trajectory(scene, 3, seed=7,
+                                                                image_size=(64, 48)))
+    config = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=1)
+    result = pipeline.run_pipeline(root / "scene", config)
+    formats.save_boxes(root / "run_boxes.txt", result.boxes)
+    formats.save_metrics(root / "metrics.txt", result.metrics)
+    save_config(root / "config.txt", PipelineConfig())
+    written = {"cameras": root / "scene" / "cameras.txt", "scene": root / "scene" / "scene.txt",
+               "boxes": root / "run_boxes.txt", "metrics": root / "metrics.txt",
+               "config": root / "config.txt"}
+    out = {}
+    for name, (file_name, load) in TEXT_LOADERS.items():
+        text = written[name].read_text()
+        load(written[name])  # the uncorrupted file loads
+        spans = [m.span() for m in TOKEN.finditer(text)]
+        out[name] = (text, spans, load, root / f"corrupt_{file_name}")
+    assert formats.load_boxes(written["boxes"])  # the run found boxes to corrupt
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(TEXT_LOADERS)), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_text(text_originals, name, cut):
+    text, _, load, path = text_originals[name]
+    _loads_or_names_the_file(load, path, text[: int(cut * len(text))].encode())
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(TEXT_LOADERS)), where=st.floats(0.0, 1.0, exclude_max=True),
+       edit=st.sampled_from(SWAPS + ("duplicate", "delete")))
+def test_edited_token(text_originals, name, where, edit):
+    text, spans, load, path = text_originals[name]
+    lo, hi = spans[int(where * len(spans))]
+    token = {"duplicate": text[lo:hi] + " " + text[lo:hi], "delete": ""}.get(edit, edit)
+    _loads_or_names_the_file(load, path, (text[:lo] + token + text[hi:]).encode())
+
+
+def test_missing_text_file_names_the_path(tmp_path):
+    for file_name, load in TEXT_LOADERS.values():
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / file_name))):
+            load(tmp_path / file_name)

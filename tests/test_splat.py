@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,67 @@ class TestRasterize:
         assert np.all(rt.depth[~covered] == 0.0)
 
 
+class TestDegenerateFootprints:
+    """Splats far off-axis in both x and y, whose 2D covariance determinant
+    a c - b^2 cancels to 0: they cover no pixel, warn of nothing and get a
+    finite (zero) gradient."""
+
+    FAR_SPLATS = [((1e3, 1e3, 2e-6), 1e-3), ((1e9, 1e9, 1.0), 1e-3)]
+
+    @staticmethod
+    def _det(splat, view):
+        from mvsweep.splat import _project_gaussians
+
+        a, b, c = _project_gaussians(splat, view)[4]
+        return a * c - b * b
+
+    @pytest.mark.parametrize("mu, sigma", FAR_SPLATS)
+    def test_rasterize_ignores_the_far_splat(self, mu, sigma):
+        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), Pose.identity(), 320, 240)
+        far = single_splat(mu, sigma=sigma)
+        assert not self._det(far, view)[0] > 0  # the case under test
+        normal = single_splat(ray_point(view, 40, 30, 2.0), alpha=0.7, sigma=0.05)
+        alone = rasterize(normal, view)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ([normal, far], [far, normal]):
+                rt = rasterize(concat_splats(pair), view)
+                for image in ("color", "depth", "alpha"):
+                    assert getattr(rt, image).tobytes() == getattr(alone, image).tobytes()
+
+    @pytest.mark.parametrize("mu, sigma", FAR_SPLATS)
+    def test_loss_and_grad_stay_finite(self, monkeypatch, mu, sigma):
+        # Criterion 11's splats with the first one moved far off-axis in the
+        # novel view's frame: to the first of a few points near `mu`, scaled
+        # in x and y, whose determinant cancels after the rotation.
+        import mvsweep.splat as splat_module
+
+        planes, src_views, src_imgs, novel_views, novel_imgs, logits = _criterion11_inputs()
+        view = novel_views[0]
+        world = next(
+            w for w in ((np.asarray(mu) * [1 + k / 64, 1 + k / 64, 1] - view.pose.translation)
+                        @ view.pose.rotation for k in range(16))
+            if not self._det(single_splat(w, sigma=sigma), view)[0] > 0
+        )
+        concat = splat_module.concat_splats
+
+        def with_far_splat(sets):
+            splats = concat(sets)
+            splats.means[0] = world
+            splats.sigmas[0] = sigma
+            return splats
+
+        monkeypatch.setattr(splat_module, "concat_splats", with_far_splat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = refinement_loss_and_grad(
+                logits, planes, src_views, src_imgs, novel_views,
+                [block_mean(i) for i in novel_imgs],
+            )
+        assert np.isfinite(loss)
+        assert all(np.all(np.isfinite(g)) and np.any(g != 0.0) for g in grads)
+
+
 class TestRenderingLoss:
     """The L2 loss `_view_forward` takes of a rendered colour image against
     a novel view's quarter-res target."""
@@ -298,7 +360,6 @@ class TestGradients:
         # pixels saturate: the rule drops about a quarter of the pairs, and
         # the gradient of the composited pairs is still the loss's gradient.
         from mvsweep.costvol import softmax
-        from mvsweep.splat import _render_forward
 
         planes, src_views, src_imgs, novel_views, novel_imgs, logits = _criterion11_inputs()
         novel_imgs = [block_mean(i) for i in novel_imgs]
@@ -308,7 +369,7 @@ class TestGradients:
             for i, (v, lg, img) in enumerate(zip(src_views, logits, src_imgs))
         ])
         listed = sum(prim.size for prim, _, _ in _listed_pairs(splats, novel_views[0])[0])
-        composited = _render_forward(splats, novel_views[0])[1].prim.size
+        composited = _composited_pairs(splats, novel_views[0])
         assert composited <= 0.95 * listed
 
         def loss_and_grad(lgs):
@@ -496,6 +557,13 @@ def _listed_pairs(splats, view):
     return list(_pixel_chunks(mean2d, z, bbox, inv, gw, gh, np.zeros(gw * gh))), z
 
 
+def _composited_pairs(splats, view):
+    """The number of pairs the forward pass composites, over its chunks."""
+    import mvsweep.splat as splat_module
+
+    return sum(prim.size for prim, _, _, _ in splat_module._render_forward(splats, view)[1].chunks)
+
+
 def _pixel_sorted(chunks):
     """The chunks' pairs concatenated and stably sorted by pixel id."""
     prim, pid, power = (np.concatenate(a) for a in zip(*chunks))
@@ -570,9 +638,9 @@ class TestPairOrder:
         _assert_render_close(rasterize(splats, view), whole_render)
         # The rule drops the same pairs whatever the chunks.
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 1 << 40)
-        composited = splat_module._render_forward(splats, view)[1].prim.size
+        composited = _composited_pairs(splats, view)
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", chunk)
-        assert splat_module._render_forward(splats, view)[1].prim.size == composited
+        assert _composited_pairs(splats, view) == composited
         assert composited < whole_chunks[0][0].size
 
 
@@ -651,21 +719,26 @@ class TestAgainstReference:
         # The same scene in chunks of 64 bbox pixels, with footprints wide
         # enough that pixels saturate: a pair's colour suffix then runs on
         # through the pixel's runs in later chunks, and the rule drops pairs
-        # chunks after the one that saturated their pixel.
+        # chunks after the one that saturated their pixel.  Some pixel
+        # straddles a chunk boundary, the last pixel of one chunk and the
+        # first of the next: its pairs make a run in each, and the backward
+        # pass carries the later run's total to the earlier one in `behind`.
         import mvsweep.splat as splat_module
 
-        chunks = []
-        pixel_chunks = splat_module._pixel_chunks
+        passes = []  # (chunks, straddling pixels) per forward pass
+        render_forward = splat_module._render_forward
 
-        def counting_chunks(*args):
-            for chunk in pixel_chunks(*args):
-                chunks.append(chunk)
-                yield chunk
+        def recording_forward(splats, view):
+            color, state = render_forward(splats, view)
+            pids = [pid for _, pid, _, _ in state.chunks]
+            passes.append((len(pids), sum(int(a[-1] == b[0]) for a, b in zip(pids, pids[1:]))))
+            return color, state
 
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
-        monkeypatch.setattr(splat_module, "_pixel_chunks", counting_chunks)
+        monkeypatch.setattr(splat_module, "_render_forward", recording_forward)
         _assert_gradients_match_reference(monkeypatch, footprint_scale=1.5)
-        assert len(chunks) >= 40  # two forward passes of one view
+        assert len(passes) == 2  # one forward pass of one view per evaluation
+        assert all(chunks >= 20 and straddles >= 1 for chunks, straddles in passes)
 
 
 def _assert_gradients_match_reference(monkeypatch, footprint_scale):
@@ -936,14 +1009,16 @@ def _traced_peak(fn, *args):
 class TestMemoryBudget:
     # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
     # or not: for one loss-and-gradient evaluation per pair summed over both
-    # novel views (measured 59.3-61.9 over 10 runs with the two views on
-    # threads of their own; 51.2 with one view after the other, 64.9 before
-    # the saturation rule), and for one rasterize per pair of its view
-    # (measured 57.6 with int32 pair ids; 66.8 with int64 ones, 63.0 before
-    # the saturation rule).  The fused render-and-backward pass of an older
+    # novel views (measured 35.2-36.8 with the forward state kept chunk by
+    # chunk and the backward pass walking it back to front; 57.4-61.9 when
+    # the backward pass walked the whole view's pairs at once, 51.2 with one
+    # view after the other, 64.9 before the saturation rule), and for one
+    # rasterize per pair of its view (measured 32.7 per chunk; 55.6 with
+    # view-sized int32 pair arrays, 66.8 with int64 ones, 63.0 before the
+    # saturation rule).  The fused render-and-backward pass of an older
     # engine peaked at 90.7 and 119.7 on the same scene.
-    LOSS_AND_GRAD_BYTES_PER_PAIR = 72
-    RASTERIZE_BYTES_PER_PAIR = 70
+    LOSS_AND_GRAD_BYTES_PER_PAIR = 44
+    RASTERIZE_BYTES_PER_PAIR = 40
 
     def test_loss_and_grad_and_rasterize_peaks(self):
         from mvsweep.costvol import softmax

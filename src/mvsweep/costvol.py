@@ -65,10 +65,10 @@ class DepthPlanes:
 
 @dataclass
 class CostVolume:
-    """Per-channel descriptor variance per (pixel, plane), plus the number of
-    views whose warp landed inside the source grid (reference included)."""
+    """Channel-mean descriptor variance per (pixel, plane), plus the number
+    of views whose warp landed inside the source grid (reference included)."""
 
-    costs: np.ndarray  # (H, W, C, M)
+    costs: np.ndarray  # (H, W, M)
     valid_views: np.ndarray  # (H, W, M) int
 
 
@@ -218,13 +218,13 @@ def build_cost_volume(
     planes: DepthPlanes,
     cost_penalty: float = 10.0,
 ) -> CostVolume:
-    """Variance-based matching cost per (pixel, channel, plane).
+    """Variance-based matching cost per (pixel, plane), averaged over channels.
 
     For each reference cell and plane, gathers the reference descriptor plus
     the bilinearly warped source descriptors (views warped outside the source
     grid or behind its camera are excluded) and takes the per-channel
-    population variance.  When fewer than 2 views survive, the cost is the
-    penalty value.
+    population variance.  When fewer than 2 views survive, each channel's
+    cost is the penalty value.  The cost is the mean of the channel costs.
 
     The warp is the plane-induced homography in closed form: the reference
     cell q meets the plane at depth d in the reference frame at d K_ref^-1 q,
@@ -244,8 +244,11 @@ def build_cost_volume(
     finished at once.  An excluded cell samples the table's zero column: the
     sums are never -0.0, so adding that +0.0 leaves them unchanged, and each
     cell receives the same adds in the same order as an accumulation over
-    only the surviving views.  Costs are stored (M, C, H*W) and returned as
-    (H, W, C, M) and (H, W, M) views.
+    only the surviving views.  The plane's C channel costs are then added
+    in channel order into its (H*W,) row of an (M, H*W) cost, which is
+    divided by C once at the end: the bytes of a per-channel volume's
+    `mean(axis=2)`, without holding it.  Costs and view counts are returned
+    as (H, W, M) views.
     """
     if not src_feats:
         raise ValueError("need at least one source view")
@@ -279,7 +282,7 @@ def build_cost_volume(
         sources.append((_bilinear_table(feat), sw, sh, kk @ rel.rotation @ rays,
                         kk @ rel.translation))
 
-    costs = np.empty((m, c, h * w))
+    costs = np.empty((m, h * w))
     count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes
     acc = np.empty((c, h * w))
     acc_sq = np.empty((c, h * w))
@@ -308,12 +311,13 @@ def build_cost_volume(
         n = n_views.astype(np.float64)
         mean = np.divide(acc, n, out=acc)
         acc_sq /= n
-        cost = costs[mi]
-        np.subtract(acc_sq, np.multiply(mean, mean, out=mean), out=cost)
-        np.maximum(cost, 0.0, out=cost)
-        np.copyto(cost, cost_penalty, where=n_views < 2)
+        var = np.subtract(acc_sq, np.multiply(mean, mean, out=mean), out=acc_sq)
+        np.maximum(var, 0.0, out=var)
+        np.copyto(var, cost_penalty, where=n_views < 2)
+        np.add.reduce(var, axis=0, out=costs[mi])
+    costs /= c
     return CostVolume(
-        costs=costs.reshape(m, c, h, w).transpose(2, 3, 1, 0),
+        costs=costs.reshape(m, h, w).transpose(1, 2, 0),
         valid_views=count.reshape(m, h, w).transpose(1, 2, 0),
     )
 
@@ -329,13 +333,13 @@ def _binomial_smooth(score: np.ndarray) -> np.ndarray:
 def cost_to_probability(volume: CostVolume, temperature: float) -> np.ndarray:
     """(H, W, M) per-pixel categorical distribution over depth planes.
 
-    Scores are the negated channel-mean costs, smoothed per depth slice with
-    a 3x3 binomial kernel (mirrored borders), then passed through a tempered
-    softmax.
+    Scores are the negated (channel-mean) costs, smoothed per depth slice
+    with a 3x3 binomial kernel (mirrored borders), then passed through a
+    tempered softmax.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    score = _binomial_smooth(-volume.costs.mean(axis=2))  # (H, W, M)
+    score = _binomial_smooth(-volume.costs)  # (H, W, M)
     return softmax(score / temperature)
 
 

@@ -491,12 +491,21 @@ _BOX_FIELDS = ("center",) * 3 + ("size",) * 3 + ("yaw", "score")
 
 
 def boxes_from_text(text: str):
+    """Box records `cx cy cz w h l yaw score`; a non-finite value, or a yaw
+    other than 0 (boxes are axis-aligned), is a ValueError naming the line
+    and the field."""
     from mvsweep.harness.boxes import Box3D
 
     out = []
     for lineno, line in _records(text):
         where = f"box listing: line {lineno}"
         vals = _parse_record(where, _BOX_FIELDS, line.split())
+        for name, v in zip(_BOX_FIELDS, vals):
+            if not np.isfinite(v):
+                raise ValueError(f"{where}: field {name}: {v!r} is not finite")
+        if vals[6] != 0:
+            raise ValueError(f"{where}: field yaw: {vals[6]!r}: boxes are axis-aligned, "
+                             "so yaw must be 0")
         try:
             out.append(Box3D(center=np.array(vals[:3]), size=np.array(vals[3:6]),
                              yaw=vals[6], score=vals[7]))

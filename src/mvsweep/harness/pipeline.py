@@ -276,6 +276,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
                 for i in refined_views
             ]
         )
+        del colors  # views into `features`, which would keep them alive
 
     depth_maps = {i: regress_depth(volumes[i], planes) for i in det_idx}
     proposals = {i: sample_topk(volumes[i], planes, config.top_k) for i in det_idx}
@@ -284,6 +285,8 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         config.grid_spec(),
         window=config.match_window,
     )
+    # Nothing reads the descriptors or the proposals after aggregation.
+    del features, proposals
     boxes = extract_boxes(grid, config.box_threshold, config.min_component)
 
     metrics = _scene_metrics(config, scene, sources, depth_maps, boxes)

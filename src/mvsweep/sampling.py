@@ -70,7 +70,9 @@ def sample_topk(probs: np.ndarray, planes: DepthPlanes, k: int) -> DepthProposal
     Proposals are ordered by descending probability; equal probabilities keep
     the lower plane index first (stable selection).  Softmax-produced volumes
     are strictly positive, so scores are too; if a degenerate input has fewer
-    than k nonzero planes, the padded selections carry zero score.
+    than k nonzero planes, the padded selections carry zero score.  Each
+    returned array holds its own H*W*k entries, so no proposal set keeps the
+    full (H, W, M) sort order alive.
     """
     m = probs.shape[-1]
     if not 1 <= k <= m:
@@ -78,7 +80,7 @@ def sample_topk(probs: np.ndarray, planes: DepthPlanes, k: int) -> DepthProposal
     if m != planes.count:
         raise ValueError("probability volume / plane count mismatch")
     order = np.argsort(-probs, axis=-1, kind="stable")
-    idx = order[..., :k]
+    idx = order[..., :k].copy()
     picked = np.take_along_axis(probs, idx, axis=-1)
     total = picked.sum(axis=-1, keepdims=True)
     scores = picked / total
@@ -147,9 +149,15 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     averaged with confidence normalization; the surface score is the plain
     mean of matched confidences.
 
+    Each view works only on the voxels that project into its frustum and
+    adds into theirs alone.  This is byte-identical to adding over every
+    voxel: a voxel outside would add +0.0 or -0.0, and the sums start at
+    +0.0 and never become -0.0, since x + (-x) is +0.0.  A non-finite
+    feature would break that (0 * inf is NaN), so it is a ValueError naming
+    the view.
+
     Features, proposals and the feature sums are channel-major (C, N), so
-    per-voxel factors broadcast along the long axis; each view's features
-    are gathered into one buffer reused across views.  feature_mean is
+    per-voxel factors broadcast along the long axis.  feature_mean is
     returned as an (nx, ny, nz, C) view of the channel-major result.
     """
     if not items:
@@ -160,38 +168,41 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     n = centers.shape[0]
     c = items[0][0].shape[-1]
     num = np.zeros((c, n))
-    gathered = np.empty((c, n))
     weight_sum = np.zeros(n)
     gate_sum = np.zeros(n, dtype=np.int64)
 
-    for feat, view, proposals in items:
+    for i, (feat, view, proposals) in enumerate(items):
         _, gw, gh = view.scaled(DOWNSAMPLE)
         if feat.shape[:2] != (gh, gw) or proposals.depths.shape[:2] != (gh, gw):
             raise ValueError(f"feature map and proposals must be {gh}x{gw} for this view")
+        bad = feat.size - np.count_nonzero(np.isfinite(feat))
+        if bad:
+            raise ValueError(f"view {i}: feature map has {bad} non-finite values")
         valid, rows, cols, depth = nearest_pixel(centers, view, DOWNSAMPLE)
-        if not valid.any():
+        vis = np.flatnonzero(valid)
+        if not vis.size:
             continue
-        pixel = rows * gw + cols
-        prop_d = channel_major(proposals.depths).take(pixel, axis=1)  # (k, N)
+        pixel = rows[vis] * gw + cols[vis]
+        prop_d = channel_major(proposals.depths).take(pixel, axis=1)  # (k, V)
         prop_s = channel_major(proposals.scores).take(pixel, axis=1)
-        gate, score = _match_proposals(depth, prop_d, prop_s, window)
-        gate &= valid
-        score = np.where(gate, score, 0.0)
-        # num += score * feature * gate, per channel
-        channel_major(feat).take(pixel, axis=1, out=gathered, mode="clip")
+        gate, score = _match_proposals(depth[vis], prop_d, prop_s, window)
+        # num += score * feature, per channel; the score is +0.0 where the
+        # gate is shut, and the product then +-0.0, which adds nothing
+        gathered = channel_major(feat).take(pixel, axis=1)
         gathered *= score
-        gathered *= gate
-        num += gathered
-        weight_sum += score
-        gate_sum += gate
+        num[:, vis] += gathered
+        weight_sum[vis] += score
+        gate_sum[vis] += gate
 
     nx, ny, nz = spec.dims
-    safe = np.where(weight_sum > _WEIGHT_EPS, weight_sum, 1.0)
-    feature_mean = np.where(weight_sum > _WEIGHT_EPS, num / safe, 0.0)
+    weighted = weight_sum > _WEIGHT_EPS
+    # feature_mean, formed in place in num: num / weight_sum, or +0.0
+    num /= np.where(weighted, weight_sum, 1.0)
+    np.copyto(num, 0.0, where=~weighted)
     score = np.where(gate_sum > 0, weight_sum / np.maximum(gate_sum, 1), 0.0)
     return VoxelGrid(
         spec=spec,
-        feature_mean=feature_mean.T.reshape(nx, ny, nz, c),
+        feature_mean=num.T.reshape(nx, ny, nz, c),
         score=score.reshape(nx, ny, nz),
         valid_count=gate_sum.reshape(nx, ny, nz),
     )

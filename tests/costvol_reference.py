@@ -1,6 +1,7 @@
-"""Reference oracle for the plane sweep: the pixel-major cost volume with a
+"""Reference oracles for the plane sweep: the pixel-major cost volume with a
 masked scatter per (source, plane), the bilinear sampler with 2-D fancy
-indexing, and score smoothing one depth slice at a time.
+indexing, score smoothing one depth slice at a time, and the closed-form
+sweep that keeps every channel's cost.
 
 Each source view is warped through every plane; the cells whose warp lands
 in front of the source camera and inside its grid are gathered with a
@@ -10,14 +11,34 @@ tests hold `mvsweep.costvol` against: to the bit for the view counts and
 the probability smoothing, within fixed tolerances for the costs and the
 samples, since the engine warps in closed form and samples from a
 coefficient table.
+
+`build_cost_volume_per_channel` is the engine's own closed-form sweep as it
+was before it summed channels: it stores the (M, C, H*W) per-channel costs
+and returns them as (H, W, C, M).  The engine's channel-mean costs must be
+the bytes of its `costs.mean(axis=2)`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mvsweep.camera import CameraView, DOWNSAMPLE, homography_warp, in_bounds, relative_pose
-from mvsweep.costvol import CostVolume, DepthPlanes, softmax
+from mvsweep.camera import (
+    CameraView,
+    DOWNSAMPLE,
+    EPS_Z,
+    homography_warp,
+    in_bounds,
+    relative_pose,
+)
+from mvsweep.costvol import (
+    CostVolume,
+    DepthPlanes,
+    _bilinear_table,
+    _sample_channels,
+    _SampleBuffers,
+    channel_major,
+    softmax,
+)
 
 
 def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -82,6 +103,74 @@ def build_cost_volume(
     var = np.maximum(acc_sq / n - mean * mean, 0.0)
     costs = np.where(count[:, :, None, :] >= 2, var, cost_penalty)
     return CostVolume(costs=costs, valid_views=count)
+
+
+def build_cost_volume_per_channel(
+    ref_feat: np.ndarray,
+    ref_view: CameraView,
+    src_feats: list[np.ndarray],
+    src_views: list[CameraView],
+    planes: DepthPlanes,
+    cost_penalty: float = 10.0,
+) -> CostVolume:
+    """The closed-form, channel-major sweep with per-channel costs: each
+    (plane, source) step warps as d a + b and samples one coefficient-table
+    gather; each plane's (C, H*W) variance, penalty applied, is stored whole."""
+    h, w, c = ref_feat.shape
+    k_ref, _, _ = ref_view.scaled(DOWNSAMPLE)
+    m = planes.count
+    rays = np.ones((3, h, w))
+    rays[0] = (np.arange(w, dtype=np.float64) - k_ref.cx) / k_ref.fx
+    rays[1] = (np.arange(h, dtype=np.float64)[:, None] - k_ref.cy) / k_ref.fy
+    rays = rays.reshape(3, h * w)
+    ref = channel_major(ref_feat)
+    ref0 = 0.0 + ref
+    ref_sq0 = 0.0 + ref * ref
+    sources = []
+    for feat, view in zip(src_feats, src_views):
+        k_src, sw, sh = view.scaled(DOWNSAMPLE)
+        rel = relative_pose(ref_view.pose, view.pose)
+        kk = np.array([[k_src.fx, 0.0, k_src.cx], [0.0, k_src.fy, k_src.cy], [0.0, 0.0, 1.0]])
+        sources.append((_bilinear_table(feat), sw, sh, kk @ rel.rotation @ rays,
+                        kk @ rel.translation))
+
+    costs = np.empty((m, c, h * w))
+    count = np.ones((m, h * w), dtype=np.int64)
+    acc = np.empty((c, h * w))
+    acc_sq = np.empty((c, h * w))
+    hz = np.empty(h * w)
+    u = np.empty(h * w)
+    v = np.empty(h * w)
+    ok = np.empty(h * w, dtype=bool)
+    work = _SampleBuffers(c, h * w)
+    for mi, depth in enumerate(planes.depths):
+        np.copyto(acc, ref0)
+        np.copyto(acc_sq, ref_sq0)
+        n_views = count[mi]
+        for table, sw, sh, a, b in sources:
+            np.multiply(a[2], depth, out=hz)
+            hz += b[2]
+            np.greater(hz, EPS_Z, out=ok)
+            for out, ai, bi in ((u, a[0], b[0]), (v, a[1], b[1])):
+                np.multiply(ai, depth, out=out)
+                out += bi
+                np.divide(out, hz, out=out, where=ok)
+            ok &= in_bounds(u, v, sw, sh)
+            sample = _sample_channels(table, sh, sw, u, v, ok, work)
+            acc += sample
+            acc_sq += np.multiply(sample, sample, out=work.coeffs[:c])
+            n_views += ok
+        n = n_views.astype(np.float64)
+        mean = np.divide(acc, n, out=acc)
+        acc_sq /= n
+        cost = costs[mi]
+        np.subtract(acc_sq, np.multiply(mean, mean, out=mean), out=cost)
+        np.maximum(cost, 0.0, out=cost)
+        np.copyto(cost, cost_penalty, where=n_views < 2)
+    return CostVolume(
+        costs=costs.reshape(m, c, h, w).transpose(2, 3, 1, 0),
+        valid_views=count.reshape(m, h, w).transpose(1, 2, 0),
+    )
 
 
 def _binomial_smooth(plane: np.ndarray) -> np.ndarray:

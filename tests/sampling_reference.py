@@ -8,14 +8,21 @@ over views: each voxel center is projected into every view at feature scale
 and rounded to the nearest pixel; a view with a valid projection adds that
 pixel's feature, and the feature mean is the plain mean over those views.
 They serve only as the yardsticks the tests hold `mvsweep.sampling` against.
+
+`sample_topk` and `build_volume_every_voxel` are the engine's own top-k
+selection and channel-major aggregation as they were before they kept only
+what they read: the proposals are views into the full (H, W, M) sort order,
+and every view computes over, and adds into, every voxel.  The engine must
+give their bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mvsweep.camera import DOWNSAMPLE, project
-from mvsweep.sampling import VoxelGrid, VoxelGridSpec
+from mvsweep.camera import DOWNSAMPLE, nearest_pixel, project
+from mvsweep.costvol import DepthPlanes, channel_major
+from mvsweep.sampling import DepthProposalSet, VoxelGrid, VoxelGridSpec
 
 
 def gate_and_weight(
@@ -124,4 +131,54 @@ def build_volume_vanilla(items, spec: VoxelGridSpec) -> VoxelGrid:
         feature_mean=mean.reshape(nx, ny, nz, c),
         score=score.reshape(nx, ny, nz),
         valid_count=count.reshape(nx, ny, nz),
+    )
+
+
+def sample_topk(probs: np.ndarray, planes: DepthPlanes, k: int) -> DepthProposalSet:
+    """The k most probable planes per pixel (stable: ties to the lower
+    index), scores renormalized; plane_indices is a view into the full sort
+    order."""
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    idx = order[..., :k]
+    picked = np.take_along_axis(probs, idx, axis=-1)
+    total = picked.sum(axis=-1, keepdims=True)
+    return DepthProposalSet(plane_indices=idx, depths=planes.depths[idx], scores=picked / total)
+
+
+def build_volume_every_voxel(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
+    """The channel-major depth-gated volume, each view computing over every
+    voxel and masking the ones outside its frustum by multiplication."""
+    centers = spec.centers().reshape(-1, 3)
+    n = centers.shape[0]
+    c = items[0][0].shape[-1]
+    num = np.zeros((c, n))
+    gathered = np.empty((c, n))
+    weight_sum = np.zeros(n)
+    gate_sum = np.zeros(n, dtype=np.int64)
+    for feat, view, proposals in items:
+        _, gw, _ = view.scaled(DOWNSAMPLE)
+        valid, rows, cols, depth = nearest_pixel(centers, view, DOWNSAMPLE)
+        if not valid.any():
+            continue
+        pixel = rows * gw + cols
+        prop_d = channel_major(proposals.depths).take(pixel, axis=1)
+        prop_s = channel_major(proposals.scores).take(pixel, axis=1)
+        gate, score = _match_proposals(depth, prop_d.T, prop_s.T, window)
+        gate &= valid
+        score = np.where(gate, score, 0.0)
+        channel_major(feat).take(pixel, axis=1, out=gathered, mode="clip")
+        gathered *= score
+        gathered *= gate
+        num += gathered
+        weight_sum += score
+        gate_sum += gate
+    nx, ny, nz = spec.dims
+    safe = np.where(weight_sum > 1e-12, weight_sum, 1.0)
+    feature_mean = np.where(weight_sum > 1e-12, num / safe, 0.0)
+    score = np.where(gate_sum > 0, weight_sum / np.maximum(gate_sum, 1), 0.0)
+    return VoxelGrid(
+        spec=spec,
+        feature_mean=feature_mean.T.reshape(nx, ny, nz, c),
+        score=score.reshape(nx, ny, nz),
+        valid_count=gate_sum.reshape(nx, ny, nz),
     )

@@ -121,9 +121,9 @@ def test_criterion_01_normalization():
     rng = np.random.default_rng(0)
     for trial in range(500):
         m = int(rng.integers(2, 13))
-        costs = rng.uniform(0, 10, size=(4, 5, 6, m))
+        costs = rng.uniform(0, 10, size=(4, 5, 6, m))  # per channel, reduced as the sweep does
         probs = cost_to_probability(
-            CostVolume(costs, np.full((4, 5, m), 3)),
+            CostVolume(costs.mean(axis=2), np.full((4, 5, m), 3)),
             temperature=float(rng.uniform(1e-4, 1.0)),
         )
         assert np.all(probs >= 0)

@@ -194,18 +194,23 @@ class TestBuildCostVolume:
         assert vol.valid_views.min() >= 1 and vol.valid_views.max() <= 3
 
 
+def channel_mean_volume(costs):
+    """An engine cost volume from per-channel (H, W, C, M) costs: their
+    channel mean, as the per-channel oracles reduce them, with 3 views
+    everywhere."""
+    return CostVolume(costs.mean(axis=2), np.full(costs.shape[:2] + costs.shape[3:], 3))
+
+
 class TestCostToProbability:
     def test_uniform_costs_give_uniform_probability(self):
-        costs = np.full((4, 4, 6, 5), 0.3)
-        vol = CostVolume(costs, np.full((4, 4, 5), 3))
+        vol = channel_mean_volume(np.full((4, 4, 6, 5), 0.3))
         probs = cost_to_probability(vol, temperature=0.05)
         np.testing.assert_allclose(probs, 1.0 / 5, atol=1e-12)
 
     def test_low_cost_plane_wins_at_small_temperature(self):
         costs = np.full((2, 2, 6, 4), 10.0)
         costs[..., 2] = 0.0
-        vol = CostVolume(costs, np.full((2, 2, 4), 3))
-        probs = cost_to_probability(vol, temperature=1e-3)
+        probs = cost_to_probability(channel_mean_volume(costs), temperature=1e-3)
         assert np.all(probs[..., 2] > 0.999)
 
     def test_softmax_arithmetic(self):
@@ -213,15 +218,13 @@ class TestCostToProbability:
         costs = np.zeros((1, 1, 6, 2))
         costs[..., 0] = 1.0
         costs[..., 1] = 2.0
-        vol = CostVolume(costs, np.full((1, 1, 2), 3))
-        probs = cost_to_probability(vol, temperature=1.0)
+        probs = cost_to_probability(channel_mean_volume(costs), temperature=1.0)
         assert probs[0, 0, 0] == pytest.approx(np.e / (np.e + 1.0), abs=1e-9)
         assert probs[0, 0, 1] == pytest.approx(1.0 / (np.e + 1.0), abs=1e-9)
 
     def test_normalized(self):
         rng = np.random.default_rng(3)
-        costs = rng.uniform(0, 2, size=(6, 7, 6, 9))
-        vol = CostVolume(costs, np.full((6, 7, 9), 3))
+        vol = channel_mean_volume(rng.uniform(0, 2, size=(6, 7, 6, 9)))
         probs = cost_to_probability(vol, temperature=0.05)
         np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-6)
         assert np.all(probs >= 0)
@@ -232,27 +235,27 @@ class TestCostToProbability:
         # plane's score everywhere too.
         rng = np.random.default_rng(4)
         costs = rng.uniform(0.1, 1.0, size=(3, 3, 6, 5))
-        vol = CostVolume(costs, np.full((3, 3, 5), 3))
+        vol = channel_mean_volume(costs)
         base = cost_to_probability(vol, temperature=0.05)
         lowered = costs.copy()
         lowered[..., 2] -= 0.05
-        vol2 = CostVolume(lowered, vol.valid_views)
-        after = cost_to_probability(vol2, temperature=0.05)
+        after = cost_to_probability(channel_mean_volume(lowered), temperature=0.05)
         assert np.all(after[..., 2] >= base[..., 2] - 1e-12)
 
     @pytest.mark.parametrize("shape", [(1, 7, 6, 5), (9, 1, 6, 5), (1, 1, 6, 3), (12, 16, 6, 12)])
     def test_matches_per_slice_oracle(self, shape):
         # Smoothing all slices at once gives the bytes of smoothing each
-        # slice alone, on 1-wide and 1-high grids as well.
+        # slice alone, on 1-wide and 1-high grids as well; the oracle takes
+        # the per-channel costs and their channel mean itself.
         from costvol_reference import cost_to_probability as reference_probability
 
         costs = np.random.default_rng(8).uniform(0, 2, size=shape)
-        vol = CostVolume(costs, np.full(shape[:2] + shape[3:], 3))
-        assert_bytes_equal(cost_to_probability(vol, temperature=0.05),
-                           reference_probability(vol, temperature=0.05))
+        per_channel = CostVolume(costs, np.full(shape[:2] + shape[3:], 3))
+        assert_bytes_equal(cost_to_probability(channel_mean_volume(costs), temperature=0.05),
+                           reference_probability(per_channel, temperature=0.05))
 
     def test_rejects_bad_temperature(self):
-        vol = CostVolume(np.zeros((1, 1, 6, 2)), np.full((1, 1, 2), 3))
+        vol = CostVolume(np.zeros((1, 1, 2)), np.full((1, 1, 2), 3))
         with pytest.raises(ValueError):
             cost_to_probability(vol, temperature=0.0)
 
@@ -368,14 +371,17 @@ def assert_bytes_equal(actual, expected):
 
 
 def assert_sweep_matches_oracle(ref_feat, ref_view, src_feats, src_views, planes):
+    """The sweep against the pixel-major oracle's channel-mean costs and its
+    view counts; returns the sweep and the oracle reduced to channel means."""
     from costvol_reference import build_cost_volume as reference_build
 
     vol = build_cost_volume(ref_feat, ref_view, src_feats, src_views, planes)
     ref = reference_build(ref_feat, ref_view, src_feats, src_views, planes)
-    assert vol.costs.shape == ref.costs.shape
-    np.testing.assert_allclose(vol.costs, ref.costs, rtol=0, atol=COST_ATOL)
+    ref_mean = CostVolume(ref.costs.mean(axis=2), ref.valid_views)
+    assert vol.costs.shape == ref_mean.costs.shape
+    np.testing.assert_allclose(vol.costs, ref_mean.costs, rtol=0, atol=COST_ATOL)
     assert_bytes_equal(vol.valid_views, ref.valid_views)
-    return vol, ref
+    return vol, ref_mean
 
 
 # The sweep warps in closed form, d a + b per plane, and blends each sample
@@ -394,8 +400,9 @@ SAMPLE_ATOL = 4e-15
 
 class TestSweepMatchesOracle:
     """The plane sweep reproduces the pixel-major, masked-scatter oracle in
-    `tests/costvol_reference.py`: its view counts to the bit, its costs, its
-    probabilities and its samples within fixed tolerances."""
+    `tests/costvol_reference.py`: its view counts to the bit, its
+    channel-mean costs, its probabilities and its samples within fixed
+    tolerances."""
 
     def test_textured_scene(self):
         scene = generate_scene(seed=31, n_boxes=0)
@@ -464,7 +471,7 @@ class TestSweepMatchesOracle:
         feats = [rng.uniform(-1, 1, size=(12, 20, channels)) for _ in views]
         planes = DepthPlanes.uniform(6, 0.5, 4.0)
         vol, ref = assert_sweep_matches_oracle(feats[0], views[0], feats[1:], views[1:], planes)
-        assert vol.costs.shape == (12, 20, channels, 6)
+        assert vol.costs.shape == (12, 20, 6)
         for mi in range(planes.count):
             assert set(np.unique(vol.valid_views[:, :, mi])) == {1, 2, 3}
         np.testing.assert_allclose(
@@ -488,15 +495,79 @@ class TestSweepMatchesOracle:
                                    rtol=0, atol=SAMPLE_ATOL)
 
 
+class TestSweepMatchesPerChannelSweep:
+    """The channel-summed sweep gives the bytes of the channel mean of the
+    closed-form per-channel sweep in `tests/costvol_reference.py`, and its
+    view counts, on random configurations."""
+
+    @staticmethod
+    def random_config(rng, channels=None):
+        gw, gh = (int(x) for x in rng.integers(1, 24, size=2))
+        c = int(rng.integers(1, 7)) if channels is None else channels
+        f = float(rng.uniform(0.5, 1.5)) * 4 * max(gw, gh)
+        k = Intrinsics(f, f, (4 * gw - 1) / 2, (4 * gh - 1) / 2)
+        target = (0.0, 0.0, float(rng.uniform(1.5, 4.0)))
+        views = [CameraView(k, Pose.identity(), 4 * gw, 4 * gh)]
+        for _ in range(int(rng.integers(1, 4))):
+            eye = tuple(float(x) for x in rng.uniform(-0.6, 0.6, size=3))
+            views.append(CameraView(k, look_at(eye, target, up=(0.0, -1.0, 0.0)), 4 * gw, 4 * gh))
+        feats = [rng.uniform(-1, 1, size=(gh, gw, c)) for _ in views]
+        planes = DepthPlanes.uniform(int(rng.integers(2, 13)), float(rng.uniform(0.2, 1.0)),
+                                     float(rng.uniform(2.0, 6.0)))
+        return feats, views, planes
+
+    @staticmethod
+    def assert_matches(feats, views, planes, cost_penalty=10.0):
+        from costvol_reference import build_cost_volume_per_channel
+
+        args = (feats[0], views[0], feats[1:], views[1:], planes, cost_penalty)
+        vol = build_cost_volume(*args)
+        parent = build_cost_volume_per_channel(*args)
+        assert_bytes_equal(vol.costs, parent.costs.mean(axis=2))
+        assert_bytes_equal(vol.valid_views, parent.valid_views)
+        return vol
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_configuration(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        self.assert_matches(*self.random_config(rng), cost_penalty=float(rng.uniform(0.5, 20)))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_few_channel_grids(self, channels):
+        rng = np.random.default_rng(200 + channels)
+        feats, views, planes = self.random_config(rng, channels)
+        vol = self.assert_matches(feats, views, planes)
+        assert vol.costs.shape == feats[0].shape[:2] + (planes.count,)
+
+    def test_penalty_and_valid_cells_mix(self):
+        # A sideways source pushes part of every plane off its grid, and a
+        # source facing away sees nothing, so penalty cells (summed from C
+        # penalty values) and valid cells share each plane.
+        rng = np.random.default_rng(2)
+        beside = simple_view(width=64, height=48, pose=Pose(np.eye(3), np.array([0.5, 0.0, 0.0])))
+        behind = simple_view(width=64, height=48, pose=Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)))
+        views = [simple_view(width=64, height=48), beside, behind]
+        feats = [rng.uniform(0, 1, size=(12, 16, 6)) for _ in views]
+        vol = self.assert_matches(feats, views, DepthPlanes.uniform(5, 1.0, 3.0), cost_penalty=7.3)
+        assert (vol.valid_views == 1).any() and (vol.valid_views == 2).any()
+
+    def test_textured_scene(self):
+        scene = generate_scene(seed=31, n_boxes=0)
+        views = make_trajectory(scene, 3, seed=7)
+        feats = [extract_features(raycast(scene, v).image) for v in views]
+        self.assert_matches(feats, views, DepthPlanes.uniform(12, 0.2, 5.0))
+
+
 class TestMemoryBudget:
     # Traced peak bytes of one sweep per (cell, plane, channel) of its cost
     # volume, plus a constant, for a 320x240 reference with 2 sources, 12
-    # planes and 6 channels (80x60 cells).  Measured 22.8, so the budget
-    # leaves 14%: the returned costs take 8 and the view counts 1.3, and the
-    # two sources' coefficient tables 5.3.  The four-corner sampler that the
-    # tables replaced peaked at 19.3, and a sweep that warps and samples
-    # every plane of a source at once peaked at 84.7.
-    SWEEP_BYTES_PER_CELL_PLANE_CHANNEL = 26
+    # planes and 6 channels (80x60 cells).  Measured 16.2, so the budget
+    # leaves 17%: the two sources' coefficient tables take 5.3, and the
+    # returned channel-mean costs and view counts 1.3 each.  A sweep that
+    # kept per-channel costs peaked at 22.8 (its costs took 8), the
+    # four-corner sampler that the tables replaced at 19.3, and a sweep that
+    # warps and samples every plane of a source at once at 84.7.
+    SWEEP_BYTES_PER_CELL_PLANE_CHANNEL = 19
     SWEEP_BYTES_CONSTANT = 64 * 1024
 
     def test_sweep_peak(self):

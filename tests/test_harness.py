@@ -595,6 +595,16 @@ class TestBoxAndMetricsText:
         ("1 2 3", r"line 2: 8 values expected, got 3 \(field size\)"),
         ("1 2 x 4 5 6 0 1", r"line 2: field center: 'x' is not a number"),
         ("1 2 3 4 0 6 0 1", r"line 2: box sizes must be positive"),
+        # A rotated or non-finite box used to load and fail late, in iou3d
+        # or in the box metrics, naming neither the file nor the line.
+        ("0 0 0 1 1 1 nan 1.0", r"line 2: field yaw: nan is not finite"),
+        ("0 0 0 1 1 1 1 1.0", r"line 2: field yaw: 1.0: boxes are axis-aligned, so yaw must be 0"),
+        ("0 0 0 1 1 1 -0.3 1.0", r"line 2: field yaw: -0.3: boxes are axis-aligned"),
+        ("0 inf 0 1 1 1 0 1", r"line 2: field center: inf is not finite"),
+        ("0 0 0 1 nan 1 0 1", r"line 2: field size: nan is not finite"),
+        ("0 0 0 1 1 inf 0 1", r"line 2: field size: inf is not finite"),
+        ("0 0 0 1 1 1 0 -inf", r"line 2: field score: -inf is not finite"),
+        ("0 0 0 1 1 1 0 nan", r"line 2: field score: nan is not finite"),
     ])
     def test_bad_box_record_names_path_line_and_field(self, tmp_path, record, message):
         p = tmp_path / "boxes.txt"

@@ -380,6 +380,150 @@ class TestBuildVolumeMatchesOracle:
         self.assert_matches(views, spec, 7, channels)
 
 
+class TestMatchesPerViewAggregation:
+    """Top-k proposals and the depth-gated volume give the bytes of the
+    sampler that kept the full sort order and of the aggregation that
+    computed over every voxel for every view, both in
+    `tests/sampling_reference.py`."""
+
+    @staticmethod
+    def random_items(views, seed, channels=6, planes=None, k=3, ties=False):
+        rng = np.random.default_rng(seed)
+        planes = planes or DepthPlanes.uniform(12, 0.2, 5.0)
+        items = []
+        for v in views:
+            shape = (v.height // 4, v.width // 4)
+            probs = rng.dirichlet(np.ones(planes.count), size=shape)
+            if ties:
+                probs = np.round(probs, 1) + 1e-3
+                probs /= probs.sum(axis=-1, keepdims=True)
+            feat = rng.normal(0.0, 1.0, shape + (channels,))
+            items.append((feat, v, probs))
+        return items, planes
+
+    @staticmethod
+    def assert_topk_matches(probs, planes, k):
+        from sampling_reference import sample_topk as reference_topk
+
+        ps = sample_topk(probs, planes, k)
+        ref = reference_topk(probs, planes, k)
+        for name in ("plane_indices", "depths", "scores"):
+            a, b = getattr(ps, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+            # Each array owns exactly its H*W*k entries.
+            assert a.base is None and a.nbytes == probs[..., :k].size * a.itemsize, name
+        return ps
+
+    @staticmethod
+    def assert_volume_matches(items, spec, window):
+        from sampling_reference import build_volume_every_voxel
+
+        grid = build_volume(items, spec, window)
+        ref = build_volume_every_voxel(items, spec, window)
+        for name in ("feature_mean", "score", "valid_count"):
+            a, b = getattr(grid, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+        return grid
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_topk(self, k, ties):
+        items, planes = self.random_items([pixel_aimed_view(64, 48)] * 3, 10 + k, ties=ties)
+        for _, _, probs in items:
+            self.assert_topk_matches(probs, planes, k)
+
+    def test_topk_all_planes_tied(self):
+        planes = DepthPlanes.uniform(5, 1.0, 3.0)
+        ps = self.assert_topk_matches(np.full((3, 4, 5), 0.2), planes, 5)
+        np.testing.assert_array_equal(ps.plane_indices[1, 2], np.arange(5))
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("channels", [1, 3, 6])
+    def test_default_grid(self, seed, channels):
+        views = TestVanillaMatchesOracle.scene_views(seed)
+        items, planes = self.random_items(views, seed, channels, ties=seed == 7)
+        items = [(f, v, self.assert_topk_matches(p, planes, 3)) for f, v, p in items]
+        spec = VoxelGridSpec((40, 40, 16), (-3.2, -3.2, 0.0), (0.16, 0.16, 0.2))
+        grid = self.assert_volume_matches(items, spec, window=0.2)
+        # Both gated-in and gated-out voxels occur.
+        assert 0 < np.count_nonzero(grid.valid_count) < grid.valid_count.size
+
+    def test_full_k_and_unbounded_window(self):
+        # k = M with window=inf gates in every voxel a view sees: the vanilla
+        # volume with confidence weights.
+        views = TestVanillaMatchesOracle.scene_views(1)
+        planes = DepthPlanes.uniform(6, 0.5, 4.5)
+        items, _ = self.random_items(views, 3, planes=planes)
+        items = [(f, v, self.assert_topk_matches(p, planes, 6)) for f, v, p in items]
+        spec = VoxelGridSpec((20, 20, 8), (-3.2, -3.2, 0.0), (0.32, 0.32, 0.4))
+        self.assert_volume_matches(items, spec, window=np.inf)
+
+    def test_vanilla_volume(self):
+        from sampling_reference import build_volume_every_voxel
+
+        views = TestVanillaMatchesOracle.scene_views(7)
+        rng = np.random.default_rng(4)
+        feats = [rng.normal(0.0, 1.0, (v.height // 4, v.width // 4, 3)) for v in views]
+        spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
+        grid = build_volume_vanilla(list(zip(feats, views)), spec)
+        ref = build_volume_every_voxel(
+            [(f, v, proposals_from_depth(np.zeros(f.shape[:2]))) for f, v in zip(feats, views)],
+            spec, np.inf,
+        )
+        for name in ("feature_mean", "score", "valid_count"):
+            assert getattr(grid, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    def test_view_that_sees_no_voxel(self):
+        # The second view faces away from the grid; negative features make
+        # every skipped voxel's product -0.0, which adds nothing.
+        view = pixel_aimed_view()
+        away = CameraView(view.intrinsics, Pose(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)), 32, 32)
+        spec = VoxelGridSpec((4, 4, 3), (-0.4, -0.4, 1.0), (0.2, 0.2, 0.5))
+        props = constant_proposals((8, 8), [1.25, 1.75], [0.6, 0.4])
+        items = [(np.full((8, 8, 2), -0.5), view, props), (np.full((8, 8, 2), -2.0), away, props)]
+        grid = self.assert_volume_matches(items, spec, window=0.2)
+        assert grid.valid_count.max() == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_feature(self, bad):
+        # A skipped voxel would have added 0 * inf = NaN, so the identity
+        # with adding over every voxel needs finite features.
+        feat = np.ones((8, 8, 2))
+        feat[7, 0, 1] = bad
+        props = constant_proposals((8, 8), [2.0], [1.0])
+        items = [(np.ones((8, 8, 2)), pixel_aimed_view(), props), (feat, pixel_aimed_view(), props)]
+        with pytest.raises(ValueError, match="view 1: feature map has 1 non-finite values"):
+            build_volume(items, single_voxel_spec(), window=0.2)
+
+
+class TestBuildVolumeMemory:
+    # Traced peak bytes of one build_volume per voxel of the default 40x40x16
+    # grid, for 8 views of 80x60 six-channel features with 3 proposals each.
+    # Measured 216: the voxel centers take 24, the (C, N) feature sums and
+    # the weight and gate sums 64, and one view's projection of every center
+    # peaks at 81.  The aggregation that computed over every voxel for every
+    # view peaked at 331.
+    BYTES_PER_VOXEL = 250
+
+    def test_peak(self):
+        import tracemalloc
+
+        views = TestVanillaMatchesOracle.scene_views(1)[:8]
+        items, planes = TestMatchesPerViewAggregation.random_items(views, 1)
+        items = [(f, v, sample_topk(p, planes, 3)) for f, v, p in items]
+        spec = VoxelGridSpec((40, 40, 16), (-3.2, -3.2, 0.0), (0.16, 0.16, 0.2))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_volume(items, spec, window=0.2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.BYTES_PER_VOXEL * spec.n_voxels
+
+
 class TestDegenerateToVanilla:
     def test_uniform_full_k_wide_window_matches_vanilla(self):
         # Uniform B, k = M, window >= depth range: the depth-aware volume's

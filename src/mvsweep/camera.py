@@ -1,5 +1,5 @@
 """Pinhole camera model: projection, rays, intrinsic scaling, relative poses,
-plane-induced homography warping, and nearest-pixel and nearest-view lookup.
+the plane-induced homography warp, and nearest-pixel and nearest-view lookup.
 
 Conventions (OpenCV-style, used by every module):
   - World and camera frames are right-handed; the camera looks along +z,
@@ -85,11 +85,6 @@ class Pose:
         """Camera origin in world coordinates: -R^T t."""
         return -self.rotation.T @ self.translation
 
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Map world points (..., 3) into the camera frame."""
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
-
 
 def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
     """Pose of camera j relative to camera i: x_j = R_ij x_i + t_ij."""
@@ -139,30 +134,6 @@ def in_bounds(u, v, width: int, height: int):
     return (u >= -0.5) & (u <= width - 0.5) & (v >= -0.5) & (v <= height - 0.5)
 
 
-def project_points(points: np.ndarray, k: Intrinsics, pose: Pose):
-    """Pinhole projection of points (..., 3) through `pose`, which maps their
-    frame to the camera frame (world-to-camera for world points, the source
-    pose relative to the reference for reference-frame points).
-
-    Returns (u, v, depth, in_front), each (...); depth is camera-frame z, and
-    u, v are finite but meaningless where the point is not in front of the
-    camera (depth <= EPS_Z).
-    """
-    rotated = points @ pose.rotation.T
-    # Translate each coordinate on its own: adding the (3,) vector to the
-    # (..., 3) array runs one length-3 inner loop per point.
-    x, y, depth = (rotated[..., i] + pose.translation[i] for i in range(3))
-    in_front = depth > EPS_Z
-    safe = np.where(in_front, depth, 1.0)
-    u = k.fx * x
-    u += k.cx * depth
-    u /= safe
-    v = k.fy * y
-    v += k.cy * depth
-    v /= safe
-    return u, v, depth, in_front
-
-
 def project(point, view: CameraView, scale: int = 1):
     """Project world points onto the image grid at 1/scale resolution.
 
@@ -176,10 +147,19 @@ def project(point, view: CameraView, scale: int = 1):
     k, w, h = view.scaled(scale)
     pts = np.asarray(point, dtype=np.float64)
     squeeze = pts.ndim == 1
-    u, v, depth, in_front = project_points(np.atleast_2d(pts), k, view.pose)
+    rotated = np.atleast_2d(pts) @ view.pose.rotation.T
+    # Translate each coordinate on its own: adding the (3,) vector to the
+    # (..., 3) array runs one length-3 inner loop per point.
+    u, v, depth = (rotated[..., i] + view.pose.translation[i] for i in range(3))
+    in_front = depth > EPS_Z
+    safe = np.where(in_front, depth, 1.0)
+    for out, f, c in ((u, k.fx, k.cx), (v, k.fy, k.cy)):
+        out *= f
+        out += c * depth
+        out /= safe
     valid = in_front & in_bounds(u, v, w, h)
-    u = np.where(in_front, u, np.nan)
-    v = np.where(in_front, v, np.nan)
+    for out in (u, v):
+        np.copyto(out, np.nan, where=~in_front)
     if squeeze:
         return float(u[0]), float(v[0]), float(depth[0]), bool(valid[0])
     return u, v, depth, valid
@@ -241,33 +221,35 @@ def ray_grid(view: CameraView, scale: int = 1):
     return origin, d_world, axis_cos
 
 
-def plane_points(q, depth: float, k_ref: Intrinsics) -> np.ndarray:
-    """Reference-frame points (..., 3) where the rays through reference-grid
-    pixels q (..., 2) meet the fronto-parallel plane at the given depth."""
-    if not depth > 0:
-        raise ValueError(f"plane depth must be positive, got {depth}")
-    x = (q[..., 0] - k_ref.cx) / k_ref.fx * depth
-    y = (q[..., 1] - k_ref.cy) / k_ref.fy * depth
-    return np.stack([x, y, np.full_like(x, depth)], axis=-1)
+def plane_warp_terms(u, v, k_ref: Intrinsics, k_src: Intrinsics, rel: Pose):
+    """Per-source terms of the plane-induced homography for reference-grid
+    pixels q = (u, v), broadcast together and flattened in C order.
 
-
-def homography_warp(q, depth: float, k_ref: Intrinsics, k_src: Intrinsics, rel: Pose):
-    """Map reference-grid pixels onto a source grid through the fronto-parallel
-    plane at the given reference depth: plane_points, then project_points.
-
-    q: (2,) or (..., 2) pixel coordinates on the reference grid.
-    rel: pose of the source camera relative to the reference camera.
-    Returns (uv (..., 2), src_depth (...), in_front (...)) -- callers combine
-    in_front with their own grid-bounds test; coordinates are NaN behind the
-    source camera.
+    The ray through q meets the fronto-parallel plane at reference depth d at
+    d K_ref^-1 q, so its homogeneous source coordinates are d a + b, with
+    a = K_s R K_ref^-1 q (3, N) and b = K_s t (3,); rel is the pose of the
+    source camera relative to the reference camera.
     """
-    q = np.asarray(q, dtype=np.float64)
-    squeeze = q.ndim == 1
-    u, v, d_src, in_front = project_points(plane_points(np.atleast_2d(q), depth, k_ref), k_src, rel)
-    uv = np.stack([np.where(in_front, u, np.nan), np.where(in_front, v, np.nan)], axis=-1)
-    if squeeze:
-        return uv[0], float(d_src[0]), bool(in_front[0])
-    return uv, d_src, in_front
+    rays = np.stack(np.broadcast_arrays((u - k_ref.cx) / k_ref.fx, (v - k_ref.cy) / k_ref.fy, 1.0))
+    kk = np.array([[k_src.fx, 0.0, k_src.cx], [0.0, k_src.fy, k_src.cy], [0.0, 0.0, 1.0]])
+    return kk @ rel.rotation @ rays.reshape(3, -1), kk @ rel.translation
+
+
+def plane_warp(a, b, depth: float, hz, u, v, ok) -> None:
+    """Warp the pixels of `plane_warp_terms` through the plane at reference
+    depth `depth`, writing into the (N,) buffers: hz = d a2 + b2 (the source
+    depth), ok = hz > EPS_Z (in front of the source camera), and
+    u = (d a0 + b0) / hz, v = (d a1 + b1) / hz where ok; elsewhere u and v
+    hold d a0 + b0 and d a1 + b1.  Callers combine ok with their own
+    grid-bounds test.
+    """
+    np.multiply(a[2], depth, out=hz)
+    hz += b[2]
+    np.greater(hz, EPS_Z, out=ok)
+    for out, ai, bi in ((u, a[0], b[0]), (v, a[1], b[1])):
+        np.multiply(ai, depth, out=out)
+        out += bi
+        np.divide(out, hz, out=out, where=ok)
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:

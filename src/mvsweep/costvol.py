@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, DOWNSAMPLE, EPS_Z, in_bounds, relative_pose
+from mvsweep.camera import (CameraView, DOWNSAMPLE, in_bounds, plane_warp, plane_warp_terms,
+                            relative_pose)
 
 FEATURE_CHANNELS = 6
 
@@ -226,13 +227,11 @@ def build_cost_volume(
     population variance.  When fewer than 2 views survive, each channel's
     cost is the penalty value.  The cost is the mean of the channel costs.
 
-    The warp is the plane-induced homography in closed form: the reference
-    cell q meets the plane at depth d in the reference frame at d K_ref^-1 q,
-    so its homogeneous source coordinates are d a + b, with a = K_s R
-    K_ref^-1 q (3, H*W) and b = K_s t computed once per source.  Each
-    (plane, source) step is then hz = d a2 + b2, the front test hz > EPS_Z,
-    u = (d a0 + b0) / hz and v = (d a1 + b1) / hz, the grid's band test, and
-    one gather from the source's bilinear coefficient table.
+    The warp is the camera module's plane-induced homography in closed form:
+    `plane_warp_terms` gives a (3, H*W) and b once per source, and each
+    (plane, source) step is one `plane_warp` (hz = d a2 + b2, the front test,
+    u, v = (d a + b) / hz), the grid's band test, and one gather from the
+    source's bilinear coefficient table.
 
     The sweep runs plane by plane and is channel-major: descriptors, sums
     and coefficient gathers are (C, H*W), so per-cell factors (bilinear
@@ -257,14 +256,11 @@ def build_cost_volume(
     h, w, c = ref_feat.shape
     k_ref, gw, gh = ref_view.scaled(DOWNSAMPLE)
     if (gh, gw) != (h, w):
-        raise ValueError("reference feature grid does not match the view size")
+        raise ValueError(f"reference feature grid {h}x{w} is not the view's {gh}x{gw} quarter grid")
 
     m = planes.count
-    # K_ref^-1 q for every reference cell, (3, H*W).
-    rays = np.ones((3, h, w))
-    rays[0] = (np.arange(w, dtype=np.float64) - k_ref.cx) / k_ref.fx
-    rays[1] = (np.arange(h, dtype=np.float64)[:, None] - k_ref.cy) / k_ref.fy
-    rays = rays.reshape(3, h * w)
+    cols = np.arange(w, dtype=np.float64)
+    rows = np.arange(h, dtype=np.float64)[:, None]
     ref = channel_major(ref_feat)
     # 0.0 + x turns -0.0 into +0.0, so the sums start, and stay, free of -0.0.
     ref0 = 0.0 + ref
@@ -277,10 +273,13 @@ def build_cost_volume(
                 f"source {i}: feature grid {feat.shape[0]}x{feat.shape[1]} does not match "
                 f"the view's {sh}x{sw} quarter grid"
             )
+        if feat.shape[2:] != (c,):
+            raise ValueError(
+                f"source {i}: feature grid {feat.shape} does not have the reference's {c} channels"
+            )
         rel = relative_pose(ref_view.pose, view.pose)
-        kk = np.array([[k_src.fx, 0.0, k_src.cx], [0.0, k_src.fy, k_src.cy], [0.0, 0.0, 1.0]])
-        sources.append((_bilinear_table(feat), sw, sh, kk @ rel.rotation @ rays,
-                        kk @ rel.translation))
+        sources.append((_bilinear_table(feat), sw, sh,
+                        *plane_warp_terms(cols, rows, k_ref, k_src, rel)))
 
     costs = np.empty((m, h * w))
     count = np.ones((m, h * w), dtype=np.int64)  # reference always contributes
@@ -296,13 +295,7 @@ def build_cost_volume(
         np.copyto(acc_sq, ref_sq0)
         n_views = count[mi]
         for table, sw, sh, a, b in sources:
-            np.multiply(a[2], depth, out=hz)
-            hz += b[2]
-            np.greater(hz, EPS_Z, out=ok)
-            for out, ai, bi in ((u, a[0], b[0]), (v, a[1], b[1])):
-                np.multiply(ai, depth, out=out)
-                out += bi
-                np.divide(out, hz, out=out, where=ok)
+            plane_warp(a, b, depth, hz, u, v, ok)
             ok &= in_bounds(u, v, sw, sh)
             sample = _sample_channels(table, sh, sw, u, v, ok, work)
             acc += sample

@@ -174,7 +174,8 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     for i, (feat, view, proposals) in enumerate(items):
         _, gw, gh = view.scaled(DOWNSAMPLE)
         if feat.shape[:2] != (gh, gw) or proposals.depths.shape[:2] != (gh, gw):
-            raise ValueError(f"feature map and proposals must be {gh}x{gw} for this view")
+            raise ValueError(f"view {i}: feature map {feat.shape} and proposals "
+                             f"{proposals.depths.shape} must be {gh}x{gw}")
         bad = feat.size - np.count_nonzero(np.isfinite(feat))
         if bad:
             raise ValueError(f"view {i}: feature map has {bad} non-finite values")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, Intrinsics, look_at, nearest_pixel, pixel_rays
+from mvsweep.camera import CameraView, Intrinsics, look_at, nearest_pixel, pixel_rays, project
 
 # Default room matches the default 40x40x16 voxel grid at pitch
 # (0.16, 0.16, 0.2): x, y in [-3.2, 3.2], z in [0, 3.2].
@@ -450,19 +450,14 @@ def _box_window(view: CameraView, lo: np.ndarray, hi: np.ndarray):
 
     With every corner in front of the camera the box projects inside the
     bounding rectangle of its 8 projected corners, which is padded by one
-    pixel against rounding and clipped to the image.  A corner at or behind
-    the camera gives the whole image.
+    pixel against rounding and clipped to the image.  A corner that is not
+    in front of the camera (its `project` coordinates are NaN) gives the
+    whole image.
     """
     corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, 3)
-    cam = view.pose.transform(corners)
-    whole = slice(0, view.height), slice(0, view.width)
-    if not np.all(cam[:, 2] > 0):
-        return whole
-    k = view.intrinsics
-    u = k.fx * cam[:, 0] / cam[:, 2] + k.cx
-    v = k.fy * cam[:, 1] / cam[:, 2] + k.cy
+    u, v, _, _ = project(corners, view)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        return whole
+        return slice(0, view.height), slice(0, view.width)
     c0, c1 = max(int(np.floor(u.min())) - 1, 0), min(int(np.ceil(u.max())) + 1, view.width - 1)
     r0, r1 = max(int(np.floor(v.min())) - 1, 0), min(int(np.ceil(v.max())) + 1, view.height - 1)
     if c0 > c1 or r0 > r1:

@@ -1,7 +1,12 @@
-"""Reference oracles for the plane sweep: the pixel-major cost volume with a
-masked scatter per (source, plane), the bilinear sampler with 2-D fancy
-indexing, score smoothing one depth slice at a time, and the closed-form
-sweep that keeps every channel's cost.
+"""Reference oracles for the plane sweep: the two-step plane warp, the
+pixel-major cost volume with a masked scatter per (source, plane), the
+bilinear sampler with 2-D fancy indexing, score smoothing one depth slice at
+a time, and the closed-form sweep that keeps every channel's cost.
+
+`homography_warp` maps reference pixels through a plane in two steps of its
+own: the 3-D points where their rays meet the plane (`plane_points`), then
+their pinhole projection into the source camera (`project_points`).  It
+shares no code with the engine's closed-form `camera.plane_warp`.
 
 Each source view is warped through every plane; the cells whose warp lands
 in front of the source camera and inside its grid are gathered with a
@@ -26,7 +31,8 @@ from mvsweep.camera import (
     CameraView,
     DOWNSAMPLE,
     EPS_Z,
-    homography_warp,
+    Intrinsics,
+    Pose,
     in_bounds,
     relative_pose,
 )
@@ -39,6 +45,45 @@ from mvsweep.costvol import (
     channel_major,
     softmax,
 )
+
+
+def plane_points(q, depth: float, k_ref: Intrinsics) -> np.ndarray:
+    """Reference-frame points (..., 3) where the rays through reference-grid
+    pixels q (..., 2) meet the fronto-parallel plane at the given depth."""
+    if not depth > 0:
+        raise ValueError(f"plane depth must be positive, got {depth}")
+    x = (q[..., 0] - k_ref.cx) / k_ref.fx * depth
+    y = (q[..., 1] - k_ref.cy) / k_ref.fy * depth
+    return np.stack([x, y, np.full_like(x, depth)], axis=-1)
+
+
+def project_points(points: np.ndarray, k: Intrinsics, pose: Pose):
+    """Pinhole projection of points (..., 3) through `pose`, which maps their
+    frame to the camera frame.  Returns (u, v, depth, in_front), each (...);
+    u, v are finite but meaningless where depth <= EPS_Z."""
+    rotated = points @ pose.rotation.T
+    x, y, depth = (rotated[..., i] + pose.translation[i] for i in range(3))
+    in_front = depth > EPS_Z
+    safe = np.where(in_front, depth, 1.0)
+    u = k.fx * x
+    u += k.cx * depth
+    u /= safe
+    v = k.fy * y
+    v += k.cy * depth
+    v /= safe
+    return u, v, depth, in_front
+
+
+def homography_warp(q, depth: float, k_ref: Intrinsics, k_src: Intrinsics, rel: Pose):
+    """Map reference-grid pixels q (..., 2) onto a source grid through the
+    fronto-parallel plane at the given reference depth: plane_points, then
+    project_points.  rel is the pose of the source camera relative to the
+    reference camera.  Returns (uv (..., 2), src_depth (...), in_front (...));
+    coordinates are NaN behind the source camera."""
+    q = np.asarray(q, dtype=np.float64)
+    u, v, d_src, in_front = project_points(plane_points(q, depth, k_ref), k_src, rel)
+    uv = np.stack([np.where(in_front, u, np.nan), np.where(in_front, v, np.nan)], axis=-1)
+    return uv, d_src, in_front
 
 
 def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from mvsweep.camera import (
     CameraView,
     Intrinsics,
     Pose,
-    homography_warp,
     nearest_views,
     project,
     relative_pose,
@@ -49,6 +48,7 @@ from mvsweep.scenegen import (
 )
 from mvsweep.splat import refine_probability_volume, refinement_loss_and_grad
 from scenegen_oracles import surface_free_masks
+from warp_adaptor import warp_pixels
 
 CONFIG = PipelineConfig()
 PLANES = CONFIG.planes()
@@ -142,7 +142,8 @@ def test_criterion_01_normalization():
 
 def test_criterion_02_homography_oracle():
     """Plane-induced warping agrees with direct two-view projection within
-    1e-5 px on 100 random pose/plane/point triples."""
+    1e-5 px on 100 random pose/plane/point triples.  The warp is the camera
+    module's `plane_warp`, the one `build_cost_volume` runs."""
     t0 = time.time()
     rng = np.random.default_rng(1)
     checked = 0
@@ -162,7 +163,7 @@ def test_criterion_02_homography_oracle():
         if not d2 > 1e-3:
             continue
         checked += 1
-        uv, _, ok = homography_warp(
+        uv, _, ok = warp_pixels(
             np.array([u, v]), depth, k_ref, k_src, relative_pose(ref.pose, src.pose)
         )
         assert ok

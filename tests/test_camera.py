@@ -7,7 +7,6 @@ from mvsweep.camera import (
     CameraView,
     Intrinsics,
     Pose,
-    homography_warp,
     in_bounds,
     look_at,
     nearest_views,
@@ -19,6 +18,8 @@ from mvsweep.camera import (
 from mvsweep.scenegen import generate_scene, make_trajectory
 
 from camera_reference import backproject_ray
+from costvol_reference import homography_warp as two_step_warp
+from warp_adaptor import warp_pixels
 
 
 def random_pose(rng) -> Pose:
@@ -98,7 +99,7 @@ class TestPose:
         for _ in range(10):
             p = random_pose(rng)
             c = p.camera_center()
-            np.testing.assert_allclose(p.transform(c), 0.0, atol=1e-12)
+            np.testing.assert_allclose(p.rotation @ c + p.translation, 0.0, atol=1e-12)
 
 
 class TestRelativePose:
@@ -124,8 +125,8 @@ class TestRelativePose:
             pi, pj = random_pose(rng), random_pose(rng)
             rel = relative_pose(pi, pj)
             pt = rng.uniform(-3, 3, size=3)
-            via_rel = rel.transform(pi.transform(pt))
-            direct = pj.transform(pt)
+            via_rel = rel.rotation @ (pi.rotation @ pt + pi.translation) + rel.translation
+            direct = pj.rotation @ pt + pj.translation
             np.testing.assert_allclose(via_rel, direct, atol=1e-9)
 
     def test_orthonormality_preserved(self):
@@ -276,10 +277,13 @@ class TestNearestViews:
 
 
 class TestHomographyWarp:
+    """The engine's closed-form plane warp, which `build_cost_volume` runs,
+    called on single pixels through `warp_adaptor.warp_pixels`."""
+
     def test_identity_relation_fixes_points(self):
         k = Intrinsics(100.0, 90.0, 31.5, 23.5)
         for d in (0.3, 1.0, 4.9):
-            uv, _, ok = homography_warp(np.array([12.0, 7.0]), d, k, k, Pose.identity())
+            uv, _, ok = warp_pixels(np.array([12.0, 7.0]), d, k, k, Pose.identity())
             assert ok
             np.testing.assert_allclose(uv, [12.0, 7.0], atol=1e-12)
 
@@ -289,7 +293,7 @@ class TestHomographyWarp:
         baseline = 0.2
         src_pose = Pose(np.eye(3), np.array([-baseline, 0.0, 0.0]))
         rel = relative_pose(Pose.identity(), src_pose)
-        uv, _, ok = homography_warp(np.array([31.5, 23.5]), 2.0, k, k, rel)
+        uv, _, ok = warp_pixels(np.array([31.5, 23.5]), 2.0, k, k, rel)
         assert ok
         assert uv[0] - 31.5 == pytest.approx(-100.0 * baseline / 2.0, abs=1e-12)
         assert abs(uv[0] - 31.5) == pytest.approx(10.0, abs=1e-12)
@@ -314,7 +318,7 @@ class TestHomographyWarp:
                 continue
             hits += 1
             rel = relative_pose(ref.pose, src.pose)
-            uv, _, in_front = homography_warp(np.array([u, v]), d, k_ref, k_src, rel)
+            uv, _, in_front = warp_pixels(np.array([u, v]), d, k_ref, k_src, rel)
             assert in_front
             assert abs(uv[0] - u_direct) < 1e-5
             assert abs(uv[1] - v_direct) < 1e-5
@@ -324,14 +328,33 @@ class TestHomographyWarp:
         # Source camera rotated 180 degrees about y: the plane sits behind it.
         r = np.diag([-1.0, 1.0, -1.0])
         rel = relative_pose(Pose.identity(), Pose(r, np.zeros(3)))
-        uv, _, in_front = homography_warp(np.array([15.5, 15.5]), 1.0, k, k, rel)
+        uv, _, in_front = warp_pixels(np.array([15.5, 15.5]), 1.0, k, k, rel)
         assert not in_front
         assert np.isnan(uv).all()
 
-    def test_rejects_nonpositive_depth(self):
-        k = Intrinsics(50.0, 50.0, 15.5, 15.5)
-        with pytest.raises(ValueError):
-            homography_warp(np.array([1.0, 1.0]), 0.0, k, k, Pose.identity())
+    def test_matches_two_step_oracle_on_a_full_grid(self):
+        # Every cell of a 320x240 view's 80x60 quarter grid, through 8 planes
+        # into 3 sources: the same in-front and in-grid cells as the oracle's
+        # plane points then projection, with coordinates within criterion 2's
+        # 1e-5 px wherever they land in the source grid.
+        views = make_trajectory(generate_scene(seed=3, n_boxes=2), 4, seed=3)
+        k_ref, w, h = views[0].scaled(4)
+        uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+        q = np.stack([uu, vv], axis=-1)
+        landed = 0
+        for src in views[1:]:
+            k_src, sw, sh = src.scaled(4)
+            rel = relative_pose(views[0].pose, src.pose)
+            for depth in np.linspace(0.3, 6.0, 8):
+                uv, _, front = warp_pixels(q, depth, k_ref, k_src, rel)
+                uv_ref, _, front_ref = two_step_warp(q, depth, k_ref, k_src, rel)
+                np.testing.assert_array_equal(front, front_ref)
+                inside = front & in_bounds(uv[..., 0], uv[..., 1], sw, sh)
+                np.testing.assert_array_equal(
+                    inside, front & in_bounds(uv_ref[..., 0], uv_ref[..., 1], sw, sh))
+                assert np.abs(uv[inside] - uv_ref[inside]).max(initial=0.0) < 1e-5
+                landed += np.count_nonzero(inside)
+        assert landed > w * h
 
 
 class TestLookAt:

@@ -1,0 +1,44 @@
+"""The code-line measure of `tests/code_lines.py` on hand-counted snippets."""
+
+import textwrap
+
+from code_lines import code_lines
+
+SNIPPET = textwrap.dedent('''\
+    """Module docstring,
+    two lines."""
+
+    import os  # a trailing comment keeps its line
+
+
+    def f(a,
+          b):
+        """Function docstring."""
+        # a comment line
+        return (a +
+
+                b)
+
+
+    class C:
+        """Class docstring,
+
+        three lines."""
+
+        x = """a string that is
+    not a docstring"""
+    ''')
+
+
+def test_counts_code_lines_only():
+    # import; def f(a, / b):; return (a + / b); class C:; x = """... / ..."""
+    assert code_lines(SNIPPET) == 8
+
+
+def test_a_multi_line_statement_counts_each_line():
+    assert code_lines("x = [\n    1,\n    2,\n]\n") == 4
+    assert code_lines("x = [1, 2]\n") == 1
+
+
+def test_docstrings_and_comments_are_excluded():
+    assert code_lines('"""Doc."""\n# comment\n\ndef g():\n    """Doc."""\n    pass\n') == 2

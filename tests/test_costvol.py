@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsweep import camera, costvol
 from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, nearest_views
 from mvsweep.costvol import (
     CostVolume,
@@ -40,6 +41,13 @@ class TestDepthPlanes:
     def test_rejects_nonuniform(self):
         with pytest.raises(ValueError):
             DepthPlanes(np.array([1.0, 2.0, 4.0]))
+
+    @pytest.mark.parametrize("first", [0.0, -0.5])
+    def test_rejects_nonpositive_first_plane(self, first):
+        # The sweep's warp takes plane depths as given: this guard is what
+        # keeps them in front of the reference camera.
+        with pytest.raises(ValueError, match="plane depths must be positive"):
+            DepthPlanes(first + np.arange(3.0))
 
     def test_nearest_index(self):
         planes = DepthPlanes(np.array([1.0, 2.0, 3.0]))
@@ -183,6 +191,42 @@ class TestBuildCostVolume:
         planes = DepthPlanes.uniform(3, 1.0, 3.0)
         with pytest.raises(ValueError, match=r"source 1: feature grid 5x3 .* 8x8 quarter grid"):
             build_cost_volume(feat, view, [feat, np.zeros((5, 3, 6))], [view, view], planes)
+
+    def test_source_grid_must_have_the_reference_channels(self):
+        view = simple_view()
+        feat = np.zeros((8, 8, 6))
+        planes = DepthPlanes.uniform(3, 1.0, 3.0)
+        with pytest.raises(
+            ValueError, match=r"source 1: feature grid \(8, 8, 3\) .* reference's 6 channels"
+        ):
+            build_cost_volume(feat, view, [feat, np.zeros((8, 8, 3))], [view, view], planes)
+
+    def test_reference_grid_must_match_its_view(self):
+        view = simple_view()
+        planes = DepthPlanes.uniform(3, 1.0, 3.0)
+        with pytest.raises(ValueError, match=r"reference feature grid 5x3 .* 8x8 quarter grid"):
+            build_cost_volume(np.zeros((5, 3, 6)), view, [np.zeros((8, 8, 6))], [view], planes)
+
+    def test_sweep_warps_through_the_camera_warp(self, monkeypatch):
+        # Every (plane, source) step calls camera.plane_warp, and the costs
+        # do not depend on how it is looked up.
+        scene = generate_scene(seed=2, n_boxes=1)
+        views = make_trajectory(scene, 4, seed=0, image_size=(64, 48))
+        feats = [extract_features(raycast(scene, v).image) for v in views]
+        planes = DepthPlanes.uniform(5, 0.5, 4.5)
+        args = (feats[0], views[0], feats[1:], views[1:], planes)
+        expected = build_cost_volume(*args)
+        depths = []
+
+        def counted(a, b, depth, *buffers):
+            depths.append(depth)
+            camera.plane_warp(a, b, depth, *buffers)
+
+        monkeypatch.setattr(costvol, "plane_warp", counted)
+        vol = build_cost_volume(*args)
+        assert depths == [d for d in planes.depths for _ in views[1:]]
+        assert vol.costs.tobytes() == expected.costs.tobytes()
+        assert vol.valid_views.tobytes() == expected.valid_views.tobytes()
 
     def test_costs_nonnegative_on_real_scene(self):
         scene = generate_scene(seed=2, n_boxes=1)

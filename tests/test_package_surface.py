@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "mvsweep"
 USERS = ("src", "perfbench", "scripts")
 
 ALLOWED = {
-    "camera.homography_warp": "test_acceptance.py::test_criterion_02_homography_oracle",
     "camera.Pose.identity": "the identity poses of test_camera.py, test_costvol.py, test_splat.py",
     "costvol.bilinear_sample": "test_costvol.py::TestBilinear and the sampler's oracle tests",
     "costvol.DepthPlanes.nearest_index": (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsweep.camera import CameraView, Intrinsics, Pose
+from mvsweep.camera import CameraView, Intrinsics, Pose, project
 from mvsweep.costvol import DepthPlanes, extract_features
 from mvsweep.sampling import (
     DepthProposalSet,
@@ -213,6 +213,14 @@ class TestBuildVolume:
         with pytest.raises(ValueError, match="must be 8x8"):
             build_volume([(feat, pixel_aimed_view(), props)], single_voxel_spec(), window=0.2)
 
+    def test_grid_size_error_names_the_view(self):
+        props = constant_proposals((8, 8), [2.0], [1.0])
+        items = [(np.ones((8, 8, 2)), pixel_aimed_view(), props),
+                 (np.ones((6, 8, 2)), pixel_aimed_view(), props)]
+        message = r"view 1: feature map \(6, 8, 2\) and proposals \(8, 8, 1\) must be 8x8"
+        with pytest.raises(ValueError, match=message):
+            build_volume(items, single_voxel_spec(), window=0.2)
+
     def test_gate_excludes_mismatched_depth(self):
         view = pixel_aimed_view()
         props = constant_proposals((8, 8), [1.0], [1.0])  # proposals far from 2.0
@@ -336,7 +344,7 @@ class TestVanillaMatchesOracle:
         views = self.scene_views(seed)
         spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
         centers = spec.centers().reshape(-1, 3)
-        assert all((v.pose.transform(centers)[:, 2] <= 0).any() for v in views)
+        assert all((project(centers, v)[2] <= 0).any() for v in views)
         self.assert_matches(views, spec, seed)
 
 
@@ -376,7 +384,7 @@ class TestBuildVolumeMatchesOracle:
         views = TestVanillaMatchesOracle.scene_views(7)
         spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
         centers = spec.centers().reshape(-1, 3)
-        assert all((v.pose.transform(centers)[:, 2] <= 0).any() for v in views)
+        assert all((project(centers, v)[2] <= 0).any() for v in views)
         self.assert_matches(views, spec, 7, channels)
 
 

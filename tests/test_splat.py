@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, nearest_views
+from mvsweep.camera import CameraView, Intrinsics, Pose, nearest_views, project
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
 from mvsweep.scenegen import generate_scene, make_trajectory, quarter_depth, raycast
 from mvsweep.splat import (
@@ -105,8 +105,7 @@ class TestBuildSplats:
         assert len(splats) == gh * gw
         np.testing.assert_allclose(splats.opacities, 1.0)
         # every center must sit at camera depth exactly 2.0
-        cam = view.pose.transform(splats.means)
-        np.testing.assert_allclose(cam[:, 2], 2.0, atol=1e-12)
+        np.testing.assert_allclose(project(splats.means, view)[2], 2.0, atol=1e-12)
         # and on its own pixel ray
         i = 5 * gw + 7
         np.testing.assert_allclose(splats.means[i], ray_point(view, 7, 5, 2.0), atol=1e-12)
@@ -198,7 +197,7 @@ class TestRasterize:
         splats = build_splats(views[0], probs, planes, gt.image)
         rt = rasterize(splats, views[1])
         assert rt.alpha.min() >= 0.0 and rt.alpha.max() <= 1.0
-        cam_z = views[1].pose.transform(splats.means)[:, 2]
+        cam_z = project(splats.means, views[1])[2]
         covered = rt.alpha > 1e-4
         assert rt.depth[covered].min() >= cam_z.min() - 1e-9
         assert rt.depth[covered].max() <= cam_z.max() + 1e-9

@@ -27,14 +27,18 @@ chunk's pairs, sorted by pixel, on top of a running per-pixel
 log-transmittance, skipping the pixels already saturated; `rasterize` and
 the refinement loss both run it.  It returns a compact per-view state whose
 per-pair arrays are kept chunk by chunk: for each chunk, front to back, its
-composited pairs' primitive, pixel id, Gaussian falloff and transmittance,
-in pixel order.  The backward pass (_render_backward) walks those chunks
-back to front, as 3D Gaussian Splatting walks each pixel's list, with a
-running per-pixel total of the colour arriving from behind, so no per-pair
-array of it spans more than one chunk.  It recomputes everything else it
-needs (alpha_eff, blend weights, pixel offsets) with the forward pass's own
-operations on the same operands, so loss and gradients are the same to the
-bit as a single fused pass over the same chunks.  The refinement line
+composited pairs' primitive and transmittance, in pixel order, and the
+pixel id and pair count of each pixel's run of them, 12 bytes per pair and
+8 per run.  The backward pass (_render_backward) walks those chunks back to
+front, as 3D Gaussian Splatting walks each pixel's list, with a running
+per-pixel total of the colour arriving from behind, so no per-pair array of
+it spans more than one chunk.  Like 3D Gaussian Splatting's backward pass it
+recomputes each pair's Gaussian falloff from the pixel offset and the
+inverse 2D covariance instead of storing it, and it recomputes everything
+else it needs (pixel ids, alpha_eff, blend weights, pixel offsets) too,
+always with the forward pass's own operations on the same operands, so loss
+and gradients are the same to the bit as a single fused pass over the same
+chunks.  The refinement line
 search asks for a gradient only when it will use one, so rejected trials
 and the last step's trials run the forward pass alone.
 
@@ -54,6 +58,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -132,8 +137,10 @@ def build_splats(
     full-res image, or `image` itself when it is already quarter
     resolution.  `rays`, when given, is the view's quarter-res `ray_grid`,
     computed once by a caller that builds splats for the same view many
-    times.
+    times.  A footprint_scale that is not finite and > 0 is a ValueError
+    that names it.
     """
+    _check_positive(footprint_scale=footprint_scale)
     k, gw, gh = view.scaled(DOWNSAMPLE)
     if probs.shape[:2] != (gh, gw):
         raise ValueError("probability volume does not match the view's feature grid")
@@ -215,12 +222,13 @@ def _footprints(mean2d, cov2d, gw, gh):
     return (x0, y0, nx, ny), (c / det * ok, -b / det * ok, a / det * ok)
 
 
-def _pair_chunk(idx, bbox, mean2d, inv, gw, live=None):
+def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live=None):
     """The 3-sigma (primitive, pixel) pairs of the primitives `idx`,
-    listed primitive by primitive, each bbox row-major: prim, pixel id and
-    power.  `live`, when given, is a (gh, gw) mask of the pixels to list:
-    bbox rows with no live pixel are dropped, found from the running count
-    of live pixels along each grid row, before their pixels are listed."""
+    listed primitive by primitive, each bbox row-major, then sorted stably
+    by pixel id (`n_px` pixels in the grid): prim, pixel id and power.
+    `live`, when given, is a (gh, gw) mask of the pixels to list: bbox rows
+    with no live pixel are dropped, found from the running count of live
+    pixels along each grid row, before their pixels are listed."""
     x0, y0, nx, ny = bbox
     inv00, inv01, inv11 = inv
     row_prim = np.repeat(idx, ny[idx])
@@ -257,6 +265,7 @@ def _pair_chunk(idx, bbox, mean2d, inv, gw, live=None):
     if live is not None:
         inside &= live.take(pid)
     sel = np.flatnonzero(inside)
+    sel = sel.take(_pixel_order(pid.take(sel), n_px))
     return np.repeat(row_prim, row_n).take(sel), pid.take(sel), power.take(sel)
 
 
@@ -286,9 +295,11 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
     `log_t` (gh*gw,) is the running per-pixel log-transmittance, which the
     caller lowers between chunks: a chunk skips the pixels where it is
     already below log(T_MIN), whose pairs the saturation rule drops anyway.
-    All zeros gives every pair.  Empty chunks are not yielded.
+    All zeros gives every pair.
 
-    Yields prim, pixel id and power per chunk.
+    Yields prim, pixel id and power per chunk, which may list no pair (all
+    its pixels saturated, say).  The generator keeps no reference to a
+    chunk it has yielded.
     """
     x0, y0, nx, ny = bbox
     counts = nx * ny
@@ -300,12 +311,7 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
     bounds = np.unique(np.r_[0, cuts, idx.size])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         live = (log_t >= LOG_T_MIN).reshape(gh, gw)
-        prim, pid, power = _pair_chunk(
-            idx[lo:hi], bbox, mean2d, inv, gw, None if live.all() else live
-        )
-        if pid.size:
-            order = _pixel_order(pid, gw * gh)
-            yield prim.take(order), pid.take(order), power.take(order)
+        yield _pair_chunk(idx[lo:hi], bbox, mean2d, inv, gw, gh * gw, None if live.all() else live)
 
 
 def _runs(pid):
@@ -336,6 +342,47 @@ def _opacity(alphas, prim, g):
     return alpha_eff, clamped
 
 
+def _composite_chunk(alphas, colors, log_t, color, listing):
+    """Composite one chunk's pixel-sorted pairs `listing` (prim, pixel id,
+    power) under the saturation rule: lower the running log-transmittance
+    `log_t` (n_px,) and add the kept pairs' colours into `color` (n_px, 3).
+
+    Returns the chunk's record for the _ViewState, or None when it lists no
+    pair.  The listing and every per-pair temporary die on return.
+    """
+    prim, pid, g = listing
+    if not pid.size:
+        return None
+    np.exp(np.negative(g, out=g), out=g)
+    alpha_eff = _opacity(alphas, prim, g)[0]
+    log_a = np.log1p(np.negative(alpha_eff))
+    start, run_len = _runs(pid)
+    run_px = pid[start]
+    # Incoming log-transmittance: the exclusive prefix sum over the chunk,
+    # less its value at the run's start, plus the running value.
+    excl = np.empty_like(log_a)
+    excl[0] = 0.0
+    np.cumsum(log_a[:-1], out=excl[1:])
+    excl -= np.repeat(excl[start], run_len)
+    excl += np.repeat(log_t[run_px], run_len)
+    last = start + run_len - 1
+    log_t[run_px] = excl[last] + log_a[last]
+    kept = excl >= LOG_T_MIN
+    sel = np.flatnonzero(kept)
+    k_prim, k_pid = prim.take(sel), pid.take(sel)
+    trans = np.exp(excl.take(sel))
+    w = alpha_eff.take(sel)
+    w *= trans
+    t = np.empty(sel.size)
+    for c, col in enumerate(colors):
+        _take_into(col, k_prim, t)
+        t *= w
+        color[:, c] += np.bincount(k_pid, weights=t, minlength=log_t.size)
+    # Each run keeps a prefix of its pairs, at least one: its kept length.
+    return (k_prim.astype(np.int32), run_px.astype(np.int32),
+            np.add.reduceat(kept, start, dtype=np.int32), trans)
+
+
 @dataclass
 class _ViewState:
     """What the backward pass reads from one view's forward pass.
@@ -344,12 +391,12 @@ class _ViewState:
     camera-frame centers, depth, 2D means, Jacobian entries), the inverse
     2D covariance entries, opacities and colours (channel-major, (3, n)).
     `chunks` lists the forward pass's chunks front to back, each as the
-    arrays (prim, pid, g, trans) of its composited pairs in pixel order:
-    primitive and pixel id (int32, widened where a pass gathers with them),
-    Gaussian falloff g and transmittance.  Every primitive's pairs lie in
-    one chunk.  alpha_eff, the blend weight and the pixel offsets are
-    recomputed from these with the forward pass's own operations, so they
-    are not kept.
+    record (prim, run_px, run_len, trans) of its composited pairs in pixel
+    order: each pair's primitive (int32) and transmittance, and the pixel
+    id and pair count of each run, one pixel's pairs (int32), 12 bytes per
+    pair and 8 per run.  Every primitive's pairs lie in one chunk.  Pixel
+    ids, falloffs, alpha_eff, the blend weight and the pixel offsets are
+    recomputed from these by _pairs and _opacity, so they are not kept.
     """
 
     keep: np.ndarray
@@ -361,6 +408,30 @@ class _ViewState:
     alphas: np.ndarray
     colors: np.ndarray
     chunks: list
+
+
+def _pairs(st: _ViewState, prim, run_px, run_len, gw):
+    """A chunk record's pairs: primitive and pixel id (intp), the pixel's
+    offsets dx, dy from the primitive's 2D mean, and the falloff g.  g is
+    recomputed with _pair_chunk's operations on the same operands in its
+    order, dx^2 inv00 + ((2 dx) dy) inv01 + dy^2 inv11, halved, then
+    exp(-power), so it has the bits the forward pass composited with."""
+    prim = prim.astype(np.intp)
+    pid = np.repeat(run_px.astype(np.intp), run_len)
+    dx = np.subtract(np.repeat(run_px % gw, run_len), st.mean2d[:, 0].take(prim))
+    dy = np.subtract(np.repeat(run_px // gw, run_len), st.mean2d[:, 1].take(prim))
+    g = np.square(dx)
+    g *= st.inv[0].take(prim)
+    t = np.multiply(dx, 2.0)
+    t *= dy
+    t *= st.inv[1].take(prim)
+    g += t
+    np.square(dy, out=t)
+    t *= st.inv[2].take(prim)
+    g += t
+    g *= 0.5
+    np.exp(np.negative(g, out=g), out=g)
+    return prim, pid, dx, dy, g
 
 
 def _render_forward(splats: GaussianSplatSet, view: CameraView):
@@ -377,9 +448,12 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     and the first pair of a run gets the running value exactly.  A pair
     whose incoming transmittance is below T_MIN is dropped, so each run
     keeps a prefix of its pairs, at least one, since saturated pixels are
-    skipped.  Each chunk's kept pairs are appended to the state's chunk
-    list, and their colours added to the image while the chunk is in cache;
-    nothing is allocated per bbox pixel of the whole view.
+    skipped; its pixel id and kept length stand for the pixel ids of its
+    pairs.  Each chunk's record is appended to the state's chunk list, and
+    its colours added to the image while the chunk is in cache; nothing is
+    allocated per bbox pixel of the whole view.  map hands each chunk's
+    listing to _composite_chunk and keeps no reference to it, so it dies
+    before the next chunk is listed.
 
     Returns the (n_px, 3) colour image and the _ViewState the backward pass
     and `rasterize` read.
@@ -388,41 +462,11 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     alphas = splats.opacities[keep]
     colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
     bbox, inv = _footprints(mean2d, cov2d, gw, gh)
-    n_px = gh * gw
-    log_t = np.zeros(n_px)
-    color = np.zeros((n_px, 3))
-    chunks = []
-    for c_prim, c_pid, c_g in _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
-        np.exp(np.negative(c_g, out=c_g), out=c_g)
-        alpha_eff = _opacity(alphas, c_prim, c_g)[0]
-        log_a = np.log1p(np.negative(alpha_eff))
-        start, run_len = _runs(c_pid)
-        run_px = c_pid[start]
-        # Incoming log-transmittance: the exclusive prefix sum over the
-        # chunk, less its value at the run's start, plus the running value.
-        excl = np.empty_like(log_a)
-        excl[0] = 0.0
-        np.cumsum(log_a[:-1], out=excl[1:])
-        excl -= np.repeat(excl[start], run_len)
-        excl += np.repeat(log_t[run_px], run_len)
-        last = start + run_len - 1
-        log_t[run_px] = excl[last] + log_a[last]
-        sel = np.flatnonzero(excl >= LOG_T_MIN)
-        k_prim, k_pid = c_prim.take(sel), c_pid.take(sel)
-        trans = np.exp(excl.take(sel))
-        w = alpha_eff.take(sel)
-        w *= trans
-        t = np.empty(sel.size)
-        for c, col in enumerate(colors):
-            _take_into(col, k_prim, t)
-            t *= w
-            color[:, c] += np.bincount(k_pid, weights=t, minlength=n_px)
-        chunks.append((k_prim.astype(np.int32), k_pid.astype(np.int32), c_g.take(sel), trans))
-    state = _ViewState(
-        keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, inv=inv,
-        alphas=alphas, colors=colors, chunks=chunks,
-    )
-    return color, state
+    log_t = np.zeros(gh * gw)
+    color = np.zeros((gh * gw, 3))
+    composite = partial(_composite_chunk, alphas, colors, log_t, color)
+    chunks = [c for c in map(composite, _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t)) if c]
+    return color, _ViewState(keep, x_cam, z, mean2d, jac, inv, alphas, colors, chunks)
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -433,14 +477,16 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     front-to-back (depth ties broken by primitive index) within 3 sigma of
     its 2D mean, until the pixel's transmittance falls below T_MIN.
     Accumulated alpha and depth are summed chunk by chunk with np.add.at,
-    which adds each pixel's pairs in turn from 0, front to back.
+    which adds each pixel's pairs in turn from 0, front to back; each
+    chunk's pixel ids and falloffs come from its run-length record (_pairs).
     """
     color, st = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
     acc = np.zeros(n_px)
     depth_num = np.zeros(n_px)
-    for prim, pid, g, trans in st.chunks:
+    for prim, run_px, run_len, trans in st.chunks:
+        prim, pid, _, _, g = _pairs(st, prim, run_px, run_len, gw)
         w = _opacity(st.alphas, prim, g)[0]
         w *= trans
         np.add.at(acc, pid, w)
@@ -479,8 +525,9 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     moments.  Every primitive's pairs lie in one chunk, so adding each
     chunk's per-primitive sums to those of the others is exact.
 
-    alpha_eff and w come from _opacity and the stored transmittance, and
-    the pixel offsets from the pixel id and the 2D mean, with the forward
+    Each chunk record's runs give its pixel ids and run ends; _pairs
+    recomputes the pixel offsets and the falloff g, and alpha_eff and w
+    come from _opacity and the stored transmittance, all with the forward
     pass's own operations, so the gradients do not depend on what the
     forward pass kept.  Products are formed in place; each is a product of
     the same two operands as in a direct evaluation.
@@ -492,16 +539,16 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     sums = np.zeros((6, n_kept))
     behind = np.zeros(gh * gw)
     while st.chunks:
-        prim, pid, g, trans = st.chunks.pop()
-        prim, pid = prim.astype(np.intp), pid.astype(np.intp)
+        prim, run_px, run_len, trans = st.chunks.pop()
+        prim, pid, dx, dy, g = _pairs(st, prim, run_px, run_len, gw)
         # q = d_color . colour per pair, summed from 0 one channel at a time.
         q = np.zeros(prim.size)
         for dc, col in zip(d_color.T, st.colors):
             t = dc.take(pid)
             t *= col.take(prim)
             q += t
-        wq, clamped = _opacity(st.alphas, prim, g)
-        wq *= trans
+        alpha_eff, clamped = _opacity(st.alphas, prim, g)
+        wq = alpha_eff * trans
         wq *= q
         # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
         # dL/d(alpha_eff) = trans * q - suffix / (1 - alpha_eff).
@@ -509,16 +556,14 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         u *= trans
         # The colour arriving from behind a pair: the rest of its run, from
         # the chunk's cumulative sum of wq, plus its pixel's `behind`.
-        start, run_len = _runs(pid)
-        run_px = pid[start]
+        last = np.cumsum(run_len) - 1  # each run's last pair
         later = behind[run_px]
-        behind[run_px] += np.add.reduceat(wq, start)
+        behind[run_px] += np.add.reduceat(wq, last - run_len + 1)
         csum = np.cumsum(wq, out=wq)
-        later += csum[start + run_len - 1]
+        later += csum[last]
         suffix = np.repeat(later, run_len)
         suffix -= csum
-        one_minus = _opacity(st.alphas, prim, g)[0]
-        suffix /= np.subtract(1.0, one_minus, out=one_minus)
+        suffix /= np.subtract(1.0, alpha_eff, out=alpha_eff)
         u -= suffix
         u *= g
         u[clamped] = 0.0
@@ -526,12 +571,10 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         # pairs, with the offsets dx, dy of each pair from its primitive's
         # 2D mean.
         sums[0] += np.bincount(prim, weights=u, minlength=n_kept)
-        dx = np.subtract(pid % gw, st.mean2d[:, 0].take(prim))
         ux = u * dx
         sums[1] += np.bincount(prim, weights=ux, minlength=n_kept)
         dx *= ux
         sums[2] += np.bincount(prim, weights=dx, minlength=n_kept)
-        dy = np.subtract(pid // gw, st.mean2d[:, 1].take(prim))
         ux *= dy
         sums[3] += np.bincount(prim, weights=ux, minlength=n_kept)
         uy = u
@@ -603,6 +646,14 @@ def _view_forward(splats: GaussianSplatSet, view: CameraView, image: np.ndarray)
     return float(np.mean(diff * diff)), state, (2.0 / diff.size) * diff.reshape(-1, 3)
 
 
+def _check_positive(**params):
+    """ValueError naming the first of `params` that is not a finite number
+    above 0."""
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _per_view(pools, fn, view_args):
     """fn(*args) for each view's args, in view order: the first view's on
     the calling thread and each further view's on its own pool's thread,
@@ -647,11 +698,10 @@ def refinement_loss_and_grad(
     if source_rays is None:
         source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     probs = [softmax(lg) for lg in logits]
-    sets = [
+    splats = concat_splats([
         build_splats(v, p, planes, img, footprint_scale, source_index=i, rays=rays)
         for i, (v, p, img, rays) in enumerate(zip(source_views, probs, source_images, source_rays))
-    ]
-    splats = concat_splats(sets)
+    ])
 
     with ExitStack() as stack:
         pools = [
@@ -740,9 +790,12 @@ def refine_probability_volume(
     forward state of that same call.  The last step's gradient is never
     read, so its trials pass max_loss=-inf.  The quarter-res colours and
     ray grids of the views are computed once, not per evaluation.
+    step_size and footprint_scale must be finite and > 0; either is checked
+    on entry, and a ValueError names it.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_positive(step_size=step_size, footprint_scale=footprint_scale)
     if not novel_views:
         raise ValueError("need at least one novel view")
     if len(novel_views) != len(novel_images):
@@ -772,6 +825,7 @@ def refine_probability_volume(
             trace.extend([trace[-1]] * (steps + 1 - len(trace)))
             break
         direction = [g / gmax for g in grads]
+        grads = trial_grads = None  # only the direction is read from here on
         lr = step_size
         accepted = False
         for _ in range(9):  # initial step plus up to 8 halvings

@@ -17,11 +17,17 @@ refinement_loss_and_grad is the serial form of `mvsweep.splat`'s: it runs
 the engine's own forward and backward passes, one novel view after the
 other on the calling thread, and is the yardstick, to the bit, for how the
 engine spreads those passes over threads and sums their results.
+
+stored_forward, stored_target and stored_backward are the engine's chunk
+walk and passes with every composited pair's pixel id and falloff stored in
+the forward state; they are the yardstick, to the bit, for the engine's
+run-length pixel ids and recomputed falloffs.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from mvsweep.splat import (
     ALPHA_CLAMP,
     COV_DILATION,
     EPS_ALPHA,
+    LOG_T_MIN,
     POWER_CUTOFF,
     T_MIN,
     RenderTarget,
@@ -322,3 +329,256 @@ def refinement_loss_and_grad(
         inner = (up * p).sum(axis=2, keepdims=True)
         grads.append(p * (up - inner))
     return total_loss, grads
+
+
+# ---------------------------------------------------------------------------
+# The chunked engine with a stored per-pair state
+# ---------------------------------------------------------------------------
+#
+# mvsweep.splat's chunk walk, forward pass, rasterize and backward pass as
+# they ran when the forward state kept four arrays per composited pair:
+# primitive, pixel id, Gaussian falloff g and transmittance.  The engine now
+# keeps the pixel ids run-length encoded and recomputes g; the tests hold it
+# to these functions byte for byte (colour image, every RenderTarget field,
+# loss and gradients).  Projection and footprints are the engine's own.
+
+
+def _stored_pair_chunk(idx, bbox, mean2d, inv, gw, live=None):
+    x0, y0, nx, ny = bbox
+    inv00, inv01, inv11 = inv
+    row_prim = np.repeat(idx, ny[idx])
+    first_row = np.cumsum(ny[idx]) - ny[idx]
+    row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
+    row_x0 = x0[row_prim]
+    row_n = nx[row_prim]
+    if live is not None:
+        live_cum = np.zeros((live.shape[0], live.shape[1] + 1), dtype=np.int64)
+        np.cumsum(live, axis=1, out=live_cum[:, 1:])
+        rows = np.flatnonzero(live_cum[row_y, row_x0 + row_n] > live_cum[row_y, row_x0])
+        row_prim, row_y, row_x0, row_n = (a.take(rows) for a in (row_prim, row_y, row_x0, row_n))
+    row_dy = row_y - mean2d[row_prim, 1]
+    first_px = np.cumsum(row_n) - row_n
+    px = np.repeat(row_x0 - first_px, row_n) + np.arange(row_n.sum())
+    pid = np.repeat(row_y * gw, row_n)
+    pid += px
+    dx = np.subtract(px, np.repeat(mean2d[row_prim, 0], row_n))
+    del px
+    power = np.square(dx)
+    power *= np.repeat(inv00[row_prim], row_n)
+    dx *= 2.0
+    dx *= np.repeat(row_dy, row_n)
+    dx *= np.repeat(inv01[row_prim], row_n)
+    power += dx
+    del dx
+    power += np.repeat(row_dy**2 * inv11[row_prim], row_n)
+    power *= 0.5
+    inside = power <= POWER_CUTOFF
+    if live is not None:
+        inside &= live.take(pid)
+    sel = np.flatnonzero(inside)
+    return np.repeat(row_prim, row_n).take(sel), pid.take(sel), power.take(sel)
+
+
+def _stored_pixel_order(pid, n_px):
+    order = np.argsort(pid.astype(np.uint16), kind="stable")
+    if n_px > 65536:
+        order = order[np.argsort((pid[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
+
+
+def _stored_pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t, pair_chunk):
+    x0, y0, nx, ny = bbox
+    counts = nx * ny
+    rank = np.argsort(z, kind="stable")
+    idx = rank[counts[rank] > 0]
+    cum = np.cumsum(counts[idx])
+    total = int(cum[-1]) if cum.size else 0
+    cuts = np.searchsorted(cum, np.arange(pair_chunk, total, pair_chunk), side="right")
+    bounds = np.unique(np.r_[0, cuts, idx.size])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        live = (log_t >= LOG_T_MIN).reshape(gh, gw)
+        prim, pid, power = _stored_pair_chunk(
+            idx[lo:hi], bbox, mean2d, inv, gw, None if live.all() else live
+        )
+        if pid.size:
+            order = _stored_pixel_order(pid, gw * gh)
+            yield prim.take(order), pid.take(order), power.take(order)
+
+
+def _stored_runs(pid):
+    new_run = np.ones(pid.size, dtype=bool)
+    np.not_equal(pid[1:], pid[:-1], out=new_run[1:])
+    start = np.flatnonzero(new_run)
+    return start, np.diff(start, append=pid.size)
+
+
+def _stored_opacity(alphas, prim, g):
+    alpha_eff = alphas.take(prim)
+    alpha_eff *= g
+    clamped = alpha_eff > ALPHA_CLAMP
+    alpha_eff[clamped] = ALPHA_CLAMP
+    return alpha_eff, clamped
+
+
+def stored_forward(splats, view):
+    """(colour (n_px, 3), state): the forward pass, its state's `chunks`
+    holding (prim, pid, g, trans) per composited pair, front to back."""
+    from mvsweep import splat as engine
+
+    keep, x_cam, z, mean2d, cov2d, jac, k, gw, gh = engine._project_gaussians(splats, view)
+    alphas = splats.opacities[keep]
+    colors = np.ascontiguousarray(splats.colors[keep].T)
+    bbox, inv = engine._footprints(mean2d, cov2d, gw, gh)
+    n_px = gh * gw
+    log_t = np.zeros(n_px)
+    color = np.zeros((n_px, 3))
+    chunks = []
+    for c_prim, c_pid, c_g in _stored_pixel_chunks(
+        mean2d, z, bbox, inv, gw, gh, log_t, engine.PAIR_CHUNK
+    ):
+        np.exp(np.negative(c_g, out=c_g), out=c_g)
+        alpha_eff = _stored_opacity(alphas, c_prim, c_g)[0]
+        log_a = np.log1p(np.negative(alpha_eff))
+        start, run_len = _stored_runs(c_pid)
+        run_px = c_pid[start]
+        excl = np.empty_like(log_a)
+        excl[0] = 0.0
+        np.cumsum(log_a[:-1], out=excl[1:])
+        excl -= np.repeat(excl[start], run_len)
+        excl += np.repeat(log_t[run_px], run_len)
+        last = start + run_len - 1
+        log_t[run_px] = excl[last] + log_a[last]
+        sel = np.flatnonzero(excl >= LOG_T_MIN)
+        k_prim, k_pid = c_prim.take(sel), c_pid.take(sel)
+        trans = np.exp(excl.take(sel))
+        w = alpha_eff.take(sel)
+        w *= trans
+        t = np.empty(sel.size)
+        for c, col in enumerate(colors):
+            np.take(col, k_prim, out=t, mode="clip")
+            t *= w
+            color[:, c] += np.bincount(k_pid, weights=t, minlength=n_px)
+        chunks.append((k_prim.astype(np.int32), k_pid.astype(np.int32), c_g.take(sel), trans))
+    state = SimpleNamespace(
+        keep=keep, x_cam=x_cam, z=z, mean2d=mean2d, jac=jac, inv=inv,
+        alphas=alphas, colors=colors, chunks=chunks,
+    )
+    return color, state
+
+
+def stored_target(color, st, view):
+    """The RenderTarget of `view` from stored_forward's colour and state,
+    as `rasterize` forms it; the state is left as it was."""
+    _, gw, gh = view.scaled(DOWNSAMPLE)
+    n_px = gh * gw
+    acc = np.zeros(n_px)
+    depth_num = np.zeros(n_px)
+    for prim, pid, g, trans in st.chunks:
+        w = _stored_opacity(st.alphas, prim, g)[0]
+        w *= trans
+        np.add.at(acc, pid, w)
+        w *= st.z.take(prim)
+        np.add.at(depth_num, pid, w)
+    depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
+    return RenderTarget(
+        color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)
+    )
+
+
+def stored_backward(splats, view, st, d_color):
+    """(d_means, d_alphas, d_sigmas) from stored_forward's state, which it
+    consumes chunk by chunk, back to front."""
+    k, gw, gh = view.scaled(DOWNSAMPLE)
+    n_kept = st.z.size
+    sums = np.zeros((6, n_kept))
+    behind = np.zeros(gh * gw)
+    while st.chunks:
+        prim, pid, g, trans = st.chunks.pop()
+        prim, pid = prim.astype(np.intp), pid.astype(np.intp)
+        q = np.zeros(prim.size)
+        for dc, col in zip(d_color.T, st.colors):
+            t = dc.take(pid)
+            t *= col.take(prim)
+            q += t
+        wq, clamped = _stored_opacity(st.alphas, prim, g)
+        wq *= trans
+        wq *= q
+        u = q
+        u *= trans
+        start, run_len = _stored_runs(pid)
+        run_px = pid[start]
+        later = behind[run_px]
+        behind[run_px] += np.add.reduceat(wq, start)
+        csum = np.cumsum(wq, out=wq)
+        later += csum[start + run_len - 1]
+        suffix = np.repeat(later, run_len)
+        suffix -= csum
+        one_minus = _stored_opacity(st.alphas, prim, g)[0]
+        suffix /= np.subtract(1.0, one_minus, out=one_minus)
+        u -= suffix
+        u *= g
+        u[clamped] = 0.0
+        sums[0] += np.bincount(prim, weights=u, minlength=n_kept)
+        dx = np.subtract(pid % gw, st.mean2d[:, 0].take(prim))
+        ux = u * dx
+        sums[1] += np.bincount(prim, weights=ux, minlength=n_kept)
+        dx *= ux
+        sums[2] += np.bincount(prim, weights=dx, minlength=n_kept)
+        dy = np.subtract(pid // gw, st.mean2d[:, 1].take(prim))
+        ux *= dy
+        sums[3] += np.bincount(prim, weights=ux, minlength=n_kept)
+        uy = u
+        uy *= dy
+        sums[4] += np.bincount(prim, weights=uy, minlength=n_kept)
+        dy *= uy
+        sums[5] += np.bincount(prim, weights=dy, minlength=n_kept)
+    d_alpha_kept = sums[0]
+    m_x, m_xx, m_xy, m_y, m_yy = st.alphas * sums[1:]
+
+    inv00, inv01, inv11 = st.inv
+    d_mean0 = inv00 * m_x + inv01 * m_y
+    d_mean1 = inv01 * m_x + inv11 * m_y
+    d_cov00 = 0.5 * (inv00 * inv00 * m_xx + 2.0 * inv00 * inv01 * m_xy + inv01 * inv01 * m_yy)
+    d_cov01 = 0.5 * (
+        inv00 * inv01 * m_xx + (inv00 * inv11 + inv01 * inv01) * m_xy + inv01 * inv11 * m_yy
+    )
+    d_cov11 = 0.5 * (inv01 * inv01 * m_xx + 2.0 * inv01 * inv11 * m_xy + inv11 * inv11 * m_yy)
+
+    j00, j02, j11, j12 = st.jac
+    sigma = splats.sigmas[st.keep]
+    two_s2 = 2.0 * sigma**2
+    d_j00 = two_s2 * d_cov00 * j00
+    d_j02 = two_s2 * (d_cov00 * j02 + d_cov01 * j12)
+    d_j11 = two_s2 * d_cov11 * j11
+    d_j12 = two_s2 * (d_cov01 * j02 + d_cov11 * j12)
+    tr_d_cov_cam = (
+        d_cov00 * (j00 * j00 + j02 * j02)
+        + 2.0 * d_cov01 * j02 * j12
+        + d_cov11 * (j11 * j11 + j12 * j12)
+    )
+
+    fx, fy = k.fx, k.fy
+    x, y, z = st.x_cam[:, 0], st.x_cam[:, 1], st.z
+    z2 = z * z
+    d_xcam = np.stack(
+        [
+            j00 * d_mean0 + d_j02 * (-fx / z2),
+            j11 * d_mean1 + d_j12 * (-fy / z2),
+            j02 * d_mean0
+            + j12 * d_mean1
+            + d_j00 * (-fx / z2)
+            + d_j11 * (-fy / z2)
+            + d_j02 * (2.0 * fx * x / (z2 * z))
+            + d_j12 * (2.0 * fy * y / (z2 * z)),
+        ],
+        axis=1,
+    )
+
+    keep_idx = np.flatnonzero(st.keep)
+    d_means = np.zeros_like(splats.means)
+    d_alphas = np.zeros(len(splats))
+    d_sigmas = np.zeros(len(splats))
+    d_means[keep_idx] = d_xcam @ view.pose.rotation
+    d_alphas[keep_idx] = d_alpha_kept
+    d_sigmas[keep_idx] = 2.0 * sigma * tr_d_cov_cam
+    return d_means, d_alphas, d_sigmas

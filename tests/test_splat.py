@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from mvsweep.camera import CameraView, Intrinsics, Pose, nearest_views, project
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
 from mvsweep.scenegen import generate_scene, make_trajectory, quarter_depth, raycast
 from mvsweep.splat import (
+    T_MIN,
     GaussianSplatSet,
     concat_splats,
     build_splats,
@@ -433,6 +435,35 @@ class TestRefinement:
                 steps=0, step_size=1.0,
             )
 
+    @pytest.mark.parametrize("name, value", [
+        ("step_size", math.nan), ("step_size", math.inf), ("step_size", 0.0), ("step_size", -1.0),
+        ("footprint_scale", math.nan), ("footprint_scale", math.inf), ("footprint_scale", 0.0),
+        ("footprint_scale", -0.5),
+    ])
+    def test_rejects_bad_step_size_and_footprint(self, name, value):
+        # Checked on entry: a ValueError that names the parameter, before
+        # any arithmetic could warn, stall or blame the splat sigmas.
+        from mvsweep.costvol import softmax
+
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        kwargs = {"step_size": 6.0, "footprint_scale": 1.0, name: value}
+        message = f"^{name} must be finite and > 0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                refine_probability_volume(
+                    [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+                    steps=2, **kwargs,
+                )
+            if name == "footprint_scale":
+                with pytest.raises(ValueError, match=message):
+                    refinement_loss_and_grad(
+                        logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i],
+                        footprint_scale=value,
+                    )
+                with pytest.raises(ValueError, match=message):
+                    build_splats(src_v[0], softmax(logits[0]), planes, src_i[0], value)
+
     def test_requires_novel_views(self):
         scene = generate_scene(seed=6, n_boxes=0)
         views = make_trajectory(scene, 3, seed=2, image_size=(64, 48))
@@ -729,8 +760,8 @@ class TestAgainstReference:
 
         def recording_forward(splats, view):
             color, state = render_forward(splats, view)
-            pids = [pid for _, pid, _, _ in state.chunks]
-            passes.append((len(pids), sum(int(a[-1] == b[0]) for a, b in zip(pids, pids[1:]))))
+            runs = [run_px for _, run_px, _, _ in state.chunks]  # each chunk's run pixels
+            passes.append((len(runs), sum(int(a[-1] == b[0]) for a, b in zip(runs, runs[1:]))))
             return color, state
 
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
@@ -1005,29 +1036,129 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _stored_state_matches(monkeypatch, splats, view):
+    """Hold one view's rasterize, the colour image and state of its forward
+    pass, and the backward pass from that state (with a random dL/d(colour
+    image)) to splat_reference's stored-state engine, byte for byte.
+    Returns that engine's chunk count, the pixels that straddle a chunk cut
+    (the last of one chunk and the first of the next) and the pixels that
+    saturate."""
+    import mvsweep.splat as splat_module
+    import splat_reference as ref
+
+    forward = splat_module._render_forward
+    passes = []  # rasterize's forward pass, kept for the backward pass
+
+    def recording_forward(splats, view):
+        passes.append(forward(splats, view))
+        return passes[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(splat_module, "_render_forward", recording_forward)
+        rt = rasterize(splats, view)
+    (color, state), = passes
+    ref_color, ref_state = ref.stored_forward(splats, view)
+    ref_rt = ref.stored_target(ref_color, ref_state, view)
+    assert color.tobytes() == ref_color.tobytes()
+    for image in ("color", "depth", "alpha"):
+        assert getattr(rt, image).tobytes() == getattr(ref_rt, image).tobytes()
+    pids = [pid for _, pid, _, _ in ref_state.chunks]
+    straddles = sum(int(a[-1] == b[0]) for a, b in zip(pids, pids[1:]))
+    d_color = np.random.default_rng(7).normal(0.0, 1e-3, color.shape)
+    grads = splat_module._render_backward(splats, view, state, d_color)
+    ref_grads = ref.stored_backward(splats, view, ref_state, d_color)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+    return len(pids), straddles, int(np.count_nonzero(ref_rt.alpha > 1.0 - T_MIN))
+
+
+def _assert_loss_and_grad_match_stored(monkeypatch, args):
+    """refinement_loss_and_grad on `args` gives the loss and gradients it
+    gives with splat_reference's stored-state passes, to the bit."""
+    import mvsweep.splat as splat_module
+    import splat_reference as ref
+
+    loss, grads = refinement_loss_and_grad(*args)
+    with monkeypatch.context() as m:
+        m.setattr(splat_module, "_render_forward", ref.stored_forward)
+        m.setattr(splat_module, "_render_backward", ref.stored_backward)
+        ref_loss, ref_grads = refinement_loss_and_grad(*args)
+    assert loss.hex() == ref_loss.hex()
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+
+def _source_splats(logits, planes, src_v, src_i):
+    from mvsweep.costvol import softmax
+
+    return concat_splats([
+        build_splats(v, softmax(lg), planes, img, source_index=i)
+        for i, (v, lg, img) in enumerate(zip(src_v, logits, src_i))
+    ])
+
+
+class TestAgainstStoredState:
+    """The forward state keeps run-length pixel ids and recomputes each
+    pair's falloff; the engine that stored both per pair
+    (splat_reference.stored_*) is its yardstick, to the byte."""
+
+    def test_criterion11_inputs(self, monkeypatch):
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        _assert_loss_and_grad_match_stored(
+            monkeypatch, (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i])
+        )
+        _stored_state_matches(monkeypatch, _source_splats(logits, planes, src_v, src_i), nov_v[0])
+
+    def test_budget_scene_in_small_chunks(self, monkeypatch):
+        # The first novel view in chunks of 64 bbox pixels: about 9,400
+        # chunks, some pixels saturated and some straddling a chunk cut.
+        import mvsweep.splat as splat_module
+
+        monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
+        logits, planes, src_v, src_i, nov_v, _ = _budget_inputs()
+        splats = _source_splats(logits, planes, src_v, src_i)
+        chunks, straddles, saturated = _stored_state_matches(monkeypatch, splats, nov_v[0])
+        assert chunks >= 20 and straddles >= 1 and saturated >= 1
+
+    def test_two_pass_radix_grid(self, monkeypatch):
+        # A 260x260 quarter grid: pixel ids above 65,535 take the radix
+        # sort's second pass.
+        view = grid_view(1040, 1040, f=520.0)
+        splats = _random_splats(np.random.default_rng(1040), 400, view, np.array([1.0, 2.0]))
+        _stored_state_matches(monkeypatch, splats, view)
+
+    @pytest.mark.parametrize("mu, sigma", TestDegenerateFootprints.FAR_SPLATS)
+    def test_degenerate_footprints(self, monkeypatch, mu, sigma):
+        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), Pose.identity(), 320, 240)
+        normal = single_splat(ray_point(view, 40, 30, 2.0), alpha=0.7, sigma=0.05)
+        far = single_splat(mu, sigma=sigma)
+        for pair in ([normal, far], [far, normal]):
+            _stored_state_matches(monkeypatch, concat_splats(pair), view)
+
+
 class TestMemoryBudget:
     # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
     # or not: for one loss-and-gradient evaluation per pair summed over both
-    # novel views (measured 35.2-36.8 with the forward state kept chunk by
-    # chunk and the backward pass walking it back to front; 57.4-61.9 when
-    # the backward pass walked the whole view's pairs at once, 51.2 with one
-    # view after the other, 64.9 before the saturation rule), and for one
-    # rasterize per pair of its view (measured 32.7 per chunk; 55.6 with
+    # novel views (measured 23.4-24.0 with run-length pixel ids and
+    # recomputed falloffs in the forward state; 34.1-36.8 with both stored
+    # per pair, 57.4-61.9 when the backward pass walked the whole view's
+    # pairs at once, 51.2 with one view after the other, 64.9 before the
+    # saturation rule), and for one rasterize per pair of its view (measured
+    # 20.2; 32.7 with pixel ids and falloffs stored per pair, 55.6 with
     # view-sized int32 pair arrays, 66.8 with int64 ones, 63.0 before the
     # saturation rule).  The fused render-and-backward pass of an older
     # engine peaked at 90.7 and 119.7 on the same scene.
-    LOSS_AND_GRAD_BYTES_PER_PAIR = 44
-    RASTERIZE_BYTES_PER_PAIR = 40
+    LOSS_AND_GRAD_BYTES_PER_PAIR = 28
+    RASTERIZE_BYTES_PER_PAIR = 24
+    # Bytes of the forward state's chunk records per composited pair: 12 per
+    # pair (int32 primitive, float64 transmittance) and 8 per run (int32
+    # pixel id and pair count).  Measured 12.70 and 12.68 on the two views;
+    # 24.00 with each pair's pixel id and falloff stored.
+    STATE_BYTES_PER_PAIR = 13
 
     def test_loss_and_grad_and_rasterize_peaks(self):
-        from mvsweep.costvol import softmax
         from splat_reference import gather_pairs_unsorted, project_gaussians
 
         logits, planes, src_v, src_i, nov_v, nov_i = _budget_inputs()
-        splats = concat_splats([
-            build_splats(v, softmax(lg), planes, img, source_index=i)
-            for i, (v, lg, img) in enumerate(zip(src_v, logits, src_i))
-        ])
+        splats = _source_splats(logits, planes, src_v, src_i)
         pairs = []  # every 3-sigma pair, composited or not
         for view in nov_v:
             _, _, _, mean2d, cov2d, _, _, _, gw, gh = project_gaussians(splats, view)
@@ -1036,6 +1167,18 @@ class TestMemoryBudget:
         raster_peak = _traced_peak(rasterize, splats, nov_v[0])
         assert peak <= self.LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)
         assert raster_peak <= self.RASTERIZE_BYTES_PER_PAIR * pairs[0]
+
+    def test_forward_state_size(self):
+        from mvsweep.splat import _render_forward
+
+        logits, planes, src_v, src_i, nov_v, _ = _budget_inputs()
+        splats = _source_splats(logits, planes, src_v, src_i)
+        for view in nov_v:
+            chunks = _render_forward(splats, view)[1].chunks
+            composited = sum(record[0].size for record in chunks)
+            assert composited > 0
+            state_bytes = sum(a.nbytes for record in chunks for a in record)
+            assert state_bytes <= self.STATE_BYTES_PER_PAIR * composited
 
 
 class TestDetectMemoryBudget:

@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Subcommands: scene-gen, run, refine, render, eval.  Global flags --config,
---out, --threads and --seed apply across subcommands; --threads is accepted
-for interface compatibility and changes nothing.  Results never depend on
-threads: refinement renders the novel views of one evaluation on threads of
-their own and sums their losses and gradients in view order, so every byte
-is what one thread running every view in turn gives.
+Subcommands: scene-gen, run, refine, render, eval; each subparser names its
+handler, which `main` calls.  Global flags --config, --out, --threads and
+--seed apply across subcommands; --threads is accepted for interface
+compatibility and changes nothing.  Results never depend on threads:
+refinement renders the novel views of one evaluation at once, the first on
+the calling thread and the rest on a worker pool, and sums their losses and
+gradients in view order, so every byte is what one thread running every
+view in turn gives.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from mvsweep.harness import formats
 from mvsweep.harness.config import PipelineConfig, load_config, save_config
@@ -37,21 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scene-gen", help="generate a synthetic scene directory")
     p.add_argument("--boxes", type=int, default=2, help="number of boxes")
     p.add_argument("--views", type=int, default=10, help="number of cameras")
+    p.set_defaults(handler=cmd_scene_gen)
 
     p = sub.add_parser("run", help="run the detection-path pipeline on a scene")
     p.add_argument("--scene", required=True, help="scene directory")
+    p.set_defaults(handler=partial(_run, refine=False))
 
     p = sub.add_parser("refine", help="run the pipeline with splat refinement first")
     p.add_argument("--scene", required=True, help="scene directory")
+    p.set_defaults(handler=partial(_run, refine=True))
 
     p = sub.add_parser("render", help="rasterize a serialized splat set into a camera")
     p.add_argument("--splats", required=True, help="MVSG splat file")
     p.add_argument("--cameras", required=True, help="camera listing")
     p.add_argument("--view", type=int, default=0, help="camera index to render")
+    p.set_defaults(handler=cmd_render)
 
     p = sub.add_parser("eval", help="score pipeline outputs against scene ground truth")
     p.add_argument("--scene", required=True, help="scene directory")
     p.add_argument("--results", required=True, help="pipeline output directory")
+    p.set_defaults(handler=cmd_eval)
     return parser
 
 
@@ -62,9 +70,7 @@ def _require_out(args, what: str) -> str:
 
 
 def _load_or_default_config(args) -> PipelineConfig:
-    if args.config:
-        return load_config(args.config)
-    return PipelineConfig()
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def cmd_scene_gen(args) -> int:
@@ -117,17 +123,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.threads < 1:
         raise SystemExit("--threads must be >= 1")
-    if args.command == "scene-gen":
-        return cmd_scene_gen(args)
-    if args.command == "run":
-        return _run(args, refine=False)
-    if args.command == "refine":
-        return _run(args, refine=True)
-    if args.command == "render":
-        return cmd_render(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    raise SystemExit(f"unknown command {args.command!r}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -332,12 +332,15 @@ def evaluate_outputs(scene_dir, results_dir, config: PipelineConfig) -> dict[str
 
     The detection views are those with a written depth raster, and each
     one's sources are picked among them as run_pipeline picks them.  Depth
-    is scored as stored, in float32.
+    is scored as stored, in float32.  A `results_dir` that is missing or
+    holds no depth raster is a FileNotFoundError that names it.
     """
     scene = load_scene(scene_dir)
     views = scene.views
     depth_paths = {i: os.path.join(results_dir, f"depth_{i:03d}.mvsr") for i in range(len(views))}
     det_idx = [i for i, path in depth_paths.items() if os.path.exists(path)]
+    if not det_idx:
+        raise FileNotFoundError(f"{results_dir}: no depth_XXX.mvsr raster of a pipeline run")
     depth_maps = {i: formats.load_raster(depth_paths[i])[..., 0] for i in det_idx}
     sources = _detection_sources(views, det_idx, config.source_views)
     boxes_path = os.path.join(results_dir, "boxes.txt")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, Intrinsics, look_at, nearest_pixel, pixel_rays, project
+from mvsweep.camera import CameraView, DOWNSAMPLE, Intrinsics, look_at, nearest_pixel, pixel_rays, project
 
 # Default room matches the default 40x40x16 voxel grid at pitch
 # (0.16, 0.16, 0.2): x, y in [-3.2, 3.2], z in [0, 3.2].
@@ -523,11 +523,11 @@ def raycast(scene: SceneSpec, view: CameraView) -> GroundTruth:
 def quarter_depth(depth: np.ndarray) -> np.ndarray:
     """Representative ground-truth depth for each quarter-res cell.
 
-    One full-res sample per 4x4 block (at offset (1, 1)) rather than a block
-    mean: at occlusion boundaries a mean would mix foreground and background
-    into a depth that lies on no surface.
+    One full-res sample per DOWNSAMPLE x DOWNSAMPLE block (at offset (1, 1))
+    rather than a block mean: at occlusion boundaries a mean would mix
+    foreground and background into a depth that lies on no surface.
     """
-    return depth[1::4, 1::4]
+    return depth[1::DOWNSAMPLE, 1::DOWNSAMPLE]
 
 
 def multiview_coverage(
@@ -544,7 +544,7 @@ def multiview_coverage(
     """
     ref = views[ref_index]
     gt_q = quarter_depth(depths[ref_index])
-    origin, dirs = pixel_rays(ref, start=1, step=4)  # quarter_depth's sample pixels
+    origin, dirs = pixel_rays(ref, start=1, step=DOWNSAMPLE)  # quarter_depth's sample pixels
     pts = origin + gt_q[..., None] * dirs
     flat = pts.reshape(-1, 3)
     count = np.zeros(gt_q.shape, dtype=np.int64)

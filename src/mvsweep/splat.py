@@ -44,19 +44,20 @@ and the last step's trials run the forward pass alone.
 
 The novel views of one refinement evaluation are independent until their
 losses and gradients are summed, so they run at once: the first on the
-calling thread, each further view on a thread of its own that lives for
-that evaluation and runs both its forward and its backward pass (numpy
-releases the interpreter lock inside its array operations).  Every pass
-computes exactly what it computes alone, and the sums are formed on the
-calling thread in view order, so the results are the same to the bit as
-one thread running every pass in turn, however the threads interleave.
+calling thread and each further view on a pool with one worker thread per
+further view, which lives for that evaluation (numpy releases the
+interpreter lock inside its array operations).  With 3 or more novel views
+a view's backward pass may run on another worker than its forward pass;
+the pass reads only the state it is handed.  Every pass computes exactly
+what it computes alone, and the sums are formed on the calling thread in
+view order, so the results are the same to the bit as one thread running
+every pass in turn, however the threads interleave.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -324,13 +325,6 @@ def _runs(pid):
     return start, np.diff(start, append=pid.size)
 
 
-def _take_into(values, idx, out):
-    """values[idx] written into `out`.  The indices are always in range;
-    mode="clip" only spares np.take the temporary copy of `out` it makes
-    in its default mode."""
-    return np.take(values, idx, out=out, mode="clip")
-
-
 def _opacity(alphas, prim, g):
     """Per-pair alpha_eff = min(opacity * g, ALPHA_CLAMP) and the clamped
     mask.  The forward pass and the backward pass both call this, so the
@@ -375,7 +369,9 @@ def _composite_chunk(alphas, colors, log_t, color, listing):
     w *= trans
     t = np.empty(sel.size)
     for c, col in enumerate(colors):
-        _take_into(col, k_prim, t)
+        # The indices are in range; mode="clip" only spares np.take the
+        # temporary copy of `out` it makes in its default mode.
+        np.take(col, k_prim, out=t, mode="clip")
         t *= w
         color[:, c] += np.bincount(k_pid, weights=t, minlength=log_t.size)
     # Each run keeps a prefix of its pairs, at least one: its kept length.
@@ -654,11 +650,19 @@ def _check_positive(**params):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _per_view(pools, fn, view_args):
+def _check_sources(kind, arrays, views, images):
+    """ValueError naming the three counts unless there is one of `arrays`
+    (the volumes or logits) and one source image per source view."""
+    if not len(arrays) == len(views) == len(images):
+        raise ValueError(f"{len(arrays)} {kind}, {len(views)} source views and "
+                         f"{len(images)} source images: the counts must be equal")
+
+
+def _per_view(pool, fn, view_args):
     """fn(*args) for each view's args, in view order: the first view's on
-    the calling thread and each further view's on its own pool's thread,
-    all at once."""
-    futures = [pool.submit(fn, *args) for pool, args in zip(pools, view_args[1:])]
+    the calling thread and each further view's on a thread of `pool`, all
+    at once."""
+    futures = [pool.submit(fn, *args) for args in view_args[1:]]
     return [fn(*args) for args in view_args[:1]] + [f.result() for f in futures]
 
 
@@ -690,11 +694,15 @@ def refinement_loss_and_grad(
     and gradient are the same to the bit whatever `max_loss` is.
 
     The views' passes run at once: the first view's on the calling thread,
-    each further view's on a thread of its own that lives for this call,
-    which runs both that view's forward and its backward pass.  Losses and
-    gradients are summed here in view order, so they are the same to the
-    bit as one thread running every pass in turn.
+    each further view's on a pool with one worker per further view that
+    lives for this call.  With 3 or more novel views a view's backward pass
+    may run on another worker than its forward pass.  Losses and gradients
+    are summed here in view order, so they are the same to the bit as one
+    thread running every pass in turn.  The logits, source views and source
+    images must be equally many; otherwise a ValueError names the three
+    counts.
     """
+    _check_sources("logits", logits, source_views, source_images)
     if source_rays is None:
         source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     probs = [softmax(lg) for lg in logits]
@@ -703,32 +711,21 @@ def refinement_loss_and_grad(
         for i, (v, p, img, rays) in enumerate(zip(source_views, probs, source_images, source_rays))
     ])
 
-    with ExitStack() as stack:
-        pools = [
-            stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in novel_views[1:]
-        ]
-        passes = _per_view(pools, _view_forward, [
+    with ThreadPoolExecutor(max_workers=max(1, len(novel_views) - 1)) as pool:
+        passes = _per_view(pool, _view_forward, [
             (splats, view, img) for view, img in zip(novel_views, novel_images)
         ])
-        total_loss = 0.0
-        for loss, _, _ in passes:
-            total_loss += loss
+        total_loss = sum(loss for loss, _, _ in passes)
         if not np.isfinite(total_loss):
             raise ValueError("rendering loss is not finite")
         if not total_loss <= max_loss:
             return total_loss, None
-        view_grads = _per_view(pools, _render_backward, [
+        view_grads = _per_view(pool, _render_backward, [
             (splats, view, state, d_color) for view, (_, state, d_color) in zip(novel_views, passes)
         ])
 
-    d_means = np.zeros_like(splats.means)
-    d_alphas = np.zeros(len(splats))
-    d_sigmas = np.zeros(len(splats))
-    for dm, da, ds in view_grads:
-        d_means += dm
-        d_alphas += da
-        d_sigmas += ds
-
+    # Each gradient summed over the views in view order, from zeros.
+    d_means, d_alphas, d_sigmas = (sum(g, np.zeros_like(g[0])) for g in zip(*view_grads))
     grads = []
     offset = 0
     for view, p, (_, dirs, axis_cos) in zip(source_views, probs, source_rays):
@@ -747,11 +744,8 @@ def refinement_loss_and_grad(
         )
         # softmax VJP: upstream on B is d_depth * plane + da on the argmax bin
         up = d_depth[..., None] * planes.depths[None, None, :]
-        arg = p.argmax(axis=2)
-        rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
-        up_max = np.zeros_like(up)
-        up_max[rows, cols, arg] = da
-        up = up + up_max
+        arg = p.argmax(axis=2)[..., None]
+        np.put_along_axis(up, arg, np.take_along_axis(up, arg, axis=2) + da[..., None], axis=2)
         inner = (up * p).sum(axis=2, keepdims=True)
         grads.append(p * (up - inner))
     return total_loss, grads
@@ -781,8 +775,9 @@ def refine_probability_volume(
     by construction).  Each step moves against the gradient, scaled so the
     largest logit update equals the step size, and is accepted only if the
     loss does not increase; otherwise the step is halved, up to 8 times.
-    When no halving helps the remaining steps are skipped (the trace repeats
-    the stalled loss so its length stays steps + 1).
+    When no halving helps, or the gradient is zero, the remaining steps are
+    skipped (the trace repeats the last kept loss so its length stays
+    steps + 1).
 
     Each trial is one refinement_loss_and_grad call with max_loss set to
     the last kept loss, which is exactly the acceptance rule: a rejected
@@ -791,11 +786,14 @@ def refine_probability_volume(
     read, so its trials pass max_loss=-inf.  The quarter-res colours and
     ray grids of the views are computed once, not per evaluation.
     step_size and footprint_scale must be finite and > 0; either is checked
-    on entry, and a ValueError names it.
+    on entry, and a ValueError names it.  There must be as many volumes
+    and source images as source views; otherwise a ValueError names the
+    three counts.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_positive(step_size=step_size, footprint_scale=footprint_scale)
+    _check_sources("volumes", volumes, source_views, source_images)
     if not novel_views:
         raise ValueError("need at least one novel view")
     if len(novel_views) != len(novel_images):
@@ -822,23 +820,19 @@ def refine_probability_volume(
         max_loss = trace[-1] if step + 1 < steps else -math.inf
         gmax = max(float(np.max(np.abs(g))) for g in grads)
         if gmax == 0.0:
-            trace.extend([trace[-1]] * (steps + 1 - len(trace)))
             break
         direction = [g / gmax for g in grads]
         grads = trial_grads = None  # only the direction is read from here on
         lr = step_size
-        accepted = False
         for _ in range(9):  # initial step plus up to 8 halvings
             trial = [lg - lr * d for lg, d in zip(logits, direction)]
             trial_loss, trial_grads = evaluate(trial, max_loss)
             if trial_loss <= trace[-1]:
-                logits = trial
-                loss, grads = trial_loss, trial_grads
-                accepted = True
+                logits, grads = trial, trial_grads
+                trace.append(trial_loss)
                 break
             lr *= 0.5
-        trace.append(loss if accepted else trace[-1])
-        if not accepted:
-            trace.extend([trace[-1]] * (steps + 1 - len(trace)))
+        else:  # no halving helped
             break
+    trace.extend([trace[-1]] * (steps + 1 - len(trace)))  # a stalled search's last kept loss
     return RefinementResult(volumes=[softmax(lg) for lg in logits], loss_trace=trace)

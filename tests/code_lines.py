@@ -5,7 +5,8 @@ lines of module, class and function docstrings.  A statement or literal
 that spans several lines counts each line it spans.
 
 Usage: python tests/code_lines.py DIR_OR_FILE...  (for example `src scripts`)
-prints one "raw code path" line per argument.
+prints one "raw code path" line per argument and, given more than one, a
+last "raw code total" line that sums them.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ def count(path: pathlib.Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> None:
-    for arg in argv:
-        raw, code = count(pathlib.Path(arg))
+    counts = [count(pathlib.Path(arg)) for arg in argv]
+    for (raw, code), arg in zip(counts, argv):
         print(f"{raw} {code} {arg}")
+    if len(argv) > 1:
+        print(f"{sum(raw for raw, _ in counts)} {sum(code for _, code in counts)} total")
 
 
 if __name__ == "__main__":

@@ -15,13 +15,19 @@ quaternion_to_rotation builds the rotated views the tests render into.
 
 refinement_loss_and_grad is the serial form of `mvsweep.splat`'s: it runs
 the engine's own forward and backward passes, one novel view after the
-other on the calling thread, and is the yardstick, to the bit, for how the
-engine spreads those passes over threads and sums their results.
+other on the calling thread, and forms the softmax VJP's argmax term in a
+zeros buffer added to the whole upstream array.  It is the yardstick, to
+the bit, for how the engine spreads those passes over threads, sums their
+results and adds that term in place.
 
 stored_forward, stored_target and stored_backward are the engine's chunk
 walk and passes with every composited pair's pixel id and falloff stored in
 the forward state; they are the yardstick, to the bit, for the engine's
 run-length pixel ids and recomputed falloffs.
+
+refine_probability_volume is the engine's line search as it was written
+with an acceptance flag and two places that pad a stalled trace; it is the
+yardstick, to the bit, for the engine's trace, volumes and evaluation count.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import mvsweep.splat as engine
 from mvsweep.camera import DOWNSAMPLE, EPS_Z, ray_grid
 from mvsweep.costvol import softmax
 from mvsweep.splat import (
@@ -40,7 +47,10 @@ from mvsweep.splat import (
     LOG_T_MIN,
     POWER_CUTOFF,
     T_MIN,
+    RefinementResult,
     RenderTarget,
+    _check_positive,
+    _quarter,
     _render_backward,
     _render_forward,
     build_splats,
@@ -329,6 +339,62 @@ def refinement_loss_and_grad(
         inner = (up * p).sum(axis=2, keepdims=True)
         grads.append(p * (up - inner))
     return total_loss, grads
+
+
+def refine_probability_volume(
+    volumes, planes, source_views, source_images, novel_views, novel_images,
+    steps, step_size, footprint_scale=1.0,
+):
+    """The engine's refinement loop with its line search written as an
+    acceptance flag and two trace paddings.  Each evaluation calls
+    `mvsweep.splat.refinement_loss_and_grad`, looked up at call time, so a
+    test that replaces that function replaces it for both loops."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    _check_positive(step_size=step_size, footprint_scale=footprint_scale)
+    if not novel_views:
+        raise ValueError("need at least one novel view")
+    if len(novel_views) != len(novel_images):
+        raise ValueError("novel views/images mismatch")
+    novel_quarter = [_quarter(v, img) for v, img in zip(novel_views, novel_images)]
+    source_quarter = [
+        _quarter(v, np.asarray(img, dtype=np.float64)) for v, img in zip(source_views, source_images)
+    ]
+    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
+    logits = [np.log(np.clip(v, 1e-12, None)) for v in volumes]
+
+    def evaluate(lgs, max_loss):
+        return engine.refinement_loss_and_grad(
+            lgs, planes, source_views, source_quarter, novel_views, novel_quarter,
+            footprint_scale, max_loss=max_loss, source_rays=source_rays,
+        )
+
+    loss, grads = evaluate(logits, math.inf)
+    trace = [loss]
+    for step in range(steps):
+        max_loss = trace[-1] if step + 1 < steps else -math.inf
+        gmax = max(float(np.max(np.abs(g))) for g in grads)
+        if gmax == 0.0:
+            trace.extend([trace[-1]] * (steps + 1 - len(trace)))
+            break
+        direction = [g / gmax for g in grads]
+        grads = trial_grads = None
+        lr = step_size
+        accepted = False
+        for _ in range(9):
+            trial = [lg - lr * d for lg, d in zip(logits, direction)]
+            trial_loss, trial_grads = evaluate(trial, max_loss)
+            if trial_loss <= trace[-1]:
+                logits = trial
+                loss, grads = trial_loss, trial_grads
+                accepted = True
+                break
+            lr *= 0.5
+        trace.append(loss if accepted else trace[-1])
+        if not accepted:
+            trace.extend([trace[-1]] * (steps + 1 - len(trace)))
+            break
+    return RefinementResult(volumes=[softmax(lg) for lg in logits], loss_trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from code_lines import code_lines
+from code_lines import code_lines, main
 
 SNIPPET = textwrap.dedent('''\
     """Module docstring,
@@ -42,3 +42,14 @@ def test_a_multi_line_statement_counts_each_line():
 
 def test_docstrings_and_comments_are_excluded():
     assert code_lines('"""Doc."""\n# comment\n\ndef g():\n    """Doc."""\n    pass\n') == 2
+
+
+def test_several_paths_print_a_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n# comment\n")
+    (tmp_path / "b.py").write_text('"""Doc."""\ny = [\n    2,\n]\n')
+    main([str(tmp_path / "a.py"), str(tmp_path / "b.py")])
+    assert capsys.readouterr().out.splitlines() == [
+        f"2 1 {tmp_path / 'a.py'}", f"4 3 {tmp_path / 'b.py'}", "6 4 total",
+    ]
+    main([str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == [f"6 4 {tmp_path}"]

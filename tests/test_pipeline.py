@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -319,6 +320,15 @@ class TestCli:
         assert (render_dir / "render_001.ppm").exists()
         img = formats.load_ppm(render_dir / "render_001.ppm")
         assert img.shape[2] == 3 and img.max() > 0
+
+    def test_eval_on_a_directory_without_depth_rasters(self, tmp_path):
+        # A missing results directory, or one with no depth_*.mvsr, is an
+        # error that names it, not an empty report.
+        scene_dir = write_scene(tmp_path, n_views=3, image_size=(64, 48))
+        (tmp_path / "empty").mkdir()
+        for results in (tmp_path / "missing", tmp_path / "empty"):
+            with pytest.raises(FileNotFoundError, match=re.escape(str(results))):
+                cli_main(["eval", "--scene", str(scene_dir), "--results", str(results)])
 
     def test_threads_flag_validated(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -464,6 +464,25 @@ class TestRefinement:
                 with pytest.raises(ValueError, match=message):
                     build_splats(src_v[0], softmax(logits[0]), planes, src_i[0], value)
 
+    @pytest.mark.parametrize("n_vol, n_view, n_img", [(3, 2, 2), (2, 1, 2), (2, 2, 1)])
+    def test_source_counts_must_match(self, n_vol, n_view, n_img):
+        # zip would drop the extra volumes, views or images without a word.
+        from mvsweep.costvol import softmax
+
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        logits = (logits * 2)[:n_vol]
+        src_v, src_i = (src_v * 2)[:n_view], (src_i * 2)[:n_img]
+        tail = f", {n_view} source views and {n_img} source images"
+        with pytest.raises(ValueError, match=f"^{n_vol} volumes{tail}"):
+            refine_probability_volume(
+                [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+                steps=1, step_size=1.0,
+            )
+        with pytest.raises(ValueError, match=f"^{n_vol} logits{tail}"):
+            refinement_loss_and_grad(
+                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+            )
+
     def test_requires_novel_views(self):
         scene = generate_scene(seed=6, n_boxes=0)
         views = make_trajectory(scene, 3, seed=2, image_size=(64, 48))
@@ -941,6 +960,76 @@ class TestLossOnlyTrials:
         assert_pinned("REFINE_TRACE", [x.hex() for x in res.loss_trace], REFINE_TRACE)
         assert [calls for calls, _ in evaluations] == [1, 1, 1, 0, 1, 0, 0]
         assert [calls == 0 for calls, _ in evaluations] == [none for _, none in evaluations]
+
+
+class TestLineSearchOracle:
+    """refine_probability_volume against splat_reference's line search, to
+    the bit: the trace (steps + 1 entries, a stalled one padded with the
+    last kept loss), the volumes and the number of evaluations."""
+
+    def _refine_both(self, monkeypatch, alter=None):
+        """Criterion 11's pinned refinement by the engine and by the
+        reference, each evaluation's (loss, grads) passed through
+        alter(index, loss, grads) when given; the engine's trace and
+        evaluation count."""
+        import mvsweep.splat as splat_module
+        import splat_reference as ref
+        from mvsweep.costvol import softmax
+
+        loss_and_grad = splat_module.refinement_loss_and_grad
+        runs = []
+        for refine in (refine_probability_volume, ref.refine_probability_volume):
+            calls = []
+
+            def evaluate(*args, **kwargs):
+                loss, grads = loss_and_grad(*args, **kwargs)
+                calls.append(1)
+                return alter(len(calls) - 1, loss, grads) if alter else (loss, grads)
+
+            monkeypatch.setattr(splat_module, "refinement_loss_and_grad", evaluate)
+            planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+            res = refine(
+                [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+                steps=4, step_size=6.0,
+            )
+            runs.append((res, len(calls)))
+        (res, count), (ref_res, ref_count) = runs
+        assert len(res.loss_trace) == 5
+        assert [x.hex() for x in res.loss_trace] == [x.hex() for x in ref_res.loss_trace]
+        assert [v.tobytes() for v in res.volumes] == [v.tobytes() for v in ref_res.volumes]
+        assert count == ref_count
+        return res.loss_trace, count
+
+    def test_pinned_run(self, monkeypatch):
+        trace, count = self._refine_both(monkeypatch)
+        assert count == 7
+        assert all(a > b for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_zero_gradient(self, monkeypatch, first):
+        # From evaluation `first` on, every gradient is zero: the next step
+        # stops the search and pads the trace with the loss it kept.
+        def alter(i, loss, grads):
+            if i < first or grads is None:
+                return loss, grads
+            return loss, [np.zeros_like(g) for g in grads]
+
+        trace, count = self._refine_both(monkeypatch, alter)
+        assert count == first + 1
+        assert trace[first + 1:] == [trace[first]] * (4 - first)
+        assert all(a > b for a, b in zip(trace[:first + 1], trace[1:first + 1]))
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_all_trials_rejected(self, monkeypatch, first):
+        # From evaluation `first` on, the loss rises with every evaluation:
+        # all 9 trials of that step are rejected and the trace is padded
+        # with the last kept loss.
+        def alter(i, loss, grads):
+            return (loss + i, grads) if i >= first else (loss, grads)
+
+        trace, count = self._refine_both(monkeypatch, alter)
+        assert count == first + 9
+        assert trace[first:] == [trace[first - 1]] * (5 - first)
 
 
 def _view_inputs(n_novel):

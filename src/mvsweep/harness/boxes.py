@@ -11,11 +11,10 @@ from mvsweep.sampling import VoxelGrid
 
 @dataclass
 class Box3D:
-    """Axis-aligned box: center (m), size (w, h, l in m), yaw fixed at 0."""
+    """Axis-aligned box: center (m) and size (w, h, l in m)."""
 
     center: np.ndarray
     size: np.ndarray
-    yaw: float = 0.0
     score: float = 1.0
 
     def __post_init__(self):
@@ -36,7 +35,7 @@ class Box3D:
     def from_corners(cls, lo, hi, score: float = 1.0) -> "Box3D":
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        return cls(center=(lo + hi) / 2.0, size=hi - lo, yaw=0.0, score=score)
+        return cls(center=(lo + hi) / 2.0, size=hi - lo, score=score)
 
 
 # The 13 of the 26 neighbour offsets that come after a voxel in C order; with
@@ -145,9 +144,7 @@ def extract_boxes(grid: VoxelGrid, threshold_ratio: float = 0.5, min_voxels: int
 
 
 def iou3d(a: Box3D, b: Box3D) -> float:
-    """Intersection over union of two axis-aligned boxes (yaw must be 0)."""
-    if a.yaw != 0.0 or b.yaw != 0.0:
-        raise ValueError("iou3d only supports axis-aligned boxes (yaw 0)")
+    """Intersection over union of two axis-aligned boxes."""
     lo = np.maximum(a.lo, b.lo)
     hi = np.minimum(a.hi, b.hi)
     edges = np.maximum(hi - lo, 0.0)

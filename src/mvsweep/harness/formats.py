@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,15 +29,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _blame(where):
+    """A ValueError raised inside gets `where: ` as a prefix.  The loaders
+    name the file, and the text parsers the line and the record, here
+    rather than at each raise site; nested, the outer `where` comes first."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_text(path, parse):
     """parse() of the UTF-8 text file at `path`; a ValueError, a byte that
     is not UTF-8 included, gets the path as a prefix."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with _blame(path), open(path, encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def save_text(path, text: str) -> None:
@@ -51,7 +59,7 @@ def _save_binary(path, header: bytes, payload: bytes) -> None:
         fh.write(payload)
 
 
-def _read_header(fh, path, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, int]:
+def _read_header(fh, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, int]:
     """The fixed header of a binary file open at its start, and its payload
     size: a 4-byte magic, a little-endian header `fmt`, then as many bytes as
     `payload(*header)` declares.  That call returns the byte count and a
@@ -59,32 +67,32 @@ def _read_header(fh, path, magic: bytes, fmt: str, what: str, payload) -> tuple[
     another size raises.  The payload is checked for size, not read."""
     got = fh.read(4)
     if got != magic:
-        raise ValueError(f"{path}: bad {what} magic {got!r}")
+        raise ValueError(f"bad {what} magic {got!r}")
     size = struct.calcsize(fmt)
     data = fh.read(size)
     if len(data) != size:
-        raise ValueError(f"{path}: truncated {what} header")
+        raise ValueError(f"truncated {what} header")
     header = struct.unpack(fmt, data)
     nbytes, declared = payload(*header)
-    _check_payload(fh, path, nbytes, f"{what} header {declared}")
+    _check_payload(fh, nbytes, f"{what} header {declared}")
     return header, nbytes
 
 
 def _load_binary(path, magic: bytes, fmt: str, what: str, payload) -> tuple[tuple, bytes]:
     """The fixed header (see _read_header) and the payload of a binary file."""
-    with open(path, "rb") as fh:
-        header, nbytes = _read_header(fh, path, magic, fmt, what, payload)
+    with open(path, "rb") as fh, _blame(path):
+        header, nbytes = _read_header(fh, magic, fmt, what, payload)
         return header, fh.read(nbytes)
 
 
-def _check_payload(fh, path, nbytes: int, what: str) -> None:
+def _check_payload(fh, nbytes: int, what: str) -> None:
     """Check that the rest of the file is exactly the `nbytes` a header
     declares, before they are read: a corrupt header can neither ask for
     more memory than the file has bytes nor leave bytes unread."""
     held = os.fstat(fh.fileno()).st_size - fh.tell()
     if nbytes != held:
         problem = "truncated" if nbytes > held else "trailing"
-        raise ValueError(f"{path}: {problem} data: {what} declares {nbytes} bytes, "
+        raise ValueError(f"{problem} data: {what} declares {nbytes} bytes, "
                          f"the file holds {held}")
 
 
@@ -100,19 +108,19 @@ def _records(text: str):
 _INT_FIELDS = ("views", "width", "height", "walls", "wall_seed", "texture_seed")
 
 
-def _parse_record(where: str, names: tuple, vals: list[str]) -> list:
+def _parse_record(names: tuple, vals: list[str]) -> list:
     """The parsed values of one text record, a field name per value; a
-    missing, extra or unparsable value is a ValueError naming `where` and the
-    field."""
+    missing, extra or unparsable value is a ValueError naming the field.
+    The caller names the line and the record, with _blame."""
     if len(vals) != len(names):
         field = names[min(len(vals), len(names) - 1)]
-        raise ValueError(f"{where}: {len(names)} values expected, got {len(vals)} (field {field})")
+        raise ValueError(f"{len(names)} values expected, got {len(vals)} (field {field})")
     out = []
     for name, v in zip(names, vals):
         try:
             out.append(int(v) if name in _INT_FIELDS else float(v))
         except ValueError:
-            raise ValueError(f"{where}: field {name}: {v!r} is not a number") from None
+            raise ValueError(f"field {name}: {v!r} is not a number") from None
     return out
 
 
@@ -145,11 +153,12 @@ _POSE_FIELDS = ("R", "R", "R", "t") * 3
 _MAX_POSE_ENTRY = 1e150
 
 
-def _check_bounded(where: str, names, values) -> None:
-    """Reject, naming `where` and the field, a value beyond _MAX_POSE_ENTRY."""
+def _check_bounded(names, values) -> None:
+    """Reject, naming the field, a value beyond _MAX_POSE_ENTRY; the caller
+    names the line and the record, with _blame."""
     for name, v in zip(names, values):
         if not abs(v) <= _MAX_POSE_ENTRY:
-            raise ValueError(f"{where}: field {name}: {v!r} is not a finite value "
+            raise ValueError(f"field {name}: {v!r} is not a finite value "
                              f"of magnitude at most {_MAX_POSE_ENTRY:g}")
 
 
@@ -158,29 +167,26 @@ def cameras_from_text(text: str) -> list[CameraView]:
     if not rows:
         raise ValueError("camera listing: empty, expected the view count")
     lineno, line = rows[0]
-    (n,) = _parse_record(f"camera listing: line {lineno}", ("views",), line.split())
-    if n < 0:
-        raise ValueError(f"camera listing: line {lineno}: field views: must be >= 0, got {n}")
+    with _blame(f"camera listing: line {lineno}"):
+        (n,) = _parse_record(("views",), line.split())
+        if n < 0:
+            raise ValueError(f"field views: must be >= 0, got {n}")
     if len(rows) != 1 + 2 * n:
         raise ValueError(f"camera listing: expected {1 + 2 * n} lines, got {len(rows)}")
     views = []
     for i in range(n):
         (head_no, head), (pose_no, pose) = rows[1 + 2 * i : 3 + 2 * i]
         head_where = f"camera listing: line {head_no}: view {i} intrinsics"
-        fx, fy, cx, cy, width, height = _parse_record(head_where, _INTRINSICS_FIELDS, head.split())
-        _check_bounded(head_where, _INTRINSICS_FIELDS, (fx, fy, cx, cy))
-        pose_where = f"camera listing: line {pose_no}: view {i} [R|t]"
-        entries = _parse_record(pose_where, _POSE_FIELDS, pose.split())
-        _check_bounded(pose_where, _POSE_FIELDS, entries)
-        rt = np.array(entries).reshape(3, 4)
-        try:
+        with _blame(head_where):
+            fx, fy, cx, cy, width, height = _parse_record(_INTRINSICS_FIELDS, head.split())
+            _check_bounded(_INTRINSICS_FIELDS, (fx, fy, cx, cy))
+        with _blame(f"camera listing: line {pose_no}: view {i} [R|t]"):
+            entries = _parse_record(_POSE_FIELDS, pose.split())
+            _check_bounded(_POSE_FIELDS, entries)
+            rt = np.array(entries).reshape(3, 4)
             pose_rt = Pose(rt[:, :3], rt[:, 3])
-        except ValueError as exc:
-            raise ValueError(f"{pose_where}: {exc}") from None
-        try:
+        with _blame(head_where):
             views.append(CameraView(Intrinsics(fx, fy, cx, cy), pose_rt, width, height))
-        except ValueError as exc:
-            raise ValueError(f"{head_where}: {exc}") from None
     return views
 
 
@@ -208,13 +214,13 @@ def save_ppm(path, image: np.ndarray) -> None:
     _save_binary(path, f"P6\n{w} {h}\n255\n".encode("ascii"), data.tobytes())
 
 
-def _ppm_header(fh, path) -> tuple[int, int]:
+def _ppm_header(fh) -> tuple[int, int]:
     """Width and height from the header of a PPM open at its start; the rest
     of the file is checked to be exactly the payload they declare, which is
     not read."""
     magic = fh.readline().strip()
     if magic != b"P6":
-        raise ValueError(f"{path}: not a P6 PPM")
+        raise ValueError("not a P6 PPM")
     dims = fh.readline().split()
     while dims and dims[0].startswith(b"#"):
         dims = fh.readline().split()
@@ -222,26 +228,26 @@ def _ppm_header(fh, path) -> tuple[int, int]:
         w, h = (int(d) for d in dims)
         maxval = int(fh.readline())
     except ValueError:
-        raise ValueError(f"{path}: PPM header needs a width, a height and a maxval") from None
+        raise ValueError("PPM header needs a width, a height and a maxval") from None
     if w < 1 or h < 1:
-        raise ValueError(f"{path}: PPM width and height must be positive, got {w}x{h}")
+        raise ValueError(f"PPM width and height must be positive, got {w}x{h}")
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PPM supported")
-    _check_payload(fh, path, w * h * 3, f"PPM header {w}x{h}")
+        raise ValueError("only 8-bit PPM supported")
+    _check_payload(fh, w * h * 3, f"PPM header {w}x{h}")
     return w, h
 
 
 def ppm_size(path) -> tuple[int, int]:
     """Width and height of the PPM at `path`, checked as load_ppm checks
     them, without decoding its pixels."""
-    with open(path, "rb") as fh:
-        return _ppm_header(fh, path)
+    with open(path, "rb") as fh, _blame(path):
+        return _ppm_header(fh)
 
 
 def load_ppm(path) -> np.ndarray:
     """Returns float64 in [0, 1]."""
-    with open(path, "rb") as fh:
-        w, h = _ppm_header(fh, path)
+    with open(path, "rb") as fh, _blame(path):
+        w, h = _ppm_header(fh)
         raw = fh.read(w * h * 3)
     image = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).astype(np.float64)
     image /= 255.0  # in place: one full-size float64 array per decode
@@ -279,8 +285,8 @@ def _f4_to_f8(raw: bytes) -> np.ndarray:
 def raster_shape(path) -> tuple[int, int, int]:
     """(rows, cols, channels) of the raster at `path`, checked as
     load_raster checks them, without decoding its values."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path, *_RASTER_HEADER)[0]
+    with open(path, "rb") as fh, _blame(path):
+        return _read_header(fh, *_RASTER_HEADER)[0]
 
 
 def load_raster(path) -> np.ndarray:
@@ -313,12 +319,10 @@ def load_volume(path) -> VoxelGrid:
         lambda nx, ny, nz, c, *_: (nx * ny * nz * (c + 1) * 4,
                                    f"dims x channels {nx}x{ny}x{nz}x{c}"))
     origin, pitch = tuple(geometry[:3]), tuple(geometry[3:])
-    if not np.all(np.isfinite(geometry)):
-        raise ValueError(f"{path}: volume origin and pitch must be finite, got {origin}, {pitch}")
-    try:
+    with _blame(path):
+        if not np.all(np.isfinite(geometry)):
+            raise ValueError(f"volume origin and pitch must be finite, got {origin}, {pitch}")
         spec = VoxelGridSpec((nx, ny, nz), origin, pitch)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     payload = _f4_to_f8(raw).reshape(nx, ny, nz, c + 1)
     return VoxelGrid(
         spec=spec, feature_mean=payload[..., :c], score=payload[..., c], valid_count=None
@@ -434,8 +438,10 @@ def scene_from_text(text: str) -> SceneSpec:
         if kind not in _SCENE_RECORDS:
             raise ValueError(f"scene listing: line {lineno}: unknown record {kind!r}")
         where = f"scene listing: line {lineno}: {kind}"
-        v = _parse_record(where, _SCENE_RECORDS[kind], rest.split())
-        try:
+        with _blame(where):
+            if kind in records:
+                raise ValueError("duplicate record")
+            v = _parse_record(_SCENE_RECORDS[kind], rest.split())
             if kind == "box":
                 boxes.append((where, TexturedBox(lo=v[:3], hi=v[3:6], texture_seed=v[6],
                                                  color=v[7:])))
@@ -444,8 +450,6 @@ def scene_from_text(text: str) -> SceneSpec:
                 room_bounds(v[:3], v[3:], fields=("lo", "hi"))
             elif kind == "background":
                 base_albedo("background", v)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
         records[kind] = v
     missing = [kind for kind in _SCENE_RECORDS if kind not in records and kind != "box"]
     if missing:
@@ -474,14 +478,15 @@ def load_scene_spec(path) -> SceneSpec:
 
 
 def boxes_to_text(boxes) -> str:
-    """One record per line: center xyz, size whl, yaw, score."""
+    """One record per line: center xyz, size whl, yaw (always 0: boxes are
+    axis-aligned), score."""
     lines = []
     for b in boxes:
         lines.append(
             " ".join(
                 [_fmt(x) for x in b.center]
                 + [_fmt(x) for x in b.size]
-                + [_fmt(b.yaw), _fmt(b.score)]
+                + [_fmt(0.0), _fmt(b.score)]
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
@@ -493,24 +498,19 @@ _BOX_FIELDS = ("center",) * 3 + ("size",) * 3 + ("yaw", "score")
 def boxes_from_text(text: str):
     """Box records `cx cy cz w h l yaw score`; a non-finite value, or a yaw
     other than 0 (boxes are axis-aligned), is a ValueError naming the line
-    and the field."""
+    and the field.  The yaw is checked, then dropped."""
     from mvsweep.harness.boxes import Box3D
 
     out = []
     for lineno, line in _records(text):
-        where = f"box listing: line {lineno}"
-        vals = _parse_record(where, _BOX_FIELDS, line.split())
-        for name, v in zip(_BOX_FIELDS, vals):
-            if not np.isfinite(v):
-                raise ValueError(f"{where}: field {name}: {v!r} is not finite")
-        if vals[6] != 0:
-            raise ValueError(f"{where}: field yaw: {vals[6]!r}: boxes are axis-aligned, "
-                             "so yaw must be 0")
-        try:
-            out.append(Box3D(center=np.array(vals[:3]), size=np.array(vals[3:6]),
-                             yaw=vals[6], score=vals[7]))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        with _blame(f"box listing: line {lineno}"):
+            vals = _parse_record(_BOX_FIELDS, line.split())
+            for name, v in zip(_BOX_FIELDS, vals):
+                if not np.isfinite(v):
+                    raise ValueError(f"field {name}: {v!r} is not finite")
+            if vals[6] != 0:
+                raise ValueError(f"field yaw: {vals[6]!r}: boxes are axis-aligned, so yaw must be 0")
+            out.append(Box3D(center=np.array(vals[:3]), size=np.array(vals[3:6]), score=vals[7]))
     return out
 
 
@@ -531,6 +531,8 @@ def metrics_from_text(text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for lineno, line in _records(text):
         key, _, val = line.partition(" ")
+        if key in out:
+            raise ValueError(f"metrics: line {lineno}: duplicate key {key!r}")
         try:
             out[key] = float(val)
         except ValueError:

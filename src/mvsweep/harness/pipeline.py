@@ -147,7 +147,10 @@ def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
     return [round((j + 1) * n_views / (n_novel + 1)) for j in range(n_novel)]
 
 
-def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map, metrics, tag):
+def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map):
+    """The DepthMetrics of one detection view's depth map over the pixels
+    whose ground truth lies in the plane range and is seen by its sources,
+    or None when there is no such pixel."""
     gt_q = scenegen.quarter_depth(gt_depths[ref_index])
     cover = scenegen.multiview_coverage(views, gt_depths, ref_index, src_indices)
     mask = (
@@ -155,11 +158,7 @@ def _depth_metrics(config, views, gt_depths, ref_index, src_indices, depth_map, 
         & (gt_q <= config.depth_max)
         & (cover >= min(2, len(src_indices)))
     )
-    if not mask.any():
-        return
-    m = eval_depth(depth_map, gt_q, mask)
-    metrics[f"depth_rmse_{tag}"] = m.rmse
-    metrics[f"depth_absrel_{tag}"] = m.abs_rel
+    return eval_depth(depth_map, gt_q, mask) if mask.any() else None
 
 
 def _detection_sources(views, det_idx: list[int], source_views: int) -> dict[int, list[int]]:
@@ -181,11 +180,13 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict
         # Decoded for scoring and dropped after it; every source is a scored
         # detection view too.
         gt_depths = {i: scene.gt_depth(i) for i in depth_maps}
+        rmses = []
         for i, depth_map in depth_maps.items():
-            _depth_metrics(
-                config, scene.views, gt_depths, i, sources[i], depth_map, metrics, f"view{i}"
-            )
-        rmses = [v for k, v in metrics.items() if k.startswith("depth_rmse_view")]
+            m = _depth_metrics(config, scene.views, gt_depths, i, sources[i], depth_map)
+            if m is not None:
+                metrics[f"depth_rmse_view{i}"] = m.rmse
+                metrics[f"depth_absrel_view{i}"] = m.abs_rel
+                rmses.append(m.rmse)
         if rmses:
             metrics["depth_rmse_mean"] = float(np.mean(rmses))
     if boxes is not None:

@@ -650,12 +650,19 @@ def _check_positive(**params):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _check_sources(kind, arrays, views, images):
-    """ValueError naming the three counts unless there is one of `arrays`
-    (the volumes or logits) and one source image per source view."""
-    if not len(arrays) == len(views) == len(images):
+def _check_counts(kind, arrays, views, images, novel_views, novel_images, rays=None):
+    """ValueError naming the counts unless there is one of `arrays` (the
+    volumes or logits), one source image and, when given, one ray grid per
+    source view, and one novel image per novel view, of which there is at
+    least one: zip would drop the extra ones without a word."""
+    rays = views if rays is None else rays
+    if not len(arrays) == len(views) == len(images) == len(rays):
         raise ValueError(f"{len(arrays)} {kind}, {len(views)} source views and "
-                         f"{len(images)} source images: the counts must be equal")
+                         f"{len(images)} source images ({len(rays)} source ray grids): "
+                         "the counts must be equal")
+    if not len(novel_views) == len(novel_images) > 0:
+        raise ValueError(f"{len(novel_views)} novel views and {len(novel_images)} novel images: "
+                         "need at least one novel view and one novel image per view")
 
 
 def _per_view(pool, fn, view_args):
@@ -698,11 +705,13 @@ def refinement_loss_and_grad(
     lives for this call.  With 3 or more novel views a view's backward pass
     may run on another worker than its forward pass.  Losses and gradients
     are summed here in view order, so they are the same to the bit as one
-    thread running every pass in turn.  The logits, source views and source
-    images must be equally many; otherwise a ValueError names the three
-    counts.
+    thread running every pass in turn.  The logits, source views, source
+    images and source_rays (when given) must be equally many, and there must
+    be one novel image per novel view, of which there is at least one;
+    otherwise a ValueError names the counts.
     """
-    _check_sources("logits", logits, source_views, source_images)
+    _check_counts("logits", logits, source_views, source_images, novel_views, novel_images,
+                  source_rays)
     if source_rays is None:
         source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     probs = [softmax(lg) for lg in logits]
@@ -787,17 +796,14 @@ def refine_probability_volume(
     ray grids of the views are computed once, not per evaluation.
     step_size and footprint_scale must be finite and > 0; either is checked
     on entry, and a ValueError names it.  There must be as many volumes
-    and source images as source views; otherwise a ValueError names the
-    three counts.
+    and source images as source views, and one novel image per novel view,
+    of which there is at least one; otherwise a ValueError names the
+    counts.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_positive(step_size=step_size, footprint_scale=footprint_scale)
-    _check_sources("volumes", volumes, source_views, source_images)
-    if not novel_views:
-        raise ValueError("need at least one novel view")
-    if len(novel_views) != len(novel_images):
-        raise ValueError("novel views/images mismatch")
+    _check_counts("volumes", volumes, source_views, source_images, novel_views, novel_images)
     # Per-view constants, computed once for every evaluation.
     novel_quarter = [_quarter(v, img) for v, img in zip(novel_views, novel_images)]
     source_quarter = [

@@ -1,8 +1,12 @@
 """The code-line measure of `tests/code_lines.py` on hand-counted snippets."""
 
+import pathlib
 import textwrap
 
-from code_lines import code_lines, main
+from code_lines import code_lines, count, main
+
+# ROADMAP item 4's budget: the code lines of `src/` plus `scripts/`.
+CODE_LINE_BUDGET = 2349
 
 SNIPPET = textwrap.dedent('''\
     """Module docstring,
@@ -53,3 +57,9 @@ def test_several_paths_print_a_total(tmp_path, capsys):
     ]
     main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines() == [f"6 4 {tmp_path}"]
+
+
+def test_src_and_scripts_within_budget():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    total = sum(count(root / d)[1] for d in ("src", "scripts"))
+    assert total <= CODE_LINE_BUDGET, f"{total} code lines, over the budget of {CODE_LINE_BUDGET}"

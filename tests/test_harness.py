@@ -572,6 +572,18 @@ class TestSceneFormat:
         with pytest.raises(ValueError, match=message):
             formats.scene_from_text("\n".join(text) + "\n")
 
+    # A second record of a kind used to replace the first without a word.
+    @pytest.mark.parametrize("record", [
+        "room -9 -9 0 9 9 9", "walls 0", "wall_seed 3", "background 0.5 0.5 0.5",
+    ])
+    def test_duplicate_record_names_path_and_line(self, tmp_path, record):
+        p = tmp_path / "scene.txt"
+        p.write_text(formats.scene_to_text(generate_scene(seed=5, n_boxes=1)) + record + "\n")
+        kind = record.split()[0]
+        with pytest.raises(ValueError, match=f"scene.txt: scene listing: line 6: {kind}: "
+                                             "duplicate record"):
+            formats.load_scene_spec(p)
+
     def test_inverted_box_names_line(self):
         with pytest.raises(ValueError, match="line 1: box: box min corner must be strictly below"):
             formats.scene_from_text("box 1 2 3 0 5 6 1 0 0 0\n")
@@ -580,8 +592,8 @@ class TestSceneFormat:
 class TestBoxAndMetricsText:
     def test_boxes_round_trip(self):
         boxes = [
-            Box3D(center=[0.1, -0.2, 1.3], size=[0.5, 0.6, 0.7], yaw=0.0, score=0.25),
-            Box3D(center=[1.0, 2.0, 0.5], size=[1.0, 1.0, 1.0], yaw=0.0, score=1.0),
+            Box3D(center=[0.1, -0.2, 1.3], size=[0.5, 0.6, 0.7], score=0.25),
+            Box3D(center=[1.0, 2.0, 0.5], size=[1.0, 1.0, 1.0], score=1.0),
         ]
         text = formats.boxes_to_text(boxes)
         loaded = formats.boxes_from_text(text)
@@ -616,6 +628,13 @@ class TestBoxAndMetricsText:
         metrics = {"depth_rmse_view0": 0.12345678901234567, "n_boxes": 3.0}
         text = formats.metrics_to_text(metrics)
         assert formats.metrics_from_text(text) == metrics
+
+    def test_duplicate_metric_rejected_with_path(self, tmp_path):
+        # The second `a` used to replace the first without a word.
+        p = tmp_path / "metrics.txt"
+        p.write_text("a 1.0\nn_boxes 2.0\na 3.0\n")
+        with pytest.raises(ValueError, match="metrics.txt: metrics: line 3: duplicate key 'a'"):
+            formats.load_metrics(p)
 
     def test_metric_without_value_rejected_with_path(self, tmp_path):
         p = tmp_path / "metrics.txt"
@@ -675,9 +694,9 @@ class TestIou3d:
         assert iou3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_rejects_rotated(self):
-        a = Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=0.3)
-        with pytest.raises(ValueError):
-            iou3d(a, a)
+        # Boxes are axis-aligned: there is no yaw to give.
+        with pytest.raises(TypeError):
+            Box3D(center=[0, 0, 0], size=[1, 1, 1], yaw=0.3)
 
     @settings(max_examples=50)
     @given(

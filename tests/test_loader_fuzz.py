@@ -4,11 +4,17 @@ text file the engine wrote (cameras, scene listing, boxes, metrics, config),
 truncated anywhere, with a token swapped for `nan`, `inf`, `-1` or `1e308`,
 or with a token duplicated or deleted, either loads or raises a ValueError
 (or FileNotFoundError) that names the file.  No other exception and no
-RuntimeWarning is allowed."""
+RuntimeWarning is allowed.
+
+Over the same corruptions, each loader of `mvsweep.harness.formats` loads
+the same value as `formats_reference`, byte for byte, or raises the same
+exception type with the same message."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -16,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formats_reference
 from mvsweep.harness import formats, pipeline
 from mvsweep.harness.config import PipelineConfig, load_config, save_config
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
@@ -167,3 +174,79 @@ def test_missing_text_file_names_the_path(tmp_path):
     for file_name, load in TEXT_LOADERS.values():
         with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / file_name))):
             load(tmp_path / file_name)
+
+
+# The loaders held against `formats_reference` and the corpus file each one
+# reads: truncations of every file, byte flips in the binary ones and token
+# edits in the text ones.
+BINARY_ORACLES = {"load_ppm": "ppm", "ppm_size": "ppm", "load_raster": "raster",
+                  "raster_shape": "raster", "load_volume": "volume", "load_splats": "splats"}
+TEXT_ORACLES = {"load_cameras": "cameras", "load_scene_spec": "scene", "load_boxes": "boxes",
+                "load_metrics": "metrics"}
+
+
+def _canonical(x):
+    """A comparable form of a loaded value: floats and arrays by their bytes,
+    so NaNs and signed zeros compare as the bits they are."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(_canonical(getattr(x, f.name))
+                                           for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, dict):
+        return tuple((k, _canonical(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__,) + tuple(_canonical(v) for v in x)
+    if isinstance(x, float):
+        return (type(x).__name__, struct.pack("<d", x))
+    return (type(x).__name__, x)
+
+
+def _outcome(load, path):
+    """("value", the canonical loaded value) or (exception type, message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "value", _canonical(load(path))
+        except Exception as exc:  # the reference decides which are right
+            return type(exc), str(exc)
+
+
+def _same_as_reference(fn, path, data: bytes) -> None:
+    path.write_bytes(data)
+    assert _outcome(getattr(formats, fn), path) == _outcome(getattr(formats_reference, fn), path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=st.sampled_from(sorted(BINARY_ORACLES)), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_file_matches_reference(originals, fn, cut):
+    data, _, _, path = originals[BINARY_ORACLES[fn]]
+    _same_as_reference(fn, path, data[: int(cut * len(data))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=st.sampled_from(sorted(BINARY_ORACLES)), in_header=st.booleans(),
+       where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_flipped_byte_matches_reference(originals, fn, in_header, where, flip):
+    data, header, _, path = originals[BINARY_ORACLES[fn]]
+    lo, hi = (0, header) if in_header else (header, len(data))
+    corrupt = bytearray(data)
+    corrupt[lo + int(where * (hi - lo))] ^= flip
+    _same_as_reference(fn, path, bytes(corrupt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fn=st.sampled_from(sorted(TEXT_ORACLES)), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_text_matches_reference(text_originals, fn, cut):
+    text, _, _, path = text_originals[TEXT_ORACLES[fn]]
+    _same_as_reference(fn, path, text[: int(cut * len(text))].encode())
+
+
+@settings(max_examples=400, deadline=None)
+@given(fn=st.sampled_from(sorted(TEXT_ORACLES)), where=st.floats(0.0, 1.0, exclude_max=True),
+       edit=st.sampled_from(SWAPS + ("duplicate", "delete")))
+def test_edited_token_matches_reference(text_originals, fn, where, edit):
+    text, spans, _, path = text_originals[TEXT_ORACLES[fn]]
+    lo, hi = spans[int(where * len(spans))]
+    token = {"duplicate": text[lo:hi] + " " + text[lo:hi], "delete": ""}.get(edit, edit)
+    _same_as_reference(fn, path, (text[:lo] + token + text[hi:]).encode())

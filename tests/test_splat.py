@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, nearest_views, project
+from mvsweep.camera import (DOWNSAMPLE, CameraView, Intrinsics, Pose, nearest_views, project,
+                            ray_grid)
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
 from mvsweep.scenegen import generate_scene, make_trajectory, quarter_depth, raycast
 from mvsweep.splat import (
@@ -481,6 +482,34 @@ class TestRefinement:
         with pytest.raises(ValueError, match=f"^{n_vol} logits{tail}"):
             refinement_loss_and_grad(
                 logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+            )
+
+    @pytest.mark.parametrize("n_views, n_images", [(3, 1), (1, 2), (0, 0)])
+    def test_novel_counts_must_match(self, n_views, n_images):
+        # 3 novel views with 1 image used to return the 1-view loss.
+        from mvsweep.costvol import softmax
+
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        nov_v, nov_i = (nov_v * 3)[:n_views], (nov_i * 2)[:n_images]
+        message = f"^{n_views} novel views and {n_images} novel images: need at least one"
+        with pytest.raises(ValueError, match=message):
+            refine_probability_volume(
+                [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
+                steps=1, step_size=1.0,
+            )
+        with pytest.raises(ValueError, match=message):
+            refinement_loss_and_grad(
+                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+            )
+
+    def test_source_ray_count_must_match(self):
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        rays = [ray_grid(v, DOWNSAMPLE) for v in src_v]
+        with pytest.raises(ValueError, match=r"^2 logits, 2 source views and 2 source images "
+                                             r"\(1 source ray grids\)"):
+            refinement_loss_and_grad(
+                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i],
+                source_rays=rays[:1],
             )
 
     def test_requires_novel_views(self):

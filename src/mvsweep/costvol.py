@@ -73,13 +73,31 @@ class CostVolume:
     valid_views: np.ndarray  # (H, W, M) int
 
 
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Raise a ValueError that names `what` and counts its non-finite values,
+    if it has any."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"{what} has {bad} non-finite values")
+
+
 def block_mean(image: np.ndarray, factor: int = DOWNSAMPLE) -> np.ndarray:
-    """Mean-pool (H, W[, C]) over non-overlapping factor x factor blocks."""
+    """Mean-pool (H, W[, C]) over non-overlapping factor x factor blocks.
+
+    The strided slices image[a::f, b::f] are added in (a, b) order and the
+    sum is divided once: numpy's own order in a mean over the block axes of
+    an (H, W, C) grid with C >= 2, so those bytes are numpy's.  A 2-D or
+    one-channel grid, which numpy sums in another order, agrees with that
+    mean to within rounding.
+    """
     h, w = image.shape[:2]
     if h % factor or w % factor:
         raise ValueError(f"image dimensions {h}x{w} not divisible by {factor}")
-    shape = (h // factor, factor, w // factor, factor) + image.shape[2:]
-    return image.reshape(shape).mean(axis=(1, 3))
+    total = image[::factor, ::factor].astype(np.float64)
+    for i in range(1, factor * factor):
+        total += image[i // factor :: factor, i % factor :: factor]
+    total /= factor * factor
+    return total
 
 
 def _sobel(lum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +244,7 @@ def build_cost_volume(
     grid or behind its camera are excluded) and takes the per-channel
     population variance.  When fewer than 2 views survive, each channel's
     cost is the penalty value.  The cost is the mean of the channel costs.
+    A non-finite descriptor is a ValueError naming its grid.
 
     The warp is the camera module's plane-induced homography in closed form:
     `plane_warp_terms` gives a (3, H*W) and b once per source, and each
@@ -257,6 +276,7 @@ def build_cost_volume(
     k_ref, gw, gh = ref_view.scaled(DOWNSAMPLE)
     if (gh, gw) != (h, w):
         raise ValueError(f"reference feature grid {h}x{w} is not the view's {gh}x{gw} quarter grid")
+    require_finite(ref_feat, "reference feature grid")
 
     m = planes.count
     cols = np.arange(w, dtype=np.float64)
@@ -277,6 +297,7 @@ def build_cost_volume(
             raise ValueError(
                 f"source {i}: feature grid {feat.shape} does not have the reference's {c} channels"
             )
+        require_finite(feat, f"source {i}: feature grid")
         rel = relative_pose(ref_view.pose, view.pose)
         sources.append((_bilinear_table(feat), sw, sh,
                         *plane_warp_terms(cols, rows, k_ref, k_src, rel)))
@@ -291,15 +312,14 @@ def build_cost_volume(
     ok = np.empty(h * w, dtype=bool)
     work = _SampleBuffers(c, h * w)
     for mi, depth in enumerate(planes.depths):
-        np.copyto(acc, ref0)
-        np.copyto(acc_sq, ref_sq0)
         n_views = count[mi]
+        s, s_sq = ref0, ref_sq0  # the first source's adds start from the reference
         for table, sw, sh, a, b in sources:
             plane_warp(a, b, depth, hz, u, v, ok)
             ok &= in_bounds(u, v, sw, sh)
             sample = _sample_channels(table, sh, sw, u, v, ok, work)
-            acc += sample
-            acc_sq += np.multiply(sample, sample, out=work.coeffs[:c])
+            s = np.add(s, sample, out=acc)
+            s_sq = np.add(s_sq, np.multiply(sample, sample, out=work.coeffs[:c]), out=acc_sq)
             n_views += ok
         n = n_views.astype(np.float64)
         mean = np.divide(acc, n, out=acc)
@@ -333,14 +353,15 @@ def cost_to_probability(volume: CostVolume, temperature: float) -> np.ndarray:
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     score = _binomial_smooth(-volume.costs)  # (H, W, M)
-    return softmax(score / temperature)
+    return softmax(np.divide(score, temperature, out=score))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by its maximum for stability."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def regress_depth(probs: np.ndarray, planes: DepthPlanes) -> np.ndarray:

@@ -16,6 +16,7 @@ from mvsweep.costvol import (
     eval_depth,
     extract_features,
     regress_depth,
+    require_finite,
 )
 from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
 from mvsweep.harness.config import PipelineConfig
@@ -48,9 +49,7 @@ class SceneData:
         naming the file."""
         path = self.depth_paths[i]
         depth = formats.load_raster(path)[..., 0]
-        bad = depth.size - np.count_nonzero(np.isfinite(depth))
-        if bad:
-            raise ValueError(f"{path}: ground-truth depth has {bad} non-finite values")
+        require_finite(depth, f"{path}: ground-truth depth")
         return depth
 
 

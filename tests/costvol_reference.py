@@ -21,6 +21,12 @@ coefficient table.
 was before it summed channels: it stores the (M, C, H*W) per-channel costs
 and returns them as (H, W, C, M).  The engine's channel-mean costs must be
 the bytes of its `costs.mean(axis=2)`.
+
+`block_mean` and `softmax` are the engine's own as they were before they
+summed strided slices and worked in one array: numpy's mean over the block
+axes of an (H/f, f, W/f, f, C) view, and a softmax that allocates the
+shifted scores, their exponentials and the quotient.  The engine must give
+their bytes (`block_mean`'s for two channels or more).
 """
 
 from __future__ import annotations
@@ -43,8 +49,21 @@ from mvsweep.costvol import (
     _sample_channels,
     _SampleBuffers,
     channel_major,
-    softmax,
 )
+
+
+def block_mean(image: np.ndarray, factor: int = DOWNSAMPLE) -> np.ndarray:
+    """Mean-pool (H, W[, C]) over non-overlapping factor x factor blocks."""
+    h, w = image.shape[:2]
+    shape = (h // factor, factor, w // factor, factor) + image.shape[2:]
+    return image.reshape(shape).mean(axis=(1, 3))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its maximum for stability."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def plane_points(q, depth: float, k_ref: Intrinsics) -> np.ndarray:

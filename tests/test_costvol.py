@@ -93,6 +93,50 @@ class TestExtractFeatures:
         np.testing.assert_allclose(m[0, 0], np.arange(16).mean())
 
 
+class TestBlockMeanMatchesOracle:
+    """The strided block mean gives the bytes of numpy's mean over the block
+    axes (`tests/costvol_reference.py`) for every grid of two channels or
+    more.  numpy sums a 2-D or one-channel grid in another order, so there
+    the two agree within 1e-15 relative on non-negative (image) values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_multi_channel_bytes(self, bh, bw, c, seed):
+        from costvol_reference import block_mean as reference_block_mean
+
+        rng = np.random.default_rng(seed)
+        shape = (4 * bh, 4 * bw, c)
+        img = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        assert_bytes_equal(block_mean(img), reference_block_mean(img))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_single_channel_within_1e_15(self, bh, bw, flat, seed):
+        from costvol_reference import block_mean as reference_block_mean
+
+        shape = (4 * bh, 4 * bw) if flat else (4 * bh, 4 * bw, 1)
+        img = np.random.default_rng(seed).uniform(0.0, 1.0, shape)
+        m, ref = block_mean(img), reference_block_mean(img)
+        assert m.shape == ref.shape and m.dtype == ref.dtype
+        assert np.all(np.abs(m - ref) <= 1e-15 * ref)
+
+    def test_scene_image(self):
+        from costvol_reference import block_mean as reference_block_mean
+
+        scene = generate_scene(seed=3, n_boxes=2)
+        image = raycast(scene, make_trajectory(scene, 2, seed=3)[0]).image
+        assert_bytes_equal(block_mean(image), reference_block_mean(image))
+
+
+class TestSoftmaxMatchesOracle:
+    @pytest.mark.parametrize("shape", [(7,), (5, 6, 12), (3, 4, 1)])
+    def test_bytes(self, shape):
+        from costvol_reference import softmax as reference_softmax
+
+        z = np.random.default_rng(len(shape)).normal(0.0, 30.0, shape)
+        assert_bytes_equal(costvol.softmax(z), reference_softmax(z))
+
+
 class TestSelectSourceViews:
     def _views_on_line(self, xs):
         return [
@@ -206,6 +250,20 @@ class TestBuildCostVolume:
         planes = DepthPlanes.uniform(3, 1.0, 3.0)
         with pytest.raises(ValueError, match=r"reference feature grid 5x3 .* 8x8 quarter grid"):
             build_cost_volume(np.zeros((5, 3, 6)), view, [np.zeros((8, 8, 6))], [view], planes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_descriptors(self, bad):
+        # One NaN in a source grid used to spread into NaN costs and
+        # probabilities without an error or a warning.
+        view = simple_view()
+        planes = DepthPlanes.uniform(3, 1.0, 3.0)
+        feat = np.zeros((8, 8, 6))
+        broken = feat.copy()
+        broken[2, 3, 4] = broken[5, 1, 0] = bad
+        with pytest.raises(ValueError, match="source 1: feature grid has 2 non-finite values"):
+            build_cost_volume(feat, view, [feat, broken], [view, view], planes)
+        with pytest.raises(ValueError, match="reference feature grid has 2 non-finite values"):
+            build_cost_volume(broken, view, [feat], [view], planes)
 
     def test_sweep_warps_through_the_camera_warp(self, monkeypatch):
         # Every (plane, source) step calls camera.plane_warp, and the costs

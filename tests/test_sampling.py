@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsweep.camera import CameraView, Intrinsics, Pose, project
+from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, project
 from mvsweep.costvol import DepthPlanes, extract_features
 from mvsweep.sampling import (
     DepthProposalSet,
@@ -94,6 +96,32 @@ class TestSampleTopk:
         ps2 = sample_topk(scaled, planes, k=3)
         np.testing.assert_array_equal(ps.plane_indices[2, 2], ps2.plane_indices[2, 2])
         np.testing.assert_allclose(ps.scores[2, 2], ps2.scores[2, 2], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 5)])
+    def test_leaves_its_input_unchanged(self, shape):
+        # One pixel's (M, 1) plane-major view is contiguous; the selection
+        # must still work on a copy.
+        probs = np.random.default_rng(0).dirichlet(np.ones(3), size=shape)
+        before = probs.copy()
+        sample_topk(probs, DepthPlanes.uniform(3, 1.0, 3.0), k=3)
+        assert probs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_rejects_bad_probabilities(self, bad):
+        planes = DepthPlanes.uniform(4, 1.0, 4.0)
+        probs = np.full((2, 3, 4), 0.25)
+        probs[0, 1, 2] = probs[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="2 probabilities are NaN, infinite or negative"):
+            sample_topk(probs, planes, k=2)
+
+    def test_rejects_pixels_without_a_positive_probability(self):
+        # An all-zero pixel used to get NaN scores and a RuntimeWarning.
+        planes = DepthPlanes.uniform(4, 1.0, 4.0)
+        probs = np.full((2, 3, 4), 0.25)
+        probs[1, 1] = 0.0
+        probs[0, 2] = [0.0, -0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="2 pixels have no positive probability"):
+            sample_topk(probs, planes, k=1)
 
 
 class TestGateAndWeight:
@@ -442,6 +470,18 @@ class TestMatchesPerViewAggregation:
         for _, _, probs in items:
             self.assert_topk_matches(probs, planes, k)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(2, 12), st.data())
+    def test_topk_with_ties_and_zeros(self, h, w, m, data):
+        # Few distinct values give ties and zero entries (some -0.0); every
+        # pixel keeps at least one positive probability.
+        k = data.draw(st.integers(1, m), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        probs = rng.integers(0, 4, (h, w, m)) / 3.0
+        probs[probs.sum(axis=-1) == 0, int(rng.integers(m))] = 1.0
+        np.copyto(probs, -0.0, where=(probs == 0) & (rng.random(probs.shape) < 0.5))
+        self.assert_topk_matches(probs, DepthPlanes.uniform(m, 0.5, 4.0), k)
+
     def test_topk_all_planes_tied(self):
         planes = DepthPlanes.uniform(5, 1.0, 3.0)
         ps = self.assert_topk_matches(np.full((3, 4, 5), 0.2), planes, 5)
@@ -457,6 +497,50 @@ class TestMatchesPerViewAggregation:
         grid = self.assert_volume_matches(items, spec, window=0.2)
         # Both gated-in and gated-out voxels occur.
         assert 0 < np.count_nonzero(grid.valid_count) < grid.valid_count.size
+
+    @pytest.mark.parametrize("channels", [1, 6])
+    def test_coarse_grid_past_the_cameras(self, channels):
+        views = TestVanillaMatchesOracle.scene_views(7)
+        items, planes = self.random_items(views, 7, channels)
+        items = [(f, v, sample_topk(p, planes, 3)) for f, v, p in items]
+        spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
+        centers = spec.centers().reshape(-1, 3)
+        assert all((project(centers, v)[2] <= 0).any() for v in views)
+        grid = self.assert_volume_matches(items, spec, window=1.0)
+        assert 0 < np.count_nonzero(grid.valid_count) < grid.valid_count.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 11)] * 3),
+        st.tuples(*[st.floats(-6.0, 4.0)] * 3),
+        st.tuples(*[st.floats(0.05, 2.0)] * 3),
+    )
+    def test_random_grids(self, dims, origin, pitch):
+        self.assert_volume_matches(scene_proposals(), VoxelGridSpec(dims, origin, pitch), 0.5)
+
+    @pytest.mark.parametrize("xs", [(-1.75, -1.5, -1.25, -1.0), (1.0, 1.25, 1.5, 1.75)])
+    def test_voxel_on_the_frustum_edge(self, xs):
+        # A 32x32 view with f = 40 projects x = -1 and x = 1 at depth 2.5 to
+        # u = -0.5 and u = 7.5 on its 8x8 grid, exactly on the bounds, which
+        # are inclusive; the cube's other voxels lie outside.
+        spec = VoxelGridSpec((4, 1, 1), (xs[0] - 0.125, -0.125, 2.375), (0.25, 0.25, 0.25))
+        np.testing.assert_array_equal(spec.centers()[:, 0, 0, 0], xs)
+        props = constant_proposals((8, 8), [2.5], [1.0])
+        items = [(np.full((8, 8, 2), 0.5), pixel_aimed_view(), props)]
+        grid = self.assert_volume_matches(items, spec, window=0.2)
+        edge = 3 if xs[0] < 0 else 0
+        assert grid.valid_count[:, 0, 0].tolist() == [int(i == edge) for i in range(4)]
+
+    def test_one_voxel_in_view(self):
+        # A tilted camera at the grid's fourth voxel sees only the fifth:
+        # the first cube (voxels 0-3) lies behind it or at its eye.
+        view = CameraView(pixel_aimed_view().intrinsics,
+                          look_at((0.0, 0.0, 0.0), (1.0, 0.1, 0.05)), 32, 32)
+        spec = VoxelGridSpec((5, 1, 1), (-3.5, -0.5, -0.5), (1.0, 1.0, 1.0))
+        props = constant_proposals((8, 8), [1.0], [1.0])
+        items = [(np.full((8, 8, 2), 0.5), view, props)]
+        grid = self.assert_volume_matches(items, spec, window=0.2)
+        assert grid.valid_count.ravel().tolist() == [0, 0, 0, 0, 1]
 
     def test_full_k_and_unbounded_window(self):
         # k = M with window=inf gates in every voxel a view sees: the vanilla
@@ -506,14 +590,25 @@ class TestMatchesPerViewAggregation:
             build_volume(items, single_voxel_spec(), window=0.2)
 
 
+@functools.lru_cache(maxsize=1)
+def scene_proposals():
+    """Seed 1's ten views with random six-channel features and top-3
+    proposals of random probabilities."""
+    items, planes = TestMatchesPerViewAggregation.random_items(
+        TestVanillaMatchesOracle.scene_views(1), 5
+    )
+    return [(f, v, sample_topk(p, planes, 3)) for f, v, p in items]
+
+
 class TestBuildVolumeMemory:
     # Traced peak bytes of one build_volume per voxel of the default 40x40x16
     # grid, for 8 views of 80x60 six-channel features with 3 proposals each.
-    # Measured 216: the voxel centers take 24, the (C, N) feature sums and
-    # the weight and gate sums 64, and one view's projection of every center
-    # peaks at 81.  The aggregation that computed over every voxel for every
-    # view peaked at 331.
-    BYTES_PER_VOXEL = 250
+    # Measured 155: the voxel centers take 24, the (C, N) feature sums and
+    # the weight and gate sums 64, each voxel's cube index 8, and the rest is
+    # one view's work on the 28% of centers that its frustum's cubes keep.
+    # Projecting every center into every view peaked at 200, and the
+    # aggregation that computed over every voxel for every view at 331.
+    BYTES_PER_VOXEL = 180
 
     def test_peak(self):
         import tracemalloc

@@ -77,10 +77,6 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
     def camera_center(self) -> np.ndarray:
         """Camera origin in world coordinates: -R^T t."""
         return -self.rotation.T @ self.translation
@@ -137,16 +133,16 @@ def in_bounds(u, v, width: int, height: int):
 def project(point, view: CameraView, scale: int = 1):
     """Project world points onto the image grid at 1/scale resolution.
 
-    point: (3,) or (..., 3) world coordinates.
-    Returns (u, v, depth, valid).  depth is camera-frame z.  Invalid means
-    behind the image plane (depth <= EPS_Z) or outside the grid bounds;
-    u, v are still returned for in-front points so callers can decide.
+    point: (..., 3) world coordinates; a single (3,) point is one row.
+    Returns arrays (u, v, depth, valid).  depth is camera-frame z.  Invalid
+    means behind the image plane (depth <= EPS_Z) or outside the grid
+    bounds; u, v are still returned for in-front points so callers can
+    decide.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     k, w, h = view.scaled(scale)
     pts = np.asarray(point, dtype=np.float64)
-    squeeze = pts.ndim == 1
     rotated = np.atleast_2d(pts) @ view.pose.rotation.T
     # Translate each coordinate on its own: adding the (3,) vector to the
     # (..., 3) array runs one length-3 inner loop per point.
@@ -160,8 +156,6 @@ def project(point, view: CameraView, scale: int = 1):
     valid = in_front & in_bounds(u, v, w, h)
     for out in (u, v):
         np.copyto(out, np.nan, where=~in_front)
-    if squeeze:
-        return float(u[0]), float(v[0]), float(depth[0]), bool(valid[0])
     return u, v, depth, valid
 
 

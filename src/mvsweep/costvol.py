@@ -58,11 +58,6 @@ class DepthPlanes:
     def spacing(self) -> float:
         return float(self.depths[1] - self.depths[0])
 
-    def nearest_index(self, depth) -> np.ndarray:
-        """Index of the plane closest to each depth (ties to the lower index)."""
-        d = np.asarray(depth, dtype=np.float64)
-        return np.argmin(np.abs(d[..., None] - self.depths), axis=-1)
-
 
 @dataclass
 class CostVolume:
@@ -133,23 +128,6 @@ def extract_features(image: np.ndarray) -> np.ndarray:
     gx, gy = _sobel(lum)
     std = _local_std(lum)
     return np.concatenate([pooled, gx[..., None], gy[..., None], std[..., None]], axis=2)
-
-
-def bilinear_sample(grid: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear lookup of an (H, W, C) grid at continuous pixel coordinates,
-    clamping to the edge so the half-pixel boundary band stays usable.
-
-    The entry point of `_sample_channels` for an (H, W, C) grid: returns
-    u.shape + (C,).  Non-finite coordinates are rejected.
-    """
-    bad = np.count_nonzero(~np.isfinite(u)) + np.count_nonzero(~np.isfinite(v))
-    if bad:
-        raise ValueError(f"{bad} sample coordinates are not finite")
-    h, w, c = grid.shape
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64))
-    work = _SampleBuffers(c, u.size)
-    sample = _sample_channels(_bilinear_table(grid), h, w, u.ravel(), v.ravel(), True, work)
-    return sample.T.reshape(u.shape + (c,))
 
 
 def channel_major(grid: np.ndarray) -> np.ndarray:
@@ -337,10 +315,21 @@ def build_cost_volume(
 
 def _binomial_smooth(score: np.ndarray) -> np.ndarray:
     """3x3 binomial blur of every (H, W) slice of an (H, W, M) score, with
-    mirrored borders; the slice axis is not padded."""
+    mirrored borders; the slice axis is not padded.
+
+    A horizontal then a vertical 1-2-1 pass, each formed in one new array
+    as 2 b, plus a, plus c, times 0.25: the operations of
+    `(a + 2.0 * b + c) * 0.25` in their order, since 2 b + a is a + 2 b to
+    the bit.
+    """
     p = np.pad(score, ((1, 1), (1, 1), (0, 0)), mode="symmetric")
-    horiz = (p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]) * 0.25
-    return (horiz[:-2] + 2.0 * horiz[1:-1] + horiz[2:]) * 0.25
+    for axis in (1, 0):
+        a, b, c = (p[(slice(None),) * axis + (slice(i, p.shape[axis] - 2 + i),)] for i in range(3))
+        p = np.multiply(b, 2.0)
+        p += a
+        p += c
+        p *= 0.25
+    return p
 
 
 def cost_to_probability(volume: CostVolume, temperature: float) -> np.ndarray:

@@ -13,10 +13,16 @@ from mvsweep.sampling import VoxelGridSpec
 # The largest voxel grid a config may ask for; its (nx, ny, nz, 3) centers
 # alone take 400 MB.
 MAX_VOXELS = 1 << 24
-# The deepest sweep plane a config may ask for, in meters: far beyond any
-# scene, and shallow enough that the splats placed on the planes stay inside
-# the splat loader's 1e10 bound.
-MAX_PLANE_DEPTH = 1e6
+# The largest magnitude of every float field: plane depths and grid extents
+# in meters far beyond any scene, yet shallow enough that the splats placed
+# on the planes stay inside the splat loader's 1e10 bound; and every scale.
+MAX_MAGNITUDE = 1e6
+# The smallest value of every field that must be positive: with
+# cost_penalty <= MAX_MAGNITUDE, tempered scores stay far from overflow.
+MIN_POSITIVE = 1.0 / MAX_MAGNITUDE
+# The most refinement steps a config may ask for; the loss trace holds one
+# more entry.
+MAX_REFINE_STEPS = 10_000
 
 
 @dataclass
@@ -59,9 +65,9 @@ class PipelineConfig:
                 if not isinstance(value, tuple):
                     setattr(self, f.name, _integral(f.name, value))
                 continue
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{f.name} must be finite")
+            if not all(abs(v) <= MAX_MAGNITUDE for v in _values(value)):
+                raise ValueError(f"{f.name} must be finite and at most {MAX_MAGNITUDE:g} "
+                                 f"in magnitude, got {value!r}")
         if self.num_planes < 2:
             raise ValueError("num_planes must be >= 2")
         if len(self.grid_dims) != 3 or min(self.grid_dims) < 1:
@@ -73,18 +79,16 @@ class PipelineConfig:
             raise ValueError("top_k must lie in [1, num_planes]")
         if not 0.0 < self.depth_min < self.depth_max:
             raise ValueError("need 0 < depth_min < depth_max")
-        for name in ("depth_min", "depth_max"):
-            if getattr(self, name) > MAX_PLANE_DEPTH:
-                raise ValueError(f"{name} must be at most {MAX_PLANE_DEPTH:g}, "
-                                 f"got {getattr(self, name)!r}")
         for name in ("match_window", "temperature", "cost_penalty", "splat_footprint",
-                     "refine_step_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                     "refine_step_size", "grid_pitch"):
+            if not min(_values(getattr(self, name))) >= MIN_POSITIVE:
+                raise ValueError(f"{name} must be positive, at least {MIN_POSITIVE:g}")
         for name in ("source_views", "refine_steps", "refine_novel_views",
                      "novel_source_views", "min_component"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.refine_steps > MAX_REFINE_STEPS:
+            raise ValueError(f"refine_steps must be at most {MAX_REFINE_STEPS}")
         if not 0.0 < self.box_threshold <= 1.0:
             raise ValueError("box_threshold must lie in (0, 1]")
 
@@ -105,6 +109,11 @@ def _integral(name: str, value) -> int:
     if whole is None or whole != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return whole
+
+
+def _values(value) -> tuple:
+    """A field's value as a tuple: a tuple field's items, or the value alone."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _parse_type(f):

@@ -350,7 +350,7 @@ _IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
 # At 1e10 a splat seen from just in front of the default camera (depth
 # 2e-6) keeps its 2D covariance, that covariance's determinant and its
 # pixel bounds (below 1e18, inside int64) finite; at 1e200 they overflow.
-_MAX_SPLAT_MAGNITUDE = 1e10
+MAX_SPLAT_MAGNITUDE = 1e10
 
 
 def save_splats(path, splats: GaussianSplatSet) -> None:
@@ -376,11 +376,11 @@ def load_splats(path) -> GaussianSplatSet:
     rec = np.frombuffer(raw, dtype=_SPLAT_DTYPE)
     sigma, color = rec["scale"][:, 0], rec["color"]
     for field, bad, rule in (
-        ("mean", ~np.all(np.abs(rec["mean"]) <= _MAX_SPLAT_MAGNITUDE, axis=1),
-         f"must be finite and at most {_MAX_SPLAT_MAGNITUDE:g} in magnitude"),
+        ("mean", ~np.all(np.abs(rec["mean"]) <= MAX_SPLAT_MAGNITUDE, axis=1),
+         f"must be finite and at most {MAX_SPLAT_MAGNITUDE:g} in magnitude"),
         ("quat", np.any(rec["quat"] != _IDENTITY_QUAT, axis=1), "must be the identity (1, 0, 0, 0)"),
-        ("scale", ~((sigma > 0) & (sigma <= _MAX_SPLAT_MAGNITUDE)),
-         f"must be positive and finite, at most {_MAX_SPLAT_MAGNITUDE:g}"),
+        ("scale", ~((sigma > 0) & (sigma <= MAX_SPLAT_MAGNITUDE)),
+         f"must be positive and finite, at most {MAX_SPLAT_MAGNITUDE:g}"),
         ("scale", np.any(rec["scale"] != rec["scale"][:, :1], axis=1), "must hold three equal values"),
         ("alpha", ~((rec["alpha"] >= 0) & (rec["alpha"] <= 1)), "must lie in [0, 1]"),
         ("color", ~np.all((color >= 0) & (color <= 1), axis=1), "must lie in [0, 1]"),

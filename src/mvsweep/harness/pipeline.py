@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import nearest_views
+from mvsweep.camera import DOWNSAMPLE, nearest_views
 from mvsweep.costvol import (
     block_mean,
     build_cost_volume,
@@ -19,7 +19,7 @@ from mvsweep.costvol import (
     require_finite,
 )
 from mvsweep.harness.boxes import Box3D, extract_boxes, iou3d
-from mvsweep.harness.config import PipelineConfig
+from mvsweep.harness.config import MAX_VOXELS, PipelineConfig
 from mvsweep.harness import formats
 from mvsweep.sampling import VoxelGrid, build_volume, sample_topk
 from mvsweep import scenegen
@@ -142,7 +142,8 @@ def load_scene(scene_dir) -> SceneData:
 def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
     """Evenly spaced interior view indices held out as novel render targets."""
     if n_novel >= n_views - 1:
-        raise ValueError("holdout would leave fewer than one detection view")
+        raise ValueError(f"refine_novel_views={n_novel} would leave fewer than one detection "
+                         f"view of {n_views}")
     return [round((j + 1) * n_views / (n_novel + 1)) for j in range(n_novel)]
 
 
@@ -196,6 +197,23 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict
     return metrics
 
 
+def _check_scale(config: PipelineConfig, views, refine: bool) -> None:
+    """Raise a ValueError naming the field when the config asks the scene's
+    cameras for a sweep above MAX_VOXELS cells per view, or, when refining,
+    for splat sigmas above the splat loader's bound: a sigma is the
+    footprint times a depth of at most depth_max over the view's mean
+    quarter-res focal length."""
+    _, gw, gh = max(views, key=lambda v: v.width * v.height).scaled(DOWNSAMPLE)
+    if config.num_planes * gw * gh > MAX_VOXELS:
+        raise ValueError(f"num_planes={config.num_planes} on a {gw}x{gh} quarter grid gives "
+                         f"{config.num_planes * gw * gh} sweep cells, more than {MAX_VOXELS}")
+    focal = min(v.intrinsics.fx + v.intrinsics.fy for v in views) / (2 * DOWNSAMPLE)
+    sigma = config.splat_footprint * config.depth_max / focal
+    if refine and not sigma <= formats.MAX_SPLAT_MAGNITUDE:
+        raise ValueError(f"splat_footprint={config.splat_footprint!r} gives splat sigmas up to "
+                         f"{sigma:g}, more than {formats.MAX_SPLAT_MAGNITUDE:g}")
+
+
 def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool = False) -> PipelineResult:
     """Full sweep: features, per-view cost and probability volumes, top-k
     proposals, depth-gated voxel aggregation and box extraction; optionally a
@@ -211,12 +229,10 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     n = len(views)
     if n < 2:
         raise ValueError("need at least two views")
+    _check_scale(config, views, refine)
     planes = config.planes()
 
-    if refine:
-        novel_idx = holdout_novel_indices(n, config.refine_novel_views)
-    else:
-        novel_idx = []
+    novel_idx = holdout_novel_indices(n, config.refine_novel_views) if refine else []
     det_idx = [i for i in range(n) if i not in novel_idx]
 
     # Each image is decoded where it is used and dropped right after, so at
@@ -244,9 +260,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         )
         volumes[i] = cost_to_probability(vol, temperature=config.temperature)
 
-    refined_views = None
-    loss_trace = None
-    splats = None
+    refined_views = loss_trace = splats = None
     if refine:
         selected: set[int] = set()
         for nv in novel_idx:

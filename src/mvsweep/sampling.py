@@ -101,21 +101,6 @@ def sample_topk(probs: np.ndarray, planes: DepthPlanes, k: int) -> DepthProposal
     return DepthProposalSet(plane_indices=idx, depths=planes.depths[idx], scores=scores)
 
 
-def proposals_from_depth(depth_map: np.ndarray) -> DepthProposalSet:
-    """Single full-confidence proposal per pixel at the given exact depth.
-
-    Ground-truth oracle construction (the upper-bound experiment): unlike
-    sampler output, the depths need not coincide with sweep planes, so the
-    plane index is a sentinel -1.
-    """
-    h, w = depth_map.shape
-    return DepthProposalSet(
-        plane_indices=np.full((h, w, 1), -1, dtype=np.int64),
-        depths=depth_map[..., None].astype(np.float64),
-        scores=np.ones((h, w, 1)),
-    )
-
-
 @dataclass
 class VoxelGrid:
     """Aggregated multi-view features on a voxel lattice.
@@ -254,18 +239,3 @@ def build_volume(items, spec: VoxelGridSpec, window: float) -> VoxelGrid:
     dims = grid.shape[:3]
     return VoxelGrid(spec, num.T.reshape(*dims, c), score.reshape(dims), gate_sum.reshape(dims))
 
-
-def build_volume_vanilla(items, spec: VoxelGridSpec) -> VoxelGrid:
-    """Depth-unaware baseline over (feature map, view) pairs: plain mean of
-    all backprojected features over views with a valid projection; surface
-    score fixed to 1 where any view contributed.
-
-    It is build_volume with one proposal per pixel at depth 0 with score 1
-    and an unbounded window, so every valid projection is gated in with
-    unit weight.
-    """
-    return build_volume(
-        [(feat, view, proposals_from_depth(np.zeros(feat.shape[:2]))) for feat, view in items],
-        spec,
-        window=np.inf,
-    )

@@ -401,21 +401,37 @@ def make_trajectory(
 # ---------------------------------------------------------------------------
 
 
+def _slabs(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per axis, each ray's near and far distance to the slab between the
+    box's lo and hi planes on that axis, and the faces it crosses there.
+
+    A ray parallel to the slab has near -inf and far inf inside it, and near
+    and far both inf or both -inf outside.  The face id is 2 * axis for the
+    lo plane and 2 * axis + 1 for the hi one; the near face is the lo one
+    when the distance to the lo plane is at most that to the hi plane.
+    """
+    for axis in range(3):
+        d = dirs[..., axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo[axis] - origin[axis]) / d
+            t2 = (hi[axis] - origin[axis]) / d
+        parallel = d == 0.0
+        np.copyto(t1, -np.inf if origin[axis] >= lo[axis] else np.inf, where=parallel)
+        np.copyto(t2, np.inf if origin[axis] <= hi[axis] else -np.inf, where=parallel)
+        near_face = np.logical_not(t1 <= t2).view(np.int8) + np.int8(2 * axis)
+        # Left to right: the minimum is taken before the maximum overwrites t2.
+        yield np.minimum(t1, t2), np.maximum(t1, t2, out=t2), near_face, near_face ^ 1
+
+
 def _room_exit(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Exit distance and face id for rays starting inside the room AABB."""
-    with np.errstate(divide="ignore"):
-        t_exit = np.full(dirs.shape[:-1], np.inf)
-        face = np.full(dirs.shape[:-1], -1, dtype=np.int8)
-        for axis in range(3):
-            d = dirs[..., axis]
-            bound = np.where(d > 0, hi[axis], lo[axis])
-            with np.errstate(invalid="ignore"):
-                t = (bound - origin[axis]) / d
-            t = np.where(d == 0.0, np.inf, t)
-            better = t < t_exit
-            t_exit = np.where(better, t, t_exit)
-            face_id = np.where(d > 0, 2 * axis + 1, 2 * axis).astype(np.int8)
-            face = np.where(better, face_id, face)
+    """Exit distance and face id for rays starting inside the room AABB: the
+    nearest of the slabs' far distances, the first axis on ties."""
+    t_exit = np.full(dirs.shape[:-1], np.inf)
+    face = np.full(dirs.shape[:-1], -1, dtype=np.int8)
+    for _, far, _, far_face in _slabs(origin, dirs, lo, hi):
+        better = far < t_exit
+        np.copyto(t_exit, far, where=better)
+        np.copyto(face, far_face, where=better)
     return t_exit, face
 
 
@@ -424,24 +440,12 @@ def _box_entry(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndar
     t_near = np.full(dirs.shape[:-1], -np.inf)
     t_far = np.full(dirs.shape[:-1], np.inf)
     face = np.full(dirs.shape[:-1], -1, dtype=np.int8)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in range(3):
-            d = dirs[..., axis]
-            t1 = (lo[axis] - origin[axis]) / d
-            t2 = (hi[axis] - origin[axis]) / d
-            t1 = np.where(d == 0.0, np.where(origin[axis] >= lo[axis], -np.inf, np.inf), t1)
-            t2 = np.where(d == 0.0, np.where(origin[axis] <= hi[axis], np.inf, -np.inf), t2)
-            lo_t = np.minimum(t1, t2)
-            hi_t = np.maximum(t1, t2)
-            enters_low = t1 <= t2  # entering through the lo face of this axis
-            better = lo_t > t_near
-            face_id = np.where(enters_low, 2 * axis, 2 * axis + 1).astype(np.int8)
-            face = np.where(better, face_id, face)
-            t_near = np.maximum(t_near, lo_t)
-            t_far = np.minimum(t_far, hi_t)
+    for near, far, near_face, _ in _slabs(origin, dirs, lo, hi):
+        np.copyto(face, near_face, where=near > t_near)
+        np.maximum(t_near, near, out=t_near)
+        np.minimum(t_far, far, out=t_far)
     hit = (t_near <= t_far) & (t_near > 1e-9)
-    t_near = np.where(hit, t_near, np.inf)
-    return t_near, face
+    return np.where(hit, t_near, np.inf), face
 
 
 def _box_window(view: CameraView, lo: np.ndarray, hi: np.ndarray):
@@ -550,7 +554,7 @@ def multiview_coverage(
     count = np.zeros(gt_q.shape, dtype=np.int64)
     for si in source_indices:
         valid, vv, uu, d = nearest_pixel(flat, views[si])
-        unoccluded = depths[si][vv, uu] >= d - tol
-        miss = depths[si][vv, uu] == 0.0  # open rooms: a miss occludes nothing
-        count += (valid & (unoccluded | miss)).reshape(gt_q.shape)
+        landed = depths[si][vv, uu]
+        # unoccluded, or a miss (open rooms), which occludes nothing
+        count += (valid & ((landed >= d - tol) | (landed == 0.0))).reshape(gt_q.shape)
     return count

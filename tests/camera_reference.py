@@ -1,6 +1,7 @@
 """Reference oracles for the camera model.
 
-A single-pixel ray backprojection, which the tests use to check projection
+The identity pose (camera frame = world frame).  A single-pixel ray
+backprojection, which the tests use to check projection
 and `ray_grid`.  Camera-centre view selection written as two selectors:
 the plane-sweep source pick (reference view excluded, `count` must leave
 it out) and the novel-view source pick (every view a candidate).  Both rank
@@ -15,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsweep.camera import CameraView, in_bounds
+from mvsweep.camera import CameraView, Pose, in_bounds
+
+
+def identity_pose() -> Pose:
+    """The pose whose camera frame is the world frame."""
+    return Pose(np.eye(3), np.zeros(3))
 
 
 @dataclass(frozen=True)

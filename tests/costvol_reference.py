@@ -22,11 +22,16 @@ was before it summed channels: it stores the (M, C, H*W) per-channel costs
 and returns them as (H, W, C, M).  The engine's channel-mean costs must be
 the bytes of its `costs.mean(axis=2)`.
 
+`nearest_plane_index` maps depths to the closest sweep plane, the
+quantization the depth tests compare a sweep against.
+
 `block_mean` and `softmax` are the engine's own as they were before they
 summed strided slices and worked in one array: numpy's mean over the block
 axes of an (H/f, f, W/f, f, C) view, and a softmax that allocates the
 shifted scores, their exponentials and the quotient.  The engine must give
-their bytes (`block_mean`'s for two channels or more).
+their bytes (`block_mean`'s for two channels or more).  So must it give
+those of `binomial_smooth_volume`, its score smoothing as it was before each
+1-2-1 pass was formed in one array.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ from mvsweep.costvol import (
     _SampleBuffers,
     channel_major,
 )
+
+
+def nearest_plane_index(planes: DepthPlanes, depth) -> np.ndarray:
+    """Index of the plane closest to each depth (ties to the lower index)."""
+    d = np.asarray(depth, dtype=np.float64)
+    return np.argmin(np.abs(d[..., None] - planes.depths), axis=-1)
 
 
 def block_mean(image: np.ndarray, factor: int = DOWNSAMPLE) -> np.ndarray:
@@ -235,6 +246,15 @@ def build_cost_volume_per_channel(
         costs=costs.reshape(m, c, h, w).transpose(2, 3, 1, 0),
         valid_views=count.reshape(m, h, w).transpose(1, 2, 0),
     )
+
+
+def binomial_smooth_volume(score: np.ndarray) -> np.ndarray:
+    """The engine's own 3x3 binomial blur of every (H, W) slice of an
+    (H, W, M) score as it was before it formed each pass in one array: every
+    arithmetic step allocates its own result."""
+    p = np.pad(score, ((1, 1), (1, 1), (0, 0)), mode="symmetric")
+    horiz = (p[:, :-2] + 2.0 * p[:, 1:-1] + p[:, 2:]) * 0.25
+    return (horiz[:-2] + 2.0 * horiz[1:-1] + horiz[2:]) * 0.25
 
 
 def _binomial_smooth(plane: np.ndarray) -> np.ndarray:

@@ -9,6 +9,12 @@ and rounded to the nearest pixel; a view with a valid projection adds that
 pixel's feature, and the feature mean is the plain mean over those views.
 They serve only as the yardsticks the tests hold `mvsweep.sampling` against.
 
+`proposals_from_depth` builds the ground-truth proposal set of the
+upper-bound experiment: one full-confidence proposal per pixel at an exact
+depth.  With depth 0 and an unbounded window, `mvsweep.sampling.build_volume`
+over it gates in every valid projection with unit weight, which is the
+depth-unaware baseline.
+
 `sample_topk` and `build_volume_every_voxel` are the engine's own top-k
 selection and channel-major aggregation as they were before they kept only
 what they read: the proposals are views into the full (H, W, M) sort order,
@@ -55,6 +61,20 @@ def gate_and_weight(
         score = float(proposal_scores[best])
         return score * feature, 1, score
     return np.zeros_like(feature), 0, 0.0
+
+
+def proposals_from_depth(depth_map: np.ndarray) -> DepthProposalSet:
+    """Single full-confidence proposal per pixel at the given exact depth.
+
+    Unlike sampler output, the depths need not coincide with sweep planes,
+    so the plane index is a sentinel -1.
+    """
+    h, w = depth_map.shape
+    return DepthProposalSet(
+        plane_indices=np.full((h, w, 1), -1, dtype=np.int64),
+        depths=depth_map[..., None].astype(np.float64),
+        scores=np.ones((h, w, 1)),
+    )
 
 
 def _match_proposals(depth, prop_d, prop_s, window):

@@ -1,7 +1,8 @@
 """Reference oracle for the ray caster: value noise that hashes the four
 lattice corners of every point, albedo masked per surface and then per face,
-and a slab test of every box over the whole image; and multi-view coverage
-from full-resolution pixel rays sliced to the quarter-res samples.
+the room exit and a slab test of every box over the whole image, each
+written with divisions of its own; and multi-view coverage from
+full-resolution pixel rays sliced to the quarter-res samples.
 
 It is slow, and serves only as the yardstick the tests hold
 `mvsweep.scenegen` against, to the bit.
@@ -20,7 +21,6 @@ from mvsweep.scenegen import (
     _OCTAVES,
     GroundTruth,
     SceneSpec,
-    _room_exit,
     quarter_depth,
 )
 
@@ -87,6 +87,23 @@ def surface_albedo(points: np.ndarray, face_ids: np.ndarray, seed_base: int, bas
         a, b = _INPLANE[fid]
         out[m] = _face_albedo(points[m, a], points[m, b], base, seed_base * 6 + fid)
     return out
+
+
+def _room_exit(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    with np.errstate(divide="ignore"):
+        t_exit = np.full(dirs.shape[:-1], np.inf)
+        face = np.full(dirs.shape[:-1], -1, dtype=np.int8)
+        for axis in range(3):
+            d = dirs[..., axis]
+            bound = np.where(d > 0, hi[axis], lo[axis])
+            with np.errstate(invalid="ignore"):
+                t = (bound - origin[axis]) / d
+            t = np.where(d == 0.0, np.inf, t)
+            better = t < t_exit
+            t_exit = np.where(better, t, t_exit)
+            face_id = np.where(d > 0, 2 * axis + 1, 2 * axis).astype(np.int8)
+            face = np.where(better, face_id, face)
+    return t_exit, face
 
 
 def _box_entry(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray, hi: np.ndarray):

@@ -35,8 +35,6 @@ from mvsweep.harness.pipeline import run_pipeline
 from mvsweep.sampling import (
     VoxelGridSpec,
     build_volume,
-    build_volume_vanilla,
-    proposals_from_depth,
     sample_topk,
 )
 from mvsweep.scenegen import (
@@ -47,6 +45,8 @@ from mvsweep.scenegen import (
     raycast,
 )
 from mvsweep.splat import refine_probability_volume, refinement_loss_and_grad
+from costvol_reference import nearest_plane_index
+from sampling_reference import build_volume_vanilla, proposals_from_depth
 from scenegen_oracles import surface_free_masks
 from warp_adaptor import warp_pixels
 
@@ -159,7 +159,7 @@ def test_criterion_02_homography_oracle():
             [(u - k_ref.cx) / k_ref.fx * depth, (v - k_ref.cy) / k_ref.fy * depth, depth]
         )
         world = ref.pose.rotation.T @ (cam_pt - ref.pose.translation)
-        u2, v2, d2, _ = project(world, src)
+        u2, v2, d2, _ = (x[0] for x in project(world, src))
         if not d2 > 1e-3:
             continue
         checked += 1
@@ -237,7 +237,7 @@ def _suite_depth_stats(entry):
         cover = multiview_coverage(entry["views"], depths, i, entry["sources"][i])
         mask = (gt_q >= CONFIG.depth_min) & (gt_q <= CONFIG.depth_max) & (cover >= 2)
         est = regress_depth(entry["volumes"][i], PLANES)
-        quant = PLANES.depths[PLANES.nearest_index(gt_q)]
+        quant = PLANES.depths[nearest_plane_index(PLANES, gt_q)]
         sq_err += float(((est - gt_q)[mask] ** 2).sum())
         sq_quant += float(((quant - gt_q)[mask] ** 2).sum())
         n += int(mask.sum())

@@ -17,7 +17,7 @@ from mvsweep.camera import (
 )
 from mvsweep.scenegen import generate_scene, make_trajectory
 
-from camera_reference import backproject_ray
+from camera_reference import backproject_ray, identity_pose
 from costvol_reference import homography_warp as two_step_warp
 from warp_adaptor import warp_pixels
 
@@ -113,7 +113,7 @@ class TestRelativePose:
     def test_identity_reference_returns_other(self):
         rng = np.random.default_rng(6)
         p = random_pose(rng)
-        rel = relative_pose(Pose.identity(), p)
+        rel = relative_pose(identity_pose(), p)
         np.testing.assert_allclose(rel.rotation, p.rotation, atol=1e-12)
         np.testing.assert_allclose(rel.translation, p.translation, atol=1e-12)
 
@@ -138,32 +138,42 @@ class TestRelativePose:
             )
 
 
+def project_one(point, view, scale=1):
+    """project() of one (3,) point as scalars: each of its arrays holds one row."""
+    return tuple(x[0] for x in project(point, view, scale))
+
+
 class TestProject:
+    def test_single_point_is_one_row(self):
+        view = CameraView(Intrinsics(1.0, 1.0, 0.0, 0.0), identity_pose(), 8, 8)
+        out = project(np.array([0.0, 0.0, 2.0]), view)
+        assert [x.shape for x in out] == [(1,)] * 4
+
     def test_axis_point_identity_pose(self):
-        view = CameraView(Intrinsics(1.0, 1.0, 0.0, 0.0), Pose.identity(), 8, 8)
-        u, v, d, _ = project(np.array([0.0, 0.0, 2.0]), view)
+        view = CameraView(Intrinsics(1.0, 1.0, 0.0, 0.0), identity_pose(), 8, 8)
+        u, v, d, _ = project_one(np.array([0.0, 0.0, 2.0]), view)
         assert (u, v, d) == (0.0, 0.0, 2.0)
 
     def test_offset_point(self):
-        view = CameraView(Intrinsics(100.0, 100.0, 32.0, 24.0), Pose.identity(), 64, 48)
-        u, v, d, valid = project(np.array([0.5, 0.0, 2.0]), view)
+        view = CameraView(Intrinsics(100.0, 100.0, 32.0, 24.0), identity_pose(), 64, 48)
+        u, v, d, valid = project_one(np.array([0.5, 0.0, 2.0]), view)
         assert u == pytest.approx(57.0, abs=1e-12)
         assert v == pytest.approx(24.0, abs=1e-12)
         assert d == 2.0
         assert valid
 
     def test_behind_camera_invalid(self):
-        view = CameraView(Intrinsics(100.0, 100.0, 32.0, 24.0), Pose.identity(), 64, 48)
-        *_, valid = project(np.array([0.0, 0.0, -1.0]), view)
+        view = CameraView(Intrinsics(100.0, 100.0, 32.0, 24.0), identity_pose(), 64, 48)
+        *_, valid = project_one(np.array([0.0, 0.0, -1.0]), view)
         assert not valid
 
     def test_out_of_bounds_invalid(self):
-        view = CameraView(Intrinsics(10.0, 10.0, 2.0, 2.0), Pose.identity(), 8, 8)
-        u, v, d, valid = project(np.array([10.0, 0.0, 1.0]), view)
+        view = CameraView(Intrinsics(10.0, 10.0, 2.0, 2.0), identity_pose(), 8, 8)
+        u, v, d, valid = project_one(np.array([10.0, 0.0, 1.0]), view)
         assert d > 0 and not valid
 
     def test_scale_requires_ge_one(self):
-        view = CameraView(Intrinsics(10.0, 10.0, 2.0, 2.0), Pose.identity(), 8, 8)
+        view = CameraView(Intrinsics(10.0, 10.0, 2.0, 2.0), identity_pose(), 8, 8)
         with pytest.raises(ValueError):
             project(np.zeros(3), view, scale=0)
 
@@ -173,7 +183,7 @@ class TestProject:
         pts = rng.uniform(-1, 1, size=(20, 3)) + view.pose.camera_center()
         u, v, d, valid = project(pts, view, scale=4)
         for i in range(20):
-            ui, vi, di, vali = project(pts[i], view, scale=4)
+            ui, vi, di, vali = project_one(pts[i], view, scale=4)
             if np.isnan(ui):
                 assert np.isnan(u[i])
             else:
@@ -184,7 +194,7 @@ class TestProject:
 
 class TestBackprojectRay:
     def test_principal_ray_is_optical_axis(self):
-        view = CameraView(Intrinsics(100.0, 100.0, 31.5, 23.5), Pose.identity(), 64, 48)
+        view = CameraView(Intrinsics(100.0, 100.0, 31.5, 23.5), identity_pose(), 64, 48)
         ray = backproject_ray(31.5, 23.5, view)
         np.testing.assert_allclose(ray.direction, [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -196,7 +206,7 @@ class TestBackprojectRay:
             np.testing.assert_allclose(ray.origin, view.pose.camera_center(), atol=1e-12)
 
     def test_out_of_bounds_raises(self):
-        view = CameraView(Intrinsics(100.0, 100.0, 31.5, 23.5), Pose.identity(), 64, 48)
+        view = CameraView(Intrinsics(100.0, 100.0, 31.5, 23.5), identity_pose(), 64, 48)
         with pytest.raises(ValueError):
             backproject_ray(64.0, 10.0, view)
 
@@ -214,7 +224,7 @@ class TestBackprojectRay:
             ray = backproject_ray(u, v, view, scale)
             axis_cos = float(ray.direction @ view.pose.rotation[2])
             pt = ray.origin + (depth / axis_cos) * ray.direction
-            u2, v2, d2, valid = project(pt, view, scale)
+            u2, v2, d2, valid = project_one(pt, view, scale)
             assert valid
             assert abs(u2 - u) < 1e-6 and abs(v2 - v) < 1e-6
             assert d2 == pytest.approx(depth, abs=1e-9)
@@ -283,7 +293,7 @@ class TestHomographyWarp:
     def test_identity_relation_fixes_points(self):
         k = Intrinsics(100.0, 90.0, 31.5, 23.5)
         for d in (0.3, 1.0, 4.9):
-            uv, _, ok = warp_pixels(np.array([12.0, 7.0]), d, k, k, Pose.identity())
+            uv, _, ok = warp_pixels(np.array([12.0, 7.0]), d, k, k, identity_pose())
             assert ok
             np.testing.assert_allclose(uv, [12.0, 7.0], atol=1e-12)
 
@@ -292,7 +302,7 @@ class TestHomographyWarp:
         k = Intrinsics(100.0, 100.0, 31.5, 23.5)
         baseline = 0.2
         src_pose = Pose(np.eye(3), np.array([-baseline, 0.0, 0.0]))
-        rel = relative_pose(Pose.identity(), src_pose)
+        rel = relative_pose(identity_pose(), src_pose)
         uv, _, ok = warp_pixels(np.array([31.5, 23.5]), 2.0, k, k, rel)
         assert ok
         assert uv[0] - 31.5 == pytest.approx(-100.0 * baseline / 2.0, abs=1e-12)
@@ -313,7 +323,7 @@ class TestHomographyWarp:
             # Point at camera-frame depth d along the reference pixel ray.
             cam_pt = np.array([(u - k_ref.cx) / k_ref.fx * d, (v - k_ref.cy) / k_ref.fy * d, d])
             world_pt = ref.pose.rotation.T @ (cam_pt - ref.pose.translation)
-            u_direct, v_direct, d_src, ok = project(world_pt, src, scale=4)
+            u_direct, v_direct, d_src, ok = project_one(world_pt, src, scale=4)
             if not d_src > 1e-3:
                 continue
             hits += 1
@@ -327,7 +337,7 @@ class TestHomographyWarp:
         k = Intrinsics(50.0, 50.0, 15.5, 15.5)
         # Source camera rotated 180 degrees about y: the plane sits behind it.
         r = np.diag([-1.0, 1.0, -1.0])
-        rel = relative_pose(Pose.identity(), Pose(r, np.zeros(3)))
+        rel = relative_pose(identity_pose(), Pose(r, np.zeros(3)))
         uv, _, in_front = warp_pixels(np.array([15.5, 15.5]), 1.0, k, k, rel)
         assert not in_front
         assert np.isnan(uv).all()
@@ -363,7 +373,7 @@ class TestLookAt:
         target = np.array([0.0, 0.0, 1.0])
         pose = look_at(eye, target)
         view = CameraView(Intrinsics(100.0, 100.0, 31.5, 23.5), pose, 64, 48)
-        u, v, d, valid = project(target, view)
+        u, v, d, valid = project_one(target, view)
         assert valid
         assert u == pytest.approx(31.5, abs=1e-9)
         assert v == pytest.approx(23.5, abs=1e-9)

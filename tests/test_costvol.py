@@ -10,7 +10,6 @@ from mvsweep.camera import CameraView, Intrinsics, Pose, look_at, nearest_views
 from mvsweep.costvol import (
     CostVolume,
     DepthPlanes,
-    bilinear_sample,
     block_mean,
     build_cost_volume,
     cost_to_probability,
@@ -18,13 +17,17 @@ from mvsweep.costvol import (
     extract_features,
     regress_depth,
 )
-from mvsweep.harness.config import MAX_PLANE_DEPTH
+from mvsweep.harness.config import MAX_MAGNITUDE
 from mvsweep.scenegen import generate_scene, make_trajectory, raycast
+
+from camera_reference import identity_pose
+from costvol_reference import nearest_plane_index
+from warp_adaptor import bilinear_sample
 
 
 def simple_view(width=32, height=32, f=40.0, pose=None):
     k = Intrinsics(f, f, (width - 1) / 2, (height - 1) / 2)
-    return CameraView(k, pose or Pose.identity(), width, height)
+    return CameraView(k, pose or identity_pose(), width, height)
 
 
 class TestDepthPlanes:
@@ -52,7 +55,7 @@ class TestDepthPlanes:
     def test_nearest_index(self):
         planes = DepthPlanes(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(
-            planes.nearest_index(np.array([0.2, 1.49, 1.51, 2.5, 9.0])),
+            nearest_plane_index(planes, np.array([0.2, 1.49, 1.51, 2.5, 9.0])),
             [0, 0, 1, 1, 2],  # 2.5 ties to the lower plane index
         )
 
@@ -206,7 +209,7 @@ class TestBuildCostVolume:
         np.testing.assert_allclose(vol.costs, 10.0)
         assert np.all(vol.valid_views == 1)
 
-    @pytest.mark.parametrize("far", [MAX_PLANE_DEPTH, 1e300])
+    @pytest.mark.parametrize("far", [MAX_MAGNITUDE, 1e300])
     def test_far_planes_and_a_source_behind_warn_of_nothing(self, far):
         # Planes out to the config's bound and to 1e300, seen by a source
         # beside the reference and by one facing away from it: every warp
@@ -461,7 +464,7 @@ class TestSyntheticDepthSanity:
             & (multiview_coverage(views, depths, 0, srcs) >= 2)
         )
         predicted = probs.argmax(axis=2)
-        expected = planes.nearest_index(gt_q)
+        expected = nearest_plane_index(planes, gt_q)
         agree = (predicted == expected)[mask].mean()
         assert agree >= 0.80
 
@@ -470,6 +473,29 @@ def assert_bytes_equal(actual, expected):
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
+
+
+class TestBinomialSmooth:
+    """The one-array smoothing gives the bytes of the expression form it
+    replaced, `costvol_reference.binomial_smooth_volume`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_bytes_of_the_expression_form(self, h, w, m, seed):
+        from costvol_reference import binomial_smooth_volume
+
+        rng = np.random.default_rng(seed)
+        # Magnitudes from 1e-300 to 1e300 round differently in every step,
+        # and signed zeros keep their sign only through the same operations.
+        score = rng.normal(0.0, 1.0, (h, w, m)) * 10.0 ** rng.integers(-300, 301, (h, w, m))
+        score.flat[::5] = -0.0
+        assert_bytes_equal(costvol._binomial_smooth(score), binomial_smooth_volume(score))
+
+    def test_bytes_on_a_sweep_volume(self):
+        from costvol_reference import binomial_smooth_volume
+
+        score = -np.random.default_rng(8).gamma(0.5, 0.2, (60, 80, 12))
+        assert_bytes_equal(costvol._binomial_smooth(score), binomial_smooth_volume(score))
 
 
 def assert_sweep_matches_oracle(ref_feat, ref_view, src_feats, src_views, planes):
@@ -609,7 +635,7 @@ class TestSweepMatchesPerChannelSweep:
         f = float(rng.uniform(0.5, 1.5)) * 4 * max(gw, gh)
         k = Intrinsics(f, f, (4 * gw - 1) / 2, (4 * gh - 1) / 2)
         target = (0.0, 0.0, float(rng.uniform(1.5, 4.0)))
-        views = [CameraView(k, Pose.identity(), 4 * gw, 4 * gh)]
+        views = [CameraView(k, identity_pose(), 4 * gw, 4 * gh)]
         for _ in range(int(rng.integers(1, 4))):
             eye = tuple(float(x) for x in rng.uniform(-0.6, 0.6, size=3))
             views.append(CameraView(k, look_at(eye, target, up=(0.0, -1.0, 0.0)), 4 * gw, 4 * gh))

@@ -106,16 +106,17 @@ class TestConfig:
 
     def test_plane_depths_bounded(self):
         # depth_max=1.7e308 used to be accepted, and the sweep then overflowed.
-        from mvsweep.harness.config import MAX_PLANE_DEPTH
+        from mvsweep.harness.config import MAX_MAGNITUDE
 
-        above = float(np.nextafter(MAX_PLANE_DEPTH, np.inf))
-        with pytest.raises(ValueError, match=r"depth_max must be at most 1e\+06, got 1.7e\+308"):
+        above = float(np.nextafter(MAX_MAGNITUDE, np.inf))
+        with pytest.raises(ValueError, match=r"depth_max must be finite and at most 1e\+06 in "
+                                             r"magnitude, got 1.7e\+308"):
             PipelineConfig(depth_max=1.7e308)
-        with pytest.raises(ValueError, match="line 2: depth_max must be at most"):
+        with pytest.raises(ValueError, match="line 2: depth_max must be finite and at most"):
             config_from_text(f"num_planes=4\ndepth_max={above!r}\n")
-        with pytest.raises(ValueError, match="line 1: depth_min must be at most"):
+        with pytest.raises(ValueError, match="line 1: depth_min must be finite and at most"):
             config_from_text(f"depth_min={above!r}\ndepth_max=1e300\n")
-        assert PipelineConfig(depth_max=MAX_PLANE_DEPTH).planes().depths[-1] == MAX_PLANE_DEPTH
+        assert PipelineConfig(depth_max=MAX_MAGNITUDE).planes().depths[-1] == MAX_MAGNITUDE
 
     @pytest.mark.parametrize("name, value", [
         ("top_k", 2.5),

@@ -24,13 +24,6 @@ PACKAGE = ROOT / "src" / "mvsweep"
 USERS = ("src", "perfbench", "scripts")
 
 ALLOWED = {
-    "camera.Pose.identity": "the identity poses of test_camera.py, test_costvol.py, test_splat.py",
-    "costvol.bilinear_sample": "test_costvol.py::TestBilinear and the sampler's oracle tests",
-    "costvol.DepthPlanes.nearest_index": (
-        "test_costvol.py::TestDepthPlanes::test_nearest_index and "
-        "TestSyntheticDepthSanity::test_argmax_plane_matches_ground_truth"
-    ),
-    "sampling.build_volume_vanilla": "test_acceptance.py::test_criterion_04_degenerate_to_vanilla",
     "harness.formats.load_volume": (
         "test_acceptance.py::test_criterion_12_determinism_and_round_trips (MVSV round trip)"
     ),

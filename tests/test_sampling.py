@@ -12,13 +12,12 @@ from mvsweep.sampling import (
     VoxelGrid,
     VoxelGridSpec,
     build_volume,
-    build_volume_vanilla,
-    proposals_from_depth,
     sample_topk,
 )
 from mvsweep.scenegen import generate_scene, make_trajectory, raycast
 
-from sampling_reference import gate_and_weight
+from camera_reference import identity_pose
+from sampling_reference import build_volume_vanilla, gate_and_weight, proposals_from_depth
 
 
 def topk_oracle(row, k):
@@ -168,7 +167,7 @@ class TestGateAndWeight:
 
 def pixel_aimed_view(width=32, height=32, f=40.0):
     k = Intrinsics(f, f, (width - 1) / 2, (height - 1) / 2)
-    return CameraView(k, Pose.identity(), width, height)
+    return CameraView(k, identity_pose(), width, height)
 
 
 def single_voxel_spec(center=(0.0, 0.0, 2.0)):
@@ -310,18 +309,29 @@ class TestBuildVolume:
         assert grid.score[0, 0, 0] == 1.0
 
 
+def vanilla_through_engine(items, spec):
+    """The depth-unaware baseline over (feature map, view) pairs, run through
+    `build_volume`: one proposal per pixel at depth 0 with score 1 and an
+    unbounded window gate every valid projection in with unit weight."""
+    return build_volume(
+        [(feat, view, proposals_from_depth(np.zeros(feat.shape[:2]))) for feat, view in items],
+        spec,
+        window=np.inf,
+    )
+
+
 class TestBuildVolumeVanilla:
     def test_single_view(self):
         view = pixel_aimed_view()
         feat = np.full((8, 8, 2), 0.6)
-        grid = build_volume_vanilla([(feat, view)], single_voxel_spec())
+        grid = vanilla_through_engine([(feat, view)], single_voxel_spec())
         np.testing.assert_allclose(grid.feature_mean[0, 0, 0], 0.6)
         assert grid.score[0, 0, 0] == 1.0
 
     def test_constant_invariance(self):
         view = pixel_aimed_view()
         feat = np.full((8, 8, 2), 0.4)
-        grid = build_volume_vanilla([(feat, view), (feat, view)], single_voxel_spec())
+        grid = vanilla_through_engine([(feat, view), (feat, view)], single_voxel_spec())
         np.testing.assert_allclose(grid.feature_mean[0, 0, 0], 0.4)
 
     def test_two_view_mean(self):
@@ -330,29 +340,28 @@ class TestBuildVolumeVanilla:
         f1[..., 0] = 1.0
         f2 = np.zeros((8, 8, 2))
         f2[..., 1] = 1.0
-        grid = build_volume_vanilla([(f1, view), (f2, view)], single_voxel_spec())
+        grid = vanilla_through_engine([(f1, view), (f2, view)], single_voxel_spec())
         np.testing.assert_allclose(grid.feature_mean[0, 0, 0], [0.5, 0.5])
 
     def test_invisible_voxel_zero(self):
         view = pixel_aimed_view()
-        grid = build_volume_vanilla(
+        grid = vanilla_through_engine(
             [(np.ones((8, 8, 2)), view)], single_voxel_spec(center=(0, 0, -1.0))
         )
         assert grid.score[0, 0, 0] == 0.0
 
 
 class TestVanillaMatchesOracle:
-    """The vanilla volume reproduces the per-view loop in
-    `tests/sampling_reference.py` to the bit."""
+    """`build_volume` over depth-0 proposals with an unbounded window
+    reproduces the vanilla per-view loop in `tests/sampling_reference.py` to
+    the bit."""
 
     @staticmethod
     def assert_matches(views, spec, seed):
-        from sampling_reference import build_volume_vanilla as reference_vanilla
-
         rng = np.random.default_rng(seed)
         items = [(rng.normal(0.0, 1.0, (v.height // 4, v.width // 4, 6)), v) for v in views]
-        grid = build_volume_vanilla(items, spec)
-        ref = reference_vanilla(items, spec)
+        grid = vanilla_through_engine(items, spec)
+        ref = build_volume_vanilla(items, spec)
         for name in ("feature_mean", "score", "valid_count"):
             a, b = getattr(grid, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -559,7 +568,7 @@ class TestMatchesPerViewAggregation:
         rng = np.random.default_rng(4)
         feats = [rng.normal(0.0, 1.0, (v.height // 4, v.width // 4, 3)) for v in views]
         spec = VoxelGridSpec((7, 5, 3), (-4.2, -4.0, -1.0), (1.2, 1.6, 1.8))
-        grid = build_volume_vanilla(list(zip(feats, views)), spec)
+        grid = vanilla_through_engine(list(zip(feats, views)), spec)
         ref = build_volume_every_voxel(
             [(f, v, proposals_from_depth(np.zeros(f.shape[:2]))) for f, v in zip(feats, views)],
             spec, np.inf,

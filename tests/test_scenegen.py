@@ -6,6 +6,8 @@ import pytest
 
 from mvsweep import scenegen
 from mvsweep.camera import CameraView, Intrinsics, look_at, project
+from scenegen_reference import _box_entry as reference_box_entry
+from scenegen_reference import _room_exit as reference_room_exit
 from scenegen_reference import multiview_coverage as reference_coverage
 from scenegen_reference import raycast as reference_raycast
 from scenegen_reference import surface_albedo as reference_albedo
@@ -16,7 +18,9 @@ from mvsweep.scenegen import (
     GroundTruth,
     SceneSpec,
     TexturedBox,
+    _box_entry,
     _box_window,
+    _room_exit,
     generate_scene,
     make_trajectory,
     multiview_coverage,
@@ -400,7 +404,7 @@ class TestMultiViewConsistency:
                 continue
             d_cam = np.array([(c - k.cx) / k.fx, (r - k.cy) / k.fy, 1.0])
             pt = origin + gt_a.depth[r, c] * (a.pose.rotation.T @ d_cam)
-            u, v, depth_b, valid = project(pt, b)
+            u, v, depth_b, valid = (x[0] for x in project(pt, b))
             if not valid:
                 continue
             total += 1
@@ -550,6 +554,28 @@ class TestAgainstReference:
             scene = with_boxes([((2.0, -0.4, 1.2), (2.6, 0.4, 2.0)),
                                 ((2.2, -1.5, 0.2), (2.8, -0.8, 0.9))])
             assert_raycast_matches_reference(scene, FORWARD_VIEW)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_room_exit_and_box_entry(self, seed):
+        # Random rays, a tenth of their components +-0.0 (rays parallel to a
+        # slab), from origins inside the box, outside it, and on the planes
+        # of its faces, which the parallel rays' cases tell apart.
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(0.0, 1.0, (40, 30, 3))
+        dirs[rng.random(dirs.shape) < 0.1] = 0.0
+        dirs[rng.random(dirs.shape) < 0.05] = -0.0
+        lo, hi = np.array([-3.0, -2.5, 0.0]), np.array([3.0, 2.5, 2.7])
+        origin = rng.uniform(lo, hi)
+        for got, want in zip(_room_exit(origin, dirs, lo, hi),
+                             reference_room_exit(origin, dirs, lo, hi)):
+            assert_bytes_equal(got, want)
+        box_lo = rng.uniform(-1.0, 0.0, 3)
+        box_hi = box_lo + rng.uniform(0.2, 1.0, 3)
+        for origin in (rng.uniform(box_lo, box_hi), rng.uniform(-3.0, 3.0, 3),
+                       np.where(rng.random(3) < 0.5, box_lo, box_hi), box_lo.copy()):
+            for got, want in zip(_box_entry(origin, dirs, box_lo, box_hi),
+                                 reference_box_entry(origin, dirs, box_lo, box_hi)):
+                assert_bytes_equal(got, want)
 
     def test_surface_albedo(self):
         rng = np.random.default_rng(3)

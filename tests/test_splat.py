@@ -21,13 +21,15 @@ from mvsweep.splat import (
     refine_probability_volume,
     refinement_loss_and_grad,
 )
+from camera_reference import identity_pose
+from costvol_reference import nearest_plane_index
 from simd_pins import SIMD_CLASS, X86_CLASSES, assert_pinned, emulation_env
 from splat_reference import quaternion_to_rotation
 
 
 def grid_view(width=128, height=96, f=40.0, pose=None):
     k = Intrinsics(f, f, (width - 1) / 2, (height - 1) / 2)
-    return CameraView(k, pose or Pose.identity(), width, height)
+    return CameraView(k, pose or identity_pose(), width, height)
 
 
 def single_splat(mu, alpha=1.0, sigma=0.05, color=(1.0, 0.0, 0.0)):
@@ -123,7 +125,7 @@ class TestBuildSplats:
 
     def test_footprint_arithmetic(self):
         # quarter-scale focal length 100, depth 2, unit footprint -> 0.02 m
-        view = CameraView(Intrinsics(400.0, 400.0, 63.5, 47.5), Pose.identity(), 128, 96)
+        view = CameraView(Intrinsics(400.0, 400.0, 63.5, 47.5), identity_pose(), 128, 96)
         planes = DepthPlanes(np.array([1.0, 2.0]))
         k, gw, gh = view.scaled(4)
         assert k.fx == 100.0
@@ -223,7 +225,7 @@ class TestDegenerateFootprints:
 
     @pytest.mark.parametrize("mu, sigma", FAR_SPLATS)
     def test_rasterize_ignores_the_far_splat(self, mu, sigma):
-        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), Pose.identity(), 320, 240)
+        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), identity_pose(), 320, 240)
         far = single_splat(mu, sigma=sigma)
         assert not self._det(far, view)[0] > 0  # the case under test
         normal = single_splat(ray_point(view, 40, 30, 2.0), alpha=0.7, sigma=0.05)
@@ -399,7 +401,7 @@ class TestRefinement:
         vols = []
         for i in indices:
             gq = quarter_depth(gts[i].depth)
-            idx = planes.nearest_index(gq)
+            idx = nearest_plane_index(planes, gq)
             b = np.zeros(gq.shape + (planes.count,))
             rows, cols = np.meshgrid(*(np.arange(s) for s in gq.shape), indexing="ij")
             b[rows, cols, idx] = 1.0
@@ -570,7 +572,7 @@ class TestSelfRender:
         gt = raycast(scene, views[0])
         planes = DepthPlanes.uniform(12, 0.2, 5.0)
         gq = quarter_depth(gt.depth)
-        idx = planes.nearest_index(gq)
+        idx = nearest_plane_index(planes, gq)
         probs = np.zeros(gq.shape + (12,))
         rows, cols = np.meshgrid(*(np.arange(s) for s in gq.shape), indexing="ij")
         probs[rows, cols, idx] = 1.0
@@ -1245,7 +1247,7 @@ class TestAgainstStoredState:
 
     @pytest.mark.parametrize("mu, sigma", TestDegenerateFootprints.FAR_SPLATS)
     def test_degenerate_footprints(self, monkeypatch, mu, sigma):
-        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), Pose.identity(), 320, 240)
+        view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), identity_pose(), 320, 240)
         normal = single_splat(ray_point(view, 40, 30, 2.0), alpha=0.7, sigma=0.05)
         far = single_splat(mu, sigma=sigma)
         for pair in ([normal, far], [far, normal]):

@@ -14,7 +14,9 @@ digests; `tests/test_pipeline.py` pins them for seed 5, one row per SIMD
 class.  A last line names the numpy version, the SIMD class and the SIMD
 extensions numpy found on this CPU (the `found` list of
 `np.show_runtime()`): the pinned bytes hold for one numpy version on one
-SIMD class, so a mismatch is traced to its class from it.
+SIMD class, so a mismatch is traced to its class from it.  When standard
+output is closed before every line is written (`| head -4`, say), the
+script stops there without a traceback, with exit status 1.
 
     PYTHONPATH=src python scripts/golden_hash.py --seed 5
 """
@@ -24,6 +26,7 @@ import dataclasses
 import hashlib
 import os
 import platform
+import sys
 import tempfile
 
 import numpy as np
@@ -136,4 +139,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # Standard output was closed early: drop what is left, the flush at
+        # exit included.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

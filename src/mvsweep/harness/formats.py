@@ -18,7 +18,7 @@ import numpy as np
 from mvsweep.camera import CameraView, Intrinsics, Pose
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
 from mvsweep.scenegen import SceneSpec, TexturedBox, base_albedo, room_bounds
-from mvsweep.splat import GaussianSplatSet
+from mvsweep.splat import MAX_SPLAT_MAGNITUDE, GaussianSplatSet
 
 MAGIC_RASTER = b"MVSR"
 MAGIC_VOLUME = b"MVSV"
@@ -346,11 +346,6 @@ _SPLAT_DTYPE = np.dtype(
     ]
 )
 _IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
-# The largest magnitude of a splat's center coordinate or sigma, in meters.
-# At 1e10 a splat seen from just in front of the default camera (depth
-# 2e-6) keeps its 2D covariance, that covariance's determinant and its
-# pixel bounds (below 1e18, inside int64) finite; at 1e200 they overflow.
-MAX_SPLAT_MAGNITUDE = 1e10
 
 
 def save_splats(path, splats: GaussianSplatSet) -> None:

@@ -24,6 +24,7 @@ from mvsweep.harness import formats
 from mvsweep.sampling import VoxelGrid, build_volume, sample_topk
 from mvsweep import scenegen
 from mvsweep.splat import (
+    MAX_SPLAT_MAGNITUDE,
     GaussianSplatSet,
     build_splats,
     concat_splats,
@@ -200,18 +201,18 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict
 def _check_scale(config: PipelineConfig, views, refine: bool) -> None:
     """Raise a ValueError naming the field when the config asks the scene's
     cameras for a sweep above MAX_VOXELS cells per view, or, when refining,
-    for splat sigmas above the splat loader's bound: a sigma is the
-    footprint times a depth of at most depth_max over the view's mean
-    quarter-res focal length."""
+    for splat sigmas above MAX_SPLAT_MAGNITUDE: a sigma is the footprint
+    times a depth of at most depth_max over the view's mean quarter-res
+    focal length."""
     _, gw, gh = max(views, key=lambda v: v.width * v.height).scaled(DOWNSAMPLE)
     if config.num_planes * gw * gh > MAX_VOXELS:
         raise ValueError(f"num_planes={config.num_planes} on a {gw}x{gh} quarter grid gives "
                          f"{config.num_planes * gw * gh} sweep cells, more than {MAX_VOXELS}")
     focal = min(v.intrinsics.fx + v.intrinsics.fy for v in views) / (2 * DOWNSAMPLE)
     sigma = config.splat_footprint * config.depth_max / focal
-    if refine and not sigma <= formats.MAX_SPLAT_MAGNITUDE:
+    if refine and not sigma <= MAX_SPLAT_MAGNITUDE:
         raise ValueError(f"splat_footprint={config.splat_footprint!r} gives splat sigmas up to "
-                         f"{sigma:g}, more than {formats.MAX_SPLAT_MAGNITUDE:g}")
+                         f"{sigma:g}, more than {MAX_SPLAT_MAGNITUDE:g}")
 
 
 def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool = False) -> PipelineResult:
@@ -267,8 +268,10 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
             picks = nearest_views(det_views, views[nv], min(config.novel_source_views, len(det_views)))
             selected.update(det_idx[p] for p in picks)
         refined_views = sorted(selected)
+        # Popped, not kept here: refinement drops them once it has the
+        # logits, and the refined volumes take their place.
         result = refine_probability_volume(
-            [volumes[i] for i in refined_views],
+            [volumes.pop(i) for i in refined_views],
             planes,
             [views[i] for i in refined_views],
             [colors[i] for i in refined_views],

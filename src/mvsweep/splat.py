@@ -25,22 +25,28 @@ Rendering is split in two.  The forward pass (_render_forward) projects
 the primitives, walks them front to back in chunks, and composites each
 chunk's pairs, sorted by pixel, on top of a running per-pixel
 log-transmittance, skipping the pixels already saturated; `rasterize` and
-the refinement loss both run it.  It returns a compact per-view state whose
-per-pair arrays are kept chunk by chunk: for each chunk, front to back, its
-composited pairs' primitive and transmittance, in pixel order, and the
-pixel id and pair count of each pixel's run of them, 12 bytes per pair and
-8 per run.  The backward pass (_render_backward) walks those chunks back to
-front, as 3D Gaussian Splatting walks each pixel's list, with a running
-per-pixel total of the colour arriving from behind, so no per-pair array of
-it spans more than one chunk.  Like 3D Gaussian Splatting's backward pass it
-recomputes each pair's Gaussian falloff from the pixel offset and the
-inverse 2D covariance instead of storing it, and it recomputes everything
-else it needs (pixel ids, alpha_eff, blend weights, pixel offsets) too,
-always with the forward pass's own operations on the same operands, so loss
-and gradients are the same to the bit as a single fused pass over the same
-chunks.  The refinement line
-search asks for a gradient only when it will use one, so rejected trials
-and the last step's trials run the forward pass alone.
+the refinement loss both run it.  It returns a compact per-view state.  Per
+kept primitive it keeps the depth, 2D mean, inverse 2D covariance, opacity
+and colour; the camera-frame centers, Jacobian entries and 2D covariances
+die once the footprints are formed.  Its per-pair arrays are kept chunk by
+chunk: for each chunk, front to back, its composited pairs' primitive and
+transmittance, in pixel order, and the pixel id and pair count of each
+pixel's run of them, 12 bytes per pair and 8 per run.  The backward pass
+(_render_backward) walks those chunks back to front, as 3D Gaussian
+Splatting walks each pixel's list, with a running per-pixel total of the
+colour arriving from behind, so no per-pair array of it spans more than one
+chunk.  Like 3D Gaussian Splatting's backward pass it recomputes each
+pair's Gaussian falloff from the pixel offset and the inverse 2D covariance
+instead of storing it, and it recomputes everything else it needs (pixel
+ids, alpha_eff, blend weights, pixel offsets) too; after the chunks it
+reprojects the camera-frame centers and Jacobian entries.  It always uses
+the forward pass's own operations on the same operands, so loss and
+gradients are the same to the bit as a single fused pass over the same
+chunks.  The refinement holds no probability volume through its passes: it
+forms each view's probabilities from the logits to build the splats, and
+again for the softmax VJP.  The refinement line search asks for a gradient
+only when it will use one, so rejected trials and the last step's trials
+run the forward pass alone.
 
 The novel views of one refinement evaluation are independent until their
 losses and gradients are summed, so they run at once: the first on the
@@ -79,6 +85,12 @@ COV_DILATION = 0.3
 EPS_ALPHA = 1e-4
 # Pairs are gathered in primitive chunks of about this many bbox pixels.
 PAIR_CHUNK = 1 << 16
+# The largest magnitude of a splat's center coordinate or sigma, in meters,
+# which build_splats and the splat loader hold to.  At 1e10 a splat seen
+# from just in front of the default camera (depth 2e-6) keeps its 2D
+# covariance, that covariance's determinant and its pixel bounds (below
+# 1e18, inside int64) finite; at 1e200 they overflow.
+MAX_SPLAT_MAGNITUDE = 1e10
 
 
 @dataclass
@@ -138,8 +150,8 @@ def build_splats(
     full-res image, or `image` itself when it is already quarter
     resolution.  `rays`, when given, is the view's quarter-res `ray_grid`,
     computed once by a caller that builds splats for the same view many
-    times.  A footprint_scale that is not finite and > 0 is a ValueError
-    that names it.
+    times.  A footprint_scale that is not finite and > 0, or that gives a
+    sigma above MAX_SPLAT_MAGNITUDE, is a ValueError that names it.
     """
     _check_positive(footprint_scale=footprint_scale)
     k, gw, gh = view.scaled(DOWNSAMPLE)
@@ -150,6 +162,12 @@ def build_splats(
     means = origin + (depth / axis_cos)[..., None] * dirs
     alphas = probs.max(axis=2)
     f_mean = 0.5 * (k.fx + k.fy)
+    # The largest sigma, formed as below but in Python floats, which
+    # overflow to inf without a warning.
+    sigma_max = float(footprint_scale) * float(depth.max()) / float(f_mean)
+    if sigma_max > MAX_SPLAT_MAGNITUDE:
+        raise ValueError(f"footprint_scale={footprint_scale!r} gives splat sigmas up to "
+                         f"{sigma_max:g}, more than {MAX_SPLAT_MAGNITUDE:g}")
     sigma = footprint_scale * depth / f_mean
     colors = _quarter(view, np.asarray(image, dtype=np.float64))
     n = gh * gw
@@ -383,9 +401,11 @@ def _composite_chunk(alphas, colors, log_t, color, listing):
 class _ViewState:
     """What the backward pass reads from one view's forward pass.
 
-    Per kept primitive: the projection (keep mask over all primitives,
-    camera-frame centers, depth, 2D means, Jacobian entries), the inverse
-    2D covariance entries, opacities and colours (channel-major, (3, n)).
+    Per kept primitive: the keep mask over all primitives, depth, 2D means,
+    the inverse 2D covariance entries, opacities and colours (channel-major,
+    (3, n)).  The camera-frame centers and the Jacobian entries are read
+    only after the chunks, so the backward pass reprojects them then
+    instead of the state holding them through both passes.
     `chunks` lists the forward pass's chunks front to back, each as the
     record (prim, run_px, run_len, trans) of its composited pairs in pixel
     order: each pair's primitive (int32) and transmittance, and the pixel
@@ -396,10 +416,8 @@ class _ViewState:
     """
 
     keep: np.ndarray
-    x_cam: np.ndarray
     z: np.ndarray
     mean2d: np.ndarray
-    jac: tuple
     inv: tuple
     alphas: np.ndarray
     colors: np.ndarray
@@ -454,15 +472,16 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     Returns the (n_px, 3) colour image and the _ViewState the backward pass
     and `rasterize` read.
     """
-    keep, x_cam, z, mean2d, cov2d, jac, k, gw, gh = _project_gaussians(splats, view)
+    keep, _, z, mean2d, cov2d, _, _, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
     colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
     bbox, inv = _footprints(mean2d, cov2d, gw, gh)
+    del cov2d
     log_t = np.zeros(gh * gw)
     color = np.zeros((gh * gw, 3))
     composite = partial(_composite_chunk, alphas, colors, log_t, color)
     chunks = [c for c in map(composite, _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t)) if c]
-    return color, _ViewState(keep, x_cam, z, mean2d, jac, inv, alphas, colors, chunks)
+    return color, _ViewState(keep, z, mean2d, inv, alphas, colors, chunks)
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -526,7 +545,10 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     come from _opacity and the stored transmittance, all with the forward
     pass's own operations, so the gradients do not depend on what the
     forward pass kept.  Products are formed in place; each is a product of
-    the same two operands as in a direct evaluation.
+    the same two operands as in a direct evaluation.  After the chunks,
+    _project_gaussians reprojects the camera-frame centers and Jacobian
+    entries, which the forward pass dropped, with the same operations on
+    the same operands, so they have the forward pass's bits.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
     n_kept = st.z.size
@@ -593,7 +615,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     # Projection backward through cov2d = sigma^2 J J^T + dilation and mean2d,
     # with J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 sigma^2 D J, and
     # the isotropic world covariance takes the trace of d_cov_cam = J^T D J.
-    j00, j02, j11, j12 = st.jac
+    _, x_cam, _, _, _, (j00, j02, j11, j12), _, _, _ = _project_gaussians(splats, view)
     sigma = splats.sigmas[st.keep]
     two_s2 = 2.0 * sigma**2
     d_j00 = two_s2 * d_cov00 * j00
@@ -607,7 +629,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     )
 
     fx, fy = k.fx, k.fy
-    x, y, z = st.x_cam[:, 0], st.x_cam[:, 1], st.z
+    x, y, z = x_cam[:, 0], x_cam[:, 1], st.z
     z2 = z * z
     d_xcam = np.stack(
         [
@@ -698,7 +720,9 @@ def refinement_loss_and_grad(
     _ViewState; the backward passes run from those states only once the
     summed loss is known to be at most `max_loss`, each state dropped as
     its pass consumes it.  There is never a second forward pass, and loss
-    and gradient are the same to the bit whatever `max_loss` is.
+    and gradient are the same to the bit whatever `max_loss` is.  No
+    probability volume lives through the passes: softmax(logits) is formed
+    for each view's splats and formed again for its softmax VJP.
 
     The views' passes run at once: the first view's on the calling thread,
     each further view's on a pool with one worker per further view that
@@ -714,10 +738,9 @@ def refinement_loss_and_grad(
                   source_rays)
     if source_rays is None:
         source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
-    probs = [softmax(lg) for lg in logits]
     splats = concat_splats([
-        build_splats(v, p, planes, img, footprint_scale, source_index=i, rays=rays)
-        for i, (v, p, img, rays) in enumerate(zip(source_views, probs, source_images, source_rays))
+        build_splats(v, softmax(lg), planes, img, footprint_scale, source_index=i, rays=rays)
+        for i, (v, lg, img, rays) in enumerate(zip(source_views, logits, source_images, source_rays))
     ])
 
     with ThreadPoolExecutor(max_workers=max(1, len(novel_views) - 1)) as pool:
@@ -737,7 +760,8 @@ def refinement_loss_and_grad(
     d_means, d_alphas, d_sigmas = (sum(g, np.zeros_like(g[0])) for g in zip(*view_grads))
     grads = []
     offset = 0
-    for view, p, (_, dirs, axis_cos) in zip(source_views, probs, source_rays):
+    for view, lg, (_, dirs, axis_cos) in zip(source_views, logits, source_rays):
+        p = softmax(lg)
         gh, gw = p.shape[:2]
         n = gh * gw
         dm = d_means[offset : offset + n].reshape(gh, gw, 3)
@@ -793,7 +817,10 @@ def refine_probability_volume(
     trial runs no backward pass, and a kept one gets its gradient from the
     forward state of that same call.  The last step's gradient is never
     read, so its trials pass max_loss=-inf.  The quarter-res colours and
-    ray grids of the views are computed once, not per evaluation.
+    ray grids of the views are computed once, not per evaluation.  Once
+    the logits are formed the volumes are not read again, and the list
+    `volumes` is dropped: a caller that hands over a list of its own (as
+    run_pipeline does) frees them there.
     step_size and footprint_scale must be finite and > 0; either is checked
     on entry, and a ValueError names it.  There must be as many volumes
     and source images as source views, and one novel image per novel view,
@@ -811,6 +838,7 @@ def refine_probability_volume(
     ]
     source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     logits = [np.log(np.clip(v, 1e-12, None)) for v in volumes]
+    del volumes  # the last reference when the caller handed over its own
 
     def evaluate(lgs, max_loss):
         return refinement_loss_and_grad(

@@ -150,6 +150,34 @@ class TestStreamingDecode:
         assert sorted(name for name, _ in calls) == [f"view_{i:03d}.ppm" for i in range(5)]
         assert [alive for _, alive in calls] == [0] * 5
 
+    def test_refined_volumes_are_dropped_before_the_first_evaluation(self, tmp_path,
+                                                                      monkeypatch):
+        # The refined views' volumes are handed over to the refinement, which
+        # drops them once it has their logits: while it renders, only the
+        # unrefined detection views' volumes are alive.
+        import mvsweep.splat as splat_module
+
+        volumes, alive = [], []
+        real_probability = pipeline.cost_to_probability
+        real_loss = splat_module.refinement_loss_and_grad
+
+        def cost_to_probability(*args, **kwargs):
+            volume = real_probability(*args, **kwargs)
+            volumes.append(weakref.ref(volume))
+            return volume
+
+        def refinement_loss_and_grad(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in volumes))
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cost_to_probability", cost_to_probability)
+        monkeypatch.setattr(splat_module, "refinement_loss_and_grad", refinement_loss_and_grad)
+        scene_dir = write_scene(tmp_path, n_views=6, image_size=(64, 48))
+        config = small_config(refine_steps=2, refine_novel_views=1, novel_source_views=3)
+        result = run_pipeline(scene_dir, config, refine=True)
+        assert len(volumes) == 5 and len(result.refined_views) == 3
+        assert alive and set(alive) == {2}
+
     def test_eval_decodes_no_image(self, tmp_path, monkeypatch):
         scene_dir = write_scene(tmp_path)
         run_pipeline(scene_dir, small_config(), out_dir=tmp_path / "out")
@@ -410,6 +438,23 @@ def test_golden_hash_script_per_simd_class(cls):
     assert f" simd class {cls} found: " in runtime
     for (name, rows), actual in zip(DIGESTS_SEED5.items(), digests, strict=True):
         assert_pinned(f"{name} digest", actual, rows, cls)
+
+
+def test_golden_hash_script_stops_quietly_when_its_output_is_closed():
+    # As under `golden_hash.py | head -1`: the reader takes the first digest
+    # and closes the pipe while the script computes the second.  Unbuffered,
+    # every line is written as it is printed.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, SCRIPT, "--seed", "5"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert re.fullmatch(rb"[0-9a-f]{64}\n", first)
+    assert stderr == b""
 
 
 def test_missing_simd_row_names_the_class_and_the_value():

@@ -147,6 +147,37 @@ class TestBuildSplats:
         )
 
 
+    def test_sigmas_past_the_splat_bound_name_footprint_scale(self):
+        # A footprint that makes a sigma pass MAX_SPLAT_MAGNITUDE (the splat
+        # loader's bound) is a ValueError naming footprint_scale, from
+        # build_splats and so from the refinement, before the projection
+        # could overflow; with the largest sigma just under the bound the
+        # splats render without a warning.  Warnings are errors.
+        from mvsweep.costvol import softmax
+        from mvsweep.splat import MAX_SPLAT_MAGNITUDE
+
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        probs = softmax(logits[0])
+        k = src_v[0].scaled(DOWNSAMPLE)[0]
+        at_bound = MAX_SPLAT_MAGNITUDE * (0.5 * (k.fx + k.fy)) / regress_depth(probs, planes).max()
+        message = "^footprint_scale=.* gives splat sigmas up to .*, more than 1e\\+10$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (at_bound * (1 + 1e-12), 1e300, 1.7e308):
+                with pytest.raises(ValueError, match=message):
+                    build_splats(src_v[0], probs, planes, src_i[0], scale)
+            with pytest.raises(ValueError, match=message):
+                refine_probability_volume([softmax(lg) for lg in logits], planes, src_v, src_i,
+                                          nov_v, nov_i, steps=2, step_size=6.0,
+                                          footprint_scale=1e300)
+            with pytest.raises(ValueError, match=message):
+                refinement_loss_and_grad(logits, planes, src_v, src_i, nov_v,
+                                         [block_mean(i) for i in nov_i], footprint_scale=1e300)
+            splats = build_splats(src_v[0], probs, planes, src_i[0], at_bound * (1 - 1e-12))
+            assert MAX_SPLAT_MAGNITUDE * (1 - 1e-9) < splats.sigmas.max() <= MAX_SPLAT_MAGNITUDE
+            rasterize(splats, nov_v[0])
+
+
 class TestRasterize:
     def test_single_centered_primitive(self):
         view = grid_view()
@@ -1257,17 +1288,20 @@ class TestAgainstStoredState:
 class TestMemoryBudget:
     # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
     # or not: for one loss-and-gradient evaluation per pair summed over both
-    # novel views (measured 23.4-24.0 with run-length pixel ids and
-    # recomputed falloffs in the forward state; 34.1-36.8 with both stored
-    # per pair, 57.4-61.9 when the backward pass walked the whole view's
-    # pairs at once, 51.2 with one view after the other, 64.9 before the
-    # saturation rule), and for one rasterize per pair of its view (measured
-    # 20.2; 32.7 with pixel ids and falloffs stored per pair, 55.6 with
-    # view-sized int32 pair arrays, 66.8 with int64 ones, 63.0 before the
-    # saturation rule).  The fused render-and-backward pass of an older
-    # engine peaked at 90.7 and 119.7 on the same scene.
-    LOSS_AND_GRAD_BYTES_PER_PAIR = 28
-    RASTERIZE_BYTES_PER_PAIR = 24
+    # novel views (measured 19.7-21.5 with no probabilities held through the
+    # passes and the camera-frame centers, Jacobian entries and 2D
+    # covariances dropped after the footprints; 23.0-24.6 with them held,
+    # 34.1-36.8 with pixel ids and falloffs stored per pair, 57.4-61.9 when
+    # the backward pass walked the whole view's pairs at once, 51.2 with one
+    # view after the other, 64.9 before the saturation rule), and for one
+    # rasterize per pair of its view (measured 18.7; 20.2 with the
+    # projection held, 32.7 with pixel ids and falloffs stored per pair, 55.6
+    # with view-sized int32 pair arrays, 66.8 with int64 ones, 63.0 before
+    # the saturation rule).  The fused render-and-backward pass of an older
+    # engine peaked at 90.7 and 119.7 on the same scene.  Each bound is the
+    # largest measurement plus about 15%.
+    LOSS_AND_GRAD_BYTES_PER_PAIR = 25
+    RASTERIZE_BYTES_PER_PAIR = 22
     # Bytes of the forward state's chunk records per composited pair: 12 per
     # pair (int32 primitive, float64 transmittance) and 8 per run (int32
     # pixel id and pair count).  Measured 12.70 and 12.68 on the two views;
@@ -1320,3 +1354,28 @@ class TestDetectMemoryBudget:
                                 grid_origin=(-3.2, -3.2, 0.0), min_component=2)
         peak = _traced_peak(pipeline.run_pipeline, tmp_path / "scene", config)
         assert peak <= self.DETECT_BYTES_PER_PIXEL_VIEW * 10 * 160 * 120
+
+
+class TestRefineMemoryBudget:
+    # Traced peak bytes of one refining run (`run_pipeline(..., refine=True)`,
+    # 2 steps, one novel view, so no worker thread and the same peak every
+    # run) per full-res pixel per view of a 10-view 160x120 scene, after one
+    # untraced run has made the imports a first run makes.  Measured 56.1
+    # with the refined views' volumes handed over to the refinement and
+    # dropped there, no probabilities held through the passes and the
+    # projection dropped after the footprints; 60.8 with all of them held.
+    REFINE_BYTES_PER_PIXEL_VIEW = 58
+
+    def test_refine_run_peak(self, tmp_path):
+        from mvsweep.harness import pipeline
+        from mvsweep.harness.config import PipelineConfig
+
+        scene = generate_scene(seed=31, n_boxes=2)
+        views = make_trajectory(scene, 10, seed=31, image_size=(160, 120))
+        pipeline.write_scene(tmp_path / "scene", scene, views)
+        config = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4),
+                                grid_origin=(-3.2, -3.2, 0.0), min_component=2,
+                                refine_steps=2, refine_novel_views=1)
+        pipeline.run_pipeline(tmp_path / "scene", config, refine=True)
+        peak = _traced_peak(pipeline.run_pipeline, tmp_path / "scene", config, None, True)
+        assert peak <= self.REFINE_BYTES_PER_PIXEL_VIEW * 10 * 160 * 120

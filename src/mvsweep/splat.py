@@ -149,9 +149,9 @@ def build_splats(
     quarter scale (one pixel footprint).  Color: the 4x4 block mean of the
     full-res image, or `image` itself when it is already quarter
     resolution.  `rays`, when given, is the view's quarter-res `ray_grid`,
-    computed once by a caller that builds splats for the same view many
-    times.  A footprint_scale that is not finite and > 0, or that gives a
-    sigma above MAX_SPLAT_MAGNITUDE, is a ValueError that names it.
+    formed by a caller that reads it again (the refinement's softmax VJP).
+    A footprint_scale that is not finite and > 0, or that gives a sigma
+    above MAX_SPLAT_MAGNITUDE, is a ValueError that names it.
     """
     _check_positive(footprint_scale=footprint_scale)
     k, gw, gh = view.scaled(DOWNSAMPLE)
@@ -241,13 +241,14 @@ def _footprints(mean2d, cov2d, gw, gh):
     return (x0, y0, nx, ny), (c / det * ok, -b / det * ok, a / det * ok)
 
 
-def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live=None):
-    """The 3-sigma (primitive, pixel) pairs of the primitives `idx`,
-    listed primitive by primitive, each bbox row-major, then sorted stably
-    by pixel id (`n_px` pixels in the grid): prim, pixel id and power.
-    `live`, when given, is a (gh, gw) mask of the pixels to list: bbox rows
-    with no live pixel are dropped, found from the running count of live
-    pixels along each grid row, before their pixels are listed."""
+def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live):
+    """The 3-sigma (primitive, pixel) pairs of the primitives `idx` on the
+    pixels of the (gh, gw) mask `live`, listed primitive by primitive, each
+    bbox row-major, then sorted stably by pixel id (`n_px` pixels in the
+    grid): prim, pixel id and power.  Bbox rows with no live pixel are
+    dropped, found from the running count of live pixels along each grid
+    row, before their pixels are listed; with every pixel live, every row
+    and every pair is kept, in order."""
     x0, y0, nx, ny = bbox
     inv00, inv01, inv11 = inv
     row_prim = np.repeat(idx, ny[idx])
@@ -255,11 +256,11 @@ def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live=None):
     row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
     row_x0 = x0[row_prim]
     row_n = nx[row_prim]
-    if live is not None:
-        live_cum = np.zeros((live.shape[0], live.shape[1] + 1), dtype=np.int64)
-        np.cumsum(live, axis=1, out=live_cum[:, 1:])
-        rows = np.flatnonzero(live_cum[row_y, row_x0 + row_n] > live_cum[row_y, row_x0])
-        row_prim, row_y, row_x0, row_n = (a.take(rows) for a in (row_prim, row_y, row_x0, row_n))
+    live_cum = np.zeros((live.shape[0], gw + 1), dtype=np.int64)
+    np.cumsum(live, axis=1, out=live_cum[:, 1:])
+    at = row_y * (gw + 1) + row_x0  # each bbox row's first pixel in live_cum
+    rows = np.flatnonzero(live_cum.take(at + row_n) > live_cum.take(at))
+    row_prim, row_y, row_x0, row_n = (a.take(rows) for a in (row_prim, row_y, row_x0, row_n))
     # Then the pixels along each row; dy and the dy^2 term of the power are
     # per-row values.
     row_dy = row_y - mean2d[row_prim, 1]
@@ -281,8 +282,7 @@ def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live=None):
     power += np.repeat(row_dy**2 * inv11[row_prim], row_n)
     power *= 0.5
     inside = power <= POWER_CUTOFF
-    if live is not None:
-        inside &= live.take(pid)
+    inside &= live.take(pid)
     sel = np.flatnonzero(inside)
     sel = sel.take(_pixel_order(pid.take(sel), n_px))
     return np.repeat(row_prim, row_n).take(sel), pid.take(sel), power.take(sel)
@@ -313,8 +313,9 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
 
     `log_t` (gh*gw,) is the running per-pixel log-transmittance, which the
     caller lowers between chunks: a chunk skips the pixels where it is
-    already below log(T_MIN), whose pairs the saturation rule drops anyway.
-    All zeros gives every pair.
+    already below log(T_MIN), whose pairs the saturation rule drops anyway:
+    each chunk is listed over the mask of the pixels still live.  All zeros
+    gives every pair.
 
     Yields prim, pixel id and power per chunk, which may list no pair (all
     its pixels saturated, say).  The generator keeps no reference to a
@@ -330,7 +331,7 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
     bounds = np.unique(np.r_[0, cuts, idx.size])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         live = (log_t >= LOG_T_MIN).reshape(gh, gw)
-        yield _pair_chunk(idx[lo:hi], bbox, mean2d, inv, gw, gh * gw, None if live.all() else live)
+        yield _pair_chunk(idx[lo:hi], bbox, mean2d, inv, gw, gh * gw, live)
 
 
 def _runs(pid):
@@ -672,16 +673,14 @@ def _check_positive(**params):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _check_counts(kind, arrays, views, images, novel_views, novel_images, rays=None):
+def _check_counts(kind, arrays, views, images, novel_views, novel_images):
     """ValueError naming the counts unless there is one of `arrays` (the
-    volumes or logits), one source image and, when given, one ray grid per
-    source view, and one novel image per novel view, of which there is at
-    least one: zip would drop the extra ones without a word."""
-    rays = views if rays is None else rays
-    if not len(arrays) == len(views) == len(images) == len(rays):
+    volumes or logits) and one source image per source view, and one novel
+    image per novel view, of which there is at least one: zip would drop
+    the extra ones without a word."""
+    if not len(arrays) == len(views) == len(images):
         raise ValueError(f"{len(arrays)} {kind}, {len(views)} source views and "
-                         f"{len(images)} source images ({len(rays)} source ray grids): "
-                         "the counts must be equal")
+                         f"{len(images)} source images: the counts must be equal")
     if not len(novel_views) == len(novel_images) > 0:
         raise ValueError(f"{len(novel_views)} novel views and {len(novel_images)} novel images: "
                          "need at least one novel view and one novel image per view")
@@ -704,17 +703,16 @@ def refinement_loss_and_grad(
     novel_images: list[np.ndarray],
     footprint_scale: float = 1.0,
     max_loss: float = math.inf,
-    source_rays: list | None = None,
 ):
     """Summed rendering loss over the novel views and, when the loss is at
     most `max_loss`, its analytic gradient with respect to the per-pixel
     plane logits of every source view; (loss, grads) or (loss, None).
 
     novel_images must already be quarter resolution; source_images may be
-    full or quarter resolution.  source_rays, when given, holds each source
-    view's quarter-res `ray_grid`.  The gradient chains softmax -> (depth
-    regression, peak-probability opacity) -> splat center and footprint ->
-    projection -> alpha compositing.
+    full or quarter resolution.  Each source view's quarter-res `ray_grid`
+    is formed once per call, for its splats and for its softmax VJP.  The
+    gradient chains softmax -> (depth regression, peak-probability opacity)
+    -> splat center and footprint -> projection -> alpha compositing.
 
     The forward pass runs once per novel view and keeps that view's compact
     _ViewState; the backward passes run from those states only once the
@@ -729,15 +727,13 @@ def refinement_loss_and_grad(
     lives for this call.  With 3 or more novel views a view's backward pass
     may run on another worker than its forward pass.  Losses and gradients
     are summed here in view order, so they are the same to the bit as one
-    thread running every pass in turn.  The logits, source views, source
-    images and source_rays (when given) must be equally many, and there must
-    be one novel image per novel view, of which there is at least one;
-    otherwise a ValueError names the counts.
+    thread running every pass in turn.  The logits, source views and source
+    images must be equally many, and there must be one novel image per
+    novel view, of which there is at least one; otherwise a ValueError
+    names the counts.
     """
-    _check_counts("logits", logits, source_views, source_images, novel_views, novel_images,
-                  source_rays)
-    if source_rays is None:
-        source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
+    _check_counts("logits", logits, source_views, source_images, novel_views, novel_images)
+    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     splats = concat_splats([
         build_splats(v, softmax(lg), planes, img, footprint_scale, source_index=i, rays=rays)
         for i, (v, lg, img, rays) in enumerate(zip(source_views, logits, source_images, source_rays))
@@ -816,11 +812,11 @@ def refine_probability_volume(
     the last kept loss, which is exactly the acceptance rule: a rejected
     trial runs no backward pass, and a kept one gets its gradient from the
     forward state of that same call.  The last step's gradient is never
-    read, so its trials pass max_loss=-inf.  The quarter-res colours and
-    ray grids of the views are computed once, not per evaluation.  Once
-    the logits are formed the volumes are not read again, and the list
-    `volumes` is dropped: a caller that hands over a list of its own (as
-    run_pipeline does) frees them there.
+    read, so its trials pass max_loss=-inf.  The quarter-res colours of
+    the views are computed once, not per evaluation.  Once the logits are
+    formed the volumes are not read again, and the list `volumes` is
+    dropped: a caller that hands over a list of its own (as run_pipeline
+    does) frees them there.
     step_size and footprint_scale must be finite and > 0; either is checked
     on entry, and a ValueError names it.  There must be as many volumes
     and source images as source views, and one novel image per novel view,
@@ -836,14 +832,13 @@ def refine_probability_volume(
     source_quarter = [
         _quarter(v, np.asarray(img, dtype=np.float64)) for v, img in zip(source_views, source_images)
     ]
-    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     logits = [np.log(np.clip(v, 1e-12, None)) for v in volumes]
     del volumes  # the last reference when the caller handed over its own
 
     def evaluate(lgs, max_loss):
         return refinement_loss_and_grad(
             lgs, planes, source_views, source_quarter, novel_views, novel_quarter,
-            footprint_scale, max_loss=max_loss, source_rays=source_rays,
+            footprint_scale, max_loss=max_loss,
         )
 
     loss, grads = evaluate(logits, math.inf)

@@ -360,13 +360,12 @@ def refine_probability_volume(
     source_quarter = [
         _quarter(v, np.asarray(img, dtype=np.float64)) for v, img in zip(source_views, source_images)
     ]
-    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
     logits = [np.log(np.clip(v, 1e-12, None)) for v in volumes]
 
     def evaluate(lgs, max_loss):
         return engine.refinement_loss_and_grad(
             lgs, planes, source_views, source_quarter, novel_views, novel_quarter,
-            footprint_scale, max_loss=max_loss, source_rays=source_rays,
+            footprint_scale, max_loss=max_loss,
         )
 
     loss, grads = evaluate(logits, math.inf)

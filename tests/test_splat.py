@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsweep.camera import (DOWNSAMPLE, CameraView, Intrinsics, Pose, nearest_views, project,
-                            ray_grid)
+from mvsweep.camera import DOWNSAMPLE, CameraView, Intrinsics, Pose, nearest_views, project
 from mvsweep.costvol import DepthPlanes, block_mean, regress_depth
 from mvsweep.scenegen import generate_scene, make_trajectory, quarter_depth, raycast
 from mvsweep.splat import (
@@ -535,16 +536,6 @@ class TestRefinement:
                 logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
             )
 
-    def test_source_ray_count_must_match(self):
-        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
-        rays = [ray_grid(v, DOWNSAMPLE) for v in src_v]
-        with pytest.raises(ValueError, match=r"^2 logits, 2 source views and 2 source images "
-                                             r"\(1 source ray grids\)"):
-            refinement_loss_and_grad(
-                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i],
-                source_rays=rays[:1],
-            )
-
     def test_requires_novel_views(self):
         scene = generate_scene(seed=6, n_boxes=0)
         views = make_trajectory(scene, 3, seed=2, image_size=(64, 48))
@@ -753,6 +744,66 @@ class TestPairOrder:
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", chunk)
         assert _composited_pairs(splats, view) == composited
         assert composited < whole_chunks[0][0].size
+
+
+class TestOnePathListing:
+    """_pair_chunk always filters by its live-pixel mask.  Its yardstick,
+    to the byte, is splat_reference._stored_pair_chunk sorted by pixel as
+    the engine sorts: its unmasked path for an all-live mask, its masked
+    path for any other.  The chunk is a slice of the (depth, index) ranking
+    of random splats on a 16x12, a 40x30 and a 260x260 grid (pixel ids
+    above 65,535 take the radix sort's second pass)."""
+
+    @staticmethod
+    def _chunk(size, seed, n, cut):
+        from mvsweep.splat import _footprints, _project_gaussians
+
+        view = grid_view(*size, f=0.5 * size[0])
+        rng = np.random.default_rng(seed)
+        splats = _random_splats(rng, n, view, np.array([0.8, 1.5, 3.0]))
+        _, _, z, mean2d, cov2d, _, _, gw, gh = _project_gaussians(splats, view)
+        bbox, inv = _footprints(mean2d, cov2d, gw, gh)
+        rank = np.argsort(z, kind="stable")
+        idx = rank[(bbox[2] * bbox[3])[rank] > 0]
+        lo, hi = sorted(int(c * idx.size) for c in cut)
+        return rng, (idx[lo:max(hi, lo + 1)], bbox, mean2d, inv, gw), gh
+
+    @staticmethod
+    def _assert_stored(listing, args, gh, live):
+        from splat_reference import _stored_pair_chunk, _stored_pixel_order
+
+        prim, pid, power = _stored_pair_chunk(*args, live)
+        order = _stored_pixel_order(pid, args[-1] * gh)
+        for a, b in zip(listing, (prim.take(order), pid.take(order), power.take(order))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    CHUNKS = dict(
+        size=st.sampled_from([(64, 48), (160, 120), (1040, 1040)]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 300),
+        cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+
+    @given(**CHUNKS)
+    @settings(max_examples=30, deadline=None)
+    def test_all_live_mask_lists_every_pair(self, size, seed, n, cut):
+        from mvsweep.splat import _pair_chunk
+
+        _, args, gh = self._chunk(size, seed, n, cut)
+        live = np.ones((gh, args[-1]), dtype=bool)
+        self._assert_stored(_pair_chunk(*args, live.size, live), args, gh, None)
+
+    @given(**CHUNKS, density=st.floats(0.0, 1.0), dead_rows=st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_random_mask_lists_its_live_pairs(self, size, seed, n, cut, density, dead_rows):
+        # Dead grid rows make whole bbox rows drop before their pixels are
+        # listed; scattered dead pixels drop single pairs.
+        from mvsweep.splat import _pair_chunk
+
+        rng, args, gh = self._chunk(size, seed, n, cut)
+        live = rng.random((gh, args[-1])) < density
+        live[rng.random(gh) < dead_rows] = False
+        self._assert_stored(_pair_chunk(*args, live.size, live), args, gh, live)
 
 
 class TestAgainstReference:

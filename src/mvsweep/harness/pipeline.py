@@ -23,27 +23,27 @@ from mvsweep.harness.config import MAX_VOXELS, PipelineConfig
 from mvsweep.harness import formats
 from mvsweep.sampling import VoxelGrid, build_volume, sample_topk
 from mvsweep import scenegen
+# build_splats is not called here; perfbench/spans.py wraps
+# `pipeline.build_splats` by name.
 from mvsweep.splat import (
     MAX_SPLAT_MAGNITUDE,
     GaussianSplatSet,
     build_splats,
-    concat_splats,
     refine_probability_volume,
 )
 
 
 @dataclass
 class SceneData:
-    """A checked scene directory: cameras, boxes and scene listing parsed,
-    and each view's image and ground-truth depth known by path, their
-    headers checked against its camera.  No pixel is held: each decode is
-    fresh, so the caller decides how long the pixels live."""
+    """A checked scene directory: cameras and boxes parsed, and each view's
+    image and ground-truth depth known by path, their headers checked
+    against its camera.  No pixel is held: each decode is fresh, so the
+    caller decides how long the pixels live."""
 
     views: list
     image_paths: list[str]
     depth_paths: list[str] | None
     gt_boxes: list[Box3D] | None
-    spec: object | None
 
     def gt_depth(self, i: int) -> np.ndarray:
         """View i's ground-truth depth; a non-finite value is a ValueError
@@ -68,8 +68,9 @@ class PipelineResult:
 
 
 def write_scene(scene_dir, spec, views) -> None:
-    """Write the scene directory load_scene reads: scene listing, cameras,
-    ground-truth boxes, and each view's ray-cast image and depth raster."""
+    """Write a scene directory: the scene listing, and the cameras,
+    ground-truth boxes and each view's ray-cast image and depth raster that
+    load_scene reads."""
     os.makedirs(scene_dir, exist_ok=True)
     formats.save_scene(os.path.join(scene_dir, "scene.txt"), spec)
     formats.save_cameras(os.path.join(scene_dir, "cameras.txt"), views)
@@ -83,11 +84,12 @@ def write_scene(scene_dir, spec, views) -> None:
 
 
 def load_scene(scene_dir) -> SceneData:
-    """Read cameras and (optionally) ground-truth boxes and scene listing,
-    and check each view's image and (optional) ground-truth depth raster
-    from its header: its size against the camera, a depth raster's one
-    channel, and that the file holds exactly the payload its header
-    declares.  No pixel is decoded here; see SceneData.
+    """Read cameras and (optionally) ground-truth boxes, and check each
+    view's image and (optional) ground-truth depth raster from its header:
+    its size against the camera, a depth raster's one channel, and that the
+    file holds exactly the payload its header declares.  No pixel is
+    decoded here; see SceneData.  The scene listing `scene.txt` is not
+    read: nothing that runs on a scene uses it.
 
     Raises errors naming the offending file when anything required is
     missing or malformed.
@@ -131,13 +133,8 @@ def load_scene(scene_dir) -> SceneData:
     if os.path.exists(boxes_path):
         gt_boxes = formats.load_boxes(boxes_path)
 
-    spec = None
-    spec_path = os.path.join(scene_dir, "scene.txt")
-    if os.path.exists(spec_path):
-        spec = formats.load_scene_spec(spec_path)
-
     return SceneData(views=views, image_paths=image_paths, depth_paths=depth_paths,
-                     gt_boxes=gt_boxes, spec=spec)
+                     gt_boxes=gt_boxes)
 
 
 def holdout_novel_indices(n_views: int, n_novel: int) -> list[int]:
@@ -281,18 +278,10 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
             step_size=config.refine_step_size,
             footprint_scale=config.splat_footprint,
         )
-        for i, vol in zip(refined_views, result.volumes):
-            volumes[i] = vol
-        loss_trace = result.loss_trace
-        splats = concat_splats(
-            [
-                build_splats(
-                    views[i], volumes[i], planes, colors[i],
-                    footprint_scale=config.splat_footprint, source_index=i,
-                )
-                for i in refined_views
-            ]
-        )
+        volumes.update(zip(refined_views, result.volumes))
+        loss_trace, splats = result.loss_trace, result.splats
+        # The refinement numbers its sources by position; the artifact by view.
+        splats.source_view = np.asarray(refined_views)[splats.source_view]
         del colors  # views into `features`, which would keep them alive
 
     depth_maps = {i: regress_depth(volumes[i], planes) for i in det_idx}

@@ -241,16 +241,17 @@ def _footprints(mean2d, cov2d, gw, gh):
     return (x0, y0, nx, ny), (c / det * ok, -b / det * ok, a / det * ok)
 
 
-def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live):
+def _pair_chunk(idx, bbox, mean2d, inv, live):
     """The 3-sigma (primitive, pixel) pairs of the primitives `idx` on the
-    pixels of the (gh, gw) mask `live`, listed primitive by primitive, each
-    bbox row-major, then sorted stably by pixel id (`n_px` pixels in the
-    grid): prim, pixel id and power.  Bbox rows with no live pixel are
+    pixels of the mask `live`, whose shape is the (gh, gw) grid's, listed
+    primitive by primitive, each bbox row-major, then sorted stably by
+    pixel id: prim, pixel id and power.  Bbox rows with no live pixel are
     dropped, found from the running count of live pixels along each grid
     row, before their pixels are listed; with every pixel live, every row
     and every pair is kept, in order."""
     x0, y0, nx, ny = bbox
     inv00, inv01, inv11 = inv
+    gw = live.shape[1]
     row_prim = np.repeat(idx, ny[idx])
     first_row = np.cumsum(ny[idx]) - ny[idx]
     row_y = np.repeat(y0[idx] - first_row, ny[idx]) + np.arange(row_prim.size)
@@ -284,7 +285,7 @@ def _pair_chunk(idx, bbox, mean2d, inv, gw, n_px, live):
     inside = power <= POWER_CUTOFF
     inside &= live.take(pid)
     sel = np.flatnonzero(inside)
-    sel = sel.take(_pixel_order(pid.take(sel), n_px))
+    sel = sel.take(_pixel_order(pid.take(sel), live.size))
     return np.repeat(row_prim, row_n).take(sel), pid.take(sel), power.take(sel)
 
 
@@ -331,7 +332,7 @@ def _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t):
     bounds = np.unique(np.r_[0, cuts, idx.size])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         live = (log_t >= LOG_T_MIN).reshape(gh, gw)
-        yield _pair_chunk(idx[lo:hi], bbox, mean2d, inv, gw, gh * gw, live)
+        yield _pair_chunk(idx[lo:hi], bbox, mean2d, inv, live)
 
 
 def _runs(pid):
@@ -784,6 +785,7 @@ def refinement_loss_and_grad(
 class RefinementResult:
     volumes: list[np.ndarray]  # refined probability volumes per source view
     loss_trace: list[float]  # initial loss followed by one entry per step
+    splats: GaussianSplatSet  # the refined volumes' splats; source_view is the position
 
 
 def refine_probability_volume(
@@ -816,7 +818,9 @@ def refine_probability_volume(
     the views are computed once, not per evaluation.  Once the logits are
     formed the volumes are not read again, and the list `volumes` is
     dropped: a caller that hands over a list of its own (as run_pipeline
-    does) frees them there.
+    does) frees them there.  The result holds the refined volumes, the
+    trace, and the refined volumes' splats as the loss builds them, each
+    splat's source_view its view's position in `source_views`.
     step_size and footprint_scale must be finite and > 0; either is checked
     on entry, and a ValueError names it.  There must be as many volumes
     and source images as source views, and one novel image per novel view,
@@ -864,4 +868,9 @@ def refine_probability_volume(
         else:  # no halving helped
             break
     trace.extend([trace[-1]] * (steps + 1 - len(trace)))  # a stalled search's last kept loss
-    return RefinementResult(volumes=[softmax(lg) for lg in logits], loss_trace=trace)
+    volumes = [softmax(lg) for lg in logits]
+    splats = concat_splats([
+        build_splats(v, p, planes, img, footprint_scale, source_index=i)
+        for i, (v, p, img) in enumerate(zip(source_views, volumes, source_quarter))
+    ])
+    return RefinementResult(volumes, trace, splats)

@@ -26,8 +26,9 @@ the forward state; they are the yardstick, to the bit, for the engine's
 run-length pixel ids and recomputed falloffs.
 
 refine_probability_volume is the engine's line search as it was written
-with an acceptance flag and two places that pad a stalled trace; it is the
-yardstick, to the bit, for the engine's trace, volumes and evaluation count.
+with an acceptance flag and two places that pad a stalled trace, returning
+only the volumes and the trace; it is the yardstick, to the bit, for the
+engine's trace, volumes and evaluation count.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from mvsweep.splat import (
     LOG_T_MIN,
     POWER_CUTOFF,
     T_MIN,
-    RefinementResult,
     RenderTarget,
     _check_positive,
     _quarter,
@@ -393,7 +393,7 @@ def refine_probability_volume(
         if not accepted:
             trace.extend([trace[-1]] * (steps + 1 - len(trace)))
             break
-    return RefinementResult(volumes=[softmax(lg) for lg in logits], loss_trace=trace)
+    return SimpleNamespace(volumes=[softmax(lg) for lg in logits], loss_trace=trace)
 
 
 # ---------------------------------------------------------------------------

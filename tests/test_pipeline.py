@@ -84,7 +84,6 @@ class TestLoadScene:
         assert len(data.image_paths) == 4
         assert data.depth_paths is not None and len(data.depth_paths) == 4
         assert len(data.gt_boxes) == 2
-        assert data.spec is not None
         # Decoding a view gives the eager loader's arrays, byte for byte.
         ref = pipeline_reference.load_scene(scene_dir)
         for i in range(4):
@@ -92,6 +91,31 @@ class TestLoadScene:
             for got, want in ((image, ref.images[i]), (data.gt_depth(i), ref.gt_depths[i])):
                 assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+class TestSceneListingUnread:
+    """`run`, `refine` and `eval` read no scene listing: with `scene.txt`
+    truncated they give what they give on the intact scene, though the
+    listing's own loader names the file."""
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_truncated_listing_changes_nothing(self, tmp_path, refine):
+        scene_dir = write_scene(tmp_path, n_views=5, image_size=(64, 48))
+        config = small_config(refine_steps=1)
+        intact, cut = tmp_path / "intact", tmp_path / "cut"
+        run_pipeline(scene_dir, config, out_dir=intact, refine=refine)
+        evaluated = evaluate_outputs(scene_dir, intact, config)
+        listing = scene_dir / "scene.txt"
+        text = listing.read_bytes()
+        listing.write_bytes(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=re.escape(str(listing))):
+            formats.load_scene_spec(listing)
+        run_pipeline(scene_dir, config, out_dir=cut, refine=refine)
+        names = sorted(os.listdir(intact))
+        assert names == sorted(os.listdir(cut))
+        for name in names:
+            assert (intact / name).read_bytes() == (cut / name).read_bytes(), name
+        assert evaluate_outputs(scene_dir, intact, config) == evaluated
 
 
 class TestGroundTruthDepthChecked:

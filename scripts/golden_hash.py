@@ -2,14 +2,14 @@
 """Golden digests of a pipeline run, of a refining run and of a scene.
 
 Generates the scene of acceptance criterion 12 for the given seed (1 box,
-3 views at 128x96) in a temporary directory, runs the detection pipeline on
-it with criterion 12's config, and prints the SHA-256 over every file the
-run writes to its output directory.  The second line is the same digest for
-a refining run on that scene: one held-out novel view and 4 refinement
-steps.  The third is the digest of the scene directory itself, and the
-fourth the SHA-256 over the float64 depth and image bytes of every ray-cast
-view of that scene, which the scene files keep only as f32 depth and 8-bit
-images.  A change that claims to keep behaviour fixed must keep all four
+3 views at 128x96), writes it once to a temporary directory, runs the
+detection pipeline on it with criterion 12's config, and prints the SHA-256
+over every file the run writes to its output directory.  The second line is
+the same digest for a refining run on that scene: one held-out novel view
+and 4 refinement steps.  The third is the digest of the scene directory
+itself, and the fourth the SHA-256 over the float64 depth and image bytes of
+every ray-cast view of that scene, which the scene files keep only as f32
+depth and 8-bit images.  A change that claims to keep behaviour fixed must keep all four
 digests; `tests/test_pipeline.py` pins them for seed 5, one row per SIMD
 class.  A last line names the numpy version, the SIMD class and the SIMD
 extensions numpy found on this CPU (the `found` list of
@@ -52,53 +52,29 @@ def output_digest(out_dir) -> str:
 CONFIG = PipelineConfig(grid_dims=(16, 16, 8), grid_pitch=(0.4, 0.4, 0.4), min_component=2)
 
 
-def _scene(seed: int):
-    """Criterion 12's scene for `seed` and its views: 1 box, 3 views at 128x96."""
+def digests(seed: int, workdir):
+    """Yield criterion 12's four digests for `seed`, each as soon as it is
+    known: its scene (1 box, 3 views at 128x96) is generated once and written
+    to `workdir/scene`, then the digests of a run's outputs, of a refining
+    run's outputs (one held-out novel view, 4 steps), of the scene directory,
+    and the SHA-256 over the float64 depth bytes, then the image bytes, of
+    each `raycast` view in view order."""
     scene = generate_scene(seed=seed, n_boxes=1)
-    return scene, make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
-
-
-def _write_scene(seed: int, scene_dir) -> None:
-    write_scene(scene_dir, *_scene(seed))
-
-
-def scene_digest(seed: int, workdir) -> str:
-    """Write criterion 12's scene for `seed` under `workdir` and return the
-    digest of the scene directory."""
+    views = make_trajectory(scene, 3, seed=seed, image_size=(128, 96))
     scene_dir = os.path.join(workdir, "scene")
-    _write_scene(seed, scene_dir)
-    return output_digest(scene_dir)
-
-
-def raycast_digest(seed: int) -> str:
-    """SHA-256 over the float64 depth bytes, then the image bytes, of each
-    `raycast` view of criterion 12's scene for `seed`, in view order."""
+    write_scene(scene_dir, scene, views)
+    run_pipeline(scene_dir, CONFIG, out_dir=os.path.join(workdir, "out"))
+    yield output_digest(os.path.join(workdir, "out"))
+    config = dataclasses.replace(CONFIG, refine_novel_views=1, refine_steps=4)
+    run_pipeline(scene_dir, config, out_dir=os.path.join(workdir, "refine"), refine=True)
+    yield output_digest(os.path.join(workdir, "refine"))
+    yield output_digest(scene_dir)
     h = hashlib.sha256()
-    scene, views = _scene(seed)
     for view in views:
         gt = raycast(scene, view)
         h.update(gt.depth.tobytes())
         h.update(gt.image.tobytes())
-    return h.hexdigest()
-
-
-def golden_digest(seed: int, workdir) -> str:
-    """Write criterion 12's scene for `seed` under `workdir`, run it, and
-    return the digest of the run's outputs."""
-    scene_dir, out_dir = os.path.join(workdir, "scene"), os.path.join(workdir, "out")
-    _write_scene(seed, scene_dir)
-    run_pipeline(scene_dir, CONFIG, out_dir=out_dir)
-    return output_digest(out_dir)
-
-
-def refine_digest(seed: int, workdir) -> str:
-    """Write criterion 12's scene for `seed` under `workdir`, refine it on
-    one held-out view for 4 steps, and return the digest of the outputs."""
-    scene_dir, out_dir = os.path.join(workdir, "scene"), os.path.join(workdir, "refine")
-    _write_scene(seed, scene_dir)
-    config = dataclasses.replace(CONFIG, refine_novel_views=1, refine_steps=4)
-    run_pipeline(scene_dir, config, out_dir=out_dir, refine=True)
-    return output_digest(out_dir)
+    yield h.hexdigest()
 
 
 def simd_found() -> list[str]:
@@ -131,10 +107,8 @@ def main():
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        print(golden_digest(args.seed, os.path.join(tmp, "run")))
-        print(refine_digest(args.seed, os.path.join(tmp, "refine")))
-        print(scene_digest(args.seed, os.path.join(tmp, "scene")))
-    print(raycast_digest(args.seed))
+        for digest in digests(args.seed, tmp):
+            print(digest)
     print(runtime_line())
 
 

@@ -89,11 +89,8 @@ def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
     # Re-orthonormalize against accumulated rounding so Pose validation at
     # 1e-9 never trips on long composition chains.
     u, _, vt = np.linalg.svd(r_ij)
-    r_ij = u @ vt
-    if np.linalg.det(r_ij) < 0:
-        u[:, -1] *= -1.0
-        r_ij = u @ vt
-    return Pose(r_ij, t_ij)
+    # Both rotations have determinant +1, so u @ vt has it too.
+    return Pose(u @ vt, t_ij)
 
 
 @dataclass(frozen=True)
@@ -201,14 +198,14 @@ def pixel_rays(view: CameraView, scale: int = 1, start: int = 0, step: int = 1):
     return view.pose.camera_center(), d_cam @ view.pose.rotation  # (R^T d) for row vectors
 
 
-def ray_grid(view: CameraView, scale: int = 1):
-    """Rays through every pixel center of the 1/scale grid.
+def ray_grid(view: CameraView):
+    """Rays through every pixel center of the quarter-res feature grid.
 
     Returns (origin (3,), directions (H, W, 3) unit, axis_cos (H, W)) where
     axis_cos is the dot of each direction with the optical axis; dividing a
     camera depth by it converts to distance along the unit ray.
     """
-    origin, d_world = pixel_rays(view, scale)
+    origin, d_world = pixel_rays(view, DOWNSAMPLE)
     d_world = d_world / np.linalg.norm(d_world, axis=-1, keepdims=True)
     axis = view.pose.rotation[2]  # optical axis in world coordinates
     axis_cos = d_world @ axis

@@ -76,22 +76,24 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has {bad} non-finite values")
 
 
-def block_mean(image: np.ndarray, factor: int = DOWNSAMPLE) -> np.ndarray:
-    """Mean-pool (H, W[, C]) over non-overlapping factor x factor blocks.
+def block_mean(image: np.ndarray) -> np.ndarray:
+    """Mean-pool (H, W[, C]) over non-overlapping DOWNSAMPLE x DOWNSAMPLE
+    blocks, onto the quarter-res feature grid.
 
-    The strided slices image[a::f, b::f] are added in (a, b) order and the
+    The strided slices image[a::4, b::4] are added in (a, b) order and the
     sum is divided once: numpy's own order in a mean over the block axes of
     an (H, W, C) grid with C >= 2, so those bytes are numpy's.  A 2-D or
     one-channel grid, which numpy sums in another order, agrees with that
     mean to within rounding.
     """
+    f = DOWNSAMPLE
     h, w = image.shape[:2]
-    if h % factor or w % factor:
-        raise ValueError(f"image dimensions {h}x{w} not divisible by {factor}")
-    total = image[::factor, ::factor].astype(np.float64)
-    for i in range(1, factor * factor):
-        total += image[i // factor :: factor, i % factor :: factor]
-    total /= factor * factor
+    if h % f or w % f:
+        raise ValueError(f"image dimensions {h}x{w} not divisible by {f}")
+    total = image[::f, ::f].astype(np.float64)
+    for i in range(1, f * f):
+        total += image[i // f :: f, i % f :: f]
+    total /= f * f
     return total
 
 

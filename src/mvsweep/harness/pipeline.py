@@ -48,10 +48,25 @@ class SceneData:
     def gt_depth(self, i: int) -> np.ndarray:
         """View i's ground-truth depth; a non-finite value is a ValueError
         naming the file."""
-        path = self.depth_paths[i]
-        depth = formats.load_raster(path)[..., 0]
-        require_finite(depth, f"{path}: ground-truth depth")
-        return depth
+        return _load_depth(self.depth_paths[i], "ground-truth depth")
+
+
+def _check_depth_raster(path, view, scale: int) -> None:
+    """Raise a ValueError naming `path` unless its header declares a
+    one-channel raster on `view`'s 1/scale grid."""
+    _, w, h = view.scaled(scale)
+    rows, cols, ch = formats.raster_shape(path)
+    if (rows, cols, ch) != (h, w, 1):
+        raise ValueError(f"{path}: depth raster is {cols}x{rows}x{ch} but the camera listing "
+                         f"says {w}x{h}x1 at 1/{scale} resolution (width x height x channels)")
+
+
+def _load_depth(path, what: str) -> np.ndarray:
+    """The one channel of the depth raster at `path`; a non-finite value is a
+    ValueError naming the file and `what`."""
+    depth = formats.load_raster(path)[..., 0]
+    require_finite(depth, f"{path}: {what}")
+    return depth
 
 
 @dataclass
@@ -120,12 +135,7 @@ def load_scene(scene_dir) -> SceneData:
             dpath = os.path.join(scene_dir, f"depth_{i:03d}.mvsr")
             if not os.path.exists(dpath):
                 raise FileNotFoundError(f"scene has depth_000.mvsr but is missing {dpath}")
-            rows, cols, ch = formats.raster_shape(dpath)
-            if (rows, cols, ch) != (view.height, view.width, 1):
-                raise ValueError(
-                    f"{dpath}: depth raster is {cols}x{rows}x{ch} but the camera listing "
-                    f"says {view.width}x{view.height}x1 (width x height x channels)"
-                )
+            _check_depth_raster(dpath, view, 1)
             depth_paths.append(dpath)
 
     gt_boxes = None
@@ -170,9 +180,11 @@ def _detection_sources(views, det_idx: list[int], source_views: int) -> dict[int
     }
 
 
-def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict[str, float]:
+def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes,
+                   loss_trace) -> dict[str, float]:
     """Depth metrics of every detection view and their mean, then box
-    metrics when boxes are given."""
+    metrics when boxes are given, then the first and last refinement loss
+    when a loss trace is."""
     metrics: dict[str, float] = {}
     if scene.depth_paths is not None:
         # Decoded for scoring and dropped after it; every source is a scored
@@ -192,6 +204,9 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes) -> dict
             for j, gt_box in enumerate(scene.gt_boxes):
                 metrics[f"box{j}_best_iou"] = max((iou3d(gt_box, b) for b in boxes), default=0.0)
         metrics["n_boxes"] = float(len(boxes))
+    if loss_trace:
+        metrics["refine_loss_initial"] = loss_trace[0]
+        metrics["refine_loss_final"] = loss_trace[-1]
     return metrics
 
 
@@ -295,10 +310,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     del features, proposals
     boxes = extract_boxes(grid, config.box_threshold, config.min_component)
 
-    metrics = _scene_metrics(config, scene, sources, depth_maps, boxes)
-    if loss_trace is not None:
-        metrics["refine_loss_initial"] = loss_trace[0]
-        metrics["refine_loss_final"] = loss_trace[-1]
+    metrics = _scene_metrics(config, scene, sources, depth_maps, boxes, loss_trace)
 
     result = PipelineResult(
         view_indices=det_idx,
@@ -334,12 +346,15 @@ def write_artifacts(out_dir, result: PipelineResult) -> None:
 
 
 def evaluate_outputs(scene_dir, results_dir, config: PipelineConfig) -> dict[str, float]:
-    """Recompute depth and box metrics from serialized pipeline outputs.
+    """Recompute depth, box and refinement-loss metrics from serialized
+    pipeline outputs.
 
     The detection views are those with a written depth raster, and each
     one's sources are picked among them as run_pipeline picks them.  Depth
     is scored as stored, in float32.  A `results_dir` that is missing or
-    holds no depth raster is a FileNotFoundError that names it.
+    holds no depth raster is a FileNotFoundError that names it; a depth
+    raster off its view's quarter grid, with more than one channel or with a
+    non-finite value is a ValueError that names the file.
     """
     scene = load_scene(scene_dir)
     views = scene.views
@@ -347,8 +362,12 @@ def evaluate_outputs(scene_dir, results_dir, config: PipelineConfig) -> dict[str
     det_idx = [i for i, path in depth_paths.items() if os.path.exists(path)]
     if not det_idx:
         raise FileNotFoundError(f"{results_dir}: no depth_XXX.mvsr raster of a pipeline run")
-    depth_maps = {i: formats.load_raster(depth_paths[i])[..., 0] for i in det_idx}
+    for i in det_idx:
+        _check_depth_raster(depth_paths[i], views[i], DOWNSAMPLE)
+    depth_maps = {i: _load_depth(depth_paths[i], "depth") for i in det_idx}
     sources = _detection_sources(views, det_idx, config.source_views)
     boxes_path = os.path.join(results_dir, "boxes.txt")
     boxes = formats.load_boxes(boxes_path) if os.path.exists(boxes_path) else None
-    return _scene_metrics(config, scene, sources, depth_maps, boxes)
+    trace_path = os.path.join(results_dir, "loss_trace.txt")
+    loss_trace = list(formats.load_metrics(trace_path).values()) if os.path.exists(trace_path) else None
+    return _scene_metrics(config, scene, sources, depth_maps, boxes, loss_trace)

@@ -359,10 +359,9 @@ def make_trajectory(
     if min(half[0], half[1]) < ARC_RADIUS + 0.25 or half[2] < 0.5:
         raise ValueError("room too small to place cameras")
 
-    box_az = _box_azimuth(scene)
-    if box_az is None:
-        box_az = _snap_to_wall_normal(rng.uniform(0.0, 2.0 * np.pi), rng)
-    scene_az = box_az
+    scene_az = _box_azimuth(scene)
+    if scene_az is None:
+        scene_az = _snap_to_wall_normal(rng.uniform(0.0, 2.0 * np.pi), rng)
     arc_center = scene_az + np.pi
     span = np.deg2rad(min(40.0, 18.0 * (n - 1)))
     adjacent = 2.0 * ARC_RADIUS * np.sin(span / (2 * (n - 1)))

@@ -158,7 +158,7 @@ def build_splats(
     if probs.shape[:2] != (gh, gw):
         raise ValueError("probability volume does not match the view's feature grid")
     depth = regress_depth(probs, planes)  # (gh, gw)
-    origin, dirs, axis_cos = ray_grid(view, DOWNSAMPLE) if rays is None else rays
+    origin, dirs, axis_cos = ray_grid(view) if rays is None else rays
     means = origin + (depth / axis_cos)[..., None] * dirs
     alphas = probs.max(axis=2)
     f_mean = 0.5 * (k.fx + k.fy)
@@ -734,7 +734,7 @@ def refinement_loss_and_grad(
     names the counts.
     """
     _check_counts("logits", logits, source_views, source_images, novel_views, novel_images)
-    source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
+    source_rays = [ray_grid(v) for v in source_views]
     splats = concat_splats([
         build_splats(v, softmax(lg), planes, img, footprint_scale, source_index=i, rays=rays)
         for i, (v, lg, img, rays) in enumerate(zip(source_views, logits, source_images, source_rays))

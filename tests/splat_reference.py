@@ -285,7 +285,7 @@ def refinement_loss_and_grad(
     """(loss, grads) or (loss, None), as `mvsweep.splat` computes them, with
     every forward and backward pass on the calling thread in view order."""
     if source_rays is None:
-        source_rays = [ray_grid(v, DOWNSAMPLE) for v in source_views]
+        source_rays = [ray_grid(v) for v in source_views]
     probs = [softmax(lg) for lg in logits]
     sets = [
         build_splats(v, p, planes, img, footprint_scale, source_index=i, rays=rays)

@@ -232,7 +232,7 @@ class TestBackprojectRay:
     def test_ray_grid_matches_backproject(self):
         rng = np.random.default_rng(19)
         view = random_view(rng)
-        origin, dirs, axis_cos = ray_grid(view, scale=4)
+        origin, dirs, axis_cos = ray_grid(view)
         np.testing.assert_allclose(origin, view.pose.camera_center(), atol=1e-12)
         for (r, c) in [(0, 0), (3, 7), (11, 15)]:
             ray = backproject_ray(float(c), float(r), view, scale=4)

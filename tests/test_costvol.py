@@ -92,7 +92,7 @@ class TestExtractFeatures:
 
     def test_block_mean_values(self):
         img = np.arange(16, dtype=np.float64).reshape(4, 4)[..., None] * np.ones(3)
-        m = block_mean(img, 4)
+        m = block_mean(img)
         np.testing.assert_allclose(m[0, 0], np.arange(16).mean())
 
 

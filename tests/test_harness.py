@@ -269,6 +269,17 @@ class TestPpm(object):
             formats.save_ppm(tmp_path / "nan.ppm", img)
         assert not (tmp_path / "nan.ppm").exists()
 
+    def test_comment_lines_after_the_magic_are_skipped(self, tmp_path):
+        # As GIMP writes a P6 file: a `# CREATOR` line between the magic and
+        # the size.
+        rng = np.random.default_rng(2)
+        plain, commented = tmp_path / "plain.ppm", tmp_path / "commented.ppm"
+        formats.save_ppm(plain, rng.uniform(0, 1, (6, 10, 3)))
+        data = plain.read_bytes()
+        commented.write_bytes(b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n" + data[3:])
+        assert formats.ppm_size(commented) == (10, 6)
+        np.testing.assert_array_equal(formats.load_ppm(commented), formats.load_ppm(plain))
+
     def test_rejects_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))

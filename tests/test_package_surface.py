@@ -27,10 +27,6 @@ ALLOWED = {
     "harness.formats.load_volume": (
         "test_acceptance.py::test_criterion_12_determinism_and_round_trips (MVSV round trip)"
     ),
-    "harness.formats.load_metrics": (
-        "test_acceptance.py::test_criterion_12_determinism_and_round_trips and the metrics "
-        "checks of test_pipeline.py"
-    ),
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -145,6 +145,31 @@ class TestGroundTruthDepthChecked:
             evaluate_outputs(scene_dir, out, small_config())
 
 
+class TestResultsDepthChecked:
+    """A results depth raster that is off its view's quarter grid, has more
+    than one channel or holds a non-finite value is a ValueError from `eval`
+    naming the file."""
+
+    CASES = {
+        "size": (np.ones((5, 7)), "depth_001.mvsr: depth raster is 7x5x1 but the camera "
+                                  "listing says 20x15x1 at 1/4 resolution"),
+        "channels": (np.ones((15, 20, 2)), "depth_001.mvsr: depth raster is 20x15x2 but the "
+                                           "camera listing says 20x15x1 at 1/4 resolution"),
+        "nan": (np.full((15, 20), np.nan), "depth_001.mvsr: depth has 300 non-finite values"),
+        "inf": (np.full((15, 20), np.inf), "depth_001.mvsr: depth has 300 non-finite values"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_by_eval(self, tmp_path, case):
+        scene_dir = write_scene(tmp_path, n_views=4, image_size=(80, 60))
+        out = tmp_path / "out"
+        run_pipeline(scene_dir, small_config(), out_dir=out)
+        data, message = self.CASES[case]
+        formats.save_raster(out / "depth_001.mvsr", data)
+        with pytest.raises(ValueError, match=message):
+            evaluate_outputs(scene_dir, out, small_config())
+
+
 class TestStreamingDecode:
     """Each view's image is decoded once, where it is used, and dropped
     before the next; ground truth is decoded only to score it."""
@@ -312,7 +337,8 @@ class TestRunPipeline:
 class TestEvaluate:
     def test_eval_reproduces_refine_metrics(self, tmp_path):
         # Sources are picked among the detection views only, as the run picks
-        # them; eval scores the float32 rasters, so depth keys agree to 1e-6.
+        # them; eval scores the float32 rasters, so depth keys agree to 1e-6,
+        # and the box and refinement-loss keys are equal.
         scene_dir = write_scene(tmp_path, n_boxes=1, n_views=6, image_size=(64, 48))
         out = tmp_path / "out"
         config = small_config(refine_steps=1)
@@ -323,7 +349,9 @@ class TestEvaluate:
         assert depth_keys and set(depth_keys) == {k for k in evaluated if k.startswith("depth_")}
         for key in depth_keys:
             assert evaluated[key] == pytest.approx(ran[key], abs=1e-6), key
-        assert evaluated["n_boxes"] == ran["n_boxes"]
+        rest = {k: v for k, v in ran.items() if k not in depth_keys}
+        assert {"n_boxes", "box0_best_iou", "refine_loss_initial", "refine_loss_final"} <= set(rest)
+        assert {k: v for k, v in evaluated.items() if k not in depth_keys} == rest
 
 
 class TestCli:
@@ -431,20 +459,25 @@ DIGESTS_SEED5 = {"golden": GOLDEN_DIGEST_SEED5, "refine": REFINE_DIGEST_SEED5,
                  "scene": SCENE_DIGEST_SEED5, "raycast": RAYCAST_DIGEST_SEED5}
 
 
-def test_golden_digest(tmp_path):
-    assert_pinned("golden digest", golden_hash.golden_digest(5, tmp_path), GOLDEN_DIGEST_SEED5)
+@pytest.fixture(scope="module")
+def seed5_run(tmp_path_factory):
+    # One pass of `golden_hash.digests(5, ...)`: its four digests by name, and
+    # the argument lists of every `write_scene` call it made.
+    writes = []
+    write = golden_hash.write_scene
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(golden_hash, "write_scene", lambda *args: writes.append(args) or write(*args))
+        found = golden_hash.digests(5, tmp_path_factory.mktemp("golden"))
+        return dict(zip(DIGESTS_SEED5, found, strict=True)), writes
 
 
-def test_refine_digest(tmp_path):
-    assert_pinned("refine digest", golden_hash.refine_digest(5, tmp_path), REFINE_DIGEST_SEED5)
+@pytest.mark.parametrize("name", DIGESTS_SEED5)
+def test_digest(seed5_run, name):
+    assert_pinned(f"{name} digest", seed5_run[0][name], DIGESTS_SEED5[name])
 
 
-def test_scene_digest(tmp_path):
-    assert_pinned("scene digest", golden_hash.scene_digest(5, tmp_path), SCENE_DIGEST_SEED5)
-
-
-def test_raycast_digest():
-    assert_pinned("raycast digest", golden_hash.raycast_digest(5), RAYCAST_DIGEST_SEED5)
+def test_digests_write_the_scene_once(seed5_run):
+    assert len(seed5_run[1]) == 1
 
 
 @pytest.mark.parametrize("cls", X86_CLASSES)

@@ -22,8 +22,6 @@ import numpy as np
 from mvsweep.camera import (CameraView, DOWNSAMPLE, in_bounds, plane_warp, plane_warp_terms,
                             relative_pose)
 
-FEATURE_CHANNELS = 6
-
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
@@ -215,7 +213,7 @@ def build_cost_volume(
     src_feats: list[np.ndarray],
     src_views: list[CameraView],
     planes: DepthPlanes,
-    cost_penalty: float = 10.0,
+    cost_penalty: float,
 ) -> CostVolume:
     """Variance-based matching cost per (pixel, plane), averaged over channels.
 

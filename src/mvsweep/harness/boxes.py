@@ -100,7 +100,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return rank[parent][ids], int(rank[-1])
 
 
-def extract_boxes(grid: VoxelGrid, threshold_ratio: float = 0.5, min_voxels: int = 4) -> list[Box3D]:
+def extract_boxes(grid: VoxelGrid, threshold_ratio: float, min_voxels: int) -> list[Box3D]:
     """Boxes from connected components of high-surface-score voxels.
 
     Voxels with score >= threshold_ratio * max(score) are labeled with

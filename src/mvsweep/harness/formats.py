@@ -16,6 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from mvsweep.camera import CameraView, Intrinsics, Pose
+from mvsweep.harness.boxes import Box3D
 from mvsweep.sampling import VoxelGrid, VoxelGridSpec
 from mvsweep.scenegen import SceneSpec, TexturedBox, base_albedo, room_bounds
 from mvsweep.splat import MAX_SPLAT_MAGNITUDE, GaussianSplatSet
@@ -494,8 +495,6 @@ def boxes_from_text(text: str):
     """Box records `cx cy cz w h l yaw score`; a non-finite value, or a yaw
     other than 0 (boxes are axis-aligned), is a ValueError naming the line
     and the field.  The yaw is checked, then dropped."""
-    from mvsweep.harness.boxes import Box3D
-
     out = []
     for lineno, line in _records(text):
         with _blame(f"box listing: line {lineno}"):

@@ -26,9 +26,9 @@ from mvsweep import scenegen
 # build_splats is not called here; perfbench/spans.py wraps
 # `pipeline.build_splats` by name.
 from mvsweep.splat import (
-    MAX_SPLAT_MAGNITUDE,
     GaussianSplatSet,
     build_splats,
+    check_sigma_bound,
     refine_probability_volume,
 )
 
@@ -213,18 +213,15 @@ def _scene_metrics(config, scene: SceneData, sources, depth_maps, boxes,
 def _check_scale(config: PipelineConfig, views, refine: bool) -> None:
     """Raise a ValueError naming the field when the config asks the scene's
     cameras for a sweep above MAX_VOXELS cells per view, or, when refining,
-    for splat sigmas above MAX_SPLAT_MAGNITUDE: a sigma is the footprint
-    times a depth of at most depth_max over the view's mean quarter-res
-    focal length."""
+    for splats at depths up to depth_max whose sigmas break the splat
+    layer's bound."""
     _, gw, gh = max(views, key=lambda v: v.width * v.height).scaled(DOWNSAMPLE)
     if config.num_planes * gw * gh > MAX_VOXELS:
         raise ValueError(f"num_planes={config.num_planes} on a {gw}x{gh} quarter grid gives "
                          f"{config.num_planes * gw * gh} sweep cells, more than {MAX_VOXELS}")
-    focal = min(v.intrinsics.fx + v.intrinsics.fy for v in views) / (2 * DOWNSAMPLE)
-    sigma = config.splat_footprint * config.depth_max / focal
-    if refine and not sigma <= MAX_SPLAT_MAGNITUDE:
-        raise ValueError(f"splat_footprint={config.splat_footprint!r} gives splat sigmas up to "
-                         f"{sigma:g}, more than {MAX_SPLAT_MAGNITUDE:g}")
+    if refine:
+        for view in views:
+            check_sigma_bound(view, config.splat_footprint, config.depth_max, "splat_footprint")
 
 
 def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool = False) -> PipelineResult:

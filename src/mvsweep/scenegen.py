@@ -34,10 +34,12 @@ FLOOR_MARGIN = 0.65
 CEILING_MARGIN = 0.6
 BOX_GAP = 0.6
 
-# Trajectory geometry: arc radius and the hard baseline window.
+# Trajectory geometry: arc radius and the smallest adjacent baseline.
 ARC_RADIUS = 1.15
 BASELINE_MIN = 0.05
-BASELINE_MAX = 1.0
+# How much nearer than a surface point a source's own ground truth may be
+# at its landing pixel with the point still counted as seen (meters).
+_OCCLUSION_TOL = 0.05
 
 # Value-noise octaves (period in meters, weight).  Calibrated so that the
 # pooled quarter-res descriptors keep a wide, high-contrast correlation basin:
@@ -348,8 +350,11 @@ def make_trajectory(
 
     The arc sits opposite the boxes' mean azimuth (seed-chosen when the room
     is empty) so the boxes fall inside the shared field of view.  Pairwise
-    baselines are guaranteed inside [0.05, 1] m; raises when the room or the
-    requested count makes that impossible.
+    baselines are guaranteed inside [0.05, 1] m: adjacent cameras are spaced
+    at least BASELINE_MIN apart, and an arc of at most 40 degrees at
+    ARC_RADIUS, with heights within 0.1 m of the arc's, keeps every pair
+    under 0.82 m.  Raises when the room or the requested count makes that
+    impossible.
     """
     if n < 2:
         raise ValueError("need at least 2 views")
@@ -385,13 +390,6 @@ def make_trajectory(
         eye = center + np.array([ARC_RADIUS * np.cos(az), ARC_RADIUS * np.sin(az), z_off])
         pose = look_at(eye, target)
         views.append(CameraView(intrinsics, pose, width, height))
-
-    centers = np.stack([v.pose.camera_center() for v in views])
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    iu = np.triu_indices(n, k=1)
-    if dist[iu].min() < BASELINE_MIN or dist[iu].max() > BASELINE_MAX:
-        raise ValueError("trajectory violates baseline bounds")
     return views
 
 
@@ -533,15 +531,13 @@ def quarter_depth(depth: np.ndarray) -> np.ndarray:
     return depth[1::DOWNSAMPLE, 1::DOWNSAMPLE]
 
 
-def multiview_coverage(
-    views, depths, ref_index: int, source_indices, tol: float = 0.05
-) -> np.ndarray:
+def multiview_coverage(views, depths, ref_index: int, source_indices) -> np.ndarray:
     """Per quarter-res pixel of the reference view: how many of the given
     source views actually observe its ground-truth surface point.
 
     A source observes the point when its projection is in front and inside
     the image, and the source's own ground truth at the landing pixel is not
-    nearer by more than `tol` meters (i.e. the point is unoccluded).  Pixels
+    nearer by more than _OCCLUSION_TOL (i.e. the point is unoccluded).  Pixels
     observed by fewer than 2 sources have no multi-view depth constraint and
     are excluded from depth evaluation.
     """
@@ -555,5 +551,5 @@ def multiview_coverage(
         valid, vv, uu, d = nearest_pixel(flat, views[si])
         landed = depths[si][vv, uu]
         # unoccluded, or a miss (open rooms), which occludes nothing
-        count += (valid & ((landed >= d - tol) | (landed == 0.0))).reshape(gt_q.shape)
+        count += (valid & ((landed >= d - _OCCLUSION_TOL) | (landed == 0.0))).reshape(gt_q.shape)
     return count

@@ -138,7 +138,7 @@ def build_splats(
     probs: np.ndarray,
     planes: DepthPlanes,
     image: np.ndarray,
-    footprint_scale: float = 1.0,
+    footprint_scale: float,
     source_index: int = 0,
     rays=None,
 ) -> GaussianSplatSet:
@@ -151,24 +151,19 @@ def build_splats(
     resolution.  `rays`, when given, is the view's quarter-res `ray_grid`,
     formed by a caller that reads it again (the refinement's softmax VJP).
     A footprint_scale that is not finite and > 0, or that gives a sigma
-    above MAX_SPLAT_MAGNITUDE, is a ValueError that names it.
+    above MAX_SPLAT_MAGNITUDE (see check_sigma_bound), is a ValueError
+    that names it.
     """
     _check_positive(footprint_scale=footprint_scale)
-    k, gw, gh = view.scaled(DOWNSAMPLE)
+    _, gw, gh = view.scaled(DOWNSAMPLE)
     if probs.shape[:2] != (gh, gw):
         raise ValueError("probability volume does not match the view's feature grid")
     depth = regress_depth(probs, planes)  # (gh, gw)
     origin, dirs, axis_cos = ray_grid(view) if rays is None else rays
     means = origin + (depth / axis_cos)[..., None] * dirs
     alphas = probs.max(axis=2)
-    f_mean = 0.5 * (k.fx + k.fy)
-    # The largest sigma, formed as below but in Python floats, which
-    # overflow to inf without a warning.
-    sigma_max = float(footprint_scale) * float(depth.max()) / float(f_mean)
-    if sigma_max > MAX_SPLAT_MAGNITUDE:
-        raise ValueError(f"footprint_scale={footprint_scale!r} gives splat sigmas up to "
-                         f"{sigma_max:g}, more than {MAX_SPLAT_MAGNITUDE:g}")
-    sigma = footprint_scale * depth / f_mean
+    check_sigma_bound(view, footprint_scale, depth.max())
+    sigma = footprint_scale * depth / _mean_focal(view)
     colors = _quarter(view, np.asarray(image, dtype=np.float64))
     n = gh * gw
     rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
@@ -181,6 +176,25 @@ def build_splats(
         pixel_rows=rows.reshape(n).astype(np.int64),
         pixel_cols=cols.reshape(n).astype(np.int64),
     )
+
+
+def _mean_focal(view: CameraView) -> float:
+    """The mean of `view`'s quarter-res focal lengths: a splat at depth d has
+    sigma footprint_scale * d over it, one quarter-res pixel's footprint."""
+    k, _, _ = view.scaled(DOWNSAMPLE)
+    return 0.5 * (k.fx + k.fy)
+
+
+def check_sigma_bound(view: CameraView, footprint_scale: float, depth_max: float,
+                      name: str = "footprint_scale") -> None:
+    """Raise a ValueError naming the field `name` when `view`'s splats at
+    depths up to depth_max would have sigmas above MAX_SPLAT_MAGNITUDE."""
+    # The largest sigma, formed as build_splats forms a sigma but in Python
+    # floats, which overflow to inf without a warning.
+    sigma_max = float(footprint_scale) * float(depth_max) / float(_mean_focal(view))
+    if sigma_max > MAX_SPLAT_MAGNITUDE:
+        raise ValueError(f"{name}={footprint_scale!r} gives splat sigmas up to "
+                         f"{sigma_max:g}, more than {MAX_SPLAT_MAGNITUDE:g}")
 
 
 def _quarter(view: CameraView, image: np.ndarray) -> np.ndarray:
@@ -702,7 +716,7 @@ def refinement_loss_and_grad(
     source_images: list[np.ndarray],
     novel_views: list[CameraView],
     novel_images: list[np.ndarray],
-    footprint_scale: float = 1.0,
+    footprint_scale: float,
     max_loss: float = math.inf,
 ):
     """Summed rendering loss over the novel views and, when the loss is at
@@ -766,11 +780,9 @@ def refinement_loss_and_grad(
         ds = d_sigmas[offset : offset + n].reshape(gh, gw)
         offset += n
 
-        k, _, _ = view.scaled(DOWNSAMPLE)
-        f_mean = 0.5 * (k.fx + k.fy)
         # depth -> (center along ray, isotropic footprint)
         d_depth = (
-            np.einsum("hwc,hwc->hw", dm, dirs) / axis_cos + ds * footprint_scale / f_mean
+            np.einsum("hwc,hwc->hw", dm, dirs) / axis_cos + ds * footprint_scale / _mean_focal(view)
         )
         # softmax VJP: upstream on B is d_depth * plane + da on the argmax bin
         up = d_depth[..., None] * planes.depths[None, None, :]
@@ -797,7 +809,7 @@ def refine_probability_volume(
     novel_images: list[np.ndarray],
     steps: int,
     step_size: float,
-    footprint_scale: float = 1.0,
+    footprint_scale: float,
 ) -> RefinementResult:
     """Gradient-descent refinement of probability volumes under the summed
     novel-view rendering loss.

@@ -452,7 +452,7 @@ def test_criterion_11_gradient_check():
     rng = np.random.default_rng(0)
     logits = [rng.normal(0, 1.0, (12, 16, 6)) for _ in range(2)]
     _, grads = refinement_loss_and_grad(
-        logits, planes6, src_views, src_imgs, novel_views, novel_imgs
+        logits, planes6, src_views, src_imgs, novel_views, novel_imgs, footprint_scale=1.0
     )
     h = 1e-4
     worst = 0.0
@@ -463,8 +463,10 @@ def test_criterion_11_gradient_check():
         plus[vi][r, c, m] += h
         minus = [x.copy() for x in logits]
         minus[vi][r, c, m] -= h
-        fp, _ = refinement_loss_and_grad(plus, planes6, src_views, src_imgs, novel_views, novel_imgs)
-        fm, _ = refinement_loss_and_grad(minus, planes6, src_views, src_imgs, novel_views, novel_imgs)
+        fp, _ = refinement_loss_and_grad(plus, planes6, src_views, src_imgs, novel_views,
+                                         novel_imgs, footprint_scale=1.0)
+        fm, _ = refinement_loss_and_grad(minus, planes6, src_views, src_imgs, novel_views,
+                                         novel_imgs, footprint_scale=1.0)
         fd = (fp - fm) / (2 * h)
         an = grads[vi][r, c, m]
         rel = abs(fd - an) / max(abs(fd) + abs(an), 1e-8)
@@ -529,7 +531,8 @@ def test_criterion_12_determinism_and_round_trips(tmp_path):
     from mvsweep.splat import build_splats
 
     probs = ra.prob_volumes[0]
-    splats = build_splats(views[0], probs, config.planes(), formats.load_ppm(scene_dir / "view_000.ppm"))
+    image = formats.load_ppm(scene_dir / "view_000.ppm")
+    splats = build_splats(views[0], probs, config.planes(), image, footprint_scale=1.0)
     sp_a, sp_b = tmp_path / "s1.mvsg", tmp_path / "s2.mvsg"
     formats.save_splats(sp_a, splats)
     formats.save_splats(sp_b, formats.load_splats(sp_a))

@@ -31,12 +31,13 @@ def make_grid(score):
     )
 
 
-def assert_matches_reference(score, **kw):
+def assert_matches_reference(score, threshold_ratio=0.5, min_voxels=4):
     """extract_boxes and the oracle give the same boxes in the same order,
-    corners and scores bit for bit; returns them."""
+    corners and scores bit for bit; returns them.  The defaults are the
+    pipeline's box_threshold and min_component."""
     grid = make_grid(score)
-    got = extract_boxes(grid, **kw)
-    want = boxes_reference.extract_boxes(grid, **kw)
+    got = extract_boxes(grid, threshold_ratio, min_voxels)
+    want = boxes_reference.extract_boxes(grid, threshold_ratio, min_voxels)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.lo.tobytes() == w.lo.tobytes()
@@ -168,7 +169,7 @@ def test_peak_memory_on_an_all_hot_grid():
     grid = make_grid(np.ones((128, 128, 64)))
     tracemalloc.start()
     try:
-        boxes = extract_boxes(grid)
+        boxes = extract_boxes(grid, threshold_ratio=0.5, min_voxels=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

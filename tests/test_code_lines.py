@@ -5,7 +5,7 @@ import textwrap
 
 from code_lines import code_lines, count, main
 
-# ROADMAP item 4's budget: the code lines of `src/` plus `scripts/`.
+# ROADMAP's "The code-line budget" rule: the code lines of `src/` plus `scripts/`.
 CODE_LINE_BUDGET = 2349
 
 SNIPPET = textwrap.dedent('''\

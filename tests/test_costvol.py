@@ -182,7 +182,7 @@ class TestBuildCostVolume:
         view = simple_view()
         feat = rng.uniform(0, 1, size=(8, 8, 6))
         planes = DepthPlanes.uniform(4, 0.5, 3.5)
-        vol = build_cost_volume(feat, view, [feat], [view], planes)
+        vol = build_cost_volume(feat, view, [feat], [view], planes, cost_penalty=10.0)
         np.testing.assert_allclose(vol.costs, 0.0, atol=1e-12)
         assert np.all(vol.valid_views == 2)
 
@@ -193,7 +193,7 @@ class TestBuildCostVolume:
         ref = np.zeros((8, 8, 6))
         src = np.full((8, 8, 6), 2.0)
         planes = DepthPlanes.uniform(3, 1.0, 3.0)
-        vol = build_cost_volume(ref, view, [src], [view], planes)
+        vol = build_cost_volume(ref, view, [src], [view], planes, cost_penalty=10.0)
         np.testing.assert_allclose(vol.costs, 1.0, atol=1e-12)
 
     def test_source_behind_plane_gets_penalty(self):
@@ -221,14 +221,16 @@ class TestBuildCostVolume:
         planes = DepthPlanes.uniform(4, 0.5, far)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vol = build_cost_volume(feat, ref_view, [feat, feat], [beside, behind], planes)
+            vol = build_cost_volume(feat, ref_view, [feat, feat], [beside, behind], planes,
+                                    cost_penalty=10.0)
         assert np.all(np.isfinite(vol.costs)) and np.all(vol.costs >= 0)
         assert vol.valid_views.min() == 1 and vol.valid_views.max() == 2
 
     def test_requires_sources(self):
         view = simple_view()
         with pytest.raises(ValueError):
-            build_cost_volume(np.zeros((8, 8, 6)), view, [], [], DepthPlanes.uniform(3, 1, 3))
+            build_cost_volume(np.zeros((8, 8, 6)), view, [], [], DepthPlanes.uniform(3, 1, 3),
+                              cost_penalty=10.0)
 
     def test_source_grid_must_match_its_view(self):
         # A 5x3 grid for an 8x8 source view used to be sampled with its own
@@ -237,7 +239,8 @@ class TestBuildCostVolume:
         feat = np.zeros((8, 8, 6))
         planes = DepthPlanes.uniform(3, 1.0, 3.0)
         with pytest.raises(ValueError, match=r"source 1: feature grid 5x3 .* 8x8 quarter grid"):
-            build_cost_volume(feat, view, [feat, np.zeros((5, 3, 6))], [view, view], planes)
+            build_cost_volume(feat, view, [feat, np.zeros((5, 3, 6))], [view, view], planes,
+                              cost_penalty=10.0)
 
     def test_source_grid_must_have_the_reference_channels(self):
         view = simple_view()
@@ -246,13 +249,15 @@ class TestBuildCostVolume:
         with pytest.raises(
             ValueError, match=r"source 1: feature grid \(8, 8, 3\) .* reference's 6 channels"
         ):
-            build_cost_volume(feat, view, [feat, np.zeros((8, 8, 3))], [view, view], planes)
+            build_cost_volume(feat, view, [feat, np.zeros((8, 8, 3))], [view, view], planes,
+                              cost_penalty=10.0)
 
     def test_reference_grid_must_match_its_view(self):
         view = simple_view()
         planes = DepthPlanes.uniform(3, 1.0, 3.0)
         with pytest.raises(ValueError, match=r"reference feature grid 5x3 .* 8x8 quarter grid"):
-            build_cost_volume(np.zeros((5, 3, 6)), view, [np.zeros((8, 8, 6))], [view], planes)
+            build_cost_volume(np.zeros((5, 3, 6)), view, [np.zeros((8, 8, 6))], [view], planes,
+                              cost_penalty=10.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_descriptors(self, bad):
@@ -264,9 +269,9 @@ class TestBuildCostVolume:
         broken = feat.copy()
         broken[2, 3, 4] = broken[5, 1, 0] = bad
         with pytest.raises(ValueError, match="source 1: feature grid has 2 non-finite values"):
-            build_cost_volume(feat, view, [feat, broken], [view, view], planes)
+            build_cost_volume(feat, view, [feat, broken], [view, view], planes, cost_penalty=10.0)
         with pytest.raises(ValueError, match="reference feature grid has 2 non-finite values"):
-            build_cost_volume(broken, view, [feat], [view], planes)
+            build_cost_volume(broken, view, [feat], [view], planes, cost_penalty=10.0)
 
     def test_sweep_warps_through_the_camera_warp(self, monkeypatch):
         # Every (plane, source) step calls camera.plane_warp, and the costs
@@ -275,7 +280,7 @@ class TestBuildCostVolume:
         views = make_trajectory(scene, 4, seed=0, image_size=(64, 48))
         feats = [extract_features(raycast(scene, v).image) for v in views]
         planes = DepthPlanes.uniform(5, 0.5, 4.5)
-        args = (feats[0], views[0], feats[1:], views[1:], planes)
+        args = (feats[0], views[0], feats[1:], views[1:], planes, 10.0)
         expected = build_cost_volume(*args)
         depths = []
 
@@ -294,7 +299,7 @@ class TestBuildCostVolume:
         views = make_trajectory(scene, 3, seed=0, image_size=(64, 48))
         feats = [extract_features(raycast(scene, v).image) for v in views]
         planes = DepthPlanes.uniform(6, 0.5, 4.5)
-        vol = build_cost_volume(feats[0], views[0], feats[1:], views[1:], planes)
+        vol = build_cost_volume(feats[0], views[0], feats[1:], views[1:], planes, cost_penalty=10.0)
         assert np.all(vol.costs >= 0)
         assert vol.valid_views.min() >= 1 and vol.valid_views.max() <= 3
 
@@ -453,7 +458,8 @@ class TestSyntheticDepthSanity:
         planes = DepthPlanes.uniform(12, 0.2, 5.0)
         srcs = nearest_views(views, views[0], 2, exclude=0)
         vol = build_cost_volume(
-            feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes
+            feats[0], views[0], [feats[i] for i in srcs], [views[i] for i in srcs], planes,
+            cost_penalty=10.0
         )
         probs = cost_to_probability(vol, temperature=5e-4)
         gt_q = quarter_depth(gts[0].depth)
@@ -503,7 +509,7 @@ def assert_sweep_matches_oracle(ref_feat, ref_view, src_feats, src_views, planes
     view counts; returns the sweep and the oracle reduced to channel means."""
     from costvol_reference import build_cost_volume as reference_build
 
-    vol = build_cost_volume(ref_feat, ref_view, src_feats, src_views, planes)
+    vol = build_cost_volume(ref_feat, ref_view, src_feats, src_views, planes, cost_penalty=10.0)
     ref = reference_build(ref_feat, ref_view, src_feats, src_views, planes)
     ref_mean = CostVolume(ref.costs.mean(axis=2), ref.valid_views)
     assert vol.costs.shape == ref_mean.costs.shape
@@ -710,7 +716,7 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            build_cost_volume(feats[0], views[0], feats[1:], views[1:], planes)
+            build_cost_volume(feats[0], views[0], feats[1:], views[1:], planes, cost_penalty=10.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

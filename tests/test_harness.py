@@ -286,6 +286,16 @@ class TestPpm(object):
         with pytest.raises(ValueError):
             formats.load_ppm(p)
 
+    @pytest.mark.parametrize("size", [b"0 2", b"2 0"])
+    def test_empty_size_rejected(self, tmp_path, size):
+        p = tmp_path / "empty.ppm"
+        p.write_bytes(b"P6\n" + size + b"\n255\n")
+        got = size.decode().replace(" ", "x")
+        message = f"empty.ppm: PPM width and height must be positive, got {got}$"
+        for read in (formats.ppm_size, formats.load_ppm):
+            with pytest.raises(ValueError, match=message):
+                read(p)
+
     def test_header_only_rejected(self, tmp_path):
         p = tmp_path / "head.ppm"
         p.write_bytes(b"P6\n")
@@ -393,6 +403,21 @@ class TestVolumeFormat:
         append_bytes(p, 7)
         with pytest.raises(ValueError, match="v.mvsv: trailing data: volume header dims x channels "
                                              "4x3x2x6 declares 672 bytes, the file holds 679"):
+            formats.load_volume(p)
+
+    @pytest.mark.parametrize("field, index", [("origin", 0), ("origin", 2), ("pitch", 1)])
+    def test_non_finite_geometry_rejected(self, tmp_path, field, index):
+        spec = VoxelGridSpec((2, 2, 2), (-1.0, 0.0, 0.5), (0.25, 0.25, 0.5))
+        grid = VoxelGrid(spec=spec, feature_mean=np.zeros((2, 2, 2, 6)), score=np.zeros((2, 2, 2)),
+                         valid_count=None)
+        p = tmp_path / "v.mvsv"
+        formats.save_volume(p, grid)
+        data = bytearray(p.read_bytes())
+        # magic, four u32 dims, then the origin's and the pitch's three f32
+        offset = 4 + 16 + 4 * (index + (3 if field == "pitch" else 0))
+        data[offset:offset + 4] = struct.pack("<f", np.nan)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="v.mvsv: volume origin and pitch must be finite"):
             formats.load_volume(p)
 
 
@@ -737,7 +762,8 @@ def make_grid(score, pitch=(0.5, 0.5, 0.5), origin=(0.0, 0.0, 0.0)):
 
 class TestExtractBoxes:
     def test_empty_grid(self):
-        assert extract_boxes(make_grid(np.zeros((4, 4, 4)))) == []
+        grid = make_grid(np.zeros((4, 4, 4)))
+        assert extract_boxes(grid, threshold_ratio=0.5, min_voxels=4) == []
 
     def test_single_block(self):
         score = np.zeros((6, 6, 6))
@@ -761,7 +787,7 @@ class TestExtractBoxes:
     def test_min_size_filters(self):
         score = np.zeros((6, 6, 6))
         score[0, 0, 0] = 1.0
-        assert extract_boxes(make_grid(score), min_voxels=4) == []
+        assert extract_boxes(make_grid(score), threshold_ratio=0.5, min_voxels=4) == []
 
     def test_threshold_relative_to_max(self):
         score = np.zeros((6, 6, 6))

@@ -1,10 +1,10 @@
 """The package keeps only what the engine runs.
 
-Every public top-level function and class of `src/mvsweep`, and every public
-method and property of those classes, must be used by name outside its own
-definition: from the package, the bench (`perfbench/`) or `scripts/`.  A
-name only tests use belongs under `tests/`.  ALLOWED lists the few that stay
-in the package for a test, with the test that needs each.
+Every public top-level function, class and constant of `src/mvsweep`, and
+every public method and property of those classes, must be used by name
+outside its own definition: from the package, the bench (`perfbench/`) or
+`scripts/`.  A name only tests use belongs under `tests/`.  ALLOWED lists
+the few that stay in the package for a test, with the test that needs each.
 
 The engine needs numpy alone at run time: scipy is a test-only oracle, and a
 run must not import it.
@@ -33,12 +33,17 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _definitions():
-    """(path, dotted name, node, is_member) of each public top-level function
-    and class of the package and each public method and property of those
-    classes; the dotted name is relative to `mvsweep`."""
+    """(path, dotted name, node, is_member) of each public top-level function,
+    class and constant of the package and each public method and property of
+    those classes; the dotted name is relative to `mvsweep`.  A constant is a
+    name a module-level assignment binds."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(t, ast.Name) and not t.id.startswith("_"):
+                        yield path, f"{module}.{t.id}", node, False
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield path, f"{module}.{node.name}", node, False
                 for sub in node.body if isinstance(node, ast.ClassDef) else ():

@@ -17,6 +17,7 @@ from mvsweep.harness.pipeline import (
     run_pipeline,
 )
 from mvsweep.scenegen import generate_scene, make_trajectory
+from mvsweep.splat import GaussianSplatSet
 
 import pipeline_reference
 from simd_pins import SCRIPT, SIMD_CLASS, X86_CLASSES, assert_pinned, emulation_env, golden_hash
@@ -75,6 +76,14 @@ class TestLoadScene:
         scene_dir = write_scene(tmp_path)
         formats.save_ppm(scene_dir / "view_001.ppm", np.zeros((32, 32, 3)))
         with pytest.raises(ValueError, match="view_001.ppm"):
+            load_scene(scene_dir)
+
+    def test_missing_later_depth_raster_named(self, tmp_path):
+        # depth_000.mvsr makes the ground truth required for every view.
+        scene_dir = write_scene(tmp_path)
+        os.remove(scene_dir / "depth_002.mvsr")
+        with pytest.raises(FileNotFoundError,
+                           match="scene has depth_000.mvsr but is missing .*depth_002.mvsr$"):
             load_scene(scene_dir)
 
     def test_loads_everything(self, tmp_path):
@@ -286,6 +295,33 @@ class TestRunPipeline:
         assert "depth_rmse_mean" in metrics
         assert "box0_best_iou" in metrics
 
+    def test_one_view_scene_rejected(self, tmp_path):
+        scene_dir = write_scene(tmp_path, n_views=2, image_size=(64, 48))
+        formats.save_cameras(scene_dir / "cameras.txt", load_scene(scene_dir).views[:1])
+        with pytest.raises(ValueError, match="^need at least two views$"):
+            run_pipeline(scene_dir, small_config())
+
+    def test_refine_checks_the_splat_sigmas_before_the_sweep(self, tmp_path, monkeypatch):
+        # On the default cameras (quarter-res focal 75) a footprint of 1e6
+        # at depth_max 1e6 gives sigmas up to 1.33e10, past the splat
+        # loader's 1e10: `refine` names the field before any sweep, while
+        # `run`, which places no splat, gets as far as the sweep.
+        class Swept(Exception):
+            pass
+
+        def sweep(*args, **kwargs):
+            raise Swept
+
+        scene_dir = write_scene(tmp_path, image_size=(320, 240))
+        monkeypatch.setattr(pipeline, "build_cost_volume", sweep)
+        config = PipelineConfig(splat_footprint=1e6, depth_max=1e6)
+        message = (r"^splat_footprint=1000000.0 gives splat sigmas up to 1.33333e\+10, "
+                   r"more than 1e\+10$")
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(scene_dir, config, refine=True)
+        with pytest.raises(Swept):
+            run_pipeline(scene_dir, config)
+
     def test_byte_identical_reruns(self, tmp_path):
         scene_dir = write_scene(tmp_path, n_boxes=1, n_views=3)
         out_a = tmp_path / "a"
@@ -409,6 +445,32 @@ class TestCli:
         for results in (tmp_path / "missing", tmp_path / "empty"):
             with pytest.raises(FileNotFoundError, match=re.escape(str(results))):
                 cli_main(["eval", "--scene", str(scene_dir), "--results", str(results)])
+
+    @pytest.mark.parametrize("args, what", [
+        (["scene-gen"], "scene-gen"),
+        (["run", "--scene", "scene"], "run/refine"),
+        (["refine", "--scene", "scene"], "run/refine"),
+        (["render", "--splats", "s.mvsg", "--cameras", "cameras.txt"], "render"),
+    ])
+    def test_out_is_required(self, args, what):
+        # Checked before any input is read.
+        with pytest.raises(SystemExit, match=f"^--out is required for {what}$"):
+            cli_main(args)
+
+    @pytest.mark.parametrize("view", [-1, 2])
+    def test_render_view_out_of_range(self, tmp_path, view):
+        scene_dir = write_scene(tmp_path, n_views=2, image_size=(64, 48))
+        splats = GaussianSplatSet(
+            means=np.zeros((1, 3)), opacities=np.full(1, 0.5), sigmas=np.full(1, 0.1),
+            colors=np.zeros((1, 3)), source_view=np.zeros(1, dtype=np.int64),
+            pixel_rows=np.zeros(1, dtype=np.int64), pixel_cols=np.zeros(1, dtype=np.int64),
+        )
+        formats.save_splats(tmp_path / "s.mvsg", splats)
+        with pytest.raises(SystemExit, match=f"^--view {view} out of range \\(have 2 cameras\\)$"):
+            cli_main(["--out", str(tmp_path / "render"), "render", "--splats",
+                      str(tmp_path / "s.mvsg"), "--cameras", str(scene_dir / "cameras.txt"),
+                      "--view", str(view)])
+        assert not (tmp_path / "render").exists()
 
     def test_threads_flag_validated(self, tmp_path):
         with pytest.raises(SystemExit):

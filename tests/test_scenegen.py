@@ -336,6 +336,22 @@ class TestTrajectory:
             seen = sum(project(center, v)[3] for v in views)
             assert seen >= 4
 
+    def test_every_pair_within_the_baseline_bounds(self):
+        # The arc's geometry alone keeps every pair of cameras inside
+        # [BASELINE_MIN, 1] m for every count the spacing check admits.
+        for n_boxes in range(4):
+            for seed in range(20):
+                scene = generate_scene(seed=seed, n_boxes=n_boxes)
+                for n in range(2, 18):
+                    centers = np.stack([v.pose.camera_center()
+                                        for v in make_trajectory(scene, n, seed=seed)])
+                    dist = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+                    pairs = dist[np.triu_indices(n, k=1)]
+                    assert scenegen.BASELINE_MIN <= pairs.min(), (n_boxes, seed, n)
+                    assert pairs.max() <= 1.0, (n_boxes, seed, n)
+                with pytest.raises(ValueError, match="^cannot space 18 cameras"):
+                    make_trajectory(scene, 18, seed=seed)
+
     def test_too_many_views_rejected(self):
         scene = generate_scene(seed=9, n_boxes=0)
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class TestBuildSplats:
         probs = np.zeros((gh, gw, 3))
         probs[..., 1] = 1.0
         image = np.full((view.height, view.width, 3), 0.5)
-        splats = build_splats(view, probs, planes, image)
+        splats = build_splats(view, probs, planes, image, footprint_scale=1.0)
         assert len(splats) == gh * gw
         np.testing.assert_allclose(splats.opacities, 1.0)
         # every center must sit at camera depth exactly 2.0
@@ -121,7 +121,8 @@ class TestBuildSplats:
         planes = DepthPlanes.uniform(12, 0.2, 5.0)
         k, gw, gh = view.scaled(4)
         probs = np.full((gh, gw, 12), 1.0 / 12)
-        splats = build_splats(view, probs, planes, np.zeros((view.height, view.width, 3)))
+        splats = build_splats(view, probs, planes, np.zeros((view.height, view.width, 3)),
+                              footprint_scale=1.0)
         np.testing.assert_allclose(splats.opacities, 1.0 / 12, atol=1e-12)
 
     def test_footprint_arithmetic(self):
@@ -132,7 +133,7 @@ class TestBuildSplats:
         assert k.fx == 100.0
         probs = np.zeros((gh, gw, 2))
         probs[..., 1] = 1.0
-        splats = build_splats(view, probs, planes, np.zeros((96, 128, 3)))
+        splats = build_splats(view, probs, planes, np.zeros((96, 128, 3)), footprint_scale=1.0)
         np.testing.assert_allclose(splats.sigmas, 0.02, atol=1e-12)
 
     def test_colors_are_block_means(self):
@@ -142,7 +143,7 @@ class TestBuildSplats:
         image = rng.uniform(0, 1, (view.height, view.width, 3))
         k, gw, gh = view.scaled(4)
         probs = np.full((gh, gw, 2), 0.5)
-        splats = build_splats(view, probs, planes, image)
+        splats = build_splats(view, probs, planes, image, footprint_scale=1.0)
         np.testing.assert_allclose(
             splats.colors.reshape(gh, gw, 3), block_mean(image), atol=1e-12
         )
@@ -231,7 +232,7 @@ class TestRasterize:
         planes = DepthPlanes.uniform(6, 0.5, 4.5)
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(6), size=(12, 16))
-        splats = build_splats(views[0], probs, planes, gt.image)
+        splats = build_splats(views[0], probs, planes, gt.image, footprint_scale=1.0)
         rt = rasterize(splats, views[1])
         assert rt.alpha.min() >= 0.0 and rt.alpha.max() <= 1.0
         cam_z = project(splats.means, views[1])[2]
@@ -296,7 +297,7 @@ class TestDegenerateFootprints:
             warnings.simplefilter("error")
             loss, grads = refinement_loss_and_grad(
                 logits, planes, src_views, src_imgs, novel_views,
-                [block_mean(i) for i in novel_imgs],
+                [block_mean(i) for i in novel_imgs], footprint_scale=1.0,
             )
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) and np.any(g != 0.0) for g in grads)
@@ -374,7 +375,7 @@ class TestGradients:
         rng = np.random.default_rng(0)
         logits = [rng.normal(0, 1.0, (12, 16, 6)) for _ in range(2)]
         loss, grads = refinement_loss_and_grad(
-            logits, planes, src_views, src_imgs, novel_views, novel_imgs
+            logits, planes, src_views, src_imgs, novel_views, novel_imgs, footprint_scale=1.0
         )
         assert np.isfinite(loss)
         h = 1e-4
@@ -385,8 +386,10 @@ class TestGradients:
             lp[vi][r, c, m] += h
             lm = [x.copy() for x in logits]
             lm[vi][r, c, m] -= h
-            fp, _ = refinement_loss_and_grad(lp, planes, src_views, src_imgs, novel_views, novel_imgs)
-            fm, _ = refinement_loss_and_grad(lm, planes, src_views, src_imgs, novel_views, novel_imgs)
+            fp, _ = refinement_loss_and_grad(lp, planes, src_views, src_imgs, novel_views,
+                                             novel_imgs, footprint_scale=1.0)
+            fm, _ = refinement_loss_and_grad(lm, planes, src_views, src_imgs, novel_views,
+                                             novel_imgs, footprint_scale=1.0)
             fd = (fp - fm) / (2 * h)
             an = grads[vi][r, c, m]
             assert abs(fd - an) / max(abs(fd) + abs(an), 1e-8) < 1e-3
@@ -451,7 +454,7 @@ class TestRefinement:
         init_depth = [regress_depth(v, planes) for v in vols]
         res = refine_probability_volume(
             vols, planes, views[:2], [gts[0].image, gts[1].image],
-            [views[3]], [gts[3].image], steps=3, step_size=1.0,
+            [views[3]], [gts[3].image], steps=3, step_size=1.0, footprint_scale=1.0,
         )
         trace = res.loss_trace
         assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
@@ -467,7 +470,7 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine_probability_volume(
                 vols, planes, [views[0]], [gts[0].image], [views[2]], [gts[2].image],
-                steps=0, step_size=1.0,
+                steps=0, step_size=1.0, footprint_scale=1.0,
             )
 
     @pytest.mark.parametrize("name, value", [
@@ -511,11 +514,12 @@ class TestRefinement:
         with pytest.raises(ValueError, match=f"^{n_vol} volumes{tail}"):
             refine_probability_volume(
                 [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
-                steps=1, step_size=1.0,
+                steps=1, step_size=1.0, footprint_scale=1.0,
             )
         with pytest.raises(ValueError, match=f"^{n_vol} logits{tail}"):
             refinement_loss_and_grad(
-                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i],
+                footprint_scale=1.0
             )
 
     @pytest.mark.parametrize("n_views, n_images", [(3, 1), (1, 2), (0, 0)])
@@ -529,12 +533,23 @@ class TestRefinement:
         with pytest.raises(ValueError, match=message):
             refine_probability_volume(
                 [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
-                steps=1, step_size=1.0,
+                steps=1, step_size=1.0, footprint_scale=1.0,
             )
         with pytest.raises(ValueError, match=message):
             refinement_loss_and_grad(
-                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+                logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i],
+                footprint_scale=1.0
             )
+
+    def test_non_finite_novel_image_rejected(self):
+        # One NaN in a target makes the summed loss NaN: a ValueError, not a
+        # NaN loss that no trial could ever beat.
+        planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
+        target = block_mean(nov_i[0])
+        target[5, 7, 1] = math.nan
+        with pytest.raises(ValueError, match="^rendering loss is not finite$"):
+            refinement_loss_and_grad(logits, planes, src_v, src_i, nov_v, [target],
+                                     footprint_scale=1.0)
 
     def test_requires_novel_views(self):
         scene = generate_scene(seed=6, n_boxes=0)
@@ -545,7 +560,7 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine_probability_volume(
                 vols, planes, [views[0]], [gts[0].image], [], [],
-                steps=1, step_size=1.0,
+                steps=1, step_size=1.0, footprint_scale=1.0,
             )
 
     def test_perturbed_start_improves(self):
@@ -598,7 +613,7 @@ class TestSelfRender:
         probs = np.zeros(gq.shape + (12,))
         rows, cols = np.meshgrid(*(np.arange(s) for s in gq.shape), indexing="ij")
         probs[rows, cols, idx] = 1.0
-        splats = build_splats(views[0], probs, planes, gt.image)
+        splats = build_splats(views[0], probs, planes, gt.image, footprint_scale=1.0)
         rt = rasterize(splats, views[0])
         target = block_mean(gt.image)
         mse = float(np.mean((rt.color - target) ** 2))
@@ -991,7 +1006,7 @@ class TestRefinementPinned:
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
         res = refine_probability_volume(
             [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
-            steps=4, step_size=6.0,
+            steps=4, step_size=6.0, footprint_scale=1.0,
         )
         assert_pinned("REFINE_TRACE", [x.hex() for x in res.loss_trace], REFINE_TRACE)
         assert_pinned("REFINE_VOLUMES_DIGEST", _digest(res.volumes), REFINE_VOLUMES_DIGEST)
@@ -999,7 +1014,7 @@ class TestRefinementPinned:
     def test_loss_and_gradient_pinned(self):
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
         loss, grads = refinement_loss_and_grad(
-            logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i]
+            logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i], footprint_scale=1.0
         )
         assert_pinned("GRAD_LOSS", loss.hex(), GRAD_LOSS)
         assert_pinned("GRAD_DIGEST", _digest(grads), GRAD_DIGEST)
@@ -1068,7 +1083,7 @@ def test_splat_pins_per_simd_class(cls):
 class TestLossOnlyTrials:
     def test_max_loss_bounds_the_backward_pass(self):
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
-        args = (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i])
+        args = (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i], 1.0)
         loss, grads = refinement_loss_and_grad(*args)
         for bound in (-np.inf, 0.0, np.nextafter(loss, 0.0)):
             assert refinement_loss_and_grad(*args, max_loss=bound) == (loss, None)
@@ -1104,7 +1119,7 @@ class TestLossOnlyTrials:
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
         res = refine_probability_volume(
             [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
-            steps=4, step_size=6.0,
+            steps=4, step_size=6.0, footprint_scale=1.0,
         )
         assert_pinned("REFINE_TRACE", [x.hex() for x in res.loss_trace], REFINE_TRACE)
         assert [calls for calls, _ in evaluations] == [1, 1, 1, 0, 1, 0, 0]
@@ -1139,7 +1154,7 @@ class TestLineSearchOracle:
             planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
             res = refine(
                 [softmax(lg) for lg in logits], planes, src_v, src_i, nov_v, nov_i,
-                steps=4, step_size=6.0,
+                steps=4, step_size=6.0, footprint_scale=1.0,
             )
             runs.append((res, len(calls)))
         (res, count), (ref_res, ref_count) = runs
@@ -1183,14 +1198,14 @@ class TestLineSearchOracle:
 
 def _view_inputs(n_novel):
     """Two 32x24 source grids with random logits and `n_novel` quarter-res
-    novel targets of one 128x96 scene."""
+    novel targets of one 128x96 scene, and the default footprint."""
     scene = generate_scene(seed=3, n_boxes=1)
     views = make_trajectory(scene, 2 + n_novel, seed=5, image_size=(128, 96))
     gts = [raycast(scene, v) for v in views]
     rng = np.random.default_rng(0)
     logits = [rng.normal(0, 1.0, (24, 32, 6)) for _ in range(2)]
     return (logits, DepthPlanes.uniform(6, 0.5, 4.5), views[:2], [g.image for g in gts[:2]],
-            views[2:], [block_mean(g.image) for g in gts[2:]])
+            views[2:], [block_mean(g.image) for g in gts[2:]], 1.0)
 
 
 class TestThreadedViews:
@@ -1328,7 +1343,7 @@ def _source_splats(logits, planes, src_v, src_i):
     from mvsweep.costvol import softmax
 
     return concat_splats([
-        build_splats(v, softmax(lg), planes, img, source_index=i)
+        build_splats(v, softmax(lg), planes, img, footprint_scale=1.0, source_index=i)
         for i, (v, lg, img) in enumerate(zip(src_v, logits, src_i))
     ])
 
@@ -1341,7 +1356,7 @@ class TestAgainstStoredState:
     def test_criterion11_inputs(self, monkeypatch):
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
         _assert_loss_and_grad_match_stored(
-            monkeypatch, (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i])
+            monkeypatch, (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i], 1.0)
         )
         _stored_state_matches(monkeypatch, _source_splats(logits, planes, src_v, src_i), nov_v[0])
 
@@ -1404,7 +1419,8 @@ class TestMemoryBudget:
         for view in nov_v:
             _, _, _, mean2d, cov2d, _, _, _, gw, gh = project_gaussians(splats, view)
             pairs.append(gather_pairs_unsorted(mean2d, cov2d, gw, gh)[0].size)
-        peak = _traced_peak(refinement_loss_and_grad, logits, planes, src_v, src_i, nov_v, nov_i)
+        peak = _traced_peak(refinement_loss_and_grad, logits, planes, src_v, src_i, nov_v, nov_i,
+                            1.0)
         raster_peak = _traced_peak(rasterize, splats, nov_v[0])
         assert peak <= self.LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)
         assert raster_peak <= self.RASTERIZE_BYTES_PER_PAIR * pairs[0]

@@ -87,8 +87,7 @@ def _run(args, refine: bool) -> int:
     out = _require_out(args, "run/refine")
     config = _load_or_default_config(args)
     result = run_pipeline(args.scene, config, out_dir=out, refine=refine)
-    for key, value in result.metrics.items():
-        print(f"{key} {value}")
+    sys.stdout.write(formats.metrics_to_text(result.metrics))
     print(f"artifacts written to {out}")
     return 0
 

@@ -134,9 +134,9 @@ def _hash_unit(ix: np.ndarray, iy: np.ndarray, seed: int) -> np.ndarray:
     h = (ix.astype(np.uint64) * np.uint64(0x8DA6B343)) ^ (
         iy.astype(np.uint64) * np.uint64(0xD8163841))
     h ^= np.uint64((seed * 0xCB1AB31F) & 0xFFFFFFFFFFFFFFFF)
-    h = (h + _M1) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    h = ((h ^ (h >> np.uint64(30))) * _M2) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    h = ((h ^ (h >> np.uint64(27))) * _M3) & np.uint64(0xFFFFFFFFFFFFFFFF)
+    h = h + _M1
+    h = (h ^ (h >> np.uint64(30))) * _M2
+    h = (h ^ (h >> np.uint64(27))) * _M3
     h ^= h >> np.uint64(31)
     return h.astype(np.float64) / float(2**64)
 
@@ -272,6 +272,8 @@ def generate_scene(seed: int, n_boxes: int) -> SceneSpec:
     room_lo = np.array(ROOM_LO)
     room_hi = np.array(ROOM_HI)
     boxes: list[TexturedBox] = []
+    sector_half = np.deg2rad(12.0 if n_boxes <= 2 else 26.0)
+    pad = BOX_GAP / 2.0
     attempts = 0
     rejects = 0
     while len(boxes) < n_boxes:
@@ -282,8 +284,7 @@ def generate_scene(seed: int, n_boxes: int) -> SceneSpec:
             # Earlier boxes can block the remaining sector; restart the layout.
             boxes.clear()
             rejects = 0
-        sector_half = 12.0 if n_boxes <= 2 else 26.0
-        azim = sector_center + rng.uniform(-np.deg2rad(sector_half), np.deg2rad(sector_half))
+        azim = sector_center + rng.uniform(-sector_half, sector_half)
         radial = rng.uniform(2.0, 2.45)
         half = np.array(
             [rng.uniform(0.42, 0.55), rng.uniform(0.42, 0.55), rng.uniform(0.25, 0.295)]
@@ -299,17 +300,10 @@ def generate_scene(seed: int, n_boxes: int) -> SceneSpec:
         center = np.array([radial * np.cos(azim), radial * np.sin(azim), cz])
         lo = center - half
         hi = center + half
-        if np.any(lo[:2] < room_lo[:2] + WALL_MARGIN) or np.any(hi[:2] > room_hi[:2] - WALL_MARGIN):
-            rejects += 1
-            continue
-        if _aabb_xy_clearance(lo, hi) < CAMERA_CLEAR_RADIUS:
-            rejects += 1
-            continue
-        pad = BOX_GAP / 2.0
-        clash = any(
-            np.all(lo - pad < b.hi + pad) and np.all(hi + pad > b.lo - pad) for b in boxes
-        )
-        if clash:
+        if (np.any(lo[:2] < room_lo[:2] + WALL_MARGIN) or np.any(hi[:2] > room_hi[:2] - WALL_MARGIN)
+                or _aabb_xy_clearance(lo, hi) < CAMERA_CLEAR_RADIUS
+                or any(np.all(lo - pad < b.hi + pad) and np.all(hi + pad > b.lo - pad)
+                       for b in boxes)):
             rejects += 1
             continue
         rejects = 0

@@ -21,32 +21,33 @@ transmittance falls below T_MIN = 1e-4; a pair whose incoming transmittance
 is below T_MIN adds no colour, alpha, depth or gradient.  Nothing switches
 the rule off.
 
-Rendering is split in two.  The forward pass (_render_forward) projects
-the primitives, walks them front to back in chunks, and composites each
-chunk's pairs, sorted by pixel, on top of a running per-pixel
-log-transmittance, skipping the pixels already saturated; `rasterize` and
-the refinement loss both run it.  It returns a compact per-view state.  Per
-kept primitive it keeps the depth, 2D mean, inverse 2D covariance, opacity
-and colour; the camera-frame centers, Jacobian entries and 2D covariances
-die once the footprints are formed.  Its per-pair arrays are kept chunk by
-chunk: for each chunk, front to back, its composited pairs' primitive and
-transmittance, in pixel order, and the pixel id and pair count of each
-pixel's run of them, 12 bytes per pair and 8 per run.  The backward pass
-(_render_backward) walks those chunks back to front, as 3D Gaussian
-Splatting walks each pixel's list, with a running per-pixel total of the
-colour arriving from behind, so no per-pair array of it spans more than one
-chunk.  Like 3D Gaussian Splatting's backward pass it recomputes each
-pair's Gaussian falloff from the pixel offset and the inverse 2D covariance
-instead of storing it, and it recomputes everything else it needs (pixel
-ids, alpha_eff, blend weights, pixel offsets) too; after the chunks it
-reprojects the camera-frame centers and Jacobian entries.  It always uses
+Rendering is split in two.  The forward pass (_render_forward) projects the
+primitives, walks them front to back in chunks, and composites each chunk's
+pairs, sorted by pixel, on top of a running per-pixel log-transmittance,
+skipping the pixels already saturated; `rasterize` and the refinement loss
+both run it, and for `rasterize` the same walk sums each pixel's alpha and
+depth from the blend weights it composites with.  It returns a compact
+per-view state.  Per kept primitive it keeps the depth, 2D mean, inverse 2D
+covariance, opacity and colour; the camera-frame centers, Jacobian entries
+and 2D covariances die once the footprints are formed.  Its per-pair arrays
+are kept chunk by chunk: for each chunk, front to back, its composited
+pairs' primitive and transmittance, in pixel order, and the pixel id and
+pair count of each pixel's run of them, 12 bytes per pair and 8 per run.
+The backward pass (_render_backward) walks those chunks back to front, as 3D
+Gaussian Splatting walks each pixel's list, with a running per-pixel total
+of the colour arriving from behind, so no per-pair array of it spans more
+than one chunk.  Like 3D Gaussian Splatting's backward pass it recomputes
+each pair's Gaussian falloff from the pixel offset and the inverse 2D
+covariance instead of storing it, and it recomputes everything else it needs
+(pixel ids, alpha_eff, blend weights, pixel offsets) too; after the chunks
+it reprojects the camera-frame centers and Jacobian entries.  It always uses
 the forward pass's own operations on the same operands, so loss and
 gradients are the same to the bit as a single fused pass over the same
 chunks.  The refinement holds no probability volume through its passes: it
 forms each view's probabilities from the logits to build the splats, and
 again for the softmax VJP.  The refinement line search asks for a gradient
-only when it will use one, so rejected trials and the last step's trials
-run the forward pass alone.
+only when it will use one, so rejected trials and the last step's trials run
+the forward pass alone.
 
 The novel views of one refinement evaluation are independent until their
 losses and gradients are summed, so they run at once: the first on the
@@ -370,10 +371,13 @@ def _opacity(alphas, prim, g):
     return alpha_eff, clamped
 
 
-def _composite_chunk(alphas, colors, log_t, color, listing):
+def _composite_chunk(alphas, colors, z, log_t, color, sums, listing):
     """Composite one chunk's pixel-sorted pairs `listing` (prim, pixel id,
     power) under the saturation rule: lower the running log-transmittance
     `log_t` (n_px,) and add the kept pairs' colours into `color` (n_px, 3).
+    `sums`, when not None, is (alpha, depth numerator), each (n_px,): the
+    kept pairs' blend weights w and w * z are added into them with
+    np.add.at, which adds each pixel's pairs in turn, front to back.
 
     Returns the chunk's record for the _ViewState, or None when it lists no
     pair.  The listing and every per-pair temporary die on return.
@@ -408,6 +412,10 @@ def _composite_chunk(alphas, colors, log_t, color, listing):
         np.take(col, k_prim, out=t, mode="clip")
         t *= w
         color[:, c] += np.bincount(k_pid, weights=t, minlength=log_t.size)
+    if sums is not None:
+        np.add.at(sums[0], k_pid, w)
+        w *= z.take(k_prim)
+        np.add.at(sums[1], k_pid, w)
     # Each run keeps a prefix of its pairs, at least one: its kept length.
     return (k_prim.astype(np.int32), run_px.astype(np.int32),
             np.add.reduceat(kept, start, dtype=np.int32), trans)
@@ -428,7 +436,8 @@ class _ViewState:
     id and pair count of each run, one pixel's pairs (int32), 12 bytes per
     pair and 8 per run.  Every primitive's pairs lie in one chunk.  Pixel
     ids, falloffs, alpha_eff, the blend weight and the pixel offsets are
-    recomputed from these by _pairs and _opacity, so they are not kept.
+    recomputed from these by _pairs and _opacity in the backward pass, so
+    they are not kept.
     """
 
     keep: np.ndarray
@@ -441,11 +450,13 @@ class _ViewState:
 
 
 def _pairs(st: _ViewState, prim, run_px, run_len, gw):
-    """A chunk record's pairs: primitive and pixel id (intp), the pixel's
-    offsets dx, dy from the primitive's 2D mean, and the falloff g.  g is
-    recomputed with _pair_chunk's operations on the same operands in its
-    order, dx^2 inv00 + ((2 dx) dy) inv01 + dy^2 inv11, halved, then
-    exp(-power), so it has the bits the forward pass composited with."""
+    """A chunk record's pairs, for the backward pass: primitive and pixel id
+    (intp), the pixel's offsets dx, dy from the primitive's 2D mean, and the
+    falloff g.  g is recomputed with _pair_chunk's operations on the same
+    operands in its order, dx^2 inv00 + ((2 dx) dy) inv01 + dy^2 inv11,
+    halved, then exp(-power), so it has the bits the forward pass
+    composited with.  `rasterize` never calls it: its alpha and depth are
+    summed in the forward walk."""
     prim = prim.astype(np.intp)
     pid = np.repeat(run_px.astype(np.intp), run_len)
     dx = np.subtract(np.repeat(run_px % gw, run_len), st.mean2d[:, 0].take(prim))
@@ -464,7 +475,7 @@ def _pairs(st: _ViewState, prim, run_px, run_len, gw):
     return prim, pid, dx, dy, g
 
 
-def _render_forward(splats: GaussianSplatSet, view: CameraView):
+def _render_forward(splats: GaussianSplatSet, view: CameraView, sums=None):
     """The forward pass: projection, then front-to-back alpha blending into
     the quarter-res grid of `view`, chunk by chunk, under the saturation
     rule.
@@ -485,8 +496,13 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     listing to _composite_chunk and keeps no reference to it, so it dies
     before the next chunk is listed.
 
+    `sums`, which only `rasterize` passes, holds its alpha and depth
+    numerator accumulators, each (n_px,): each chunk adds its kept pairs'
+    blend weights into them in the same walk (see _composite_chunk).  The
+    refinement passes none, so its passes sum nothing more.
+
     Returns the (n_px, 3) colour image and the _ViewState the backward pass
-    and `rasterize` read.
+    reads.
     """
     keep, _, z, mean2d, cov2d, _, _, gw, gh = _project_gaussians(splats, view)
     alphas = splats.opacities[keep]
@@ -495,7 +511,7 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView):
     del cov2d
     log_t = np.zeros(gh * gw)
     color = np.zeros((gh * gw, 3))
-    composite = partial(_composite_chunk, alphas, colors, log_t, color)
+    composite = partial(_composite_chunk, alphas, colors, z, log_t, color, sums)
     chunks = [c for c in map(composite, _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t)) if c]
     return color, _ViewState(keep, z, mean2d, inv, alphas, colors, chunks)
 
@@ -507,22 +523,15 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
     the perspective Jacobian, dilated in screen space, and composited
     front-to-back (depth ties broken by primitive index) within 3 sigma of
     its 2D mean, until the pixel's transmittance falls below T_MIN.
-    Accumulated alpha and depth are summed chunk by chunk with np.add.at,
-    which adds each pixel's pairs in turn from 0, front to back; each
-    chunk's pixel ids and falloffs come from its run-length record (_pairs).
+    Accumulated alpha and depth are summed in the forward pass's one walk,
+    chunk by chunk with np.add.at, which adds each pixel's pairs in turn
+    from 0, front to back, from the blend weights the colour is composited
+    with; the pairs are not walked a second time.
     """
-    color, st = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
-    n_px = gh * gw
-    acc = np.zeros(n_px)
-    depth_num = np.zeros(n_px)
-    for prim, run_px, run_len, trans in st.chunks:
-        prim, pid, _, _, g = _pairs(st, prim, run_px, run_len, gw)
-        w = _opacity(st.alphas, prim, g)[0]
-        w *= trans
-        np.add.at(acc, pid, w)
-        w *= st.z.take(prim)
-        np.add.at(depth_num, pid, w)
+    acc = np.zeros(gh * gw)
+    depth_num = np.zeros(gh * gw)
+    color, _ = _render_forward(splats, view, (acc, depth_num))
     depth = np.where(acc > EPS_ALPHA, depth_num / np.maximum(acc, EPS_ALPHA), 0.0)
     return RenderTarget(
         color=color.reshape(gh, gw, 3), depth=depth.reshape(gh, gw), alpha=acc.reshape(gh, gw)

@@ -4,6 +4,10 @@ the room exit and a slab test of every box over the whole image, each
 written with divisions of its own; and multi-view coverage from
 full-resolution pixel rays sliced to the quarter-res samples.
 
+generate_scene is the box placement as it was written with one reject
+branch per test and the sector half-width and gap pad formed on every
+attempt.
+
 It is slow, and serves only as the yardstick the tests hold
 `mvsweep.scenegen` against, to the bit.
 """
@@ -19,8 +23,18 @@ from mvsweep.scenegen import (
     _INPLANE,
     _LUM_SQUASH,
     _OCTAVES,
+    BOX_GAP,
+    CAMERA_CLEAR_RADIUS,
+    CEILING_MARGIN,
+    FLOOR_MARGIN,
+    ROOM_HI,
+    ROOM_LO,
+    WALL_MARGIN,
     GroundTruth,
     SceneSpec,
+    TexturedBox,
+    _aabb_xy_clearance,
+    _snap_to_wall_normal,
     quarter_depth,
 )
 
@@ -190,3 +204,72 @@ def multiview_coverage(views, depths, ref_index, source_indices, tol=0.05):
         miss = depths[si][vv, uu] == 0.0
         count += (valid & (unoccluded | miss)).reshape(gt_q.shape)
     return count
+
+
+def generate_scene(seed: int, n_boxes: int) -> SceneSpec:
+    if n_boxes < 0:
+        raise ValueError("n_boxes must be >= 0")
+    rng = np.random.default_rng(seed)
+    wall_seed = int(rng.integers(1, 2**31 - 1))
+    sector_center = _snap_to_wall_normal(rng.uniform(0.0, 2.0 * np.pi), rng)
+    background = rng.uniform(0.45, 0.75, size=3)
+
+    room_lo = np.array(ROOM_LO)
+    room_hi = np.array(ROOM_HI)
+    boxes: list[TexturedBox] = []
+    attempts = 0
+    rejects = 0
+    while len(boxes) < n_boxes:
+        attempts += 1
+        if attempts > 20000:
+            raise RuntimeError(f"could not place {n_boxes} boxes after {attempts} attempts")
+        if rejects > 250:
+            # Earlier boxes can block the remaining sector; restart the layout.
+            boxes.clear()
+            rejects = 0
+        sector_half = 12.0 if n_boxes <= 2 else 26.0
+        azim = sector_center + rng.uniform(-np.deg2rad(sector_half), np.deg2rad(sector_half))
+        radial = rng.uniform(2.0, 2.45)
+        half = np.array(
+            [rng.uniform(0.42, 0.55), rng.uniform(0.42, 0.55), rng.uniform(0.25, 0.295)]
+        )
+        # Alternate boxes between a low and a high band, clearly below or
+        # above the cameras: one horizontal face (whose footprint spans the
+        # whole box) stays visible, and the stacked bands never occlude each
+        # other, so boxes can share the narrow azimuth sector.
+        if len(boxes) % 2 == 0:
+            cz = rng.uniform(FLOOR_MARGIN + half[2], 1.28 - half[2])
+        else:
+            cz = rng.uniform(2.0 + half[2], room_hi[2] - CEILING_MARGIN - half[2])
+        center = np.array([radial * np.cos(azim), radial * np.sin(azim), cz])
+        lo = center - half
+        hi = center + half
+        if np.any(lo[:2] < room_lo[:2] + WALL_MARGIN) or np.any(hi[:2] > room_hi[:2] - WALL_MARGIN):
+            rejects += 1
+            continue
+        if _aabb_xy_clearance(lo, hi) < CAMERA_CLEAR_RADIUS:
+            rejects += 1
+            continue
+        pad = BOX_GAP / 2.0
+        clash = any(
+            np.all(lo - pad < b.hi + pad) and np.all(hi + pad > b.lo - pad) for b in boxes
+        )
+        if clash:
+            rejects += 1
+            continue
+        rejects = 0
+        boxes.append(
+            TexturedBox(
+                lo=lo,
+                hi=hi,
+                texture_seed=int(rng.integers(1, 2**31 - 1)),
+                color=rng.uniform(0.2, 0.95, size=3),
+            )
+        )
+    return SceneSpec(
+        room_lo=room_lo,
+        room_hi=room_hi,
+        boxes=tuple(boxes),
+        background=background,
+        wall_seed=wall_seed,
+    )

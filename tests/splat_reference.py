@@ -533,7 +533,8 @@ def stored_forward(splats, view):
 
 def stored_target(color, st, view):
     """The RenderTarget of `view` from stored_forward's colour and state,
-    as `rasterize` forms it; the state is left as it was."""
+    with the np.add.at sums `rasterize` forms in its forward walk, here in
+    a second walk over the stored pairs; the state is left as it was."""
     _, gw, gh = view.scaled(DOWNSAMPLE)
     n_px = gh * gw
     acc = np.zeros(n_px)

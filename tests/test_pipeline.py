@@ -417,6 +417,21 @@ class TestCli:
         metrics = formats.load_metrics(metrics_path)
         assert "depth_rmse_view0" in metrics
 
+    def test_run_prints_the_metrics_text(self, tmp_path, capsys):
+        # `run` prints its metrics as metrics.txt holds them, then where its
+        # artifacts went.
+        scene_dir = write_scene(tmp_path, n_views=3, image_size=(64, 48))
+        out_dir = tmp_path / "results"
+        cfg_path = tmp_path / "config.txt"
+        save_config(cfg_path, small_config())
+        capsys.readouterr()
+        assert cli_main([
+            "--config", str(cfg_path), "--out", str(out_dir), "run", "--scene", str(scene_dir),
+        ]) == 0
+        metrics_text = (out_dir / "metrics.txt").read_text()
+        assert metrics_text
+        assert capsys.readouterr().out == metrics_text + f"artifacts written to {out_dir}\n"
+
     def test_render_subcommand(self, tmp_path):
         scene_dir = tmp_path / "scene"
         out_dir = tmp_path / "refined"

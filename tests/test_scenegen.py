@@ -8,6 +8,7 @@ from mvsweep import scenegen
 from mvsweep.camera import CameraView, Intrinsics, look_at, project
 from scenegen_reference import _box_entry as reference_box_entry
 from scenegen_reference import _room_exit as reference_room_exit
+from scenegen_reference import generate_scene as reference_generate_scene
 from scenegen_reference import multiview_coverage as reference_coverage
 from scenegen_reference import raycast as reference_raycast
 from scenegen_reference import surface_albedo as reference_albedo
@@ -481,6 +482,19 @@ FORWARD_VIEW = CameraView(
 )
 
 
+def _placement(generate, seed, n_boxes):
+    """The bytes of the scene generate(seed, n_boxes) gives, or the message
+    of the RuntimeError it raises."""
+    try:
+        scene = generate(seed, n_boxes)
+    except RuntimeError as err:
+        return str(err)
+    arrays = [scene.room_lo, scene.room_hi, scene.background]
+    arrays += [a for b in scene.boxes for a in (b.lo, b.hi, b.color)]
+    return ([a.tobytes() for a in arrays], scene.wall_seed, scene.walls,
+            [b.texture_seed for b in scene.boxes])
+
+
 class TestAgainstReference:
     """`raycast`, `surface_albedo` and `value_noise` give the bytes of
     `tests/scenegen_reference.py`, the per-corner, per-mask oracle."""
@@ -490,6 +504,15 @@ class TestAgainstReference:
         scene = generate_scene(seed=seed, n_boxes=2)
         for view in make_trajectory(scene, 10, seed=seed):
             assert_raycast_matches_reference(scene, view)
+
+    # 0-2 boxes take the narrow sector, 3 and up the wide one; 3 and 4 boxes
+    # restart their layout on some seeds, and seed 0 cannot place 6.
+    @pytest.mark.parametrize("n_boxes, n_seeds", [(n, 50) for n in (0, 1, 2, 3, 4)] + [(6, 1)])
+    def test_generate_scene(self, n_boxes, n_seeds):
+        for seed in range(n_seeds):
+            got, want = (_placement(fn, seed, n_boxes)
+                         for fn in (generate_scene, reference_generate_scene))
+            assert got == want
 
     def test_boxes_straddling_image_border(self):
         # One box crosses the side border, the other the bottom-side corner.

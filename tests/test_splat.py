@@ -1302,8 +1302,8 @@ def _stored_state_matches(monkeypatch, splats, view):
     forward = splat_module._render_forward
     passes = []  # rasterize's forward pass, kept for the backward pass
 
-    def recording_forward(splats, view):
-        passes.append(forward(splats, view))
+    def recording_forward(*args):
+        passes.append(forward(*args))
         return passes[-1]
 
     with monkeypatch.context() as m:
@@ -1359,6 +1359,24 @@ class TestAgainstStoredState:
             monkeypatch, (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i], 1.0)
         )
         _stored_state_matches(monkeypatch, _source_splats(logits, planes, src_v, src_i), nov_v[0])
+
+    def test_rasterize_walks_the_pairs_once(self, monkeypatch):
+        # rasterize sums alpha and depth in its forward walk: it never lists
+        # a chunk record's pairs again, and its bytes stay the stored-state
+        # engine's.
+        import mvsweep.splat as splat_module
+        import splat_reference as ref
+
+        def no_second_walk(*args):
+            raise AssertionError("rasterize walked the pairs a second time")
+
+        planes, src_v, src_i, nov_v, _, logits = _criterion11_inputs()
+        splats = _source_splats(logits, planes, src_v, src_i)
+        monkeypatch.setattr(splat_module, "_pairs", no_second_walk)
+        rt = rasterize(splats, nov_v[0])
+        ref_rt = ref.stored_target(*ref.stored_forward(splats, nov_v[0]), nov_v[0])
+        for image in ("color", "depth", "alpha"):
+            assert getattr(rt, image).tobytes() == getattr(ref_rt, image).tobytes()
 
     def test_budget_scene_in_small_chunks(self, monkeypatch):
         # The first novel view in chunks of 64 bbox pixels: about 9,400

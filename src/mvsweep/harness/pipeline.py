@@ -77,7 +77,6 @@ class PipelineResult:
     volume: VoxelGrid
     boxes: list[Box3D]
     metrics: dict[str, float]
-    refined_views: list[int] | None = None
     loss_trace: list[float] | None = None
     splats: GaussianSplatSet | None = None
 
@@ -270,7 +269,7 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         )
         volumes[i] = cost_to_probability(vol, temperature=config.temperature)
 
-    refined_views = loss_trace = splats = None
+    loss_trace = splats = None
     if refine:
         selected: set[int] = set()
         for nv in novel_idx:
@@ -316,7 +315,6 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
         volume=grid,
         boxes=boxes,
         metrics=metrics,
-        refined_views=refined_views,
         loss_trace=loss_trace,
         splats=splats,
     )

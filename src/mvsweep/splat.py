@@ -25,15 +25,15 @@ Rendering is split in two.  The forward pass (_render_forward) projects the
 primitives, walks them front to back in chunks, and composites each chunk's
 pairs, sorted by pixel, on top of a running per-pixel log-transmittance,
 skipping the pixels already saturated; `rasterize` and the refinement loss
-both run it, and for `rasterize` the same walk sums each pixel's alpha and
-depth from the blend weights it composites with.  It returns a compact
-per-view state.  Per kept primitive it keeps the depth, 2D mean, inverse 2D
-covariance, opacity and colour; the camera-frame centers, Jacobian entries
-and 2D covariances die once the footprints are formed.  Its per-pair arrays
-are kept chunk by chunk: for each chunk, front to back, its composited
-pairs' primitive and transmittance, in pixel order, and the pixel id and
-pair count of each pixel's run of them, 12 bytes per pair and 8 per run.
-The backward pass (_render_backward) walks those chunks back to front, as 3D
+both run it.  For `rasterize` the same walk sums each pixel's alpha and
+depth from the blend weights it composites with, and hands on nothing
+else.  For the refinement it hands on only its chunk records: for each
+chunk, front to back, its composited pairs' primitive and transmittance, in
+pixel order, and the pixel id and pair count of each pixel's run of them,
+12 bytes per pair and 8 per run.  No per-primitive array is handed on: the
+backward pass (_render_backward) forms the depths, 2D means, inverse 2D
+covariances, opacities and colours again with the forward pass's own
+operations (_primitives), then walks the chunk records back to front, as 3D
 Gaussian Splatting walks each pixel's list, with a running per-pixel total
 of the colour arriving from behind, so no per-pair array of it spans more
 than one chunk.  Like 3D Gaussian Splatting's backward pass it recomputes
@@ -55,10 +55,11 @@ calling thread and each further view on a pool with one worker thread per
 further view, which lives for that evaluation (numpy releases the
 interpreter lock inside its array operations).  With 3 or more novel views
 a view's backward pass may run on another worker than its forward pass;
-the pass reads only the state it is handed.  Every pass computes exactly
-what it computes alone, and the sums are formed on the calling thread in
-view order, so the results are the same to the bit as one thread running
-every pass in turn, however the threads interleave.
+the pass reads only the splats, the view and the chunk records it is
+handed.  Every pass computes exactly what it computes alone, and the sums
+are formed on the calling thread in view order, so the results are the
+same to the bit as one thread running every pass in turn, however the
+threads interleave.
 """
 
 from __future__ import annotations
@@ -379,8 +380,12 @@ def _composite_chunk(alphas, colors, z, log_t, color, sums, listing):
     kept pairs' blend weights w and w * z are added into them with
     np.add.at, which adds each pixel's pairs in turn, front to back.
 
-    Returns the chunk's record for the _ViewState, or None when it lists no
-    pair.  The listing and every per-pair temporary die on return.
+    Without `sums`, returns the chunk's record (prim, run_px, run_len,
+    trans) of its composited pairs in pixel order, which the backward pass
+    reads: each pair's primitive (int32) and transmittance, and the pixel
+    id and pair count of each run, one pixel's pairs (int32), 12 bytes per
+    pair and 8 per run.  With `sums`, or when the chunk lists no pair, it
+    returns None.  The listing and every per-pair temporary die on return.
     """
     prim, pid, g = listing
     if not pid.size:
@@ -416,59 +421,46 @@ def _composite_chunk(alphas, colors, z, log_t, color, sums, listing):
         np.add.at(sums[0], k_pid, w)
         w *= z.take(k_prim)
         np.add.at(sums[1], k_pid, w)
+        return None
     # Each run keeps a prefix of its pairs, at least one: its kept length.
     return (k_prim.astype(np.int32), run_px.astype(np.int32),
             np.add.reduceat(kept, start, dtype=np.int32), trans)
 
 
-@dataclass
-class _ViewState:
-    """What the backward pass reads from one view's forward pass.
-
-    Per kept primitive: the keep mask over all primitives, depth, 2D means,
-    the inverse 2D covariance entries, opacities and colours (channel-major,
-    (3, n)).  The camera-frame centers and the Jacobian entries are read
-    only after the chunks, so the backward pass reprojects them then
-    instead of the state holding them through both passes.
-    `chunks` lists the forward pass's chunks front to back, each as the
-    record (prim, run_px, run_len, trans) of its composited pairs in pixel
-    order: each pair's primitive (int32) and transmittance, and the pixel
-    id and pair count of each run, one pixel's pairs (int32), 12 bytes per
-    pair and 8 per run.  Every primitive's pairs lie in one chunk.  Pixel
-    ids, falloffs, alpha_eff, the blend weight and the pixel offsets are
-    recomputed from these by _pairs and _opacity in the backward pass, so
-    they are not kept.
-    """
-
-    keep: np.ndarray
-    z: np.ndarray
-    mean2d: np.ndarray
-    inv: tuple
-    alphas: np.ndarray
-    colors: np.ndarray
-    chunks: list
+def _primitives(splats: GaussianSplatSet, view: CameraView):
+    """Per kept (in-front) primitive, what the passes read: (keep, z, mean2d,
+    inv, alphas, colors, bbox), the keep mask over all primitives, depth, 2D
+    mean, inverse 2D covariance, opacity, colour (channel-major, (3, n), for
+    per-channel gathers) and the bbox of _footprints, which only the forward
+    pass reads.  Both passes call it, so the backward pass gets the forward
+    pass's bits without either pass handing them on; the camera-frame
+    centers, Jacobian entries and 2D covariances die here."""
+    keep, _, z, mean2d, cov2d, _, _, gw, gh = _project_gaussians(splats, view)
+    bbox, inv = _footprints(mean2d, cov2d, gw, gh)
+    colors = np.ascontiguousarray(splats.colors[keep].T)
+    return keep, z, mean2d, inv, splats.opacities[keep], colors, bbox
 
 
-def _pairs(st: _ViewState, prim, run_px, run_len, gw):
+def _pairs(mean2d, inv, prim, run_px, run_len, gw):
     """A chunk record's pairs, for the backward pass: primitive and pixel id
     (intp), the pixel's offsets dx, dy from the primitive's 2D mean, and the
-    falloff g.  g is recomputed with _pair_chunk's operations on the same
-    operands in its order, dx^2 inv00 + ((2 dx) dy) inv01 + dy^2 inv11,
-    halved, then exp(-power), so it has the bits the forward pass
-    composited with.  `rasterize` never calls it: its alpha and depth are
-    summed in the forward walk."""
+    falloff g, from the record and the 2D means and inverse 2D covariances
+    of _primitives.  g is recomputed with _pair_chunk's operations on the
+    same operands in its order, dx^2 inv00 + ((2 dx) dy) inv01 + dy^2
+    inv11, halved, then exp(-power), so it has the bits the forward pass
+    composited with."""
     prim = prim.astype(np.intp)
     pid = np.repeat(run_px.astype(np.intp), run_len)
-    dx = np.subtract(np.repeat(run_px % gw, run_len), st.mean2d[:, 0].take(prim))
-    dy = np.subtract(np.repeat(run_px // gw, run_len), st.mean2d[:, 1].take(prim))
+    dx = np.subtract(np.repeat(run_px % gw, run_len), mean2d[:, 0].take(prim))
+    dy = np.subtract(np.repeat(run_px // gw, run_len), mean2d[:, 1].take(prim))
     g = np.square(dx)
-    g *= st.inv[0].take(prim)
+    g *= inv[0].take(prim)
     t = np.multiply(dx, 2.0)
     t *= dy
-    t *= st.inv[1].take(prim)
+    t *= inv[1].take(prim)
     g += t
     np.square(dy, out=t)
-    t *= st.inv[2].take(prim)
+    t *= inv[2].take(prim)
     g += t
     g *= 0.5
     np.exp(np.negative(g, out=g), out=g)
@@ -490,30 +482,29 @@ def _render_forward(splats: GaussianSplatSet, view: CameraView, sums=None):
     whose incoming transmittance is below T_MIN is dropped, so each run
     keeps a prefix of its pairs, at least one, since saturated pixels are
     skipped; its pixel id and kept length stand for the pixel ids of its
-    pairs.  Each chunk's record is appended to the state's chunk list, and
-    its colours added to the image while the chunk is in cache; nothing is
-    allocated per bbox pixel of the whole view.  map hands each chunk's
-    listing to _composite_chunk and keeps no reference to it, so it dies
-    before the next chunk is listed.
+    pairs.  Each chunk's colours are added to the image while the chunk is
+    in cache; nothing is allocated per bbox pixel of the whole view.  map
+    hands each chunk's listing to _composite_chunk and keeps no reference
+    to it, so it dies before the next chunk is listed.
 
     `sums`, which only `rasterize` passes, holds its alpha and depth
     numerator accumulators, each (n_px,): each chunk adds its kept pairs'
-    blend weights into them in the same walk (see _composite_chunk).  The
-    refinement passes none, so its passes sum nothing more.
+    blend weights into them in the same walk (see _composite_chunk) and
+    builds no record.  The refinement passes none, so its passes sum
+    nothing more.
 
-    Returns the (n_px, 3) colour image and the _ViewState the backward pass
-    reads.
+    Returns the (n_px, 3) colour image and the list of chunk records, front
+    to back, that _composite_chunk built (empty with `sums`): all that the
+    backward pass reads from this pass.  The per-primitive arrays die on
+    return.
     """
-    keep, _, z, mean2d, cov2d, _, _, gw, gh = _project_gaussians(splats, view)
-    alphas = splats.opacities[keep]
-    colors = np.ascontiguousarray(splats.colors[keep].T)  # (3, n) for per-channel gathers
-    bbox, inv = _footprints(mean2d, cov2d, gw, gh)
-    del cov2d
+    _, gw, gh = view.scaled(DOWNSAMPLE)
+    _, z, mean2d, inv, alphas, colors, bbox = _primitives(splats, view)
     log_t = np.zeros(gh * gw)
     color = np.zeros((gh * gw, 3))
     composite = partial(_composite_chunk, alphas, colors, z, log_t, color, sums)
-    chunks = [c for c in map(composite, _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t)) if c]
-    return color, _ViewState(keep, z, mean2d, inv, alphas, colors, chunks)
+    listings = _pixel_chunks(mean2d, z, bbox, inv, gw, gh, log_t)
+    return color, [c for c in map(composite, listings) if c]
 
 
 def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
@@ -543,54 +534,61 @@ def rasterize(splats: GaussianSplatSet, view: CameraView) -> RenderTarget:
 # ---------------------------------------------------------------------------
 
 
-def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState, d_color):
-    """The backward pass of one view's L2 rendering loss from its forward
-    state `st` and dL/d(colour image) `d_color` (n_px, 3).
+def _render_backward(splats: GaussianSplatSet, view: CameraView, chunks: list, d_color):
+    """The backward pass of one view's L2 rendering loss from the chunk
+    records `chunks` of its forward pass over `splats` and dL/d(colour
+    image) `d_color` (n_px, 3).
 
     Returns (d_means (N, 3), d_alphas (N,), d_sigmas (N,)).
 
+    The forward pass hands on nothing per primitive: _primitives forms the
+    kept primitives' depths, 2D means, inverse 2D covariances, opacities and
+    colours again, with the forward pass's operations on the same operands,
+    so they have its bits.
+
     The colour gradient is constant over a pixel's pairs, so the colour
     that later pairs blend in enters as one scalar suffix sum of
-    w * (d_color . colour).  The pass walks the forward state's chunks back
-    to front, as 3D Gaussian Splatting walks each pixel's list, popping each
-    chunk off the state: within a chunk, a pair's suffix is the rest of its
+    w * (d_color . colour).  The pass walks the chunk records back to
+    front, as 3D Gaussian Splatting walks each pixel's list, popping each
+    off the list: within a chunk, a pair's suffix is the rest of its
     run (one pixel's pairs) from the chunk's own cumulative sum, plus
     `behind`, a running per-pixel total of the chunks already walked, to
     which the chunk's run totals are then added.  No per-pair array spans
     more than one chunk.  Pairs the saturation rule dropped are not in the
-    state and contribute nothing.  Per-pair terms are summed per primitive
-    as moments of the pixel offsets, which the primitive's inverse
-    covariance P then maps in closed form: d_mean2d = P m and
+    records and contribute nothing.  Per-pair terms are summed per
+    primitive as moments of the pixel offsets, which the primitive's
+    inverse covariance P then maps in closed form: d_mean2d = P m and
     d_cov2d = P M P / 2, with m and M the first and (symmetric) second
     moments.  Every primitive's pairs lie in one chunk, so adding each
     chunk's per-primitive sums to those of the others is exact.
 
     Each chunk record's runs give its pixel ids and run ends; _pairs
     recomputes the pixel offsets and the falloff g, and alpha_eff and w
-    come from _opacity and the stored transmittance, all with the forward
-    pass's own operations, so the gradients do not depend on what the
-    forward pass kept.  Products are formed in place; each is a product of
-    the same two operands as in a direct evaluation.  After the chunks,
-    _project_gaussians reprojects the camera-frame centers and Jacobian
-    entries, which the forward pass dropped, with the same operations on
-    the same operands, so they have the forward pass's bits.
+    come from _opacity and the recorded transmittance, all with the
+    forward pass's own operations, so the gradients do not depend on what
+    the forward pass kept.  Products are formed in place; each is a
+    product of the same two operands as in a direct evaluation.  After the
+    chunks, _project_gaussians reprojects the camera-frame centers and
+    Jacobian entries, which _primitives dropped, with the same operations
+    on the same operands, so they have the forward pass's bits.
     """
     k, gw, gh = view.scaled(DOWNSAMPLE)
-    n_kept = st.z.size
+    keep, z, mean2d, inv, alphas, colors = _primitives(splats, view)[:6]  # the bboxes die here
+    n_kept = z.size
     # Per kept primitive: dL/d(opacity), then the sums over its pairs of
     # u dx, u dx^2, u dx dy, u dy and u dy^2 (see below).
     sums = np.zeros((6, n_kept))
     behind = np.zeros(gh * gw)
-    while st.chunks:
-        prim, run_px, run_len, trans = st.chunks.pop()
-        prim, pid, dx, dy, g = _pairs(st, prim, run_px, run_len, gw)
+    while chunks:
+        prim, run_px, run_len, trans = chunks.pop()
+        prim, pid, dx, dy, g = _pairs(mean2d, inv, prim, run_px, run_len, gw)
         # q = d_color . colour per pair, summed from 0 one channel at a time.
         q = np.zeros(prim.size)
-        for dc, col in zip(d_color.T, st.colors):
+        for dc, col in zip(d_color.T, colors):
             t = dc.take(pid)
             t *= col.take(prim)
             q += t
-        alpha_eff, clamped = _opacity(st.alphas, prim, g)
+        alpha_eff, clamped = _opacity(alphas, prim, g)
         wq = alpha_eff * trans
         wq *= q
         # u = dL/d(opacity) per pair = g * dL/d(alpha_eff) off the clamp, with
@@ -626,9 +624,9 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         dy *= uy
         sums[5] += np.bincount(prim, weights=dy, minlength=n_kept)
     d_alpha_kept = sums[0]
-    m_x, m_xx, m_xy, m_y, m_yy = st.alphas * sums[1:]
+    m_x, m_xx, m_xy, m_y, m_yy = alphas * sums[1:]
 
-    inv00, inv01, inv11 = st.inv
+    inv00, inv01, inv11 = inv
     d_mean0 = inv00 * m_x + inv01 * m_y
     d_mean1 = inv01 * m_x + inv11 * m_y
     d_cov00 = 0.5 * (inv00 * inv00 * m_xx + 2.0 * inv00 * inv01 * m_xy + inv01 * inv01 * m_yy)
@@ -641,7 +639,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     # with J = [[j00, 0, j02], [0, j11, j12]]: d_jac = 2 sigma^2 D J, and
     # the isotropic world covariance takes the trace of d_cov_cam = J^T D J.
     _, x_cam, _, _, _, (j00, j02, j11, j12), _, _, _ = _project_gaussians(splats, view)
-    sigma = splats.sigmas[st.keep]
+    sigma = splats.sigmas[keep]
     two_s2 = 2.0 * sigma**2
     d_j00 = two_s2 * d_cov00 * j00
     d_j02 = two_s2 * (d_cov00 * j02 + d_cov01 * j12)
@@ -654,7 +652,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
     )
 
     fx, fy = k.fx, k.fy
-    x, y, z = x_cam[:, 0], x_cam[:, 1], st.z
+    x, y = x_cam[:, 0], x_cam[:, 1]
     z2 = z * z
     d_xcam = np.stack(
         [
@@ -670,7 +668,7 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
         axis=1,
     )
 
-    keep_idx = np.flatnonzero(st.keep)
+    keep_idx = np.flatnonzero(keep)
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
@@ -682,11 +680,12 @@ def _render_backward(splats: GaussianSplatSet, view: CameraView, st: _ViewState,
 
 def _view_forward(splats: GaussianSplatSet, view: CameraView, image: np.ndarray):
     """One novel view's forward pass against its quarter-res target: the L2
-    loss, the _ViewState and dL/d(colour image) (n_px, 3)."""
-    color, state = _render_forward(splats, view)
+    loss, the pass's chunk records (all that its backward pass reads of it)
+    and dL/d(colour image) (n_px, 3)."""
+    color, chunks = _render_forward(splats, view)
     _, gw, gh = view.scaled(DOWNSAMPLE)
     diff = color.reshape(gh, gw, 3) - image
-    return float(np.mean(diff * diff)), state, (2.0 / diff.size) * diff.reshape(-1, 3)
+    return float(np.mean(diff * diff)), chunks, (2.0 / diff.size) * diff.reshape(-1, 3)
 
 
 def _check_positive(**params):
@@ -738,10 +737,11 @@ def refinement_loss_and_grad(
     gradient chains softmax -> (depth regression, peak-probability opacity)
     -> splat center and footprint -> projection -> alpha compositing.
 
-    The forward pass runs once per novel view and keeps that view's compact
-    _ViewState; the backward passes run from those states only once the
-    summed loss is known to be at most `max_loss`, each state dropped as
-    its pass consumes it.  There is never a second forward pass, and loss
+    The forward pass runs once per novel view and hands on only that
+    view's chunk records; the backward passes run from those records only
+    once the summed loss is known to be at most `max_loss`, forming the
+    per-primitive values again, and each pass pops its view's records as
+    it walks them.  There is never a second forward pass, and loss
     and gradient are the same to the bit whatever `max_loss` is.  No
     probability volume lives through the passes: softmax(logits) is formed
     for each view's splats and formed again for its softmax VJP.
@@ -773,7 +773,7 @@ def refinement_loss_and_grad(
         if not total_loss <= max_loss:
             return total_loss, None
         view_grads = _per_view(pool, _render_backward, [
-            (splats, view, state, d_color) for view, (_, state, d_color) in zip(novel_views, passes)
+            (splats, view, chunks, dc) for view, (_, chunks, dc) in zip(novel_views, passes)
         ])
 
     # Each gradient summed over the views in view order, from zeros.
@@ -834,7 +834,7 @@ def refine_probability_volume(
     Each trial is one refinement_loss_and_grad call with max_loss set to
     the last kept loss, which is exactly the acceptance rule: a rejected
     trial runs no backward pass, and a kept one gets its gradient from the
-    forward state of that same call.  The last step's gradient is never
+    chunk records of that same call's forward passes.  The last step's gradient is never
     read, so its trials pass max_loss=-inf.  The quarter-res colours of
     the views are computed once, not per evaluation.  Once the logits are
     formed the volumes are not read again, and the list `volumes` is

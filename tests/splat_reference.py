@@ -294,13 +294,13 @@ def refinement_loss_and_grad(
     splats = concat_splats(sets)
 
     total_loss = 0.0
-    states = []
+    records = []
     for view, img in zip(novel_views, novel_images):
-        color, state = _render_forward(splats, view)
+        color, chunks = _render_forward(splats, view)
         _, gw, gh = view.scaled(DOWNSAMPLE)
         diff = color.reshape(gh, gw, 3) - img
         total_loss += float(np.mean(diff * diff))
-        states.append((state, (2.0 / diff.size) * diff.reshape(-1, 3)))
+        records.append((chunks, (2.0 / diff.size) * diff.reshape(-1, 3)))
     if not np.isfinite(total_loss):
         raise ValueError("rendering loss is not finite")
     if not total_loss <= max_loss:
@@ -309,8 +309,8 @@ def refinement_loss_and_grad(
     d_means = np.zeros_like(splats.means)
     d_alphas = np.zeros(len(splats))
     d_sigmas = np.zeros(len(splats))
-    for view, (state, d_color) in zip(novel_views, states):
-        dm, da, ds = _render_backward(splats, view, state, d_color)
+    for view, (chunks, d_color) in zip(novel_views, records):
+        dm, da, ds = _render_backward(splats, view, chunks, d_color)
         d_means += dm
         d_alphas += da
         d_sigmas += ds
@@ -402,10 +402,12 @@ def refine_probability_volume(
 #
 # mvsweep.splat's chunk walk, forward pass, rasterize and backward pass as
 # they ran when the forward state kept four arrays per composited pair:
-# primitive, pixel id, Gaussian falloff g and transmittance.  The engine now
-# keeps the pixel ids run-length encoded and recomputes g; the tests hold it
-# to these functions byte for byte (colour image, every RenderTarget field,
-# loss and gradients).  Projection and footprints are the engine's own.
+# primitive, pixel id, Gaussian falloff g and transmittance.  The engine's
+# forward pass now hands on only chunk records with run-length pixel ids,
+# and its backward pass recomputes g and the per-primitive values; the
+# tests hold it to these functions byte for byte (colour image, every
+# RenderTarget field, loss and gradients).  Projection and footprints are
+# the engine's own.
 
 
 def _stored_pair_chunk(idx, bbox, mean2d, inv, gw, live=None):

@@ -31,6 +31,15 @@ def write_scene(tmp_path, seed=5, n_boxes=1, n_views=4, image_size=(128, 96)):
     return scene_dir
 
 
+class _Swept(Exception):
+    """Raised by _sweep: the run got as far as a plane sweep."""
+
+
+def _sweep(*args, **kwargs):
+    """A stand-in for build_cost_volume that stops the run at its first sweep."""
+    raise _Swept
+
+
 def small_config(**kw):
     defaults = dict(
         grid_dims=(16, 16, 8),
@@ -233,7 +242,7 @@ class TestStreamingDecode:
         scene_dir = write_scene(tmp_path, n_views=6, image_size=(64, 48))
         config = small_config(refine_steps=2, refine_novel_views=1, novel_source_views=3)
         result = run_pipeline(scene_dir, config, refine=True)
-        assert len(volumes) == 5 and len(result.refined_views) == 3
+        assert len(volumes) == 5 and len(np.unique(result.splats.source_view)) == 3
         assert alive and set(alive) == {2}
 
     def test_eval_decodes_no_image(self, tmp_path, monkeypatch):
@@ -306,21 +315,28 @@ class TestRunPipeline:
         # at depth_max 1e6 gives sigmas up to 1.33e10, past the splat
         # loader's 1e10: `refine` names the field before any sweep, while
         # `run`, which places no splat, gets as far as the sweep.
-        class Swept(Exception):
-            pass
-
-        def sweep(*args, **kwargs):
-            raise Swept
-
         scene_dir = write_scene(tmp_path, image_size=(320, 240))
-        monkeypatch.setattr(pipeline, "build_cost_volume", sweep)
+        monkeypatch.setattr(pipeline, "build_cost_volume", _sweep)
         config = PipelineConfig(splat_footprint=1e6, depth_max=1e6)
         message = (r"^splat_footprint=1000000.0 gives splat sigmas up to 1.33333e\+10, "
                    r"more than 1e\+10$")
         with pytest.raises(ValueError, match=message):
             run_pipeline(scene_dir, config, refine=True)
-        with pytest.raises(Swept):
+        with pytest.raises(_Swept):
             run_pipeline(scene_dir, config)
+
+    def test_sweep_cells_checked_before_the_sweep(self, tmp_path, monkeypatch):
+        # 3,496 planes on the default cameras' 80x60 quarter grid is one
+        # plane past MAX_VOXELS sweep cells: the run names the field before
+        # any sweep, and one plane fewer gets as far as the sweep.
+        scene_dir = write_scene(tmp_path, image_size=(320, 240))
+        monkeypatch.setattr(pipeline, "build_cost_volume", _sweep)
+        message = (r"^num_planes=3496 on a 80x60 quarter grid gives 16780800 sweep cells, "
+                   r"more than 16777216$")
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(scene_dir, PipelineConfig(num_planes=3496))
+        with pytest.raises(_Swept):
+            run_pipeline(scene_dir, PipelineConfig(num_planes=3495))
 
     def test_byte_identical_reruns(self, tmp_path):
         scene_dir = write_scene(tmp_path, n_boxes=1, n_views=3)
@@ -356,7 +372,7 @@ class TestRunPipeline:
         out = tmp_path / "out"
         config = small_config(refine_steps=2, refine_novel_views=2)
         result = run_pipeline(scene_dir, config, out_dir=out, refine=True)
-        assert result.refined_views
+        assert np.unique(result.splats.source_view).size
         assert result.loss_trace is not None
         assert all(
             result.loss_trace[i + 1] <= result.loss_trace[i]

@@ -678,7 +678,7 @@ def _composited_pairs(splats, view):
     """The number of pairs the forward pass composites, over its chunks."""
     import mvsweep.splat as splat_module
 
-    return sum(prim.size for prim, _, _, _ in splat_module._render_forward(splats, view)[1].chunks)
+    return sum(prim.size for prim, _, _, _ in splat_module._render_forward(splats, view)[1])
 
 
 def _pixel_sorted(chunks):
@@ -906,10 +906,10 @@ class TestAgainstReference:
         render_forward = splat_module._render_forward
 
         def recording_forward(splats, view):
-            color, state = render_forward(splats, view)
-            runs = [run_px for _, run_px, _, _ in state.chunks]  # each chunk's run pixels
+            color, chunks = render_forward(splats, view)
+            runs = [run_px for _, run_px, _, _ in chunks]  # each chunk's run pixels
             passes.append((len(runs), sum(int(a[-1] == b[0]) for a, b in zip(runs, runs[1:]))))
-            return color, state
+            return color, chunks
 
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
         monkeypatch.setattr(splat_module, "_render_forward", recording_forward)
@@ -1289,27 +1289,18 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def _stored_state_matches(monkeypatch, splats, view):
-    """Hold one view's rasterize, the colour image and state of its forward
-    pass, and the backward pass from that state (with a random dL/d(colour
-    image)) to splat_reference's stored-state engine, byte for byte.
-    Returns that engine's chunk count, the pixels that straddle a chunk cut
-    (the last of one chunk and the first of the next) and the pixels that
-    saturate."""
+def _stored_state_matches(splats, view):
+    """Hold one view's rasterize, the colour image of its forward pass, and
+    the backward pass from that pass's chunk records (with a random
+    dL/d(colour image)) to splat_reference's stored-state engine, byte for
+    byte.  Returns that engine's chunk count, the pixels that straddle a
+    chunk cut (the last of one chunk and the first of the next) and the
+    pixels that saturate."""
     import mvsweep.splat as splat_module
     import splat_reference as ref
 
-    forward = splat_module._render_forward
-    passes = []  # rasterize's forward pass, kept for the backward pass
-
-    def recording_forward(*args):
-        passes.append(forward(*args))
-        return passes[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(splat_module, "_render_forward", recording_forward)
-        rt = rasterize(splats, view)
-    (color, state), = passes
+    rt = rasterize(splats, view)
+    color, chunks = splat_module._render_forward(splats, view)
     ref_color, ref_state = ref.stored_forward(splats, view)
     ref_rt = ref.stored_target(ref_color, ref_state, view)
     assert color.tobytes() == ref_color.tobytes()
@@ -1318,7 +1309,7 @@ def _stored_state_matches(monkeypatch, splats, view):
     pids = [pid for _, pid, _, _ in ref_state.chunks]
     straddles = sum(int(a[-1] == b[0]) for a, b in zip(pids, pids[1:]))
     d_color = np.random.default_rng(7).normal(0.0, 1e-3, color.shape)
-    grads = splat_module._render_backward(splats, view, state, d_color)
+    grads = splat_module._render_backward(splats, view, chunks, d_color)
     ref_grads = ref.stored_backward(splats, view, ref_state, d_color)
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
     return len(pids), straddles, int(np.count_nonzero(ref_rt.alpha > 1.0 - T_MIN))
@@ -1349,16 +1340,17 @@ def _source_splats(logits, planes, src_v, src_i):
 
 
 class TestAgainstStoredState:
-    """The forward state keeps run-length pixel ids and recomputes each
-    pair's falloff; the engine that stored both per pair
-    (splat_reference.stored_*) is its yardstick, to the byte."""
+    """The forward pass's chunk records keep run-length pixel ids and the
+    backward pass recomputes each pair's falloff; the engine that stored
+    both per pair (splat_reference.stored_*) is its yardstick, to the
+    byte."""
 
     def test_criterion11_inputs(self, monkeypatch):
         planes, src_v, src_i, nov_v, nov_i, logits = _criterion11_inputs()
         _assert_loss_and_grad_match_stored(
             monkeypatch, (logits, planes, src_v, src_i, nov_v, [block_mean(i) for i in nov_i], 1.0)
         )
-        _stored_state_matches(monkeypatch, _source_splats(logits, planes, src_v, src_i), nov_v[0])
+        _stored_state_matches(_source_splats(logits, planes, src_v, src_i), nov_v[0])
 
     def test_rasterize_walks_the_pairs_once(self, monkeypatch):
         # rasterize sums alpha and depth in its forward walk: it never lists
@@ -1378,6 +1370,25 @@ class TestAgainstStoredState:
         for image in ("color", "depth", "alpha"):
             assert getattr(rt, image).tobytes() == getattr(ref_rt, image).tobytes()
 
+    def test_rasterize_builds_no_record(self):
+        # With rasterize's accumulators the forward walk hands on no chunk
+        # record, and its colour and sums keep the stored-state engine's
+        # bytes.
+        import mvsweep.splat as splat_module
+        import splat_reference as ref
+
+        planes, src_v, src_i, nov_v, _, logits = _criterion11_inputs()
+        splats = _source_splats(logits, planes, src_v, src_i)
+        view = nov_v[0]
+        _, gw, gh = view.scaled(DOWNSAMPLE)
+        acc, depth_num = np.zeros(gh * gw), np.zeros(gh * gw)
+        color, chunks = splat_module._render_forward(splats, view, (acc, depth_num))
+        assert chunks == []
+        ref_rt = ref.stored_target(*ref.stored_forward(splats, view), view)
+        assert color.tobytes() == ref_rt.color.tobytes()
+        assert acc.tobytes() == ref_rt.alpha.tobytes()
+        assert rasterize(splats, view).depth.tobytes() == ref_rt.depth.tobytes()
+
     def test_budget_scene_in_small_chunks(self, monkeypatch):
         # The first novel view in chunks of 64 bbox pixels: about 9,400
         # chunks, some pixels saturated and some straddling a chunk cut.
@@ -1386,43 +1397,52 @@ class TestAgainstStoredState:
         monkeypatch.setattr(splat_module, "PAIR_CHUNK", 64)
         logits, planes, src_v, src_i, nov_v, _ = _budget_inputs()
         splats = _source_splats(logits, planes, src_v, src_i)
-        chunks, straddles, saturated = _stored_state_matches(monkeypatch, splats, nov_v[0])
+        chunks, straddles, saturated = _stored_state_matches(splats, nov_v[0])
         assert chunks >= 20 and straddles >= 1 and saturated >= 1
 
-    def test_two_pass_radix_grid(self, monkeypatch):
+    def test_two_pass_radix_grid(self):
         # A 260x260 quarter grid: pixel ids above 65,535 take the radix
         # sort's second pass.
         view = grid_view(1040, 1040, f=520.0)
         splats = _random_splats(np.random.default_rng(1040), 400, view, np.array([1.0, 2.0]))
-        _stored_state_matches(monkeypatch, splats, view)
+        _stored_state_matches(splats, view)
 
     @pytest.mark.parametrize("mu, sigma", TestDegenerateFootprints.FAR_SPLATS)
-    def test_degenerate_footprints(self, monkeypatch, mu, sigma):
+    def test_degenerate_footprints(self, mu, sigma):
         view = CameraView(Intrinsics(300.0, 300.0, 159.5, 119.5), identity_pose(), 320, 240)
         normal = single_splat(ray_point(view, 40, 30, 2.0), alpha=0.7, sigma=0.05)
         far = single_splat(mu, sigma=sigma)
         for pair in ([normal, far], [far, normal]):
-            _stored_state_matches(monkeypatch, concat_splats(pair), view)
+            _stored_state_matches(concat_splats(pair), view)
 
 
 class TestMemoryBudget:
     # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
-    # or not: for one loss-and-gradient evaluation per pair summed over both
-    # novel views (measured 19.7-21.5 with no probabilities held through the
-    # passes and the camera-frame centers, Jacobian entries and 2D
-    # covariances dropped after the footprints; 23.0-24.6 with them held,
-    # 34.1-36.8 with pixel ids and falloffs stored per pair, 57.4-61.9 when
-    # the backward pass walked the whole view's pairs at once, 51.2 with one
-    # view after the other, 64.9 before the saturation rule), and for one
-    # rasterize per pair of its view (measured 18.7; 20.2 with the
-    # projection held, 32.7 with pixel ids and falloffs stored per pair, 55.6
-    # with view-sized int32 pair arrays, 66.8 with int64 ones, 63.0 before
-    # the saturation rule).  The fused render-and-backward pass of an older
-    # engine peaked at 90.7 and 119.7 on the same scene.  Each bound is the
-    # largest measurement plus about 15%.
+    # or not, measured in this test's order, loss and gradient first: for
+    # one loss-and-gradient evaluation per pair summed over both novel views
+    # (measured 20.9-22.2 over five fresh processes and two runs of this
+    # file, the views' passes overlapping on two threads, with the forward
+    # pass handing on only its chunk records and no probabilities held
+    # through the passes; 19.9-22.2 with its per-primitive arrays handed on
+    # too; 23.0-24.6 with the camera-frame centers, Jacobian entries and 2D
+    # covariances held, 34.1-36.8 with pixel ids and falloffs stored per
+    # pair, 57.4-61.9 when the backward pass walked the whole view's pairs
+    # at once, 51.2 with one view after the other, 64.9 before the
+    # saturation rule), and for one
+    # rasterize per pair of its view (measured 14.22 with the forward walk
+    # summing alpha and depth and building no chunk record, 16.04 as the
+    # first render of a fresh process; 18.04 with the records built and
+    # dropped, 20.2 with the projection held, 32.7 with pixel ids and
+    # falloffs stored per pair, 55.6 with view-sized int32 pair arrays, 66.8
+    # with int64 ones, 63.0 before the saturation rule).  The fused
+    # render-and-backward pass of an older engine peaked at 90.7 and 119.7
+    # on the same scene.  The rasterize bound is its measurement in this
+    # test's order plus about 15%, rounded up (16.35 to 17); the
+    # loss-and-gradient bound, set that way at 21.5, keeps about 12% over
+    # the largest measurement now.
     LOSS_AND_GRAD_BYTES_PER_PAIR = 25
-    RASTERIZE_BYTES_PER_PAIR = 22
-    # Bytes of the forward state's chunk records per composited pair: 12 per
+    RASTERIZE_BYTES_PER_PAIR = 17
+    # Bytes of the forward pass's chunk records per composited pair: 12 per
     # pair (int32 primitive, float64 transmittance) and 8 per run (int32
     # pixel id and pair count).  Measured 12.70 and 12.68 on the two views;
     # 24.00 with each pair's pixel id and falloff stored.
@@ -1449,7 +1469,7 @@ class TestMemoryBudget:
         logits, planes, src_v, src_i, nov_v, _ = _budget_inputs()
         splats = _source_splats(logits, planes, src_v, src_i)
         for view in nov_v:
-            chunks = _render_forward(splats, view)[1].chunks
+            chunks = _render_forward(splats, view)[1]
             composited = sum(record[0].size for record in chunks)
             assert composited > 0
             state_bytes = sum(a.nbytes for record in chunks for a in record)

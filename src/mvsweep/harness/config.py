@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, fields
 
 from mvsweep.costvol import DepthPlanes
-from mvsweep.harness.formats import load_text, save_text
+from mvsweep.harness.formats import _blame, _records, load_text, save_text
 from mvsweep.sampling import VoxelGridSpec
 
 # The largest voxel grid a config may ask for; its (nx, ny, nz, 3) centers
@@ -124,43 +124,41 @@ def _parse_type(f):
 
 
 def config_to_text(config: PipelineConfig) -> str:
-    """Flat key=value listing, one field per line, full float precision."""
-    lines = []
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, tuple):
-            lines.append(f"{f.name}={','.join(repr(x) for x in v)}")
-        else:
-            lines.append(f"{f.name}={v!r}")
+    """Flat key=value listing, one field per line, full float precision; a
+    tuple field's items are comma-separated."""
+    lines = [f"{f.name}={','.join(repr(v) for v in _values(getattr(config, f.name)))}"
+             for f in fields(config)]
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> PipelineConfig:
-    """Parse a key=value listing; unknown keys are errors."""
+    """Parse a key=value listing, read as the other text records are: blank
+    lines are skipped, each line is stripped, and `#` lines are comments.
+    Unknown and duplicate keys are errors, and every error names its line."""
     known = {f.name: f for f in fields(PipelineConfig)}
     values, line_of = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for ln, line in _records(text):
+        if line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in known:
-            raise ValueError(f"line {ln}: unknown config key {key!r}")
-        if key in values:
-            raise ValueError(f"line {ln}: duplicate config key {key!r}")
-        # Integers parse as int(token), as config_to_text writes them.
-        cast = _parse_type(known[key])
-        try:
-            if isinstance(known[key].default, tuple):
-                values[key] = tuple(cast(p) for p in val.split(","))
-            else:
-                values[key] = cast(val)
-        except ValueError:
-            raise ValueError(f"line {ln}: {key}={val!r} is not a valid {cast.__name__}") from None
+        with _blame(f"line {ln}"):
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, _, val = line.partition("=")
+            key = key.strip()
+            val = val.strip()
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"duplicate config key {key!r}")
+            # Integers parse as int(token), as config_to_text writes them.
+            cast = _parse_type(known[key])
+            try:
+                if isinstance(known[key].default, tuple):
+                    values[key] = tuple(cast(p) for p in val.split(","))
+                else:
+                    values[key] = cast(val)
+            except ValueError:
+                raise ValueError(f"{key}={val!r} is not a valid {cast.__name__}") from None
         line_of[key] = ln
     try:
         return PipelineConfig(**values)

@@ -247,12 +247,6 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
     # Each image is decoded where it is used and dropped right after, so at
     # most one full-res image is alive at a time.
     features = {i: extract_features(formats.load_ppm(scene.image_paths[i])) for i in det_idx}
-    if refine:
-        # Refinement and its splats read quarter-res colours only: a
-        # detection view's are its features' first three channels (the block
-        # mean of its image, to the bit), a novel view's one block mean.
-        colors = {i: features[i][..., :3] for i in det_idx}
-        colors.update((i, block_mean(formats.load_ppm(scene.image_paths[i]))) for i in novel_idx)
 
     # Per-reference plane sweep over its nearest detection-view sources.
     det_views = [views[i] for i in det_idx]
@@ -276,24 +270,26 @@ def run_pipeline(scene_dir, config: PipelineConfig, out_dir=None, refine: bool =
             picks = nearest_views(det_views, views[nv], min(config.novel_source_views, len(det_views)))
             selected.update(det_idx[p] for p in picks)
         refined_views = sorted(selected)
-        # Popped, not kept here: refinement drops them once it has the
-        # logits, and the refined volumes take their place.
-        result = refine_probability_volume(
+        # The volumes are popped, not kept here: refinement drops them once
+        # it has the logits, and the refined volumes take their place.  It
+        # reads quarter-res colours only: a refined view's are its features'
+        # first three channels (the block mean of its image, to the bit), a
+        # novel view's the block mean of its image, decoded here.
+        refined = refine_probability_volume(
             [volumes.pop(i) for i in refined_views],
             planes,
             [views[i] for i in refined_views],
-            [colors[i] for i in refined_views],
+            [features[i][..., :3] for i in refined_views],
             [views[i] for i in novel_idx],
-            [colors[i] for i in novel_idx],
+            [block_mean(formats.load_ppm(scene.image_paths[i])) for i in novel_idx],
             steps=config.refine_steps,
             step_size=config.refine_step_size,
             footprint_scale=config.splat_footprint,
         )
-        volumes.update(zip(refined_views, result.volumes))
-        loss_trace, splats = result.loss_trace, result.splats
+        volumes.update(zip(refined_views, refined.volumes))
+        loss_trace, splats = refined.loss_trace, refined.splats
         # The refinement numbers its sources by position; the artifact by view.
         splats.source_view = np.asarray(refined_views)[splats.source_view]
-        del colors  # views into `features`, which would keep them alive
 
     depth_maps = {i: regress_depth(volumes[i], planes) for i in det_idx}
     proposals = {i: sample_topk(volumes[i], planes, config.top_k) for i in det_idx}

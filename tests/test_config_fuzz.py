@@ -8,6 +8,9 @@ worker process, which generates a 4-view 64x48 scene once and limits its own
 address space (`resource.setrlimit` on itself; nothing outside it changes),
 so a run that asks for gigabytes fails fast with a MemoryError instead of
 paging.  Warnings are errors, in the test and in the worker.
+
+The same draws hold the config listing's writer and reader to
+`tests/config_reference.py`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from mvsweep.harness.config import PipelineConfig, config_to_text
+from mvsweep.harness.config import PipelineConfig, config_from_text, config_to_text
+
+import config_reference
+from config_reference import outcome
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -106,11 +112,15 @@ def _names_a_field(message: str) -> bool:
     return any(re.search(rf"\b{name}\b", message) for name in NAMES)
 
 
-@settings(max_examples=200, deadline=None)
-@given(changes=st.lists(
+# Up to three (field, value) changes to BASE.
+CHANGES = st.lists(
     st.sampled_from(NAMES).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(VALUES[n]))),
     max_size=3, unique_by=lambda change: change[0],
-))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=CHANGES)
 @example(changes=[("num_planes", 10**7)])
 @example(changes=[("splat_footprint", 1e300)])
 @example(changes=[("refine_steps", 10**7)])
@@ -133,3 +143,21 @@ def test_every_config_runs_or_names_a_field(worker, changes):
     if answer != ["ok"]:
         kind, message = answer
         assert kind == "ValueError" and _names_a_field(message), f"{changes}: {kind}: {message}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=CHANGES)
+def test_listing_written_and_read_as_the_reference_does(changes):
+    # A listing of the drawn values, accepted or not, reads back as the
+    # reference reads it; a config the constructor accepts is written as the
+    # reference writes it, and reads back to itself.
+    kwargs = dict(BASE, **dict(changes))
+    text = "".join(f"{name}={','.join(map(repr, v)) if isinstance(v, tuple) else repr(v)}\n"
+                   for name, v in kwargs.items())
+    assert outcome(config_from_text, text) == outcome(config_reference.config_from_text, text)
+    try:
+        config = PipelineConfig(**kwargs)
+    except ValueError:
+        return
+    assert config_to_text(config) == config_reference.config_to_text(config)
+    assert config_from_text(config_to_text(config)) == config

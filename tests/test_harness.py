@@ -20,6 +20,9 @@ from mvsweep.sampling import VoxelGrid, VoxelGridSpec
 from mvsweep.scenegen import generate_scene
 from mvsweep.splat import GaussianSplatSet
 
+import config_reference
+from config_reference import outcome
+
 
 def append_bytes(path, n):
     with open(path, "ab") as fh:
@@ -156,6 +159,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             config_from_text(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("top_k=2\n  junk  \n", "junk"),
+        ("\n   no equals sign here\t\n", "no equals sign here"),
+    ])
+    def test_line_without_equals_is_quoted_stripped(self, text, line):
+        # Quoted as the record reader hands the line on.
+        with pytest.raises(ValueError) as info:
+            config_from_text(text)
+        assert str(info.value) == f"line 2: expected key=value, got {line!r}"
+
     def test_load_error_names_path_line_and_field(self, tmp_path):
         p = tmp_path / "config.txt"
         p.write_text("top_k=x\n")
@@ -168,6 +181,65 @@ class TestConfig:
         text = config_to_text(PipelineConfig())
         keys = {line.split("=")[0] for line in text.strip().splitlines()}
         assert keys == {f.name for f in fields(PipelineConfig)}
+
+
+class TestConfigAgainstReference:
+    """The config listing's writer and reader against
+    `tests/config_reference.py`, byte for byte and message for message."""
+
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(),
+        PipelineConfig(top_k=5, temperature=1.25e-3, grid_dims=(8.0, 8, 4)),
+        PipelineConfig(grid_dims=(8, 8, 4), grid_pitch=(0.1, 0.2, 0.3),
+                       grid_origin=(-1.5, 0.0, 2.25)),
+        PipelineConfig(grid_pitch=(1, 1, 1), depth_min=1, depth_max=1e6),
+        PipelineConfig(temperature=(1e-3, 2e-3)),
+    ], ids=["default", "ints", "tuples", "int_floats", "tuple_in_scalar"])
+    def test_writer_bytes(self, config):
+        assert config_to_text(config) == config_reference.config_to_text(config)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n\n",
+        "# a comment\n\ntop_k=2\n",
+        "  top_k = 2  \n\t# indented comment\n   num_planes=8\n",
+        "top_k=2\r\nnum_planes=8\r\n\r\n",
+        "grid_dims = 8, 8, 4\ngrid_origin=-1.5 ,0,2.25\n",
+        "#top_k=x\n",
+        "top_k=2\n# x=1\nbogus_key=3\n",
+        "top k=2\n",
+        "=5\n",
+        "top_k=2\ntop_k=3\n",
+        "top_k=x\n",
+        "top_k=2.0\n",
+        "top_k=2=3\n",
+        "num_planes=1e3\n",
+        "grid_dims=8,,4\n",
+        "temperature=abc\n",
+        "temperature=\n",
+        "depth_max=1e400\n",
+        "grid_dims=8,8\n",
+        "num_planes=12\ntop_k=0\n",
+        "# sweep\n\nmatch_window=-1\n",
+        "top_k=2\n\n\ndepth_min=6\n",
+        "num_planes=2\n",
+        "box_threshold=nan\n",
+    ])
+    def test_parse_and_messages(self, text):
+        assert outcome(config_from_text, text) == outcome(config_reference.config_from_text, text)
+
+    @pytest.mark.parametrize("text", ["top_k=2\n  junk  \n", "\n   no equals sign here\t\n"])
+    def test_line_without_equals(self, text):
+        # The one message that may differ from the reference's, in how it
+        # quotes the line (see TestConfig.test_line_without_equals_is_quoted_stripped).
+        prefix = "ValueError: line 2: expected key=value, got "
+        assert outcome(config_reference.config_from_text, text).startswith(prefix)
+        assert outcome(config_from_text, text).startswith(prefix)
+
+    def test_round_trip_matches_reference(self):
+        for config in (PipelineConfig(), PipelineConfig(grid_dims=(8, 8, 4), top_k=1)):
+            text = config_to_text(config)
+            assert config_from_text(text) == config_reference.config_from_text(text) == config
 
 
 IDENTITY_RT = "1 0 0 0 0 1 0 0 0 0 1 0"

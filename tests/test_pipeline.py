@@ -217,6 +217,29 @@ class TestStreamingDecode:
         assert sorted(name for name, _ in calls) == [f"view_{i:03d}.ppm" for i in range(5)]
         assert [alive for _, alive in calls] == [0] * 5
 
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_no_feature_grid_alive_at_box_extraction(self, tmp_path, monkeypatch, refine):
+        # The refinement reads the refined views' colours as views into
+        # their feature grids; none of them may outlive the aggregation.
+        grids, alive = [], []
+        real_features, real_boxes = pipeline.extract_features, pipeline.extract_boxes
+
+        def extract_features(image):
+            grid = real_features(image)
+            grids.append(weakref.ref(grid))
+            return grid
+
+        def extract_boxes(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in grids))
+            return real_boxes(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_features", extract_features)
+        monkeypatch.setattr(pipeline, "extract_boxes", extract_boxes)
+        scene_dir = write_scene(tmp_path, n_views=5, image_size=(64, 48))
+        config = small_config(refine_steps=1, refine_novel_views=2)
+        run_pipeline(scene_dir, config, refine=refine)
+        assert len(grids) == (3 if refine else 5) and alive == [0]
+
     def test_refined_volumes_are_dropped_before_the_first_evaluation(self, tmp_path,
                                                                       monkeypatch):
         # The refined views' volumes are handed over to the refinement, which

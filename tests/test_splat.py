@@ -1418,29 +1418,41 @@ class TestAgainstStoredState:
 
 class TestMemoryBudget:
     # Traced peak bytes per (primitive, pixel) pair within 3 sigma, composited
-    # or not, measured in this test's order, loss and gradient first: for
-    # one loss-and-gradient evaluation per pair summed over both novel views
-    # (measured 20.9-22.2 over five fresh processes and two runs of this
-    # file, the views' passes overlapping on two threads, with the forward
-    # pass handing on only its chunk records and no probabilities held
-    # through the passes; 19.9-22.2 with its per-primitive arrays handed on
-    # too; 23.0-24.6 with the camera-frame centers, Jacobian entries and 2D
-    # covariances held, 34.1-36.8 with pixel ids and falloffs stored per
-    # pair, 57.4-61.9 when the backward pass walked the whole view's pairs
-    # at once, 51.2 with one view after the other, 64.9 before the
-    # saturation rule), and for one
-    # rasterize per pair of its view (measured 14.22 with the forward walk
+    # or not, measured in this test's order: loss and gradient with the two
+    # novel views' passes overlapping on two threads, then with the views
+    # run in turn, then one rasterize.
+    #
+    # For one loss-and-gradient evaluation per pair summed over both novel
+    # views.  With the views run in turn (`_per_view` as a plain loop, the
+    # schedule the threads give the same bits as), the figure is the same
+    # every run: 15.75 with the forward pass handing on only its chunk
+    # records and no probabilities held through the passes (in five fresh
+    # processes and three runs of this file), 16.67 as the first evaluation
+    # of a fresh process; 17.78 with its per-primitive arrays handed on too.
+    # Overlapping on two threads, the peak follows thread timing: 20.85-21.53
+    # over five fresh processes, 19.75-20.12 over three runs of this file,
+    # 19.9-22.8 over 24 earlier runs of the same engine code; 23.0-24.6 with
+    # the camera-frame centers, Jacobian entries and 2D covariances held,
+    # 34.1-36.8 with pixel ids and falloffs stored per pair, 57.4-61.9 when
+    # the backward pass walked the whole view's pairs at once (51.2 in
+    # turn), 64.9 before the saturation rule.
+    #
+    # For one rasterize per pair of its view: 14.22 with the forward walk
     # summing alpha and depth and building no chunk record, 16.04 as the
     # first render of a fresh process; 18.04 with the records built and
     # dropped, 20.2 with the projection held, 32.7 with pixel ids and
     # falloffs stored per pair, 55.6 with view-sized int32 pair arrays, 66.8
-    # with int64 ones, 63.0 before the saturation rule).  The fused
+    # with int64 ones, 63.0 before the saturation rule.  The fused
     # render-and-backward pass of an older engine peaked at 90.7 and 119.7
-    # on the same scene.  The rasterize bound is its measurement in this
-    # test's order plus about 15%, rounded up (16.35 to 17); the
-    # loss-and-gradient bound, set that way at 21.5, keeps about 12% over
-    # the largest measurement now.
+    # on the same scene.
+    #
+    # The in-turn and rasterize bounds are their measurement in this test's
+    # order plus about 15%, rounded up (18.11 to 19, 16.35 to 17).  The
+    # threaded bound, set that way at 21.5, keeps 16% over 21.53 and 10%
+    # over 22.8; it cannot tell a change of a byte per pair from thread
+    # timing, and the in-turn figure can.
     LOSS_AND_GRAD_BYTES_PER_PAIR = 25
+    IN_TURN_LOSS_AND_GRAD_BYTES_PER_PAIR = 19
     RASTERIZE_BYTES_PER_PAIR = 17
     # Bytes of the forward pass's chunk records per composited pair: 12 per
     # pair (int32 primitive, float64 transmittance) and 8 per run (int32
@@ -1448,7 +1460,8 @@ class TestMemoryBudget:
     # 24.00 with each pair's pixel id and falloff stored.
     STATE_BYTES_PER_PAIR = 13
 
-    def test_loss_and_grad_and_rasterize_peaks(self):
+    def test_loss_and_grad_and_rasterize_peaks(self, monkeypatch):
+        import mvsweep.splat as splat_module
         from splat_reference import gather_pairs_unsorted, project_gaussians
 
         logits, planes, src_v, src_i, nov_v, nov_i = _budget_inputs()
@@ -1457,10 +1470,14 @@ class TestMemoryBudget:
         for view in nov_v:
             _, _, _, mean2d, cov2d, _, _, _, gw, gh = project_gaussians(splats, view)
             pairs.append(gather_pairs_unsorted(mean2d, cov2d, gw, gh)[0].size)
-        peak = _traced_peak(refinement_loss_and_grad, logits, planes, src_v, src_i, nov_v, nov_i,
-                            1.0)
+        args = (logits, planes, src_v, src_i, nov_v, nov_i, 1.0)
+        peak = _traced_peak(refinement_loss_and_grad, *args)
+        monkeypatch.setattr(splat_module, "_per_view",
+                            lambda pool, fn, view_args: [fn(*a) for a in view_args])
+        in_turn_peak = _traced_peak(refinement_loss_and_grad, *args)
         raster_peak = _traced_peak(rasterize, splats, nov_v[0])
         assert peak <= self.LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)
+        assert in_turn_peak <= self.IN_TURN_LOSS_AND_GRAD_BYTES_PER_PAIR * sum(pairs)
         assert raster_peak <= self.RASTERIZE_BYTES_PER_PAIR * pairs[0]
 
     def test_forward_state_size(self):

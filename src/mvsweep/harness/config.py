@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 
@@ -56,22 +57,14 @@ class PipelineConfig:
     min_component: int = 4
 
     def __post_init__(self):
-        self.grid_dims = tuple(_integral("grid_dims", v) for v in self.grid_dims)
-        self.grid_pitch = tuple(float(v) for v in self.grid_pitch)
-        self.grid_origin = tuple(float(v) for v in self.grid_origin)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if _parse_type(f) is int:
-                if not isinstance(value, tuple):
-                    setattr(self, f.name, _integral(f.name, value))
-                continue
-            if not all(abs(v) <= MAX_MAGNITUDE for v in _values(value)):
-                raise ValueError(f"{f.name} must be finite and at most {MAX_MAGNITUDE:g} "
-                                 f"in magnitude, got {value!r}")
+            setattr(self, f.name, _shaped(f, getattr(self, f.name)))
         if self.num_planes < 2:
             raise ValueError("num_planes must be >= 2")
-        if len(self.grid_dims) != 3 or min(self.grid_dims) < 1:
-            raise ValueError("grid_dims must be three sizes >= 1")
+        for name in ("grid_dims", "source_views", "refine_steps", "refine_novel_views",
+                     "novel_source_views", "min_component"):
+            if min(_values(getattr(self, name))) < 1:
+                raise ValueError(f"{name} must be >= 1")
         voxels = math.prod(self.grid_dims)
         if voxels > MAX_VOXELS:
             raise ValueError(f"grid_dims {self.grid_dims} give {voxels} voxels, more than {MAX_VOXELS}")
@@ -83,10 +76,6 @@ class PipelineConfig:
                      "refine_step_size", "grid_pitch"):
             if not min(_values(getattr(self, name))) >= MIN_POSITIVE:
                 raise ValueError(f"{name} must be positive, at least {MIN_POSITIVE:g}")
-        for name in ("source_views", "refine_steps", "refine_novel_views",
-                     "novel_source_views", "min_component"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.refine_steps > MAX_REFINE_STEPS:
             raise ValueError(f"refine_steps must be at most {MAX_REFINE_STEPS}")
         if not 0.0 < self.box_threshold <= 1.0:
@@ -97,6 +86,26 @@ class PipelineConfig:
 
     def grid_spec(self) -> VoxelGridSpec:
         return VoxelGridSpec(self.grid_dims, self.grid_origin, self.grid_pitch)
+
+
+def _shaped(f, value):
+    """value cast to the shape and item type of its field's default.  A
+    tuple field takes exactly three items, from a tuple or a list, and holds
+    a tuple; a scalar field takes one value.  An int item goes through
+    _integral; a float item must be a real number of magnitude at most
+    MAX_MAGNITUDE and is held as a float.  Anything else is a ValueError
+    naming the field."""
+    many = isinstance(f.default, tuple)
+    if isinstance(value, (tuple, list)) != many or (many and len(value) != 3):
+        raise ValueError(f"{f.name} takes {'three values' if many else 'one value'}, got {value!r}")
+    items = tuple(value) if many else (value,)
+    kind = _item_type(f)
+    if kind is float and not all(isinstance(v, numbers.Real) and abs(v) <= MAX_MAGNITUDE
+                                 for v in items):
+        raise ValueError(f"{f.name} must be finite and at most {MAX_MAGNITUDE:g} in magnitude, "
+                         f"got {value!r}")
+    items = tuple(float(v) if kind is float else _integral(f.name, v) for v in items)
+    return items if many else items[0]
 
 
 def _integral(name: str, value) -> int:
@@ -116,10 +125,10 @@ def _values(value) -> tuple:
     return value if isinstance(value, tuple) else (value,)
 
 
-def _parse_type(f):
-    """The type a field's text value parses to: that of its default, or of
-    the default's items for a tuple field.  Every default is a literal int,
-    float or tuple of one of these."""
+def _item_type(f):
+    """The type of a field's value, or of each of its items for a tuple
+    field: that of its default's.  Every default is a literal int, float or
+    tuple of three of one of these."""
     return type(f.default[0] if isinstance(f.default, tuple) else f.default)
 
 
@@ -150,15 +159,14 @@ def config_from_text(text: str) -> PipelineConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if key in values:
                 raise ValueError(f"duplicate config key {key!r}")
-            # Integers parse as int(token), as config_to_text writes them.
-            cast = _parse_type(known[key])
+            # Integers parse as int(token), as config_to_text writes them;
+            # the constructor decides whether the count of tokens fits.
+            cast = _item_type(known[key])
             try:
-                if isinstance(known[key].default, tuple):
-                    values[key] = tuple(cast(p) for p in val.split(","))
-                else:
-                    values[key] = cast(val)
+                items = tuple(cast(p) for p in val.split(","))
             except ValueError:
                 raise ValueError(f"{key}={val!r} is not a valid {cast.__name__}") from None
+            values[key] = items if len(items) > 1 else items[0]
         line_of[key] = ln
     try:
         return PipelineConfig(**values)

@@ -9,7 +9,7 @@ import pytest
 
 from mvsweep.harness import formats, pipeline
 from mvsweep.harness.cli import main as cli_main
-from mvsweep.harness.config import PipelineConfig, save_config
+from mvsweep.harness.config import PipelineConfig, config_to_text, save_config
 from mvsweep.harness.pipeline import (
     evaluate_outputs,
     holdout_novel_indices,
@@ -525,6 +525,31 @@ class TestCli:
                       str(tmp_path / "s.mvsg"), "--cameras", str(scene_dir / "cameras.txt"),
                       "--view", str(view)])
         assert not (tmp_path / "render").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_pitch", "0.4,0.4"),
+        ("grid_origin", "-3.2,-3.2,0,7"),
+    ])
+    def test_wrong_shaped_config_fails_before_the_run(self, tmp_path, field, value):
+        # Both used to be read, to run the whole sweep and to fail after it,
+        # in sampling._cubes and extract_boxes, with errors naming no field.
+        scene_dir = write_scene(tmp_path, n_views=3, image_size=(64, 48))
+        lines = config_to_text(small_config()).splitlines()
+        ln = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{field}="))
+        lines[ln - 1] = f"{field}={value}"
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "results"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "mvsweep", "--config", str(cfg_path),
+                               "--out", str(out_dir), "run", "--scene", str(scene_dir)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith(
+            f"ValueError: {cfg_path}: line {ln}: {field} takes three values, got (")
+        assert not out_dir.exists()
 
     def test_threads_flag_validated(self, tmp_path):
         with pytest.raises(SystemExit):
